@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .channel import (  # noqa: F401
     ArrivingIntensities,
     ChannelScenario,
-    DetectionPattern,
     arriving_intensity,
     db_to_transmittance,
     first_order_diagnostics,
@@ -13,7 +12,6 @@ from .channel import (  # noqa: F401
     x_basis_gain,
     x_basis_qber,
     yield_grid,
-    yield_nm_asymptotic,
     z_basis_gain,
 )
 from .decoy import (  # noqa: F401
@@ -22,7 +20,6 @@ from .decoy import (  # noqa: F401
     build_problem,
     observations_from_scenario,
     sigma_multiplier_from_epsilon,
-    solve_upper_bound,
     solve_yield_bounds,
     widened_gain_interval,
 )
@@ -40,10 +37,8 @@ from .optimizer import (  # noqa: F401
 )
 from .security import (  # noqa: F401
     CatStateCoefficients,
-    YieldBounds,
     binary_entropy,
     cat_coefficients,
     key_rate,
     phase_error_bound_from_matrix,
-    phase_error_upper_bound,
 )

@@ -10,7 +10,7 @@ detector clicks.  This module computes, per successful click pattern:
   average over the random relative phase),
 * the photon-number yields, i.e. click probabilities conditioned on Fock
   inputs, used when decoy statistics are taken as perfectly known,
-* low-order expansions of the above for plotting and diagnostics.
+* the first-order expansion of the QBER for plotting and diagnostics.
 
 Misalignment is parametrized by a per-arm error fraction ``e_d``; the two
 arms are rotated in opposite directions so the relative polarization angle
@@ -63,19 +63,9 @@ class ChannelScenario:
             raise DomainError(f"misalignment fraction must lie in [0, 1), got {self.e_d}")
 
     @property
-    def theta_a(self) -> float:
-        """Alice-arm misalignment angle, radians (positive magnitude)."""
-        return math.asin(math.sqrt(self.e_d))
-
-    @property
-    def theta_b(self) -> float:
-        """Bob-arm misalignment angle, radians (positive magnitude)."""
-        return math.asin(math.sqrt(self.e_d))
-
-    @property
     def theta(self) -> float:
-        """Total relative polarization angle; arms rotate in opposite directions."""
-        return self.theta_a + self.theta_b
+        """Total relative polarization angle; the arms rotate in opposite directions."""
+        return 2.0 * math.asin(math.sqrt(self.e_d))
 
 
 @dataclass(frozen=True)
@@ -95,26 +85,6 @@ class ArrivingIntensities:
             arriving_intensity(intensity_a, scenario.eta_a),
             arriving_intensity(intensity_b, scenario.eta_b),
         )
-
-
-@dataclass(frozen=True)
-class DetectionPattern:
-    """Click flags (k_c, k_d) of the two station detectors."""
-
-    k_c: int
-    k_d: int
-
-    def __post_init__(self):
-        if self.k_c not in (0, 1) or self.k_d not in (0, 1):
-            raise DomainError(f"click flags must be 0 or 1, got ({self.k_c}, {self.k_d})")
-
-    @property
-    def is_successful(self) -> bool:
-        return self.k_c + self.k_d == 1
-
-
-#: The two click patterns counted as successful detections.
-SUCCESSFUL_PATTERNS = (DetectionPattern(0, 1), DetectionPattern(1, 0))
 
 
 def db_to_transmittance(loss_db: float) -> float:
@@ -242,45 +212,18 @@ def _binomial_pmf_matrix(n_max: int, eta: float) -> np.ndarray:
     return out
 
 
-def yield_nm_asymptotic(scenario: ChannelScenario, n_a: int, n_b: int) -> float:
-    """Click probability of one successful pattern given Fock inputs |n_a>, |n_b>.
+def yield_grid(scenario: ChannelScenario, cap: int = PHOTON_NUMBER_CAP) -> np.ndarray:
+    """Click probabilities of one successful pattern given Fock inputs |n_a>, |n_b>.
 
-    Each photon survives its channel independently (binomial thinning of the
-    Fock state), and the survivors interfere on the beamsplitter.  The
+    Returns all yields for 0 <= n_a, n_b <= cap as a (cap+1, cap+1) array.
+    Each photon survives its channel independently (binomial thinning of
+    the Fock state), and the survivors interfere on the beamsplitter.  The
     pattern requires zero photons at one detector and at least one at the
-    other, so
-
-        Y = sum_{k,l} B(k;n_a,eta_a) B(l;n_b,eta_b) P_bunch(k, l)
-            - (1-eta_a)^n_a (1-eta_b)^n_b
+    other, so with B_a, B_b the binomial thinning matrices and P the
+    bunching table, Y = B_a P B_b^T minus the all-lost outer product.
 
     Dark counts are deliberately excluded; this form feeds the
     perfect-knowledge (infinite-decoy) analysis only.
-    """
-    if not (isinstance(n_a, (int, np.integer)) and isinstance(n_b, (int, np.integer))):
-        raise DomainError(f"photon numbers must be integers, got {n_a!r}, {n_b!r}")
-    if n_a < 0 or n_b < 0:
-        raise DomainError(f"photon numbers must be nonnegative, got {n_a}, {n_b}")
-    if n_a > PHOTON_NUMBER_CAP or n_b > PHOTON_NUMBER_CAP:
-        raise UnsupportedPhotonNumberError(
-            f"photon numbers up to {PHOTON_NUMBER_CAP} are supported, got ({n_a}, {n_b})"
-        )
-    bunch = _port_bunching_table(max(n_a, n_b), math.cos(scenario.theta))
-    total = 0.0
-    for k in range(n_a + 1):
-        wa = math.comb(n_a, k) * scenario.eta_a**k * (1.0 - scenario.eta_a) ** (n_a - k)
-        for l in range(n_b + 1):
-            wb = math.comb(n_b, l) * scenario.eta_b**l * (1.0 - scenario.eta_b) ** (n_b - l)
-            total += wa * wb * bunch[k][l]
-    total -= (1.0 - scenario.eta_a) ** n_a * (1.0 - scenario.eta_b) ** n_b
-    return _clamp_probability(total)
-
-
-def yield_grid(scenario: ChannelScenario, cap: int = PHOTON_NUMBER_CAP) -> np.ndarray:
-    """All yields for 0 <= n_a, n_b <= cap as a (cap+1, cap+1) array.
-
-    Matrix form of :func:`yield_nm_asymptotic`: with B_a, B_b the binomial
-    thinning matrices and P the bunching table, Y = B_a P B_b^T minus the
-    all-lost outer product.
     """
     if cap < 0 or cap > PHOTON_NUMBER_CAP:
         raise UnsupportedPhotonNumberError(f"cap must lie in [0, {PHOTON_NUMBER_CAP}], got {cap}")
@@ -294,24 +237,8 @@ def yield_grid(scenario: ChannelScenario, cap: int = PHOTON_NUMBER_CAP) -> np.nd
     return np.clip(grid, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class FirstOrderDiagnostics:
-    """Closed-form low-order expansions for plotting against the full model."""
-
-    p_xx_approx: float
-    p_zz_approx: float
-    e_xx_approx: float
-
-
-def first_order_diagnostics(scenario: ChannelScenario, gamma: ArrivingIntensities) -> FirstOrderDiagnostics:
-    """Small-intensity expansions of gain and QBER (no dark counts, no phase mismatch).
-
-    Gains to second order in the arriving intensities,
-
-        p_xx ~ S/2 - [3 g_a^2 + 3 g_b^2 + (2+4 e_d) g_a g_b] / 8
-        p_zz ~ S/2 - [3 g_a^2 + 3 g_b^2 + (4+2 e_d) g_a g_b] / 8
-
-    and the QBER to first order,
+def first_order_diagnostics(scenario: ChannelScenario, gamma: ArrivingIntensities) -> float:
+    """First-order QBER expansion (no dark counts, no phase mismatch),
 
         e_xx ~ (S/2 - sqrt(g_a g_b) cos theta) / S
 
@@ -320,11 +247,6 @@ def first_order_diagnostics(scenario: ChannelScenario, gamma: ArrivingIntensitie
     """
     ga, gb = gamma.gamma_a, gamma.gamma_b
     total = ga + gb
-    half = 0.5 * total
-    p_xx = half - (3.0 * ga * ga + 3.0 * gb * gb + (2.0 + 4.0 * scenario.e_d) * ga * gb) / 8.0
-    p_zz = half - (3.0 * ga * ga + 3.0 * gb * gb + (4.0 + 2.0 * scenario.e_d) * ga * gb) / 8.0
     if total > 0.0:
-        e_xx = (half - math.sqrt(ga * gb) * math.cos(scenario.theta)) / total
-    else:
-        e_xx = 0.0
-    return FirstOrderDiagnostics(p_xx_approx=p_xx, p_zz_approx=p_zz, e_xx_approx=e_xx)
+        return (0.5 * total - math.sqrt(ga * gb) * math.cos(scenario.theta)) / total
+    return 0.0

@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=1, help="parallel sweep-point workers")
     sweep.add_argument(
         "--dump-lp", action="store_true",
-        help="also write the yield LPs at the optimized parameters to <out>.lp.txt",
+        help="finite mode: also write the yield LPs at the optimized parameters to <out>.lp.txt",
     )
 
     scan = sub.add_parser("qber-scan", help="error rates versus intensity asymmetry")
@@ -81,14 +81,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "sweep":
-            if args.dump_lp:
-                rows, dumps = run_sweep(config, workers=args.workers, collect_lp_dumps=True)
-                write_csv(args.out, SWEEP_COLUMNS, rows, document)
-                if dumps:
-                    write_lp_dumps(args.out + ".lp.txt", dumps)
-            else:
-                rows = run_sweep(config, workers=args.workers)
-                write_csv(args.out, SWEEP_COLUMNS, rows, document)
+            rows, problems = run_sweep(config, workers=args.workers)
+            write_csv(args.out, SWEEP_COLUMNS, rows, document)
+            if args.dump_lp and any(problem is not None for problem in problems):
+                write_lp_dumps(args.out + ".lp.txt", rows, problems)
         else:
             rows = run_qber_scan(config)
             write_csv(args.out, QBER_SCAN_COLUMNS, rows, document)

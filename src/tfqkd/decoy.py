@@ -27,7 +27,8 @@ from .errors import DomainError, InfeasibleProblemError
 #: Photon-number cutoff: yield variables cover 0 <= n, m < PHOTON_CUTOFF.
 PHOTON_CUTOFF = 10
 
-#: Yields maximized individually for the phase-error bound.
+#: Yields maximized individually for the phase-error bound; every other
+#: photon-number pair keeps the trivial bound 1.
 TARGET_PAIRS = ((0, 0), (2, 0), (0, 2), (1, 1), (2, 2))
 
 #: LP maxima are rounded up by this margin so floating point never
@@ -35,6 +36,7 @@ TARGET_PAIRS = ((0, 0), (2, 0), (0, 2), (1, 1), (2, 2))
 SAFETY_MARGIN = 1e-9
 
 _N_VARS = PHOTON_CUTOFF * PHOTON_CUTOFF
+_BOUND_SIZE = 1 + max(max(pair) for pair in TARGET_PAIRS)
 
 
 def poisson_pmf_vector(mu: float, count: int = PHOTON_CUTOFF) -> np.ndarray:
@@ -307,61 +309,32 @@ def _equality_form(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return a, upper, ub
 
 
-def _target_index(target: tuple[int, int]) -> int:
-    n, m = target
-    if not (0 <= n < PHOTON_CUTOFF and 0 <= m < PHOTON_CUTOFF):
-        raise DomainError(f"target pair must lie inside the cutoff grid, got {target}")
-    return n * PHOTON_CUTOFF + m
+def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
+    """Upper bounds on the TARGET_PAIRS yields as a dense 3x3 bound matrix.
 
-
-def _finish_bound(value: float) -> float:
-    return min(1.0, max(0.0, value + SAFETY_MARGIN))
-
-
-def _relabel_infeasible(problem: LpProblem, error: InfeasibleProblemError) -> InfeasibleProblemError:
-    label = error.constraint
-    if label and label.startswith("row:"):
-        row = int(label.split(":", 1)[1])
-        pair = problem.pair_labels[row % len(problem.pair_labels)]
-        return InfeasibleProblemError(
+    Entry [n, m] holds the LP maximum of Y_nm rounded up by the safety
+    margin for every target pair and the trivial bound 1 for every other
+    pair, the form the phase-error bound takes.  The feasible region does
+    not depend on the objective, so phase 1 runs once and each target only
+    pays for its own phase 2.  Deterministic for fixed input: the embedded
+    simplex uses Bland's rule throughout, so reruns are bit-identical.
+    """
+    a, b, ub = _equality_form(problem)
+    try:
+        basis = simplex.prepare(a, b, ub)
+    except InfeasibleProblemError as error:
+        label = error.constraint
+        if not (label and label.startswith("row:")):
+            raise
+        pair = problem.pair_labels[int(label.split(":", 1)[1]) % len(problem.pair_labels)]
+        raise InfeasibleProblemError(
             f"observations are contradictory beyond their widening at pair {pair}",
             constraint=pair,
-        )
-    return error
-
-
-def solve_upper_bound(problem: LpProblem, target: tuple[int, int]) -> float:
-    """LP maximum of one yield, rounded up by the safety margin.
-
-    Deterministic for fixed input: the embedded simplex uses Bland's rule
-    throughout, so reruns are bit-identical.
-    """
-    a, b, ub = _equality_form(problem)
-    try:
-        basis = simplex.prepare(a, b, ub)
-    except InfeasibleProblemError as error:
-        raise _relabel_infeasible(problem, error) from None
-    objective = np.zeros(a.shape[1])
-    objective[_target_index(target)] = 1.0
-    _, value = simplex.maximize_prepared(basis, objective)
-    return _finish_bound(value)
-
-
-def solve_yield_bounds(problem: LpProblem, targets: tuple[tuple[int, int], ...] = TARGET_PAIRS) -> dict[tuple[int, int], float]:
-    """Upper bounds for several targets, sharing one phase-1 basis.
-
-    The feasible region does not depend on the objective, so phase 1 runs
-    once and each target only pays for its own phase 2.
-    """
-    a, b, ub = _equality_form(problem)
-    try:
-        basis = simplex.prepare(a, b, ub)
-    except InfeasibleProblemError as error:
-        raise _relabel_infeasible(problem, error) from None
-    bounds = {}
-    for target in targets:
+        ) from None
+    bounds = np.ones((_BOUND_SIZE, _BOUND_SIZE))
+    for n, m in TARGET_PAIRS:
         objective = np.zeros(a.shape[1])
-        objective[_target_index(target)] = 1.0
+        objective[n * PHOTON_CUTOFF + m] = 1.0
         _, value = simplex.maximize_prepared(basis, objective)
-        bounds[target] = _finish_bound(value)
+        bounds[n, m] = min(1.0, max(0.0, value + SAFETY_MARGIN))
     return bounds

@@ -32,15 +32,16 @@ from .channel import (
     x_basis_gain,
     x_basis_qber,
 )
-from .decoy import build_problem, observations_from_scenario, sigma_multiplier_from_epsilon, solve_yield_bounds
-from .errors import ConfigError, DomainError
-from .optimizer import (
-    EvaluationMode,
-    Strategy,
-    add_fibre_transform,
-    optimize_strategy,
+from .decoy import (
+    LpProblem,
+    build_problem,
+    observations_from_scenario,
+    sigma_multiplier_from_epsilon,
+    solve_yield_bounds,
 )
-from .security import YieldBounds, cat_coefficients, phase_error_upper_bound
+from .errors import ConfigError, DomainError
+from .optimizer import EvaluationMode, Strategy, optimize_strategy
+from .security import cat_coefficients, phase_error_bound_from_matrix
 
 STRATEGY_ORDER = (
     Strategy.SYMMETRIC,
@@ -68,15 +69,6 @@ def split_total_loss(total_loss_db: float, mismatch_ratio: float) -> tuple[float
     return mismatch_ratio * eta_b, eta_b
 
 
-def reference_plob_rate(total_loss_db: float) -> float:
-    """Repeaterless secret-key capacity -log2(1 - eta) of the end-to-end channel.
-
-    Optional diagnostic only; nothing in the sweep pipeline depends on it.
-    """
-    eta = 10.0 ** (-total_loss_db / 10.0)
-    return -math.log2(1.0 - eta) if eta < 1.0 else math.inf
-
-
 def _parse_config(cls, document: dict, required: tuple[str, ...]):
     if not isinstance(document, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -91,6 +83,13 @@ def _parse_config(cls, document: dict, required: tuple[str, ...]):
         return cls(**document)
     except (DomainError, TypeError, ValueError) as error:
         raise ConfigError(str(error)) from None
+
+
+def _require_lists(config, *names: str) -> None:
+    # a JSON string would otherwise be read as a sequence of characters
+    for name in names:
+        if not isinstance(getattr(config, name), (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {getattr(config, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +110,11 @@ class SweepConfig:
     seed: int = 1
 
     def __post_init__(self):
+        _require_lists(self, "total_loss_db_grid", "strategies")
+        for name in ("n_starts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "total_loss_db_grid", tuple(float(v) for v in self.total_loss_db_grid))
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if len(self.total_loss_db_grid) == 0:
@@ -135,6 +139,8 @@ class SweepConfig:
                 raise ConfigError(f"unknown strategy {name!r}; valid: {sorted(valid)}")
         if self.n_starts < 1:
             raise ConfigError(f"n_starts must be at least 1, got {self.n_starts}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, document: dict) -> "SweepConfig":
@@ -174,6 +180,7 @@ class QberScanConfig:
     e_d: float = 0.02
 
     def __post_init__(self):
+        _require_lists(self, "s_a_grid")
         object.__setattr__(self, "s_a_grid", tuple(float(v) for v in self.s_a_grid))
         if len(self.s_a_grid) == 0:
             raise ConfigError("s_a_grid must not be empty")
@@ -220,7 +227,7 @@ class SweepRow:
 SWEEP_COLUMNS = tuple(f.name for f in dataclass_fields(SweepRow))
 
 
-def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple[SweepRow, str | None]:
+def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple[SweepRow, LpProblem | None]:
     strategy = Strategy(strategy_name)
     scenario = config.scenario_for(loss_db)
     mode = config.evaluation_mode()
@@ -248,27 +255,17 @@ def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple
         e_zz_upper=report.e_zz_upper,
         p_xx=report.p_xx,
     )
-    dump = None
-    if finite:
-        obs = observations_from_scenario(
-            scenario if strategy is not Strategy.ADD_FIBRE else add_fibre_transform(scenario),
-            (params.mu_a, params.nu_a, params.omega_a),
-            (params.mu_b, params.nu_b, params.omega_b),
-            n_pulses=mode.n_pulses,
-            probabilities_a=(params.p_mu_a, params.p_nu_a, params.p_omega_a),
-            probabilities_b=(params.p_mu_b, params.p_nu_b, params.p_omega_b),
-        )
-        dump = build_problem(obs, finite_size=True, sigma_multiplier=mode.sigma_multiplier).to_text()
-    return row, dump
+    return row, report.lp_problem
 
 
-def run_sweep(config: SweepConfig, workers: int = 1, collect_lp_dumps: bool = False):
+def run_sweep(config: SweepConfig, workers: int = 1) -> tuple[list[SweepRow], list[LpProblem | None]]:
     """One optimized row per (loss, strategy), in configuration order.
 
     Sweep points are independent jobs; with workers > 1 they run on a
     process pool and are reassembled in order, so the result (and any CSV
-    written from it) does not depend on scheduling.  Returns the rows, or
-    (rows, dumps) when LP dumps are requested.
+    written from it) does not depend on scheduling.  Returns (rows,
+    problems): problems[i] is the yield LP solved at row i's optimized
+    parameters, None for asymptotic rows.
     """
     jobs = [
         (loss, strategy.value)
@@ -281,15 +278,7 @@ def run_sweep(config: SweepConfig, workers: int = 1, collect_lp_dumps: bool = Fa
                                      [j[0] for j in jobs], [j[1] for j in jobs]))
     else:
         outcomes = [_sweep_job(config, loss, name) for loss, name in jobs]
-    rows = [row for row, _ in outcomes]
-    if collect_lp_dumps:
-        dumps = {
-            (row.loss_db, row.strategy): dump
-            for (row, dump) in outcomes
-            if dump is not None
-        }
-        return rows, dumps
-    return rows
+    return [row for row, _ in outcomes], [problem for _, problem in outcomes]
 
 
 @dataclass(frozen=True)
@@ -319,18 +308,13 @@ def run_qber_scan(config: QberScanConfig):
     for value in config.s_a_grid:
         gamma = ArrivingIntensities.from_sources(scenario, value, config.s_b)
         e_full = x_basis_qber(scenario, gamma)
-        e_first = first_order_diagnostics(scenario, gamma).e_xx_approx
+        e_first = first_order_diagnostics(scenario, gamma)
         # the decoy set is a set: a scan value below nu simply swaps roles
         strong, weak = (value, config.nu) if value >= config.nu else (config.nu, value)
         obs = observations_from_scenario(
             scenario, (strong, weak, 0.0), (config.mu_b, config.nu, 0.0),
         )
-        bounds = solve_yield_bounds(build_problem(obs))
-        yields = YieldBounds(
-            u00=bounds[(0, 0)], u20=bounds[(2, 0)], u02=bounds[(0, 2)],
-            u11=bounds[(1, 1)], u22=bounds[(2, 2)],
-        )
-        e_zz = phase_error_upper_bound(p_xx_signal, cat, cat, yields)
+        e_zz = phase_error_bound_from_matrix(p_xx_signal, cat, cat, solve_yield_bounds(build_problem(obs)))
         rows.append(QberScanRow(
             ratio=value / config.s_b,
             e_xx_full=e_full,
@@ -366,11 +350,12 @@ def write_csv(path: str, columns: tuple[str, ...], rows, config_document: dict) 
         handle.write(payload)
 
 
-def write_lp_dumps(path: str, dumps: dict) -> None:
-    """LP audit dumps, one section per sweep row, in row order."""
+def write_lp_dumps(path: str, rows, problems) -> None:
+    """LP audit dumps, one section per sweep row that has an LP, in row order."""
     sections = []
-    for (loss_db, strategy) in sorted(dumps):
-        sections.append(f"=== loss_db={loss_db!r} strategy={strategy} ===")
-        sections.append(dumps[(loss_db, strategy)])
+    for row, problem in zip(rows, problems):
+        if problem is not None:
+            sections.append(f"=== loss_db={row.loss_db!r} strategy={row.strategy} ===")
+            sections.append(problem.to_text())
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(sections) + "\n")

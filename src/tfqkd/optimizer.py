@@ -20,11 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import security
 from .channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
-from .decoy import build_problem, observations_from_scenario, solve_yield_bounds
+from .decoy import LpProblem, build_problem, observations_from_scenario, solve_yield_bounds
 from .errors import DomainError
-from .security import YieldBounds, cat_coefficients, key_rate
+from .security import cat_coefficients, key_rate, phase_error_bound_from_matrix
 
 INTENSITY_MIN = 1e-4
 INTENSITY_MAX = 1.0
@@ -136,19 +135,24 @@ class EvaluationMode:
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Everything the sweep front end reports for one evaluation."""
+    """Everything the sweep front end reports for one evaluation.
+
+    yield_bounds is the bound matrix the phase-error bound used: the
+    true-yield grid in asymptotic mode and the decoy LP's bound matrix in
+    finite mode (None when no X-basis click can occur).  lp_problem is the
+    finite-mode yield LP, None in asymptotic mode.
+    """
 
     mode: str
     p_xx: float
     e_xx: float
     e_zz_upper: float
-    yield_bounds: YieldBounds
+    yield_bounds: np.ndarray | None
     rate: float
-    rate_per_pattern: float
     rate_raw: float
     basis_weight: float
     no_key: bool = False
-    lp_warnings: tuple[str, ...] = ()
+    lp_problem: LpProblem | None = None
 
 
 def add_fibre_transform(scenario: ChannelScenario) -> ChannelScenario:
@@ -165,15 +169,6 @@ def _true_yield_grid(scenario: ChannelScenario) -> np.ndarray:
     return grid
 
 
-def _no_key_report(mode: EvaluationMode, p_xx: float, weight: float) -> KeyRateReport:
-    return KeyRateReport(
-        mode=mode.kind, p_xx=p_xx, e_xx=0.0, e_zz_upper=1.0,
-        yield_bounds=YieldBounds(1.0, 1.0, 1.0, 1.0, 1.0),
-        rate=0.0, rate_per_pattern=0.0, rate_raw=0.0,
-        basis_weight=weight, no_key=True,
-    )
-
-
 def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
                       mode: EvaluationMode) -> KeyRateReport:
     """Full pipeline: observables, yield bounds, phase error, key rate.
@@ -181,28 +176,18 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     Asymptotic mode treats every photon-number yield as perfectly known
     and uses the whole true-yield grid in the phase-error bound.  Finite
     mode simulates the nine decoy gains, widens them to confidence
-    intervals, and solves the yield LP for the five bounded pairs.  The
-    reported rate counts both successful click patterns; in finite mode it
-    additionally carries the probability that both parties chose signal
-    states (rate_raw leaves that weight out).
+    intervals, and solves the yield LP for the bounded pairs; the report
+    carries that LP.  The reported rate counts both successful click
+    patterns; in finite mode it additionally carries the probability that
+    both parties chose signal states (rate_raw leaves that weight out).
     """
     gamma = ArrivingIntensities.from_sources(scenario, params.s_a, params.s_b)
     weight = 1.0
+    problem = None
     if mode.is_finite:
         if not params.has_probabilities:
             raise DomainError("finite mode requires selection probabilities")
         weight = params.p_s_a * params.p_s_b
-
-    p_xx = x_basis_gain(scenario, gamma)
-    if p_xx <= 0.0:
-        return _no_key_report(mode, p_xx, weight)
-    e_xx = x_basis_qber(scenario, gamma)
-
-    cat_a = cat_coefficients(math.sqrt(params.s_a))
-    cat_b = cat_coefficients(math.sqrt(params.s_b))
-    lp_warnings: tuple[str, ...] = ()
-
-    if mode.is_finite:
         obs = observations_from_scenario(
             scenario,
             (params.mu_a, params.nu_a, params.omega_a),
@@ -212,28 +197,25 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
             probabilities_b=(params.p_mu_b, params.p_nu_b, params.p_omega_b),
         )
         problem = build_problem(obs, finite_size=True, sigma_multiplier=mode.sigma_multiplier)
-        lp_warnings = problem.warnings
-        raw = solve_yield_bounds(problem)
-        bounds = YieldBounds(
-            u00=raw[(0, 0)], u20=raw[(2, 0)], u02=raw[(0, 2)],
-            u11=raw[(1, 1)], u22=raw[(2, 2)],
-        )
-        e_zz = security.phase_error_upper_bound(p_xx, cat_a, cat_b, bounds)
-    else:
-        grid = _true_yield_grid(scenario)
-        bounds = YieldBounds(
-            u00=float(grid[0, 0]), u20=float(grid[2, 0]), u02=float(grid[0, 2]),
-            u11=float(grid[1, 1]), u22=float(grid[2, 2]),
-        )
-        e_zz = security.phase_error_bound_from_matrix(p_xx, cat_a, cat_b, grid)
 
+    p_xx = x_basis_gain(scenario, gamma)
+    if p_xx <= 0.0:
+        return KeyRateReport(
+            mode=mode.kind, p_xx=p_xx, e_xx=0.0, e_zz_upper=1.0, yield_bounds=None,
+            rate=0.0, rate_raw=0.0, basis_weight=weight, no_key=True, lp_problem=problem,
+        )
+    e_xx = x_basis_qber(scenario, gamma)
+
+    bounds = solve_yield_bounds(problem) if mode.is_finite else _true_yield_grid(scenario)
+    e_zz = phase_error_bound_from_matrix(
+        p_xx, cat_coefficients(math.sqrt(params.s_a)), cat_coefficients(math.sqrt(params.s_b)), bounds,
+    )
     rate = key_rate(p_xx, e_xx, e_zz, pattern_count=2, basis_weight=weight)
     rate_raw = key_rate(p_xx, e_xx, e_zz, pattern_count=2, basis_weight=1.0)
     return KeyRateReport(
-        mode=mode.kind, p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz,
-        yield_bounds=bounds, rate=rate, rate_per_pattern=0.5 * rate,
-        rate_raw=rate_raw, basis_weight=weight, no_key=rate == 0.0,
-        lp_warnings=lp_warnings,
+        mode=mode.kind, p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds,
+        rate=rate, rate_raw=rate_raw, basis_weight=weight, no_key=rate == 0.0,
+        lp_problem=problem,
     )
 
 

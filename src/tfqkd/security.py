@@ -25,10 +25,6 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedAmplitudeError, ZeroGainError
 
-#: Photon-number pairs whose yields are individually upper-bounded; all
-#: other pairs fall back to the trivial bound 1.
-BOUNDED_PAIRS = ((0, 0), (2, 0), (0, 2), (1, 1), (2, 2))
-
 MAX_AMPLITUDE = 10.0
 DEFAULT_TAIL_TOLERANCE = 1e-12
 
@@ -120,97 +116,37 @@ def cat_coefficients(alpha: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANC
     )
 
 
-@dataclass(frozen=True)
-class YieldBounds:
-    """Upper bounds on the five individually-constrained yields.
-
-    Pairs follow BOUNDED_PAIRS ordering; every other photon-number pair is
-    bounded trivially by tail_default (1 unless deliberately overridden in
-    limiting-case analyses).
-    """
-
-    u00: float
-    u20: float
-    u02: float
-    u11: float
-    u22: float
-    tail_default: float = 1.0
-
-    def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not (0.0 <= value <= 1.0):
-                raise DomainError(f"yield bound {name} must lie in [0, 1], got {value}")
-        if not (0.0 <= self.tail_default <= 1.0):
-            raise DomainError(f"tail default must lie in [0, 1], got {self.tail_default}")
-
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return {
-            (0, 0): self.u00,
-            (2, 0): self.u20,
-            (0, 2): self.u02,
-            (1, 1): self.u11,
-            (2, 2): self.u22,
-        }
-
-
-def _bracket_pair(cat_a: CatStateCoefficients, cat_b: CatStateCoefficients, sqrt_bounds: np.ndarray,
-                  default: float = 1.0) -> tuple[float, float]:
-    """Even and odd Cauchy-Schwarz brackets for a square-root-bound matrix.
-
-    sqrt_bounds[n, m] holds sqrt of the yield bound for pair (n, m); pairs
-    outside the matrix take sqrt(default).  Each bracket is
-
-        T_i + sum_nm c_n c_m (sqrt_bounds[n, m] - sqrt(default))
-
-    with T_i the product of full amplitude sums, i.e. every unlisted pair
-    is bounded by default (the trivial bound 1 in normal operation).
-    """
-    size = sqrt_bounds.shape[0]
-    sqrt_default = math.sqrt(default)
-    vec_a = cat_a.dense(size)
-    vec_b = cat_b.dense(size)
-    correction = sqrt_bounds - sqrt_default
-    even_mask = np.arange(size) % 2 == 0
-    a_even = np.where(even_mask, vec_a, 0.0)
-    b_even = np.where(even_mask, vec_b, 0.0)
-    a_odd = vec_a - a_even
-    b_odd = vec_b - b_even
-    bracket_even = sqrt_default * cat_a.even_sum * cat_b.even_sum + a_even @ correction @ b_even
-    bracket_odd = sqrt_default * cat_a.odd_sum * cat_b.odd_sum + a_odd @ correction @ b_odd
-    return max(0.0, bracket_even), max(0.0, bracket_odd)
-
-
 def phase_error_bound_from_matrix(p_xx: float, cat_a: CatStateCoefficients, cat_b: CatStateCoefficients,
                                   bound_matrix: np.ndarray) -> float:
     """Phase-error upper bound from a dense matrix of yield upper bounds.
 
     bound_matrix[n, m] bounds the yield of pair (n, m); pairs beyond the
-    matrix edge are bounded by 1.  Used when yields are perfectly known
-    (bounds equal the true yields) and in limiting-case tests.
+    matrix edge take the trivial bound 1.  The matrix is the decoy LP's
+    3x3 bound matrix in finite mode and the true-yield grid when yields
+    are perfectly known.  With s_nm = sqrt(bound_matrix[n, m]) the even
+    and odd Cauchy-Schwarz brackets are
+
+        B_i = T_i + sum_nm c_n c_m (s_nm - 1)
+
+    over pairs of matching parity, with T_i the product of the full
+    amplitude sums, and the result is min(1, (B_even^2 + B_odd^2)/p_xx).
     """
     if p_xx <= 0.0:
         raise ZeroGainError("phase-error bound undefined at zero X-basis gain (no-key event)")
-    sqrt_bounds = np.sqrt(np.clip(np.asarray(bound_matrix, dtype=float), 0.0, 1.0))
-    be, bo = _bracket_pair(cat_a, cat_b, sqrt_bounds)
-    return float(min(1.0, (be * be + bo * bo) / p_xx))
-
-
-def phase_error_upper_bound(p_xx: float, cat_a: CatStateCoefficients, cat_b: CatStateCoefficients,
-                            yields: YieldBounds) -> float:
-    """Phase-error upper bound from the five individually-bounded yields.
-
-    All pairs other than the five take the trivial bound tail_default, so
-    the even bracket covers {(0,0),(0,2),(2,0),(2,2)} and the odd bracket
-    {(1,1)}; the result is min(1, (bracket_even^2 + bracket_odd^2)/p_xx).
-    """
-    if p_xx <= 0.0:
-        raise ZeroGainError("phase-error bound undefined at zero X-basis gain (no-key event)")
-    size = 3
-    matrix = np.full((size, size), yields.tail_default)
-    for (n, m), value in yields.as_dict().items():
-        matrix[n, m] = value
-    sqrt_bounds = np.sqrt(np.clip(matrix, 0.0, 1.0))
-    be, bo = _bracket_pair(cat_a, cat_b, sqrt_bounds, default=yields.tail_default)
+    bounds = np.asarray(bound_matrix, dtype=float)
+    if not np.all((bounds >= 0.0) & (bounds <= 1.0)):
+        raise DomainError("yield bounds must lie in [0, 1]")
+    size = bounds.shape[0]
+    vec_a = cat_a.dense(size)
+    vec_b = cat_b.dense(size)
+    correction = np.sqrt(bounds) - 1.0
+    even_mask = np.arange(size) % 2 == 0
+    a_even = np.where(even_mask, vec_a, 0.0)
+    b_even = np.where(even_mask, vec_b, 0.0)
+    a_odd = vec_a - a_even
+    b_odd = vec_b - b_even
+    be = max(0.0, cat_a.even_sum * cat_b.even_sum + a_even @ correction @ b_even)
+    bo = max(0.0, cat_a.odd_sum * cat_b.odd_sum + a_odd @ correction @ b_odd)
     return float(min(1.0, (be * be + bo * bo) / p_xx))
 
 

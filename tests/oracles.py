@@ -1,15 +1,18 @@
 """Independent reference computations used to freeze expected test values.
 
 These deliberately avoid the code paths they check: the Bessel reference
-integrates the defining integral by quadrature, and the photon-path yield
+integrates the defining integral by quadrature, the photon-path yield
 enumerates quantum amplitudes mode by mode instead of using any closed
-form.
+form, and the scalar yield loop sums the binomial thinning term by term
+where the package multiplies matrices.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from tfqkd.channel import _port_bunching_table
 
 _LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(200)
 
@@ -73,6 +76,23 @@ def photon_path_yield(eta_a: float, eta_b: float, theta_a: float, theta_b: float
             weight_b = math.comb(n_b, l) * eta_b**l * (1.0 - eta_b) ** (n_b - l)
             total += weight_a * weight_b * _prob_all_photons_in_one_port(k, l, theta_a, theta_b)
     return total - (1.0 - eta_a) ** n_a * (1.0 - eta_b) ** n_b
+
+
+def yield_nm_asymptotic(scenario, n_a: int, n_b: int) -> float:
+    """Loop form of one entry of ``tfqkd.channel.yield_grid``.
+
+        Y = sum_{k,l} B(k;n_a,eta_a) B(l;n_b,eta_b) P_bunch(k, l)
+            - (1-eta_a)^n_a (1-eta_b)^n_b
+    """
+    bunch = _port_bunching_table(max(n_a, n_b), math.cos(scenario.theta))
+    total = 0.0
+    for k in range(n_a + 1):
+        wa = math.comb(n_a, k) * scenario.eta_a**k * (1.0 - scenario.eta_a) ** (n_a - k)
+        for l in range(n_b + 1):
+            wb = math.comb(n_b, l) * scenario.eta_b**l * (1.0 - scenario.eta_b) ** (n_b - l)
+            total += wa * wb * bunch[k][l]
+    total -= (1.0 - scenario.eta_a) ** n_a * (1.0 - scenario.eta_b) ** n_b
+    return min(1.0, max(0.0, total))
 
 
 def scipy_yield_upper_bound(problem, target: tuple[int, int]) -> float:

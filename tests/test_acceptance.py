@@ -23,7 +23,6 @@ from tfqkd.channel import (
     ChannelScenario,
     x_basis_gain,
     yield_grid,
-    yield_nm_asymptotic,
     z_basis_gain,
 )
 from tfqkd.decoy import (
@@ -62,7 +61,7 @@ def asymptotic_x01():
         strategies=tuple(s.value for s in Strategy), n_starts=4, seed=1,
     )
     start = time.monotonic()
-    rows = run_sweep(config, workers=WORKERS)
+    rows, _ = run_sweep(config, workers=WORKERS)
     return _rate_table(rows), time.monotonic() - start
 
 
@@ -73,7 +72,7 @@ def asymptotic_x001():
         strategies=("symmetric", "add_fibre", "fully_asymmetric"), n_starts=4, seed=1,
     )
     start = time.monotonic()
-    rows = run_sweep(config, workers=WORKERS)
+    rows, _ = run_sweep(config, workers=WORKERS)
     return _rate_table(rows), time.monotonic() - start
 
 
@@ -85,7 +84,7 @@ def finite_x01():
         strategies=("symmetric", "signal_only", "fully_asymmetric"), n_starts=4, seed=1,
     )
     start = time.monotonic()
-    rows = run_sweep(config, workers=WORKERS)
+    rows, _ = run_sweep(config, workers=WORKERS)
     return _rate_table(rows), time.monotonic() - start
 
 
@@ -171,8 +170,8 @@ def test_criterion_3_yield_soundness_and_tightness():
         if not problem.contains(truth):
             sound = False
         bounds = solve_yield_bounds(problem)
-        for (n, m), value in bounds.items():
-            margin = value - truth[n, m]
+        for n, m in TARGET_PAIRS:
+            margin = bounds[n, m] - truth[n, m]
             worst_margin = min(worst_margin, margin)
             if margin < -1e-12:
                 sound = False
@@ -187,16 +186,16 @@ def test_criterion_3_yield_soundness_and_tightness():
         gains = tuple(tuple(float(pa[i] @ yields @ pb[j]) for j in range(3)) for i in range(3))
         problem = build_problem(DecoyObservations(tuple(mu_a), tuple(mu_b), gains))
         bounds = solve_yield_bounds(problem)
-        for (n, m), value in bounds.items():
-            margin = value - yields[n, m]
+        for n, m in TARGET_PAIRS:
+            margin = bounds[n, m] - yields[n, m]
             worst_margin = min(worst_margin, margin)
             if margin < -1e-12:
                 sound = False
 
     nominal = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
     problem = build_problem(observations_from_scenario(nominal, (0.1, 0.01, 0.0), (0.1, 0.01, 0.0)))
-    u11 = solve_yield_bounds(problem)[(1, 1)]
-    true_11 = yield_nm_asymptotic(nominal, 1, 1)
+    u11 = solve_yield_bounds(problem)[1, 1]
+    true_11 = yield_grid(nominal, 1)[1, 1]
     tight = u11 <= 1.10 * true_11 and u11 >= true_11 - 1e-12
     elapsed = time.monotonic() - start
 
@@ -301,11 +300,11 @@ def test_criterion_7_property_suites():
     for theta_a, theta_b in ((0.1418971, 0.1418971), (0.3, 0.1)):
         e_d = math.sin(0.5 * (theta_a + theta_b)) ** 2
         for eta_a, eta_b in ((1.0, 1.0), (0.35, 0.8)):
-            sc = ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=0.0, e_d=e_d)
+            grid = yield_grid(ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=0.0, e_d=e_d), 4)
             for n_a in range(5):
                 for n_b in range(5 - n_a):
                     reference = photon_path_yield(eta_a, eta_b, theta_a, theta_b, n_a, n_b)
-                    worst_yield = max(worst_yield, abs(yield_nm_asymptotic(sc, n_a, n_b) - reference))
+                    worst_yield = max(worst_yield, abs(grid[n_a, n_b] - reference))
     checks["yields_match_oracle_1e-10"] = worst_yield <= 1e-10
 
     # swap symmetry of gains and yields
@@ -333,8 +332,8 @@ def test_criterion_7_property_suites():
             symmetric = False
         n_a, n_b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         if not math.isclose(
-            yield_nm_asymptotic(sc, n_a, n_b),
-            yield_nm_asymptotic(sc_swap, n_b, n_a),
+            yield_grid(sc, 3)[n_a, n_b],
+            yield_grid(sc_swap, 3)[n_b, n_a],
             rel_tol=1e-12, abs_tol=1e-15,
         ):
             symmetric = False

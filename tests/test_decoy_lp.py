@@ -13,7 +13,6 @@ from tfqkd.decoy import (
     observations_from_scenario,
     poisson_pmf_vector,
     sigma_multiplier_from_epsilon,
-    solve_upper_bound,
     solve_yield_bounds,
     widened_gain_interval,
 )
@@ -160,22 +159,27 @@ class TestSolve:
         sc = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.0)
         gains = tuple(tuple(0.0 for _ in range(3)) for _ in range(3))
         problem = build_problem(DecoyObservations(DECOYS, DECOYS, gains))
-        bound = solve_upper_bound(problem, (0, 0))
+        bound = solve_yield_bounds(problem)[0, 0]
         # zero up to the documented safety rounding
         assert 0.0 <= bound <= 1.0001e-9
 
     def test_five_bound_record(self):
         bounds = solve_yield_bounds(nominal_problem())
-        assert set(bounds) == set(TARGET_PAIRS)
-        assert all(0.0 <= v <= 1.0 for v in bounds.values())
+        assert bounds.shape == (3, 3)
+        for n in range(3):
+            for m in range(3):
+                if (n, m) in TARGET_PAIRS:
+                    assert 0.0 <= bounds[n, m] < 1.0
+                else:
+                    assert bounds[n, m] == 1.0  # the trivial bound
 
     def test_upper_bounds_are_sound_for_true_yields(self):
         grid = yield_grid(NOMINAL, PHOTON_CUTOFF - 1)
         problem = nominal_problem()
         assert problem.contains(grid)  # cutoff slack keeps the truth feasible
         bounds = solve_yield_bounds(problem)
-        for (n, m), bound in bounds.items():
-            assert bound >= grid[n, m] - 1e-12
+        for n, m in TARGET_PAIRS:
+            assert bounds[n, m] >= grid[n, m] - 1e-12
 
     def test_tightness_at_nominal_point(self):
         bounds = solve_yield_bounds(nominal_problem())
@@ -196,13 +200,14 @@ class TestSolve:
             problem = build_problem(DecoyObservations(tuple(mu_a), tuple(mu_b), gains))
             assert problem.contains(yields)
             bounds = solve_yield_bounds(problem)
-            for (n, m), bound in bounds.items():
-                assert bound >= yields[n, m] - 1e-9
+            for n, m in TARGET_PAIRS:
+                assert bounds[n, m] >= yields[n, m] - 1e-9
 
     def test_matches_reference_solver(self):
         problem = nominal_problem()
+        bounds = solve_yield_bounds(problem)
         for target in TARGET_PAIRS:
-            mine = solve_upper_bound(problem, target)
+            mine = bounds[target]
             reference = scipy_yield_upper_bound(problem, target)
             assert mine == pytest.approx(reference, abs=2e-6)
             assert mine >= reference - 1e-9  # never under-report
@@ -243,13 +248,14 @@ class TestSolve:
             slack_mass=np.array(slack),
             pair_labels=tuple(labels),
         )
+        expected = solve_yield_bounds(reduced)
         for pair in TARGET_PAIRS:
-            assert degenerate[pair] == pytest.approx(solve_upper_bound(reduced, pair), abs=1e-7)
+            assert degenerate[pair] == pytest.approx(expected[pair], abs=1e-7)
 
     def test_bit_identical_reruns(self):
         first = solve_yield_bounds(nominal_problem())
         second = solve_yield_bounds(nominal_problem())
-        assert first == second
+        assert first.tobytes() == second.tobytes()
 
     def test_contradictory_observations_raise_with_the_pair(self):
         problem = nominal_problem()
@@ -261,7 +267,7 @@ class TestSolve:
             pair_labels=problem.pair_labels,
         )
         with pytest.raises(InfeasibleProblemError) as excinfo:
-            solve_upper_bound(broken, (1, 1))
+            solve_yield_bounds(broken)
         assert excinfo.value.constraint is not None
 
     def test_conflicting_rows_detected_in_phase_one(self):
@@ -274,8 +280,4 @@ class TestSolve:
             pair_labels=("pin-high", "pin-low"),
         )
         with pytest.raises(InfeasibleProblemError):
-            solve_upper_bound(problem, (0, 0))
-
-    def test_rejects_targets_outside_the_grid(self):
-        with pytest.raises(DomainError):
-            solve_upper_bound(nominal_problem(), (10, 0))
+            solve_yield_bounds(problem)

@@ -1,21 +1,27 @@
+import csv
 import json
-import math
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from tfqkd.cli import main
+from tfqkd.decoy import LpProblem
 from tfqkd.errors import ConfigError
 from tfqkd.experiments import (
     QBER_SCAN_COLUMNS,
     SWEEP_COLUMNS,
     QberScanConfig,
     SweepConfig,
-    reference_plob_rate,
     run_qber_scan,
     run_sweep,
     split_total_loss,
     write_csv,
+    write_lp_dumps,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TINY_SWEEP = {
     "total_loss_db_grid": [30.0],
@@ -24,6 +30,22 @@ TINY_SWEEP = {
     "n_starts": 1,
     "seed": 7,
 }
+
+
+@pytest.fixture(scope="module")
+def finite_run(tmp_path_factory):
+    """One finite-size CLI sweep with --dump-lp, shared by every finite test.
+
+    The configuration is the TINY_SWEEP point in finite mode at 20 dB with
+    the symmetric strategy; its outputs are also the finite golden files.
+    """
+    out = tmp_path_factory.mktemp("finite") / "finite_sweep.csv"
+    code = main(["sweep", "--config", str(GOLDEN / "finite_sweep.json"), "--out", str(out), "--dump-lp"])
+    return code, out, Path(str(out) + ".lp.txt")
+
+
+def _csv_rows(path):
+    return list(csv.DictReader(path.read_text().splitlines()[1:]))
 
 
 class TestLossSplit:
@@ -74,6 +96,12 @@ class TestSweepConfig:
         {"n_starts": 0},
         {"epsilon": 1.0},
         {"n_pulses": -1.0},
+        {"n_starts": 2.5},
+        {"n_starts": True},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"strategies": "symmetric"},
+        {"total_loss_db_grid": "30"},
     ])
     def test_invalid_values(self, patch):
         with pytest.raises(ConfigError):
@@ -103,6 +131,8 @@ class TestQberScanConfig:
             QberScanConfig.from_dict({"s_a_grid": []})
         with pytest.raises(ConfigError, match="extra"):
             QberScanConfig.from_dict({"s_a_grid": [0.1], "extra": 1})
+        with pytest.raises(ConfigError, match="list"):
+            QberScanConfig.from_dict({"s_a_grid": "1"})
 
     def test_scan_shape(self):
         rows = run_qber_scan(QberScanConfig(s_a_grid=(0.01, 0.02, 0.1, 0.5, 1.0)))
@@ -122,7 +152,7 @@ class TestQberScanConfig:
 class TestSweep:
     def test_rows_in_configuration_order(self):
         config = SweepConfig.from_dict(dict(TINY_SWEEP, total_loss_db_grid=[40.0, 30.0]))
-        rows = run_sweep(config)
+        rows, _ = run_sweep(config)
         keys = [(r.loss_db, r.strategy) for r in rows]
         assert keys == [
             (40.0, "symmetric"), (40.0, "fully_asymmetric"),
@@ -137,27 +167,42 @@ class TestSweep:
         config = SweepConfig.from_dict(dict(TINY_SWEEP))
         assert run_sweep(config, workers=2) == run_sweep(config, workers=1)
 
-    def test_finite_rows_carry_probabilities(self):
-        config = SweepConfig.from_dict(dict(
-            TINY_SWEEP, mode="finite", total_loss_db_grid=[20.0], strategies=["symmetric"],
-        ))
-        row = run_sweep(config)[0]
-        assert row.p_s_a is not None and 0.0 < row.p_s_a < 1.0
-        assert row.mu_a > row.nu_a > 0.0
+    def test_finite_rows_carry_probabilities(self, finite_run):
+        _, out, _ = finite_run
+        (row,) = _csv_rows(out)
+        assert 0.0 < float(row["p_s_a"]) < 1.0
+        assert float(row["mu_a"]) > float(row["nu_a"]) > 0.0
 
-    def test_lp_dumps_on_request(self):
-        config = SweepConfig.from_dict(dict(
-            TINY_SWEEP, mode="finite", total_loss_db_grid=[20.0], strategies=["symmetric"],
-        ))
-        rows, dumps = run_sweep(config, collect_lp_dumps=True)
-        assert set(dumps) == {(20.0, "symmetric")}
-        assert "decoy yield LP" in dumps[(20.0, "symmetric")]
+    def test_lp_dumps_on_request(self, finite_run):
+        _, _, dump = finite_run
+        text = dump.read_text()
+        assert text.startswith("=== loss_db=20.0 strategy=symmetric ===\ndecoy yield LP")
+        assert text.count("=== loss_db=") == 1
+
+    def test_lp_dumps_follow_row_order(self, tmp_path):
+        def problem(label):
+            return LpProblem(
+                coefficients=np.zeros((1, 100)), gain_lower=np.zeros(1), gain_upper=np.ones(1),
+                slack_mass=np.zeros(1), pair_labels=(label,),
+            )
+
+        keys = [(loss, strategy) for loss in (30.0, 20.0, 30.0) for strategy in ("symmetric", "signal_only")]
+        rows = [SimpleNamespace(loss_db=loss, strategy=strategy) for loss, strategy in keys]
+        problems = [problem(f"row{i}") for i in range(len(rows))]
+        problems[3] = None  # a row without an LP gets no section
+        path = tmp_path / "dump.lp.txt"
+        write_lp_dumps(str(path), rows, problems)
+        expected = []
+        for row, lp in zip(rows, problems):
+            if lp is not None:
+                expected += [f"=== loss_db={row.loss_db!r} strategy={row.strategy} ===", lp.to_text()]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
 
 class TestCsv:
     def test_byte_identical_reruns(self, tmp_path):
         config = SweepConfig.from_dict(dict(TINY_SWEEP))
-        rows = run_sweep(config)
+        rows, _ = run_sweep(config)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(str(first), SWEEP_COLUMNS, rows, dict(TINY_SWEEP))
         write_csv(str(second), SWEEP_COLUMNS, rows, dict(TINY_SWEEP))
@@ -173,7 +218,7 @@ class TestCsv:
 
     def test_empty_cells_for_missing_values(self, tmp_path):
         config = SweepConfig.from_dict(dict(TINY_SWEEP, total_loss_db_grid=[25.0]))
-        rows = run_sweep(config)
+        rows, _ = run_sweep(config)
         path = tmp_path / "out.csv"
         write_csv(str(path), SWEEP_COLUMNS, rows, dict(TINY_SWEEP))
         body = path.read_text().splitlines()[2]
@@ -182,7 +227,7 @@ class TestCsv:
     def test_cells_are_plain_parseable_numbers(self, tmp_path):
         config = SweepConfig.from_dict(dict(TINY_SWEEP, total_loss_db_grid=[25.0]))
         path = tmp_path / "out.csv"
-        write_csv(str(path), SWEEP_COLUMNS, run_sweep(config), dict(TINY_SWEEP))
+        write_csv(str(path), SWEEP_COLUMNS, run_sweep(config)[0], dict(TINY_SWEEP))
         text = path.read_text()
         assert "np.float" not in text and "(" not in text.splitlines()[2]
         for line in text.splitlines()[2:]:
@@ -217,6 +262,10 @@ class TestCli:
         config = self._write(tmp_path, "bad.json", dict(TINY_SWEEP, shoe_size=43))
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_non_integer_start_count_exits_with_config_error(self, tmp_path):
+        config = self._write(tmp_path, "bad.json", dict(TINY_SWEEP, n_starts=2.5))
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+
     def test_malformed_json_exits_with_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -232,16 +281,30 @@ class TestCli:
         out = blocker / "sub" / "rates.csv"
         assert main(["sweep", "--config", config, "--out", str(out)]) == 3
 
-    def test_lp_dump_flag_writes_audit_file(self, tmp_path):
-        document = dict(TINY_SWEEP, mode="finite", total_loss_db_grid=[20.0], strategies=["symmetric"])
-        config = self._write(tmp_path, "sweep.json", document)
-        out = tmp_path / "rates.csv"
-        assert main(["sweep", "--config", config, "--out", str(out), "--dump-lp"]) == 0
-        dump = tmp_path / "rates.csv.lp.txt"
+    def test_lp_dump_flag_writes_audit_file(self, finite_run):
+        code, _, dump = finite_run
+        assert code == 0
         assert dump.exists()
         assert "decoy yield LP" in dump.read_text()
 
 
-def test_reference_capacity_curve():
-    assert reference_plob_rate(30.0) == pytest.approx(-math.log2(1.0 - 1e-3), rel=1e-12)
-    assert reference_plob_rate(0.0) == math.inf
+class TestGolden:
+    """CLI outputs must match the committed files byte for byte."""
+
+    def test_asymptotic_sweep(self, tmp_path):
+        out = tmp_path / "asymptotic_sweep.csv"
+        config = str(GOLDEN / "asymptotic_sweep.json")
+        assert main(["sweep", "--config", config, "--out", str(out), "--dump-lp"]) == 0
+        assert out.read_bytes() == (GOLDEN / "asymptotic_sweep.csv").read_bytes()
+        assert not Path(str(out) + ".lp.txt").exists()  # asymptotic rows have no LP
+
+    def test_finite_sweep(self, finite_run):
+        code, out, dump = finite_run
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / "finite_sweep.csv").read_bytes()
+        assert dump.read_bytes() == (GOLDEN / "finite_sweep.csv.lp.txt").read_bytes()
+
+    def test_qber_scan(self, tmp_path):
+        out = tmp_path / "qber_scan.csv"
+        assert main(["qber-scan", "--config", str(GOLDEN / "qber_scan.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "qber_scan.csv").read_bytes()

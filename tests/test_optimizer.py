@@ -208,7 +208,8 @@ class TestEvaluate:
         clean = evaluate_key_rate(sc, finite_params(), FINITE)
         degenerate = evaluate_key_rate(sc, finite_params(mu_a=0.01, nu_a=0.01), FINITE)
         assert degenerate.e_zz_upper > 1.3 * clean.e_zz_upper
-        assert degenerate.lp_warnings
+        assert degenerate.lp_problem.warnings
+        assert clean.lp_problem.warnings == ()
 
     def test_asymptotic_reports_true_yields(self):
         from tfqkd.channel import yield_grid
@@ -216,10 +217,10 @@ class TestEvaluate:
         sc = ChannelScenario(eta_a=0.3, eta_b=0.6, p_d=0.0, e_d=0.02)
         report = evaluate_key_rate(sc, finite_params(), ASYMPTOTIC)
         grid = yield_grid(sc, 2)
-        assert report.yield_bounds.u11 == pytest.approx(grid[1, 1], rel=1e-12)
+        assert report.yield_bounds[1, 1] == pytest.approx(grid[1, 1], rel=1e-12)
         assert report.basis_weight == 1.0
         assert report.rate == pytest.approx(report.rate_raw, rel=1e-12)
-        assert report.rate_per_pattern == pytest.approx(0.5 * report.rate, rel=1e-12)
+        assert report.lp_problem is None
 
 
 class TestOptimizeStrategy:

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from tfqkd.channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
+from tfqkd.decoy import TARGET_PAIRS
 from tfqkd.errors import DomainError, UnsupportedAmplitudeError, ZeroGainError
-from tfqkd.security import (
-    YieldBounds,
-    binary_entropy,
-    cat_coefficients,
-    key_rate,
-    phase_error_bound_from_matrix,
-    phase_error_upper_bound,
-)
+from tfqkd.security import binary_entropy, cat_coefficients, key_rate, phase_error_bound_from_matrix
 
 
 class TestCatCoefficients:
@@ -67,52 +61,61 @@ def _nominal_cats():
     return cat, cat
 
 
+def _target_bounds(*values):
+    """3x3 bound matrix in the LP's layout: TARGET_PAIRS set, every other pair 1."""
+    matrix = np.ones((3, 3))
+    for (n, m), value in zip(TARGET_PAIRS, values):
+        matrix[n, m] = value
+    return matrix
+
+
 class TestPhaseErrorBound:
     def test_fully_relaxed_bounds_collapse_to_coefficient_sums(self):
         cat_a, cat_b = _nominal_cats()
         p_xx = 0.09
-        bounds = YieldBounds(1.0, 1.0, 1.0, 1.0, 1.0)
         expected = (
             (cat_a.even_sum * cat_b.even_sum) ** 2 + (cat_a.odd_sum * cat_b.odd_sum) ** 2
         ) / p_xx
-        result = phase_error_upper_bound(p_xx, cat_a, cat_b, bounds)
+        result = phase_error_bound_from_matrix(p_xx, cat_a, cat_b, np.ones((3, 3)))
         assert result == pytest.approx(min(1.0, expected), rel=1e-12)
 
     def test_all_zero_bounds_leave_only_the_tail(self):
         cat_a, cat_b = _nominal_cats()
         p_xx = 0.09
-        bounds = YieldBounds(0.0, 0.0, 0.0, 0.0, 0.0)
+        bounds = _target_bounds(0.0, 0.0, 0.0, 0.0, 0.0)
         covered_even = (cat_a.even[0] + cat_a.even[1]) * (cat_b.even[0] + cat_b.even[1])
         covered_odd = cat_a.odd[0] * cat_b.odd[0]
         expected = (
             (cat_a.even_sum * cat_b.even_sum - covered_even) ** 2
             + (cat_a.odd_sum * cat_b.odd_sum - covered_odd) ** 2
         ) / p_xx
-        assert phase_error_upper_bound(p_xx, cat_a, cat_b, bounds) == pytest.approx(expected, rel=1e-10)
-
-    def test_zero_bounds_and_zero_tail_give_zero(self):
-        cat_a, cat_b = _nominal_cats()
-        bounds = YieldBounds(0.0, 0.0, 0.0, 0.0, 0.0, tail_default=0.0)
-        assert phase_error_upper_bound(0.09, cat_a, cat_b, bounds) == pytest.approx(0.0, abs=1e-15)
+        assert phase_error_bound_from_matrix(p_xx, cat_a, cat_b, bounds) == pytest.approx(expected, rel=1e-10)
 
     def test_monotone_in_every_bound(self):
         cat_a, cat_b = _nominal_cats()
         rng = np.random.default_rng(3)
-        names = ("u00", "u20", "u02", "u11", "u22")
         for _ in range(40):
-            values = dict(zip(names, rng.uniform(0.0, 1.0, 5)))
-            base = phase_error_upper_bound(0.09, cat_a, cat_b, YieldBounds(**values))
-            bump = dict(values)
-            name = names[rng.integers(0, 5)]
-            bump[name] = min(1.0, bump[name] + rng.uniform(0.0, 0.3))
-            bumped = phase_error_upper_bound(0.09, cat_a, cat_b, YieldBounds(**bump))
+            values = rng.uniform(0.0, 1.0, 5)
+            base = phase_error_bound_from_matrix(0.09, cat_a, cat_b, _target_bounds(*values))
+            bump = values.copy()
+            index = rng.integers(0, 5)
+            bump[index] = min(1.0, bump[index] + rng.uniform(0.0, 0.3))
+            bumped = phase_error_bound_from_matrix(0.09, cat_a, cat_b, _target_bounds(*bump))
             assert bumped >= base - 1e-13
 
     def test_monotone_in_tail(self):
+        # pairs beyond TARGET_PAIRS (bounded by 1 from the LP) tighten the
+        # bound when they are known better; a 5x5 matrix reaches the
+        # same-parity pairs (3,1), (3,3), (4,0), (4,2), (4,4) that the
+        # brackets read, and p_xx = 0.5 keeps both results below the clamp at 1
         cat_a, cat_b = _nominal_cats()
-        loose = phase_error_upper_bound(0.09, cat_a, cat_b, YieldBounds(0.1, 0.2, 0.2, 0.3, 0.1, tail_default=1.0))
-        tight = phase_error_upper_bound(0.09, cat_a, cat_b, YieldBounds(0.1, 0.2, 0.2, 0.3, 0.1, tail_default=0.5))
-        assert tight <= loose + 1e-13
+        loose = np.ones((5, 5))
+        loose[:3, :3] = _target_bounds(0.1, 0.2, 0.2, 0.3, 0.1)
+        tight = np.where(loose == 1.0, 0.5, loose)
+        loose_bound = phase_error_bound_from_matrix(0.5, cat_a, cat_b, loose)
+        tight_bound = phase_error_bound_from_matrix(0.5, cat_a, cat_b, tight)
+        assert loose_bound < 1.0
+        assert tight_bound < loose_bound - 1e-3
 
     def test_tighter_truncation_never_raises_the_bound(self):
         sc = ChannelScenario(eta_a=0.3, eta_b=0.9, p_d=0.0, e_d=0.02)
@@ -129,13 +132,16 @@ class TestPhaseErrorBound:
     def test_zero_gain_is_a_no_key_event(self):
         cat_a, cat_b = _nominal_cats()
         with pytest.raises(ZeroGainError):
-            phase_error_upper_bound(0.0, cat_a, cat_b, YieldBounds(1, 1, 1, 1, 1))
+            phase_error_bound_from_matrix(0.0, cat_a, cat_b, np.ones((3, 3)))
 
     def test_bound_rejects_invalid_yields(self):
+        cat_a, cat_b = _nominal_cats()
         with pytest.raises(DomainError):
-            YieldBounds(1.2, 0, 0, 0, 0)
+            phase_error_bound_from_matrix(0.09, cat_a, cat_b, _target_bounds(1.2, 0, 0, 0, 0))
         with pytest.raises(DomainError):
-            YieldBounds(0, 0, 0, 0, 0, tail_default=-0.1)
+            phase_error_bound_from_matrix(0.09, cat_a, cat_b, np.full((3, 3), -0.1))
+        with pytest.raises(DomainError):
+            phase_error_bound_from_matrix(0.09, cat_a, cat_b, _target_bounds(math.nan, 0, 0, 0, 0))
 
     def test_positive_key_at_symmetric_short_distance(self):
         # true yields at unit transmittance support a positive rate
