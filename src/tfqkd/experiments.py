@@ -119,17 +119,23 @@ class SweepConfig:
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if len(self.total_loss_db_grid) == 0:
             raise ConfigError("total_loss_db_grid must not be empty")
-        if any(v < 0.0 for v in self.total_loss_db_grid):
-            raise ConfigError("total_loss_db_grid entries must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in self.total_loss_db_grid):
+            raise ConfigError("total_loss_db_grid entries must be finite and nonnegative")
         if not (0.0 < self.mismatch_ratio <= 1.0):
             raise ConfigError(f"mismatch_ratio must lie in (0, 1], got {self.mismatch_ratio}")
+        for name in ("p_d", "e_d"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if isinstance(self.phi, bool) or not isinstance(self.phi, (int, float)) or not math.isfinite(self.phi):
+            raise ConfigError(f"phi must be a finite number, got {self.phi!r}")
         if self.mode not in ("asymptotic", "finite"):
             raise ConfigError(f"mode must be 'asymptotic' or 'finite', got {self.mode!r}")
-        if self.n_pulses <= 0.0:
+        # written as not (x > 0) so that NaN is rejected too
+        if not self.n_pulses > 0.0:
             raise ConfigError(f"n_pulses must be positive, got {self.n_pulses}")
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.sigma_multiplier is not None and self.sigma_multiplier <= 0.0:
+        if self.sigma_multiplier is not None and not self.sigma_multiplier > 0.0:
             raise ConfigError(f"sigma_multiplier must be positive, got {self.sigma_multiplier}")
         if len(self.strategies) == 0:
             raise ConfigError("strategies must not be empty")

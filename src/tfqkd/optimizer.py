@@ -115,9 +115,10 @@ class EvaluationMode:
         if self.kind not in ("asymptotic", "finite"):
             raise DomainError(f"unknown evaluation mode {self.kind!r}")
         if self.kind == "finite":
-            if self.n_pulses is None or self.n_pulses <= 0.0:
+            # not (x > 0) also rejects NaN, which would widen every gain to NaN
+            if self.n_pulses is None or not self.n_pulses > 0.0:
                 raise DomainError("finite mode requires a positive pulse count")
-            if self.sigma_multiplier <= 0.0:
+            if not self.sigma_multiplier > 0.0:
                 raise DomainError("finite mode requires a positive sigma multiplier")
 
     @classmethod
@@ -169,6 +170,30 @@ def _true_yield_grid(scenario: ChannelScenario) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=64)
+def _finite_problem(scenario: ChannelScenario, mode: EvaluationMode,
+                    intensities_a: tuple[float, float, float], intensities_b: tuple[float, float, float],
+                    probabilities_a: tuple[float, float, float],
+                    probabilities_b: tuple[float, float, float]) -> LpProblem:
+    """Finite-size yield LP, cached per decoy setting (arrays read-only)."""
+    obs = observations_from_scenario(
+        scenario, intensities_a, intensities_b, n_pulses=mode.n_pulses,
+        probabilities_a=probabilities_a, probabilities_b=probabilities_b,
+    )
+    problem = build_problem(obs, finite_size=True, sigma_multiplier=mode.sigma_multiplier)
+    for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass):
+        array.setflags(write=False)
+    return problem
+
+
+@lru_cache(maxsize=64)
+def _finite_bounds(*key) -> np.ndarray:
+    """Bound matrix of the LP that _finite_problem(*key) builds (read-only)."""
+    bounds = solve_yield_bounds(_finite_problem(*key))
+    bounds.setflags(write=False)
+    return bounds
+
+
 def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
                       mode: EvaluationMode) -> KeyRateReport:
     """Full pipeline: observables, yield bounds, phase error, key rate.
@@ -177,7 +202,11 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     and uses the whole true-yield grid in the phase-error bound.  Finite
     mode simulates the nine decoy gains, widens them to confidence
     intervals, and solves the yield LP for the bounded pairs; the report
-    carries that LP.  The reported rate counts both successful click
+    carries that LP.  The LP and its bound matrix are memoised on the
+    scenario, the mode and the decoy intensities and selection
+    probabilities of both sides; the signal intensities never enter the
+    LP, so a line search over them solves it once.  Both come back
+    read-only.  The reported rate counts both successful click
     patterns; in finite mode it additionally carries the probability that
     both parties chose signal states (rate_raw leaves that weight out).
     """
@@ -188,15 +217,12 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
         if not params.has_probabilities:
             raise DomainError("finite mode requires selection probabilities")
         weight = params.p_s_a * params.p_s_b
-        obs = observations_from_scenario(
-            scenario,
-            (params.mu_a, params.nu_a, params.omega_a),
-            (params.mu_b, params.nu_b, params.omega_b),
-            n_pulses=mode.n_pulses,
-            probabilities_a=(params.p_mu_a, params.p_nu_a, params.p_omega_a),
-            probabilities_b=(params.p_mu_b, params.p_nu_b, params.p_omega_b),
+        lp_key = (
+            scenario, mode,
+            (params.mu_a, params.nu_a, params.omega_a), (params.mu_b, params.nu_b, params.omega_b),
+            (params.p_mu_a, params.p_nu_a, params.p_omega_a), (params.p_mu_b, params.p_nu_b, params.p_omega_b),
         )
-        problem = build_problem(obs, finite_size=True, sigma_multiplier=mode.sigma_multiplier)
+        problem = _finite_problem(*lp_key)
 
     p_xx = x_basis_gain(scenario, gamma)
     if p_xx <= 0.0:
@@ -206,7 +232,7 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
         )
     e_xx = x_basis_qber(scenario, gamma)
 
-    bounds = solve_yield_bounds(problem) if mode.is_finite else _true_yield_grid(scenario)
+    bounds = _finite_bounds(*lp_key) if mode.is_finite else _true_yield_grid(scenario)
     e_zz = phase_error_bound_from_matrix(
         p_xx, cat_coefficients(math.sqrt(params.s_a)), cat_coefficients(math.sqrt(params.s_b)), bounds,
     )

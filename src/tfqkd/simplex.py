@@ -10,10 +10,21 @@ anti-cycling and fully deterministic; no state survives between calls.
 Feasibility is established once by a phase-1 pass with artificial
 variables; the resulting basis can be snapshotted and reused for several
 objectives over the same constraints.
+
+The tableaux are small (the decoy LP has 9 rows and 118 columns), so an
+iteration costs mostly interpreter overhead, and the loop keeps that low
+without changing a single decision or float.  A per-variable sign (+1 at
+the lower bound, -1 at the upper bound, 0 when basic or when the box is
+empty) turns the entering test into one signed comparison,
+reduced * sign > COST_TOLERANCE; negating by 1 is exact, so it selects
+what the separate lower/upper tests would.  The ratio test runs over
+plain Python floats taken from the row arrays once per iteration, in the
+same order and with the same expressions as a numpy-scalar loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +74,11 @@ def _run_simplex(cost: np.ndarray, state: PreparedBasis) -> int:
     tableau, basis, status, x_basic, upper = (
         state.tableau, state.basis, state.status, state.x_basic, state.upper,
     )
+    # +1 at lower, -1 at upper, 0 when basic or when the box is empty
+    sign = np.where(upper > 0.0, np.where(status == _UPPER, -1.0, 1.0), 0.0)
+    sign[status == _BASIC] = 0.0
+    upper_list = upper.tolist()
+    basis_list = basis.tolist()
     iterations = 0
     while True:
         iterations += 1
@@ -70,12 +86,7 @@ def _run_simplex(cost: np.ndarray, state: PreparedBasis) -> int:
             raise RuntimeError("simplex iteration limit exceeded")
 
         reduced = cost - cost[basis] @ tableau
-        movable = (upper > 0.0) & (status != _BASIC)
-        eligible = movable & (
-            ((status == _LOWER) & (reduced > COST_TOLERANCE))
-            | ((status == _UPPER) & (reduced < -COST_TOLERANCE))
-        )
-        candidates = np.flatnonzero(eligible)
+        candidates = (reduced * sign > COST_TOLERANCE).nonzero()[0]
         if candidates.size == 0:
             return iterations - 1
         entering = int(candidates[0])  # Bland: smallest index
@@ -84,51 +95,56 @@ def _run_simplex(cost: np.ndarray, state: PreparedBasis) -> int:
 
         # Ratio test: step until a basic variable hits one of its bounds or
         # the entering variable spans its own box.
-        step = upper[entering]
+        step = upper_list[entering]
         leaving_row = -1
-        for i in range(column.size):
-            a = column[i]
+        for i, (a, x_i) in enumerate(zip(column.tolist(), x_basic.tolist())):
             if a > PIVOT_TOLERANCE:
-                limit = max(0.0, x_basic[i]) / a
+                limit = max(0.0, x_i) / a
             elif a < -PIVOT_TOLERANCE:
-                ub_i = upper[basis[i]]
-                if not np.isfinite(ub_i):
+                ub_i = upper_list[basis_list[i]]
+                if not math.isfinite(ub_i):
                     continue
-                limit = (x_basic[i] - ub_i) / a
+                limit = (x_i - ub_i) / a
                 if limit < 0.0:
                     limit = 0.0
             else:
                 continue
             if limit < step - 1e-15 or (
-                leaving_row >= 0 and abs(limit - step) <= 1e-15 and basis[i] < basis[leaving_row]
+                leaving_row >= 0 and abs(limit - step) <= 1e-15
+                and basis_list[i] < basis_list[leaving_row]
             ):
                 step = limit
                 leaving_row = i
 
-        if not np.isfinite(step):
+        if not math.isfinite(step):
             raise UnboundedProblemError("objective unbounded along entering variable")
 
         x_basic -= step * column
         if leaving_row < 0:
             # Entering variable traverses its whole box: bound flip only.
             status[entering] = _UPPER if status[entering] == _LOWER else _LOWER
+            sign[entering] = -sign[entering]
             continue
 
-        entering_value = (0.0 if direction > 0.0 else upper[entering]) + direction * step
-        leaving_var = int(basis[leaving_row])
+        entering_value = (0.0 if direction > 0.0 else upper_list[entering]) + direction * step
+        leaving_var = basis_list[leaving_row]
         hit_upper = column[leaving_row] < 0.0
         status[leaving_var] = _UPPER if hit_upper else _LOWER
+        if upper_list[leaving_var] > 0.0:
+            sign[leaving_var] = -1.0 if hit_upper else 1.0
 
         pivot = tableau[leaving_row, entering]
         tableau[leaving_row] /= pivot
         state.rhs[leaving_row] /= pivot
         factors = tableau[:, entering].copy()
         factors[leaving_row] = 0.0
-        tableau -= np.outer(factors, tableau[leaving_row])
+        tableau -= factors[:, None] * tableau[leaving_row]
         state.rhs -= factors * state.rhs[leaving_row]
 
         status[entering] = _BASIC
+        sign[entering] = 0.0
         basis[leaving_row] = entering
+        basis_list[leaving_row] = entering
         x_basic[leaving_row] = entering_value
 
 

@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: the Bessel reference
 integrates the defining integral by quadrature, the photon-path yield
 enumerates quantum amplitudes mode by mode instead of using any closed
 form, and the scalar yield loop sums the binomial thinning term by term
-where the package multiplies matrices.
+where the package multiplies matrices.  The Bland reference is the
+simplex loop as first written, with numpy masks and numpy scalars
+throughout; the package's leaner loop must retrace it bit for bit.
 """
 
 import itertools
@@ -13,6 +15,15 @@ import math
 import numpy as np
 
 from tfqkd.channel import _port_bunching_table
+from tfqkd.errors import UnboundedProblemError
+from tfqkd.simplex import (
+    _BASIC,
+    _LOWER,
+    _MAX_ITERATIONS,
+    _UPPER,
+    COST_TOLERANCE,
+    PIVOT_TOLERANCE,
+)
 
 _LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(200)
 
@@ -109,3 +120,82 @@ def scipy_yield_upper_bound(problem, target: tuple[int, int]) -> float:
     if not result.success:
         raise RuntimeError(f"reference LP failed: {result.message}")
     return -result.fun
+
+
+def bland_run_simplex(cost: np.ndarray, state) -> int:
+    """The original Bland loop of ``tfqkd.simplex._run_simplex``, kept as written.
+
+    Same pivots, same float expressions and the same in-place updates of
+    ``state``; the package loop only trims the interpreter overhead around
+    them, and must stay bit-identical to this one.
+    """
+    tableau, basis, status, x_basic, upper = (
+        state.tableau, state.basis, state.status, state.x_basic, state.upper,
+    )
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > _MAX_ITERATIONS:
+            raise RuntimeError("simplex iteration limit exceeded")
+
+        reduced = cost - cost[basis] @ tableau
+        movable = (upper > 0.0) & (status != _BASIC)
+        eligible = movable & (
+            ((status == _LOWER) & (reduced > COST_TOLERANCE))
+            | ((status == _UPPER) & (reduced < -COST_TOLERANCE))
+        )
+        candidates = np.flatnonzero(eligible)
+        if candidates.size == 0:
+            return iterations - 1
+        entering = int(candidates[0])  # Bland: smallest index
+        direction = 1.0 if status[entering] == _LOWER else -1.0
+        column = direction * tableau[:, entering]
+
+        # Ratio test: step until a basic variable hits one of its bounds or
+        # the entering variable spans its own box.
+        step = upper[entering]
+        leaving_row = -1
+        for i in range(column.size):
+            a = column[i]
+            if a > PIVOT_TOLERANCE:
+                limit = max(0.0, x_basic[i]) / a
+            elif a < -PIVOT_TOLERANCE:
+                ub_i = upper[basis[i]]
+                if not np.isfinite(ub_i):
+                    continue
+                limit = (x_basic[i] - ub_i) / a
+                if limit < 0.0:
+                    limit = 0.0
+            else:
+                continue
+            if limit < step - 1e-15 or (
+                leaving_row >= 0 and abs(limit - step) <= 1e-15 and basis[i] < basis[leaving_row]
+            ):
+                step = limit
+                leaving_row = i
+
+        if not np.isfinite(step):
+            raise UnboundedProblemError("objective unbounded along entering variable")
+
+        x_basic -= step * column
+        if leaving_row < 0:
+            # Entering variable traverses its whole box: bound flip only.
+            status[entering] = _UPPER if status[entering] == _LOWER else _LOWER
+            continue
+
+        entering_value = (0.0 if direction > 0.0 else upper[entering]) + direction * step
+        leaving_var = int(basis[leaving_row])
+        hit_upper = column[leaving_row] < 0.0
+        status[leaving_var] = _UPPER if hit_upper else _LOWER
+
+        pivot = tableau[leaving_row, entering]
+        tableau[leaving_row] /= pivot
+        state.rhs[leaving_row] /= pivot
+        factors = tableau[:, entering].copy()
+        factors[leaving_row] = 0.0
+        tableau -= np.outer(factors, tableau[leaving_row])
+        state.rhs -= factors * state.rhs[leaving_row]
+
+        status[entering] = _BASIC
+        basis[leaving_row] = entering
+        x_basic[leaving_row] = entering_value

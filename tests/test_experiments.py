@@ -102,6 +102,17 @@ class TestSweepConfig:
         {"seed": -1},
         {"strategies": "symmetric"},
         {"total_loss_db_grid": "30"},
+        {"p_d": -1.0},
+        {"p_d": 1.0},
+        {"e_d": 1.5},
+        {"e_d": -0.01},
+        {"phi": "x"},
+        {"phi": float("nan")},
+        {"phi": float("inf")},
+        {"total_loss_db_grid": [30.0, float("nan")]},
+        {"total_loss_db_grid": [float("inf")]},
+        {"n_pulses": float("nan")},
+        {"sigma_multiplier": float("nan")},
     ])
     def test_invalid_values(self, patch):
         with pytest.raises(ConfigError):

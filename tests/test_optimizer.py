@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from tfqkd import optimizer
 from tfqkd.channel import ChannelScenario
-from tfqkd.errors import DomainError
+from tfqkd.decoy import LpProblem
+from tfqkd.errors import DomainError, InfeasibleProblemError
 from tfqkd.optimizer import (
     EvaluationMode,
     ProtocolParameters,
@@ -62,6 +66,13 @@ class TestModes:
             EvaluationMode.finite(1e10, sigma_multiplier=0.0)
         with pytest.raises(DomainError):
             EvaluationMode(kind="bogus")
+
+    def test_finite_mode_rejects_nan(self):
+        # NaN widening used to turn every LP bound into 0 and the rate positive
+        with pytest.raises(DomainError):
+            EvaluationMode.finite(math.nan)
+        with pytest.raises(DomainError):
+            EvaluationMode.finite(1e12, sigma_multiplier=math.nan)
 
 
 class TestAddFibre:
@@ -221,6 +232,91 @@ class TestEvaluate:
         assert report.basis_weight == 1.0
         assert report.rate == pytest.approx(report.rate_raw, rel=1e-12)
         assert report.lp_problem is None
+
+
+def _bits(value):
+    """Field value in a form that compares equal only for identical bits."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, LpProblem):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+def _report_bits(report):
+    return {f.name: _bits(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+class TestLpMemo:
+    """The finite LP and its bounds are memoised on everything but s_a/s_b."""
+
+    SCENARIO = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=1e-8, e_d=0.02)
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        optimizer._finite_problem.cache_clear()
+        optimizer._finite_bounds.cache_clear()
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = optimizer.solve_yield_bounds
+
+        def counting(problem):
+            calls.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(optimizer, "solve_yield_bounds", counting)
+        return calls
+
+    def test_signal_line_search_solves_once(self, solves):
+        (signal,) = (c for c in strategy_coordinates(Strategy.SYMMETRIC, FINITE) if c.name == "s")
+        objective = make_objective(self.SCENARIO, FINITE)
+        start = finite_params()
+        _, rate = golden_section_max(lambda v: objective(signal.apply(start, v)), *signal.box(start))
+        assert rate > 0.0
+        assert len(solves) == 1
+
+    def test_cache_hit_matches_cold_evaluation_in_bits(self, solves):
+        evaluate_key_rate(self.SCENARIO, finite_params(s_a=0.05, s_b=0.2), FINITE)
+        warm = evaluate_key_rate(self.SCENARIO, finite_params(), FINITE)
+        assert len(solves) == 1
+        optimizer._finite_problem.cache_clear()
+        optimizer._finite_bounds.cache_clear()
+        cold = evaluate_key_rate(self.SCENARIO, finite_params(), FINITE)
+        assert len(solves) == 2
+        assert _report_bits(warm) == _report_bits(cold)
+
+    def test_zero_gain_builds_but_never_solves(self, solves):
+        dark = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=0.0, e_d=0.02)
+        report = evaluate_key_rate(dark, finite_params(s_a=0.0, s_b=0.0), FINITE)
+        assert report.no_key and report.p_xx == 0.0
+        assert report.yield_bounds is None
+        assert isinstance(report.lp_problem, LpProblem)
+        assert solves == []
+
+    def test_infeasible_program_raises_on_every_call(self, monkeypatch, solves):
+        build = optimizer.build_problem
+
+        def contradictory(*args, **kwargs):
+            problem = build(*args, **kwargs)
+            return dataclasses.replace(problem, gain_upper=np.full_like(problem.gain_upper, -1.0))
+
+        monkeypatch.setattr(optimizer, "build_problem", contradictory)
+        for _ in range(2):
+            with pytest.raises(InfeasibleProblemError):
+                evaluate_key_rate(self.SCENARIO, finite_params(), FINITE)
+        assert len(solves) == 2
+
+    def test_cached_arrays_are_read_only(self):
+        report = evaluate_key_rate(self.SCENARIO, finite_params(), FINITE)
+        problem = report.lp_problem
+        for array in (report.yield_bounds, problem.coefficients, problem.gain_lower,
+                      problem.gain_upper, problem.slack_mass):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
 
 
 class TestOptimizeStrategy:
