@@ -78,7 +78,8 @@ def widened_gain_interval(gain: float, effective_pulses: float, sigma_multiplier
     degenerate interval [0, 0]; the standard-error model carries no
     information at zero counts.
     """
-    if gain < 0.0 or effective_pulses <= 0.0 or sigma_multiplier <= 0.0:
+    # written as not (x >= 0) / not (x > 0) so that NaN is rejected too
+    if not (gain >= 0.0 and effective_pulses > 0.0 and sigma_multiplier > 0.0):
         raise DomainError(
             f"invalid widening inputs: gain={gain}, pulses={effective_pulses}, sigma={sigma_multiplier}"
         )
@@ -123,7 +124,7 @@ class DecoyObservations:
                 raise DomainError("pulse counts must form a 3x3 grid")
             for row in self.pulse_counts:
                 for count in row:
-                    if count <= 0.0:
+                    if not count > 0.0:  # also rejects NaN
                         raise DomainError(f"pulse counts must be positive, got {count}")
 
 
@@ -243,7 +244,7 @@ def build_problem(
     if finite_size:
         if obs.pulse_counts is None:
             raise DomainError("finite-size mode requires pulse counts in the observations")
-        if sigma_multiplier <= 0.0:
+        if not sigma_multiplier > 0.0:  # also rejects NaN
             raise DomainError(f"sigma multiplier must be positive, got {sigma_multiplier}")
 
     warnings = []
@@ -336,5 +337,8 @@ def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
         objective = np.zeros(a.shape[1])
         objective[n * PHOTON_CUTOFF + m] = 1.0
         _, value = simplex.maximize_prepared(basis, objective)
+        if not math.isfinite(value):
+            # clamping would turn NaN into the unsound bound 0
+            raise DomainError(f"LP maximum of Y[{n}][{m}] is not finite: {value}")
         bounds[n, m] = min(1.0, max(0.0, value + SAFETY_MARGIN))
     return bounds

@@ -34,6 +34,8 @@ OMEGA_SHARE_MIN = 1e-3  # selection probability reserved for the vacuum decoy
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+_INTENSITY_FIELDS = ("s_a", "s_b", "mu_a", "nu_a", "mu_b", "nu_b", "omega_a", "omega_b")
+
 
 @dataclass(frozen=True)
 class ProtocolParameters:
@@ -60,26 +62,28 @@ class ProtocolParameters:
     p_nu_b: float | None = None
 
     def __post_init__(self):
-        for name in ("s_a", "s_b", "mu_a", "nu_a", "mu_b", "nu_b", "omega_a", "omega_b"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"intensity {name} must be nonnegative")
-        for side in "ab":
-            mu, nu, omega = (getattr(self, f"{k}_{side}") for k in ("mu", "nu", "omega"))
-            # equality is degenerate but legal; the LP attaches a warning for it
-            if not mu >= nu >= omega:
-                raise DomainError(f"decoys on side {side} must be ordered mu >= nu >= omega")
+        # one direct comparison chain on the hot path (dataclasses.replace in
+        # every line-search step); not (x >= 0) also rejects NaN
+        if not (self.s_a >= 0.0 and self.s_b >= 0.0 and self.mu_a >= 0.0 and self.nu_a >= 0.0
+                and self.mu_b >= 0.0 and self.nu_b >= 0.0 and self.omega_a >= 0.0 and self.omega_b >= 0.0):
+            name = next(n for n in _INTENSITY_FIELDS if not getattr(self, n) >= 0.0)
+            raise DomainError(f"intensity {name} must be nonnegative")
+        # equality is degenerate but legal; the LP attaches a warning for it
+        if not self.mu_a >= self.nu_a >= self.omega_a:
+            raise DomainError("decoys on side a must be ordered mu >= nu >= omega")
+        if not self.mu_b >= self.nu_b >= self.omega_b:
+            raise DomainError("decoys on side b must be ordered mu >= nu >= omega")
         probs = (self.p_s_a, self.p_mu_a, self.p_nu_a, self.p_s_b, self.p_mu_b, self.p_nu_b)
-        if any(p is not None for p in probs):
-            if any(p is None for p in probs):
-                raise DomainError("selection probabilities must be given for all intensities or none")
-            for side in "ab":
-                total = sum(getattr(self, f"p_{k}_{side}") for k in ("s", "mu", "nu"))
-                for k in ("s", "mu", "nu"):
-                    p = getattr(self, f"p_{k}_{side}")
-                    if not (0.0 < p < 1.0):
-                        raise DomainError(f"probability p_{k}_{side} must lie in (0, 1), got {p}")
-                if total >= 1.0:
-                    raise DomainError(f"probabilities on side {side} must leave room for the vacuum decoy")
+        if probs.count(None) == len(probs):
+            return
+        if None in probs:
+            raise DomainError("selection probabilities must be given for all intensities or none")
+        for side, (p_s, p_mu, p_nu) in (("a", probs[:3]), ("b", probs[3:])):
+            for k, p in (("s", p_s), ("mu", p_mu), ("nu", p_nu)):
+                if not (0.0 < p < 1.0):
+                    raise DomainError(f"probability p_{k}_{side} must lie in (0, 1), got {p}")
+            if p_s + p_mu + p_nu >= 1.0:
+                raise DomainError(f"probabilities on side {side} must leave room for the vacuum decoy")
 
     @property
     def has_probabilities(self) -> bool:
@@ -206,9 +210,14 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     scenario, the mode and the decoy intensities and selection
     probabilities of both sides; the signal intensities never enter the
     LP, so a line search over them solves it once.  Both come back
-    read-only.  The reported rate counts both successful click
-    patterns; in finite mode it additionally carries the probability that
-    both parties chose signal states (rate_raw leaves that weight out).
+    read-only.  The cat states come from the memoised cat_coefficients,
+    so the fixed side of a one-sided line search, and a tied side, reuse
+    one instance and its parity vectors; the result bits do not depend on
+    the memo.  The reported rate counts both successful click patterns;
+    in finite mode it additionally carries the probability that both
+    parties chose signal states (rate_raw leaves that weight out).  In
+    asymptotic mode that weight is 1, and rate_raw is the same float as
+    rate, computed once.
     """
     gamma = ArrivingIntensities.from_sources(scenario, params.s_a, params.s_b)
     weight = 1.0
@@ -237,7 +246,8 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
         p_xx, cat_coefficients(math.sqrt(params.s_a)), cat_coefficients(math.sqrt(params.s_b)), bounds,
     )
     rate = key_rate(p_xx, e_xx, e_zz, pattern_count=2, basis_weight=weight)
-    rate_raw = key_rate(p_xx, e_xx, e_zz, pattern_count=2, basis_weight=1.0)
+    # at weight 1 both calls would be the same float expression
+    rate_raw = rate if weight == 1.0 else key_rate(p_xx, e_xx, e_zz, pattern_count=2, basis_weight=1.0)
     return KeyRateReport(
         mode=mode.kind, p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds,
         rate=rate, rate_raw=rate_raw, basis_weight=weight, no_key=rate == 0.0,

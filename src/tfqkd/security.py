@@ -13,13 +13,21 @@ enter with the trivial bound 1 through the coefficient-sum tail.  The key
 rate combines the X-basis gain with binary-entropy penalties for the bit
 and phase error rates.
 
-Everything here is a pure function of its arguments.
+Everything here is a pure function of its arguments.  cat_coefficients is
+memoised (a bounded functools cache on alpha and the tail tolerance):
+line searches over one signal intensity, and tied sides, ask for the same
+cat state over and over.  A cached instance also keeps its parity-split
+amplitude vectors, built once per vector length and read-only, so the
+memory they take is bounded by the cache.  Sharing is safe because the
+instances are frozen and their arrays immutable; every result is the
+same float it would be without the memo.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +53,7 @@ class CatStateCoefficients:
     n_max: int
     even_sum: float
     odd_sum: float
+    _parity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def amplitude(self, n: int) -> float:
         """c_n, zero for n beyond the truncation."""
@@ -61,13 +70,30 @@ class CatStateCoefficients:
             out[n] = self.amplitude(n)
         return out
 
+    def parity_vectors(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """dense(size) split into its even-n and odd-n parts (read-only, kept per size)."""
+        vectors = self._parity.get(size)
+        if vectors is None:
+            vec = self.dense(size)
+            even = np.where(np.arange(size) % 2 == 0, vec, 0.0)
+            odd = vec - even
+            even.setflags(write=False)
+            odd.setflags(write=False)
+            vectors = self._parity[size] = (even, odd)
+        return vectors
 
+
+@lru_cache(maxsize=256)
 def cat_coefficients(alpha: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE) -> CatStateCoefficients:
-    """Cat-state amplitudes with adaptive truncation.
+    """Cat-state amplitudes with adaptive truncation (memoised).
 
     n_max is the smallest photon number for which the omitted squared
     amplitude mass (a Poisson tail in alpha^2) stays below tail_tolerance.
+    Equal arguments share one instance.
     """
+    if not math.isfinite(alpha):
+        # NaN passes both range tests below and never ends the sum loop
+        raise DomainError(f"amplitude must be finite, got {alpha}")
     if alpha < 0.0:
         raise DomainError(f"amplitude must be nonnegative, got {alpha}")
     if alpha > MAX_AMPLITUDE:
@@ -134,17 +160,13 @@ def phase_error_bound_from_matrix(p_xx: float, cat_a: CatStateCoefficients, cat_
     if p_xx <= 0.0:
         raise ZeroGainError("phase-error bound undefined at zero X-basis gain (no-key event)")
     bounds = np.asarray(bound_matrix, dtype=float)
-    if not np.all((bounds >= 0.0) & (bounds <= 1.0)):
+    # both comparisons are false for NaN, so NaN is rejected too
+    if bounds.size and not (bounds.min() >= 0.0 and bounds.max() <= 1.0):
         raise DomainError("yield bounds must lie in [0, 1]")
     size = bounds.shape[0]
-    vec_a = cat_a.dense(size)
-    vec_b = cat_b.dense(size)
+    a_even, a_odd = cat_a.parity_vectors(size)
+    b_even, b_odd = cat_b.parity_vectors(size)
     correction = np.sqrt(bounds) - 1.0
-    even_mask = np.arange(size) % 2 == 0
-    a_even = np.where(even_mask, vec_a, 0.0)
-    b_even = np.where(even_mask, vec_b, 0.0)
-    a_odd = vec_a - a_even
-    b_odd = vec_b - b_even
     be = max(0.0, cat_a.even_sum * cat_b.even_sum + a_even @ correction @ b_even)
     bo = max(0.0, cat_a.odd_sum * cat_b.odd_sum + a_odd @ correction @ b_odd)
     return float(min(1.0, (be * be + bo * bo) / p_xx))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleProblemError, UnboundedProblemError
+from .errors import DomainError, InfeasibleProblemError, UnboundedProblemError
 
 _LOWER, _UPPER, _BASIC = 0, 1, 2
 
@@ -151,11 +151,17 @@ def _run_simplex(cost: np.ndarray, state: PreparedBasis) -> int:
 def prepare(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> PreparedBasis:
     """Phase 1: find a feasible basis for A x = b, 0 <= x <= upper.
 
-    Raises InfeasibleProblemError carrying the most-violated row index in
-    its ``constraint`` attribute when no feasible point exists.
+    Raises DomainError when a or b is not finite or upper holds NaN
+    (upper may be infinite), and InfeasibleProblemError carrying the
+    most-violated row index in its ``constraint`` attribute when no
+    feasible point exists.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).copy()
+    # NaN would pass the residual test below and read as feasible, and an
+    # infinite coefficient fills the tableau with NaN during the pivots
+    if not (np.isfinite(a).all() and np.isfinite(b).all()) or np.isnan(upper).any():
+        raise DomainError("LP data must be finite (only an upper bound may be infinite)")
     m, n = a.shape
     flip = b < 0.0
     a = np.where(flip[:, None], -a, a)

@@ -6,7 +6,10 @@ enumerates quantum amplitudes mode by mode instead of using any closed
 form, and the scalar yield loop sums the binomial thinning term by term
 where the package multiplies matrices.  The Bland reference is the
 simplex loop as first written, with numpy masks and numpy scalars
-throughout; the package's leaner loop must retrace it bit for bit.
+throughout; the package's leaner loop must retrace it bit for bit.  The
+cat-state and phase-error references are those routines as first written,
+before the memo and the cached parity vectors; the package must return
+the same float bytes.
 """
 
 import itertools
@@ -15,7 +18,8 @@ import math
 import numpy as np
 
 from tfqkd.channel import _port_bunching_table
-from tfqkd.errors import UnboundedProblemError
+from tfqkd.errors import DomainError, UnboundedProblemError, UnsupportedAmplitudeError, ZeroGainError
+from tfqkd.security import DEFAULT_TAIL_TOLERANCE, MAX_AMPLITUDE, CatStateCoefficients
 from tfqkd.simplex import (
     _BASIC,
     _LOWER,
@@ -199,3 +203,92 @@ def bland_run_simplex(cost: np.ndarray, state) -> int:
         status[entering] = _BASIC
         basis[leaving_row] = entering
         x_basic[leaving_row] = entering_value
+
+
+def cat_coefficients_reference(alpha: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE) -> CatStateCoefficients:
+    """``tfqkd.security.cat_coefficients`` as first written, without the memo.
+
+    n_max is the smallest photon number for which the omitted squared
+    amplitude mass (a Poisson tail in alpha^2) stays below tail_tolerance.
+    """
+    if alpha < 0.0:
+        raise DomainError(f"amplitude must be nonnegative, got {alpha}")
+    if alpha > MAX_AMPLITUDE:
+        raise UnsupportedAmplitudeError(f"amplitude {alpha} is far outside the protocol regime (max {MAX_AMPLITUDE})")
+    if not (0.0 < tail_tolerance <= 1e-6):
+        raise DomainError(f"tail tolerance must lie in (0, 1e-6], got {tail_tolerance}")
+
+    mu = alpha * alpha
+    # Walk the Poisson weights w_n = e^-mu mu^n / n!; amplitudes are sqrt(w_n).
+    weight = math.exp(-mu)
+    amplitude = math.exp(-0.5 * mu)
+    covered = weight
+    amplitudes = [amplitude]
+    n = 0
+    while 1.0 - covered > tail_tolerance:
+        n += 1
+        weight *= mu / n
+        amplitude = math.sqrt(weight)
+        covered += weight
+        amplitudes.append(amplitude)
+        if n > 4000:  # unreachable for alpha <= 10; guards the loop
+            raise DomainError("cat-state truncation failed to converge")
+    n_max = n
+
+    # Amplitude sums to machine convergence (tail terms decay superexponentially).
+    even_sum = odd_sum = 0.0
+    term = math.exp(-0.5 * mu)
+    k = 0
+    while True:
+        if k % 2 == 0:
+            even_sum += term
+        else:
+            odd_sum += term
+        k += 1
+        term *= alpha / math.sqrt(k)
+        if term < 1e-18 * (even_sum + odd_sum + 1.0) and k > n_max:
+            break
+
+    return CatStateCoefficients(
+        alpha=alpha,
+        even=tuple(amplitudes[0::2]),
+        odd=tuple(amplitudes[1::2]),
+        n_max=n_max,
+        even_sum=even_sum,
+        odd_sum=odd_sum,
+    )
+
+
+def phase_error_bound_reference(p_xx: float, cat_a: CatStateCoefficients, cat_b: CatStateCoefficients,
+                                bound_matrix: np.ndarray) -> float:
+    """``tfqkd.security.phase_error_bound_from_matrix`` as first written,
+    rebuilding every amplitude vector on each call.
+
+    bound_matrix[n, m] bounds the yield of pair (n, m); pairs beyond the
+    matrix edge take the trivial bound 1.  The matrix is the decoy LP's
+    3x3 bound matrix in finite mode and the true-yield grid when yields
+    are perfectly known.  With s_nm = sqrt(bound_matrix[n, m]) the even
+    and odd Cauchy-Schwarz brackets are
+
+        B_i = T_i + sum_nm c_n c_m (s_nm - 1)
+
+    over pairs of matching parity, with T_i the product of the full
+    amplitude sums, and the result is min(1, (B_even^2 + B_odd^2)/p_xx).
+    """
+    if p_xx <= 0.0:
+        raise ZeroGainError("phase-error bound undefined at zero X-basis gain (no-key event)")
+    bounds = np.asarray(bound_matrix, dtype=float)
+    if not np.all((bounds >= 0.0) & (bounds <= 1.0)):
+        raise DomainError("yield bounds must lie in [0, 1]")
+    size = bounds.shape[0]
+    vec_a = cat_a.dense(size)
+    vec_b = cat_b.dense(size)
+    correction = np.sqrt(bounds) - 1.0
+    even_mask = np.arange(size) % 2 == 0
+    a_even = np.where(even_mask, vec_a, 0.0)
+    b_even = np.where(even_mask, vec_b, 0.0)
+    a_odd = vec_a - a_even
+    b_odd = vec_b - b_even
+    be = max(0.0, cat_a.even_sum * cat_b.even_sum + a_even @ correction @ b_even)
+    bo = max(0.0, cat_a.odd_sum * cat_b.odd_sum + a_odd @ correction @ b_odd)
+    return float(min(1.0, (be * be + bo * bo) / p_xx))

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from tfqkd import simplex
 from tfqkd.channel import ChannelScenario, yield_grid
 from tfqkd.decoy import (
     PHOTON_CUTOFF,
@@ -94,6 +96,43 @@ class TestObservations:
         )
         assert obs.pulse_counts[0][1] == pytest.approx(1e10 * 0.5 * 0.2)
         assert obs.pulse_counts[2][0] == pytest.approx(1e10 * 0.2 * 0.6)
+
+
+class TestNanIsRejected:
+    """NaN counts or widths used to pass every check and end as the unsound bound 0."""
+
+    PROBABILITIES = dict(probabilities_a=(0.4, 0.3, 0.3), probabilities_b=(0.4, 0.3, 0.3))
+
+    def test_observations_reject_nan_pulse_counts(self):
+        with pytest.raises(DomainError, match="pulse counts must be positive"):
+            DecoyObservations(DECOYS, DECOYS, tuple((0.0,) * 3 for _ in range(3)),
+                              pulse_counts=tuple((math.nan, 1e9, 1e9) for _ in range(3)))
+
+    def test_observations_from_scenario_reject_nan_pulses(self):
+        with pytest.raises(DomainError):
+            observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=math.nan, **self.PROBABILITIES)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1e9, 5.3), (1e-3, math.nan, 5.3), (1e-3, 1e9, math.nan)])
+    def test_widening_rejects_nan(self, args):
+        with pytest.raises(DomainError):
+            widened_gain_interval(*args)
+
+    def test_build_rejects_nan_sigma(self):
+        obs = observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=1e12, **self.PROBABILITIES)
+        with pytest.raises(DomainError, match="sigma multiplier must be positive"):
+            build_problem(obs, finite_size=True, sigma_multiplier=math.nan)
+
+    def test_solve_raises_on_a_non_finite_maximum(self, monkeypatch):
+        monkeypatch.setattr(simplex, "maximize_prepared", lambda basis, objective: (None, math.nan))
+        with pytest.raises(DomainError, match="not finite"):
+            solve_yield_bounds(nominal_problem())
+
+    def test_solve_rejects_nan_problem_data(self):
+        problem = nominal_problem()
+        gain_upper = problem.gain_upper.copy()
+        gain_upper[4] = math.nan
+        with pytest.raises(DomainError):
+            solve_yield_bounds(dataclasses.replace(problem, gain_upper=gain_upper))
 
 
 class TestBuildProblem:

@@ -309,6 +309,12 @@ class TestGolden:
         assert out.read_bytes() == (GOLDEN / "asymptotic_sweep.csv").read_bytes()
         assert not Path(str(out) + ".lp.txt").exists()  # asymptotic rows have no LP
 
+    def test_asymptotic_sweep_at_hundredfold_mismatch(self, tmp_path):
+        out = tmp_path / "asymptotic_sweep_mismatch001.csv"
+        config = str(GOLDEN / "asymptotic_sweep_mismatch001.json")
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "asymptotic_sweep_mismatch001.csv").read_bytes()
+
     def test_finite_sweep(self, finite_run):
         code, out, dump = finite_run
         assert code == 0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tfqkd import optimizer
+from tfqkd import optimizer, security
 from tfqkd.channel import ChannelScenario
 from tfqkd.decoy import LpProblem
 from tfqkd.errors import DomainError, InfeasibleProblemError
@@ -22,6 +22,7 @@ from tfqkd.optimizer import (
     optimize_strategy,
     strategy_coordinates,
 )
+from tfqkd.security import key_rate
 
 ASYMPTOTIC = EvaluationMode.asymptotic()
 FINITE = EvaluationMode.finite(1e12, 5.3)
@@ -52,6 +53,23 @@ class TestProtocolParameters:
             finite_params(p_s_a=0.9, p_mu_a=0.05, p_nu_a=0.05)  # no room for vacuum
         with pytest.raises(DomainError):
             finite_params(p_s_a=None)  # partial probabilities
+        # NaN used to pass (nan < 0 is false) and surface only in a later QBER check
+        for name in ("s_a", "s_b", "mu_a", "nu_a", "mu_b", "nu_b", "omega_a", "omega_b"):
+            for value in (math.nan, -0.1):
+                with pytest.raises(DomainError, match=f"intensity {name} must be nonnegative"):
+                    finite_params(**{name: value})
+
+    def test_messages_name_the_offending_field(self):
+        with pytest.raises(DomainError, match="decoys on side b must be ordered"):
+            finite_params(nu_b=0.2)
+        with pytest.raises(DomainError, match="decoys on side a must be ordered"):
+            finite_params(omega_a=0.05)
+        with pytest.raises(DomainError, match=r"probability p_mu_b must lie in \(0, 1\), got nan"):
+            finite_params(p_mu_b=math.nan)
+        with pytest.raises(DomainError, match="probabilities on side b must leave room"):
+            finite_params(p_s_b=0.6, p_mu_b=0.3, p_nu_b=0.2)
+        with pytest.raises(DomainError, match="given for all intensities or none"):
+            ProtocolParameters(s_a=0.1, s_b=0.1, mu_a=0.1, nu_a=0.01, mu_b=0.1, nu_b=0.01, p_nu_b=0.2)
 
     def test_degenerate_decoys_are_legal(self):
         params = finite_params(mu_a=0.01, nu_a=0.01)
@@ -317,6 +335,38 @@ class TestLpMemo:
                       problem.gain_upper, problem.slack_mass):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
+
+
+class TestAsymptoticMemo:
+    """Cat states are memoised; asymptotic reports stay bit-equal to cold ones."""
+
+    SCENARIO = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=1e-8, e_d=0.02)
+
+    @staticmethod
+    def _clear():
+        security.cat_coefficients.cache_clear()
+        optimizer._true_yield_grid.cache_clear()
+
+    def test_warm_report_matches_cold_evaluation_in_bits(self):
+        self._clear()
+        params = finite_params(s_a=0.07, s_b=0.012)
+        for s_a in (0.3, 0.07, 0.02):  # a one-sided line search: s_b repeats
+            evaluate_key_rate(self.SCENARIO, dataclasses.replace(params, s_a=s_a), ASYMPTOTIC)
+        info = security.cat_coefficients.cache_info()
+        assert (info.hits, info.misses) == (2, 4)
+        warm = evaluate_key_rate(self.SCENARIO, params, ASYMPTOTIC)
+        self._clear()
+        cold = evaluate_key_rate(self.SCENARIO, params, ASYMPTOTIC)
+        assert _report_bits(warm) == _report_bits(cold)
+        assert warm.rate > 0.0 and warm.rate_raw == warm.rate
+
+    def test_finite_rate_still_carries_its_basis_weight(self):
+        sc = ChannelScenario(eta_a=0.2, eta_b=0.2, p_d=1e-8, e_d=0.02)
+        report = evaluate_key_rate(sc, finite_params(s_a=0.05, s_b=0.05), FINITE)
+        args = (report.p_xx, report.e_xx, report.e_zz_upper)
+        assert _bits(report.rate) == _bits(key_rate(*args, pattern_count=2, basis_weight=0.25))
+        assert _bits(report.rate_raw) == _bits(key_rate(*args, pattern_count=2, basis_weight=1.0))
+        assert 0.0 < report.rate < report.rate_raw
 
 
 class TestOptimizeStrategy:

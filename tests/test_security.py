@@ -1,12 +1,24 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import cat_coefficients_reference, phase_error_bound_reference
+from tfqkd import optimizer
 from tfqkd.channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
 from tfqkd.decoy import TARGET_PAIRS
 from tfqkd.errors import DomainError, UnsupportedAmplitudeError, ZeroGainError
-from tfqkd.security import binary_entropy, cat_coefficients, key_rate, phase_error_bound_from_matrix
+from tfqkd.security import (
+    DEFAULT_TAIL_TOLERANCE,
+    binary_entropy,
+    cat_coefficients,
+    key_rate,
+    phase_error_bound_from_matrix,
+)
 
 
 class TestCatCoefficients:
@@ -46,6 +58,10 @@ class TestCatCoefficients:
             cat_coefficients(0.3, tail_tolerance=1e-3)
         with pytest.raises(DomainError):
             cat_coefficients(0.3, tail_tolerance=0.0)
+        # NaN used to pass both range tests and never leave the amplitude-sum loop
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                cat_coefficients(alpha)
 
     def test_truncation_adapts_to_tolerance(self):
         loose = cat_coefficients(0.8, tail_tolerance=1e-6)
@@ -54,6 +70,108 @@ class TestCatCoefficients:
         # the converged amplitude sums do not depend on the truncation
         assert tight.even_sum == pytest.approx(loose.even_sum, rel=1e-14)
         assert tight.odd_sum == pytest.approx(loose.odd_sum, rel=1e-14)
+
+
+class TestCatMemo:
+    """cat_coefficients is memoised; cached instances keep read-only parity vectors."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        cat_coefficients.cache_clear()
+
+    def test_repeated_amplitude_returns_the_same_instance(self):
+        first = cat_coefficients(0.3)
+        assert cat_coefficients(0.3) is first
+        assert cat_coefficients(0.3, tail_tolerance=1e-7) is not first
+        info = cat_coefficients.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+        assert info.maxsize is not None  # bounded, and with it the parity vectors
+
+    def test_parity_vectors_are_read_only_and_built_once_per_size(self):
+        cat = cat_coefficients(0.4)
+        even, odd = cat.parity_vectors(21)
+        assert cat.parity_vectors(21)[0] is even
+        assert cat.parity_vectors(3)[0] is not even
+        for vector in (even, odd):
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 0.5
+        assert np.array_equal(even + odd, cat.dense(21))
+        assert not even[1::2].any() and not odd[0::2].any()
+
+    def test_errors_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                cat_coefficients(math.nan)
+        assert cat_coefficients.cache_info().currsize == 0
+
+    def test_parity_cache_does_not_change_equality(self):
+        cat = cat_coefficients(0.4)
+        fresh = cat_coefficients_reference(0.4)
+        cat.parity_vectors(21)
+        assert cat == fresh and hash(cat) == hash(fresh)
+
+
+def _float_bytes(value):
+    return struct.pack("<d", value)
+
+
+def _outcome(call):
+    """The result's float bytes, or the type of the error raised."""
+    try:
+        return _float_bytes(call())
+    except (DomainError, ZeroGainError) as error:
+        return type(error)
+
+
+def _cat_bytes(cat):
+    return tuple(
+        tuple(_float_bytes(v) for v in value) if isinstance(value, tuple) else value
+        for value in (getattr(cat, f.name) for f in dataclasses.fields(cat) if f.compare)
+    )
+
+
+def _assert_matches_reference(p_xx, alpha_a, alpha_b, tolerance, matrix):
+    cat_a, cat_b = cat_coefficients(alpha_a, tolerance), cat_coefficients(alpha_b, tolerance)
+    ref_a, ref_b = cat_coefficients_reference(alpha_a, tolerance), cat_coefficients_reference(alpha_b, tolerance)
+    assert _cat_bytes(cat_a) == _cat_bytes(ref_a)
+    assert _cat_bytes(cat_b) == _cat_bytes(ref_b)
+    expected = _outcome(lambda: phase_error_bound_reference(p_xx, ref_a, ref_b, matrix))
+    # twice: the second call reads the parity vectors the first one cached
+    for _ in range(2):
+        assert _outcome(lambda: phase_error_bound_from_matrix(p_xx, cat_a, cat_b, matrix)) == expected
+
+
+class TestMatchesReference:
+    """The memoised routines return the same float bytes as the routines as first written."""
+
+    amplitudes = st.floats(0.0, 1.0)
+    tolerances = st.sampled_from((DEFAULT_TAIL_TOLERANCE, 1e-7, 1e-6))
+    gains = st.floats(1e-9, 1.0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(alpha_a=amplitudes, alpha_b=amplitudes, tolerance=tolerances, p_xx=gains,
+           size=st.sampled_from((3, 21)), seed=st.integers(0, 2**32 - 1),
+           bad=st.sampled_from((None, math.nan, -5e-324, 1.0000000000000002)))
+    def test_random_bound_matrices(self, alpha_a, alpha_b, tolerance, p_xx, size, seed, bad):
+        rng = np.random.default_rng(seed)
+        matrix = rng.uniform(0.0, 1.0, (size, size))
+        exact = rng.integers(0, 4, (size, size))  # a quarter each pinned at exactly 0 and 1
+        matrix[exact == 0] = 0.0
+        matrix[exact == 1] = 1.0
+        if bad is not None:
+            matrix[rng.integers(size), rng.integers(size)] = bad
+        _assert_matches_reference(p_xx, alpha_a, alpha_b, tolerance, matrix)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(alpha_a=amplitudes, alpha_b=amplitudes, tolerance=tolerances, p_xx=gains,
+           eta_a=st.floats(1e-6, 1.0), eta_b=st.floats(1e-6, 1.0), e_d=st.floats(0.0, 0.1))
+    def test_true_yield_grids(self, alpha_a, alpha_b, tolerance, p_xx, eta_a, eta_b, e_d):
+        grid = optimizer._true_yield_grid(ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=1e-8, e_d=e_d))
+        _assert_matches_reference(p_xx, alpha_a, alpha_b, tolerance, grid)
+
+    def test_empty_matrix_and_zero_gain(self):
+        _assert_matches_reference(0.1, 0.3, 0.3, DEFAULT_TAIL_TOLERANCE, np.ones((0, 0)))
+        _assert_matches_reference(0.0, 0.3, 0.3, DEFAULT_TAIL_TOLERANCE, np.ones((3, 3)))
 
 
 def _nominal_cats():

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 from oracles import bland_run_simplex
 from tfqkd import simplex
 from tfqkd.decoy import TARGET_PAIRS, PHOTON_CUTOFF, _equality_form, build_problem, observations_from_scenario
-from tfqkd.errors import InfeasibleProblemError, UnboundedProblemError
+from tfqkd.errors import DomainError, InfeasibleProblemError, UnboundedProblemError
 from tfqkd.experiments import QberScanConfig, SweepConfig
 from tfqkd.simplex import maximize, maximize_prepared, prepare
 
@@ -51,6 +51,21 @@ def test_detects_infeasible_rows():
     a = np.array([[1.0, 1.0]])
     with pytest.raises(InfeasibleProblemError):
         prepare(a, np.array([3.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("name, value", [("a", np.nan), ("b", np.nan), ("upper", np.nan), ("a", np.inf), ("b", np.inf)])
+def test_prepare_rejects_non_finite_data(name, value):
+    # NaN rows used to pass the phase-1 residual test and read as feasible
+    data = {"a": np.array([[1.0, 1.0]]), "b": np.array([1.0]), "upper": np.array([1.0, 1.0])}
+    data[name].flat[0] = value
+    with pytest.raises(DomainError):
+        prepare(data["a"], data["b"], data["upper"])
+
+
+def test_infinite_upper_bound_stays_legal():
+    # max x0 with x0 + x1 = 1, x0 unbounded above
+    x, value = maximize(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.array([np.inf, 1.0]))
+    assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prepared_basis_is_reusable():
