@@ -6,9 +6,7 @@ from .channel import (  # noqa: F401
     ArrivingIntensities,
     ChannelScenario,
     arriving_intensity,
-    db_to_transmittance,
     first_order_diagnostics,
-    transmittance_to_db,
     x_basis_gain,
     x_basis_qber,
     yield_grid,

@@ -87,20 +87,6 @@ class ArrivingIntensities:
         )
 
 
-def db_to_transmittance(loss_db: float) -> float:
-    """Convert a fibre loss in dB to a transmittance, eta = 10^(-dB/10)."""
-    if loss_db < 0.0:
-        raise DomainError(f"loss must be nonnegative, got {loss_db} dB")
-    return 10.0 ** (-loss_db / 10.0)
-
-
-def transmittance_to_db(eta: float) -> float:
-    """Inverse of :func:`db_to_transmittance`."""
-    if not (0.0 < eta <= 1.0):
-        raise DomainError(f"transmittance must lie in (0, 1], got {eta}")
-    return -10.0 * math.log10(eta)
-
-
 def arriving_intensity(source_intensity: float, eta: float) -> float:
     """Mean photon number after the channel: source intensity times transmittance."""
     if source_intensity < 0.0:

@@ -186,32 +186,15 @@ class LpProblem:
     pair_labels: tuple[str, ...]
     warnings: tuple[str, ...] = field(default=())
 
-    @property
-    def n_variables(self) -> int:
-        return _N_VARS
-
-    @property
-    def inequality_count(self) -> int:
-        return 2 * self.coefficients.shape[0]
-
     def constraint_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (lower, upper) bounds on coefficients . Y per pair."""
         return np.maximum(0.0, self.gain_lower - self.slack_mass), self.gain_upper.copy()
 
-    def contains(self, yields: np.ndarray, tolerance: float = 1e-9) -> bool:
-        """Whether a 10x10 yield grid satisfies every constraint within tolerance."""
-        flat = np.asarray(yields, dtype=float).reshape(_N_VARS)
-        if np.any(flat < -tolerance) or np.any(flat > 1.0 + tolerance):
-            return False
-        mixed = self.coefficients @ flat
-        lower, upper = self.constraint_bounds()
-        return bool(np.all(mixed >= lower - tolerance) and np.all(mixed <= upper + tolerance))
-
     def to_text(self) -> str:
         """Audit dump of the full model in a plain text tableau."""
         lines = [
-            f"decoy yield LP: {self.n_variables} variables Y[n][m] "
-            f"(0 <= n,m < {PHOTON_CUTOFF}, n-major), {self.inequality_count} gain inequalities, "
+            f"decoy yield LP: {_N_VARS} variables Y[n][m] "
+            f"(0 <= n,m < {PHOTON_CUTOFF}, n-major), {2 * self.coefficients.shape[0]} gain inequalities, "
             "box 0 <= Y <= 1",
         ]
         for warning in self.warnings:

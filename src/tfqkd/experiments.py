@@ -190,10 +190,11 @@ class QberScanConfig:
         object.__setattr__(self, "s_a_grid", tuple(float(v) for v in self.s_a_grid))
         if len(self.s_a_grid) == 0:
             raise ConfigError("s_a_grid must not be empty")
-        if any(v <= 0.0 for v in self.s_a_grid):
-            raise ConfigError("s_a_grid entries must be positive")
-        if self.s_b <= 0.0 or self.mu_b <= 0.0:
-            raise ConfigError("s_b and mu_b must be positive")
+        # written as 0 < x < inf so that NaN is rejected too
+        if not all(0.0 < v < math.inf for v in self.s_a_grid):
+            raise ConfigError("s_a_grid entries must be positive and finite")
+        if not (0.0 < self.s_b < math.inf and 0.0 < self.mu_b < math.inf):
+            raise ConfigError("s_b and mu_b must be positive and finite")
         if not (0.0 < self.nu <= self.mu_b):
             raise ConfigError(f"nu must lie in (0, mu_b], got {self.nu}")
         if not (0.0 <= self.e_d < 1.0):
@@ -268,10 +269,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> tuple[list[SweepRow], li
     """One optimized row per (loss, strategy), in configuration order.
 
     Sweep points are independent jobs; with workers > 1 they run on a
-    process pool and are reassembled in order, so the result (and any CSV
-    written from it) does not depend on scheduling.  Returns (rows,
-    problems): problems[i] is the yield LP solved at row i's optimized
-    parameters, None for asymptotic rows.
+    process pool of at most one process per job and are reassembled in
+    order, so the result (and any CSV written from it) does not depend on
+    scheduling.  Returns (rows, problems): problems[i] is the yield LP
+    solved at row i's optimized parameters, None for asymptotic rows.
     """
     jobs = [
         (loss, strategy.value)
@@ -279,7 +280,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> tuple[list[SweepRow], li
         for strategy in config.ordered_strategies()
     ]
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             outcomes = list(pool.map(_sweep_job, [config] * len(jobs),
                                      [j[0] for j in jobs], [j[1] for j in jobs]))
     else:

@@ -1,11 +1,13 @@
 """Protocol parameter search by coordinate descent with multistart.
 
-The optimization variables are the two signal intensities, the decoy
-intensities and, with finite statistics, the intensity selection
-probabilities of both parties.  Four strategies restrict how the two
-sides may differ: fully symmetric, symmetric-after-padding (extra loss on
-the better channel), asymmetric signal intensities only, and fully
-asymmetric.  Each free coordinate is line-searched by golden section
+Every strategy searches one 12-slot vector: the signal intensity, two
+decoy intensities and three selection probabilities of side a, then those
+of side b; asymptotic mode moves only the signal slots.  Four
+strategies restrict how the two sides may differ: fully symmetric,
+symmetric-after-padding (extra loss on the better channel), asymmetric
+signal intensities only, and fully asymmetric.  A strategy is a tuple of
+coordinates, each the tuple of slots it sets to one value (tied slots
+move together).  Each coordinate is line-searched by golden section
 inside its box; passes repeat until the rate stops improving.  Multistart
 draws seeded random starting points and keeps the best outcome, with ties
 broken by the lowest start index so results are reproducible bit for bit.
@@ -32,9 +34,13 @@ PROBABILITY_MIN = 1e-3
 PROBABILITY_MAX = 0.99
 OMEGA_SHARE_MIN = 1e-3  # selection probability reserved for the vacuum decoy
 
+MAX_PASSES = 50  # coordinate-descent passes per start
+REL_IMPROVEMENT = 1e-4  # a pass that gains no more than this share of the rate ends the descent
+LINE_EVALUATIONS = 30  # objective evaluations per golden-section line search
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-_INTENSITY_FIELDS = ("s_a", "s_b", "mu_a", "nu_a", "mu_b", "nu_b", "omega_a", "omega_b")
+_INTENSITY_FIELDS = ("s_a", "s_b", "mu_a", "nu_a", "mu_b", "nu_b")
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,6 @@ class ProtocolParameters:
     nu_a: float
     mu_b: float
     nu_b: float
-    omega_a: float = 0.0
-    omega_b: float = 0.0
     p_s_a: float | None = None
     p_mu_a: float | None = None
     p_nu_a: float | None = None
@@ -62,17 +66,17 @@ class ProtocolParameters:
     p_nu_b: float | None = None
 
     def __post_init__(self):
-        # one direct comparison chain on the hot path (dataclasses.replace in
-        # every line-search step); not (x >= 0) also rejects NaN
+        # one direct comparison chain on the hot path (one construction per
+        # line-search point); not (x >= 0) also rejects NaN
         if not (self.s_a >= 0.0 and self.s_b >= 0.0 and self.mu_a >= 0.0 and self.nu_a >= 0.0
-                and self.mu_b >= 0.0 and self.nu_b >= 0.0 and self.omega_a >= 0.0 and self.omega_b >= 0.0):
+                and self.mu_b >= 0.0 and self.nu_b >= 0.0):
             name = next(n for n in _INTENSITY_FIELDS if not getattr(self, n) >= 0.0)
             raise DomainError(f"intensity {name} must be nonnegative")
         # equality is degenerate but legal; the LP attaches a warning for it
-        if not self.mu_a >= self.nu_a >= self.omega_a:
-            raise DomainError("decoys on side a must be ordered mu >= nu >= omega")
-        if not self.mu_b >= self.nu_b >= self.omega_b:
-            raise DomainError("decoys on side b must be ordered mu >= nu >= omega")
+        if not self.mu_a >= self.nu_a:
+            raise DomainError("decoys on side a must be ordered mu >= nu")
+        if not self.mu_b >= self.nu_b:
+            raise DomainError("decoys on side b must be ordered mu >= nu")
         probs = (self.p_s_a, self.p_mu_a, self.p_nu_a, self.p_s_b, self.p_mu_b, self.p_nu_b)
         if probs.count(None) == len(probs):
             return
@@ -145,18 +149,16 @@ class KeyRateReport:
     yield_bounds is the bound matrix the phase-error bound used: the
     true-yield grid in asymptotic mode and the decoy LP's bound matrix in
     finite mode (None when no X-basis click can occur).  lp_problem is the
-    finite-mode yield LP, None in asymptotic mode.
+    finite-mode yield LP, None in asymptotic mode.  rate is 0.0 when no
+    key can be distilled.
     """
 
-    mode: str
     p_xx: float
     e_xx: float
     e_zz_upper: float
     yield_bounds: np.ndarray | None
     rate: float
     rate_raw: float
-    basis_weight: float
-    no_key: bool = False
     lp_problem: LpProblem | None = None
 
 
@@ -228,7 +230,7 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
         weight = params.p_s_a * params.p_s_b
         lp_key = (
             scenario, mode,
-            (params.mu_a, params.nu_a, params.omega_a), (params.mu_b, params.nu_b, params.omega_b),
+            (params.mu_a, params.nu_a, 0.0), (params.mu_b, params.nu_b, 0.0),
             (params.p_mu_a, params.p_nu_a, params.p_omega_a), (params.p_mu_b, params.p_nu_b, params.p_omega_b),
         )
         problem = _finite_problem(*lp_key)
@@ -236,8 +238,8 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     p_xx = x_basis_gain(scenario, gamma)
     if p_xx <= 0.0:
         return KeyRateReport(
-            mode=mode.kind, p_xx=p_xx, e_xx=0.0, e_zz_upper=1.0, yield_bounds=None,
-            rate=0.0, rate_raw=0.0, basis_weight=weight, no_key=True, lp_problem=problem,
+            p_xx=p_xx, e_xx=0.0, e_zz_upper=1.0, yield_bounds=None, rate=0.0, rate_raw=0.0,
+            lp_problem=problem,
         )
     e_xx = x_basis_qber(scenario, gamma)
 
@@ -245,12 +247,11 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     e_zz = phase_error_bound_from_matrix(
         p_xx, cat_coefficients(math.sqrt(params.s_a)), cat_coefficients(math.sqrt(params.s_b)), bounds,
     )
-    rate = key_rate(p_xx, e_xx, e_zz, pattern_count=2, basis_weight=weight)
+    rate = key_rate(p_xx, e_xx, e_zz, basis_weight=weight)
     # at weight 1 both calls would be the same float expression
-    rate_raw = rate if weight == 1.0 else key_rate(p_xx, e_xx, e_zz, pattern_count=2, basis_weight=1.0)
+    rate_raw = rate if weight == 1.0 else key_rate(p_xx, e_xx, e_zz)
     return KeyRateReport(
-        mode=mode.kind, p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds,
-        rate=rate, rate_raw=rate_raw, basis_weight=weight, no_key=rate == 0.0,
+        p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds, rate=rate, rate_raw=rate_raw,
         lp_problem=problem,
     )
 
@@ -264,75 +265,55 @@ def make_objective(scenario: ChannelScenario, mode: EvaluationMode):
     return objective
 
 
-@dataclass(frozen=True)
-class _Coordinate:
-    """One free search direction; setting it may update both sides (ties)."""
-
-    name: str
-    fields: tuple[str, ...]
-    kind: str  # "signal" | "mu" | "nu" | "probability"
-
-    def apply(self, params: ProtocolParameters, value: float) -> ProtocolParameters:
-        return replace(params, **{f: value for f in self.fields})
-
-    def box(self, params: ProtocolParameters) -> tuple[float, float]:
-        if self.kind == "signal":
-            return INTENSITY_MIN, INTENSITY_MAX
-        if self.kind == "mu":
-            floor = max(getattr(params, f"nu_{f[-1]}") for f in self.fields) + DECOY_GAP
-            return floor, INTENSITY_MAX
-        if self.kind == "nu":
-            ceil = min(getattr(params, f"mu_{f[-1]}") for f in self.fields) - DECOY_GAP
-            return INTENSITY_MIN, ceil
-        # probability: stay inside the simplex, leaving room for the vacuum share
-        ceil = PROBABILITY_MAX
-        for f in self.fields:
-            side = f[-1]
-            others = sum(
-                getattr(params, f"p_{k}_{side}")
-                for k in ("s", "mu", "nu")
-                if f"p_{k}_{side}" != f
-            )
-            ceil = min(ceil, 1.0 - OMEGA_SHARE_MIN - others)
-        return PROBABILITY_MIN, ceil
+_TIED = ((0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11))
 
 
-def _coord(name: str, fields: tuple[str, ...]) -> _Coordinate:
-    if fields[0].startswith("s_"):
-        kind = "signal"
-    elif fields[0].startswith("mu_"):
-        kind = "mu"
-    elif fields[0].startswith("nu_"):
-        kind = "nu"
-    else:
-        kind = "probability"
-    return _Coordinate(name, fields, kind)
+def strategy_coordinates(strategy: Strategy, mode: EvaluationMode) -> tuple[tuple[int, ...], ...]:
+    """Free coordinates under the strategy's tying rules, in a fixed order.
 
-
-_BOTH = {
-    "s": ("s_a", "s_b"), "mu": ("mu_a", "mu_b"), "nu": ("nu_a", "nu_b"),
-    "p_s": ("p_s_a", "p_s_b"), "p_mu": ("p_mu_a", "p_mu_b"), "p_nu": ("p_nu_a", "p_nu_b"),
-}
-
-
-def strategy_coordinates(strategy: Strategy, mode: EvaluationMode) -> tuple[_Coordinate, ...]:
-    """Free coordinates under the strategy's tying rules, in a fixed order."""
+    Each coordinate is the tuple of search-vector slots it sets to one value.
+    """
     tied = strategy in (Strategy.SYMMETRIC, Strategy.ADD_FIBRE)
     if not mode.is_finite:
-        if tied:
-            return (_coord("s", _BOTH["s"]),)
-        return (_coord("s_a", ("s_a",)), _coord("s_b", ("s_b",)))
+        return _TIED[:1] if tied else ((0,), (6,))
     if tied:
-        return tuple(_coord(name, fields) for name, fields in _BOTH.items())
+        return _TIED
     if strategy is Strategy.SIGNAL_ONLY:
-        rest = tuple(_coord(name, fields) for name, fields in _BOTH.items() if name != "s")
-        return (_coord("s_a", ("s_a",)),) + rest + (_coord("s_b", ("s_b",)),)
-    return tuple(
-        _coord(f, (f,))
-        for f in (
-            "s_a", "mu_a", "nu_a", "p_s_a", "p_mu_a", "p_nu_a",
-            "s_b", "mu_b", "nu_b", "p_s_b", "p_mu_b", "p_nu_b",
-        )
+        return ((0,),) + _TIED[1:] + ((6,),)
+    return tuple((slot,) for slot in range(12))
+
+
+def _box(x: list, coord: tuple[int, ...]) -> tuple[float, float]:
+    """Search interval of a coordinate at the point x, from its slots' kind (slot % 6)."""
+    kind = coord[0] % 6
+    if kind == 0:  # signal
+        return INTENSITY_MIN, INTENSITY_MAX
+    if kind == 1:  # mu stays above its side's nu
+        return max(x[slot + 1] for slot in coord) + DECOY_GAP, INTENSITY_MAX
+    if kind == 2:  # nu stays below its side's mu
+        return INTENSITY_MIN, min(x[slot - 1] for slot in coord) - DECOY_GAP
+    # probability: stay inside the simplex, leaving room for the vacuum share
+    ceil = PROBABILITY_MAX
+    for slot in coord:
+        first = slot - kind + 3
+        others = sum(x[k] for k in range(first, first + 3) if k != slot)
+        ceil = min(ceil, 1.0 - OMEGA_SHARE_MIN - others)
+    return PROBABILITY_MIN, ceil
+
+
+def _moved(x: list, coord: tuple[int, ...], value: float) -> list:
+    """A copy of x with every slot of the coordinate set to value."""
+    y = x.copy()
+    for slot in coord:
+        y[slot] = value
+    return y
+
+
+def _params(x: list) -> ProtocolParameters:
+    """The point x = (s, mu, nu, p_s, p_mu, p_nu) of side a followed by those of side b."""
+    return ProtocolParameters(
+        s_a=x[0], mu_a=x[1], nu_a=x[2], p_s_a=x[3], p_mu_a=x[4], p_nu_a=x[5],
+        s_b=x[6], mu_b=x[7], nu_b=x[8], p_s_b=x[9], p_mu_b=x[10], p_nu_b=x[11],
     )
 
 
@@ -341,8 +322,8 @@ def _safe(objective, params: ProtocolParameters) -> float:
     return -math.inf if math.isnan(value) else value
 
 
-def golden_section_max(f, lo: float, hi: float, evaluations: int = 30) -> tuple[float, float]:
-    """Golden-section line search; returns the best evaluated point."""
+def golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section line search of LINE_EVALUATIONS points; returns the best evaluated one."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
@@ -351,7 +332,7 @@ def golden_section_max(f, lo: float, hi: float, evaluations: int = 30) -> tuple[
         best_x, best_f = x1, f1
     else:
         best_x, best_f = x2, f2
-    for _ in range(max(0, evaluations - 2)):
+    for _ in range(LINE_EVALUATIONS - 2):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -368,34 +349,31 @@ def golden_section_max(f, lo: float, hi: float, evaluations: int = 30) -> tuple[
 
 
 def coordinate_descent(objective, init: ProtocolParameters, strategy: Strategy,
-                       mode: EvaluationMode, max_passes: int = 50,
-                       rel_improvement: float = 1e-4,
-                       line_evaluations: int = 30) -> tuple[ProtocolParameters, float]:
+                       mode: EvaluationMode) -> tuple[ProtocolParameters, float]:
     """Cyclic line search over the strategy's free coordinates.
 
     Each coordinate is maximized by golden section within its current box;
-    passes repeat until the relative rate improvement over a full pass
-    drops below the threshold.  Objectives returning NaN count as
-    rejected points.
+    passes repeat, at most MAX_PASSES, until the rate improves over a full
+    pass by no more than REL_IMPROVEMENT of its value.  Objectives
+    returning NaN count as rejected points.
     """
     coords = strategy_coordinates(strategy, mode)
-    params = init
-    current = _safe(objective, params)
-    for _ in range(max_passes):
+    x = [init.s_a, init.mu_a, init.nu_a, init.p_s_a, init.p_mu_a, init.p_nu_a,
+         init.s_b, init.mu_b, init.nu_b, init.p_s_b, init.p_mu_b, init.p_nu_b]
+    current = _safe(objective, init)
+    for _ in range(MAX_PASSES):
         pass_start = current
         for coord in coords:
-            lo, hi = coord.box(params)
+            lo, hi = _box(x, coord)
             if not lo < hi:
                 continue
-            value, rate = golden_section_max(
-                lambda v: _safe(objective, coord.apply(params, v)), lo, hi, line_evaluations,
-            )
+            value, rate = golden_section_max(lambda v: _safe(objective, _params(_moved(x, coord, v))), lo, hi)
             if rate > current:
-                params = coord.apply(params, value)
+                x = _moved(x, coord, value)
                 current = rate
-        if current - pass_start <= rel_improvement * max(pass_start, 0.0):
+        if current - pass_start <= REL_IMPROVEMENT * max(pass_start, 0.0):
             break
-    return params, current
+    return _params(x), current
 
 
 def draw_start(strategy: Strategy, mode: EvaluationMode, seed: int, index: int) -> ProtocolParameters:
@@ -441,7 +419,7 @@ def draw_start(strategy: Strategy, mode: EvaluationMode, seed: int, index: int) 
 
 
 def multistart(objective, strategy: Strategy, n_starts: int, seed: int,
-               mode: EvaluationMode, **descent_options) -> tuple[ProtocolParameters, float]:
+               mode: EvaluationMode) -> tuple[ProtocolParameters, float]:
     """Best coordinate-descent outcome over seeded random starting points.
 
     Results are collected keyed by start index and reduced afterwards, so
@@ -453,7 +431,7 @@ def multistart(objective, strategy: Strategy, n_starts: int, seed: int,
     outcomes = []
     for index in range(n_starts):
         init = draw_start(strategy, mode, seed, index)
-        outcomes.append(coordinate_descent(objective, init, strategy, mode, **descent_options))
+        outcomes.append(coordinate_descent(objective, init, strategy, mode))
     best_params, best_rate = outcomes[0]
     for params, rate in outcomes[1:]:
         if rate > best_rate:
@@ -470,7 +448,7 @@ class OptimizationResult:
 
 
 def optimize_strategy(scenario: ChannelScenario, strategy: Strategy, mode: EvaluationMode,
-                      n_starts: int = 4, seed: int = 0, **descent_options) -> OptimizationResult:
+                      n_starts: int = 4, seed: int = 0) -> OptimizationResult:
     """Optimize one strategy on a scenario and evaluate the winner.
 
     The padding strategy optimizes the symmetric protocol on the
@@ -479,6 +457,6 @@ def optimize_strategy(scenario: ChannelScenario, strategy: Strategy, mode: Evalu
     """
     working = add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario
     objective = make_objective(working, mode)
-    params, rate = multistart(objective, strategy, n_starts, seed, mode, **descent_options)
+    params, rate = multistart(objective, strategy, n_starts, seed, mode)
     report = evaluate_key_rate(working, params, mode)
     return OptimizationResult(strategy=strategy, params=params, rate=rate, report=report)

@@ -35,6 +35,7 @@ from .errors import DomainError, UnsupportedAmplitudeError, ZeroGainError
 
 MAX_AMPLITUDE = 10.0
 DEFAULT_TAIL_TOLERANCE = 1e-12
+PATTERN_COUNT = 2  # both successful single-click patterns contribute the same rate
 
 
 @dataclass(frozen=True)
@@ -182,17 +183,14 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def key_rate(p_xx: float, e_xx: float, e_zz_upper: float, pattern_count: int = 2,
-             basis_weight: float = 1.0, error_correction_factor: float = 1.0) -> float:
+def key_rate(p_xx: float, e_xx: float, e_zz_upper: float, basis_weight: float = 1.0) -> float:
     """Secure key rate in bits per pulse pair, clamped at zero.
 
-        R = basis_weight * pattern_count * p_xx
-            * max(0, 1 - f h2(e_xx) - h2(e_zz_upper))
+        R = basis_weight * PATTERN_COUNT * p_xx * max(0, 1 - h2(e_xx) - h2(e_zz_upper))
 
-    pattern_count is 2 because both single-click patterns contribute
-    identically; basis_weight is 1 when every pulse is a signal pulse and
-    the probability that both parties chose signal states otherwise.  The
-    error-correction factor f defaults to 1 (no inefficiency modelled).
+    basis_weight is 1 when every pulse is a signal pulse and the
+    probability that both parties chose signal states otherwise.  Error
+    correction is taken as ideal (no inefficiency factor on h2(e_xx)).
 
     Error rates are clamped at 1/2 before the entropy penalty: beyond that
     point no key can be distilled, and the symmetric decrease of h2 must
@@ -200,11 +198,5 @@ def key_rate(p_xx: float, e_xx: float, e_zz_upper: float, pattern_count: int = 2
     """
     if p_xx < 0.0 or not (0.0 <= basis_weight <= 1.0):
         raise DomainError(f"invalid gain {p_xx} or basis weight {basis_weight}")
-    if pattern_count < 1:
-        raise DomainError(f"pattern count must be positive, got {pattern_count}")
-    net = (
-        1.0
-        - error_correction_factor * binary_entropy(min(e_xx, 0.5))
-        - binary_entropy(min(e_zz_upper, 0.5))
-    )
-    return basis_weight * pattern_count * p_xx * max(0.0, net)
+    net = 1.0 - binary_entropy(min(e_xx, 0.5)) - binary_entropy(min(e_zz_upper, 0.5))
+    return basis_weight * PATTERN_COUNT * p_xx * max(0.0, net)

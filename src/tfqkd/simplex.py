@@ -208,8 +208,3 @@ def maximize_prepared(state: PreparedBasis, objective: np.ndarray) -> tuple[np.n
         if var < n:
             x[var] = work.x_basic[row]
     return x, float(cost[:n] @ x)
-
-
-def maximize(objective: np.ndarray, a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, float]:
-    """One-shot convenience wrapper around prepare + maximize_prepared."""
-    return maximize_prepared(prepare(a, b, upper), objective)

@@ -9,17 +9,35 @@ simplex loop as first written, with numpy masks and numpy scalars
 throughout; the package's leaner loop must retrace it bit for bit.  The
 cat-state and phase-error references are those routines as first written,
 before the memo and the cached parity vectors; the package must return
-the same float bytes.
+the same float bytes.  The key-rate reference is the key rate with its
+pattern count and error-correction factor still parameters.  The
+coordinate-descent reference is the string-keyed search as first written:
+coordinates named by ProtocolParameters fields, boxes found from field-name
+prefixes and every point made by dataclasses.replace; the package's
+search-vector descent must evaluate the same points and return the same
+bytes.  lp_contains is the feasibility check the yield LP used to carry.
 """
 
 import itertools
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from tfqkd.channel import _port_bunching_table
 from tfqkd.errors import DomainError, UnboundedProblemError, UnsupportedAmplitudeError, ZeroGainError
-from tfqkd.security import DEFAULT_TAIL_TOLERANCE, MAX_AMPLITUDE, CatStateCoefficients
+from tfqkd.optimizer import (
+    DECOY_GAP,
+    INTENSITY_MAX,
+    INTENSITY_MIN,
+    OMEGA_SHARE_MIN,
+    PROBABILITY_MAX,
+    PROBABILITY_MIN,
+    EvaluationMode,
+    ProtocolParameters,
+    Strategy,
+)
+from tfqkd.security import DEFAULT_TAIL_TOLERANCE, MAX_AMPLITUDE, CatStateCoefficients, binary_entropy
 from tfqkd.simplex import (
     _BASIC,
     _LOWER,
@@ -118,7 +136,7 @@ def scipy_yield_upper_bound(problem, target: tuple[int, int]) -> float:
     a_ub = np.vstack([problem.coefficients, -problem.coefficients])
     b_ub = np.concatenate([upper, -lower])
     n, m = target
-    cost = np.zeros(problem.n_variables)
+    cost = np.zeros(problem.coefficients.shape[1])
     cost[n * 10 + m] = -1.0
     result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs")
     if not result.success:
@@ -292,3 +310,165 @@ def phase_error_bound_reference(p_xx: float, cat_a: CatStateCoefficients, cat_b:
     be = max(0.0, cat_a.even_sum * cat_b.even_sum + a_even @ correction @ b_even)
     bo = max(0.0, cat_a.odd_sum * cat_b.odd_sum + a_odd @ correction @ b_odd)
     return float(min(1.0, (be * be + bo * bo) / p_xx))
+
+
+def key_rate_reference(p_xx: float, e_xx: float, e_zz_upper: float, pattern_count: int = 2,
+                       basis_weight: float = 1.0, error_correction_factor: float = 1.0) -> float:
+    """``tfqkd.security.key_rate`` with the pattern count and the error-correction factor as parameters."""
+    if p_xx < 0.0 or not (0.0 <= basis_weight <= 1.0):
+        raise DomainError(f"invalid gain {p_xx} or basis weight {basis_weight}")
+    if pattern_count < 1:
+        raise DomainError(f"pattern count must be positive, got {pattern_count}")
+    net = (
+        1.0
+        - error_correction_factor * binary_entropy(min(e_xx, 0.5))
+        - binary_entropy(min(e_zz_upper, 0.5))
+    )
+    return basis_weight * pattern_count * p_xx * max(0.0, net)
+
+
+def lp_contains(problem, yields: np.ndarray, tolerance: float = 1e-9) -> bool:
+    """Whether a 10x10 yield grid satisfies every constraint of the yield LP within tolerance."""
+    flat = np.asarray(yields, dtype=float).reshape(problem.coefficients.shape[1])
+    if np.any(flat < -tolerance) or np.any(flat > 1.0 + tolerance):
+        return False
+    mixed = problem.coefficients @ flat
+    lower, upper = problem.constraint_bounds()
+    return bool(np.all(mixed >= lower - tolerance) and np.all(mixed <= upper + tolerance))
+
+
+@dataclass(frozen=True)
+class _Coordinate:
+    """One free search direction; setting it may update both sides (ties)."""
+
+    name: str
+    fields: tuple[str, ...]
+    kind: str  # "signal" | "mu" | "nu" | "probability"
+
+    def apply(self, params: ProtocolParameters, value: float) -> ProtocolParameters:
+        return replace(params, **{f: value for f in self.fields})
+
+    def box(self, params: ProtocolParameters) -> tuple[float, float]:
+        if self.kind == "signal":
+            return INTENSITY_MIN, INTENSITY_MAX
+        if self.kind == "mu":
+            floor = max(getattr(params, f"nu_{f[-1]}") for f in self.fields) + DECOY_GAP
+            return floor, INTENSITY_MAX
+        if self.kind == "nu":
+            ceil = min(getattr(params, f"mu_{f[-1]}") for f in self.fields) - DECOY_GAP
+            return INTENSITY_MIN, ceil
+        # probability: stay inside the simplex, leaving room for the vacuum share
+        ceil = PROBABILITY_MAX
+        for f in self.fields:
+            side = f[-1]
+            others = sum(
+                getattr(params, f"p_{k}_{side}")
+                for k in ("s", "mu", "nu")
+                if f"p_{k}_{side}" != f
+            )
+            ceil = min(ceil, 1.0 - OMEGA_SHARE_MIN - others)
+        return PROBABILITY_MIN, ceil
+
+
+def _coord(name: str, fields: tuple[str, ...]) -> _Coordinate:
+    if fields[0].startswith("s_"):
+        kind = "signal"
+    elif fields[0].startswith("mu_"):
+        kind = "mu"
+    elif fields[0].startswith("nu_"):
+        kind = "nu"
+    else:
+        kind = "probability"
+    return _Coordinate(name, fields, kind)
+
+
+_BOTH = {
+    "s": ("s_a", "s_b"), "mu": ("mu_a", "mu_b"), "nu": ("nu_a", "nu_b"),
+    "p_s": ("p_s_a", "p_s_b"), "p_mu": ("p_mu_a", "p_mu_b"), "p_nu": ("p_nu_a", "p_nu_b"),
+}
+
+
+def strategy_coordinates_reference(strategy: Strategy, mode: EvaluationMode) -> tuple[_Coordinate, ...]:
+    """Free coordinates under the strategy's tying rules, in a fixed order."""
+    tied = strategy in (Strategy.SYMMETRIC, Strategy.ADD_FIBRE)
+    if not mode.is_finite:
+        if tied:
+            return (_coord("s", _BOTH["s"]),)
+        return (_coord("s_a", ("s_a",)), _coord("s_b", ("s_b",)))
+    if tied:
+        return tuple(_coord(name, fields) for name, fields in _BOTH.items())
+    if strategy is Strategy.SIGNAL_ONLY:
+        rest = tuple(_coord(name, fields) for name, fields in _BOTH.items() if name != "s")
+        return (_coord("s_a", ("s_a",)),) + rest + (_coord("s_b", ("s_b",)),)
+    return tuple(
+        _coord(f, (f,))
+        for f in (
+            "s_a", "mu_a", "nu_a", "p_s_a", "p_mu_a", "p_nu_a",
+            "s_b", "mu_b", "nu_b", "p_s_b", "p_mu_b", "p_nu_b",
+        )
+    )
+
+
+def _safe(objective, params: ProtocolParameters) -> float:
+    value = objective(params)
+    return -math.inf if math.isnan(value) else value
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max_reference(f, lo: float, hi: float, evaluations: int = 30) -> tuple[float, float]:
+    """Golden-section line search; returns the best evaluated point."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    if f1 >= f2:
+        best_x, best_f = x1, f1
+    else:
+        best_x, best_f = x2, f2
+    for _ in range(max(0, evaluations - 2)):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+            if f2 > best_f:
+                best_x, best_f = x2, f2
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+            if f1 > best_f:
+                best_x, best_f = x1, f1
+    return best_x, best_f
+
+
+def coordinate_descent_reference(objective, init: ProtocolParameters, strategy: Strategy,
+                                 mode: EvaluationMode, max_passes: int = 50,
+                                 rel_improvement: float = 1e-4,
+                                 line_evaluations: int = 30) -> tuple[ProtocolParameters, float]:
+    """Cyclic line search over the strategy's free coordinates.
+
+    Each coordinate is maximized by golden section within its current box;
+    passes repeat until the relative rate improvement over a full pass
+    drops below the threshold.  Objectives returning NaN count as
+    rejected points.
+    """
+    coords = strategy_coordinates_reference(strategy, mode)
+    params = init
+    current = _safe(objective, params)
+    for _ in range(max_passes):
+        pass_start = current
+        for coord in coords:
+            lo, hi = coord.box(params)
+            if not lo < hi:
+                continue
+            value, rate = golden_section_max_reference(
+                lambda v: _safe(objective, coord.apply(params, v)), lo, hi, line_evaluations,
+            )
+            if rate > current:
+                params = coord.apply(params, value)
+                current = rate
+        if current - pass_start <= rel_improvement * max(pass_start, 0.0):
+            break
+    return params, current

@@ -37,7 +37,7 @@ from tfqkd.experiments import QberScanConfig, SweepConfig, run_qber_scan, run_sw
 from tfqkd.optimizer import EvaluationMode, Strategy, optimize_strategy
 from tfqkd.security import cat_coefficients
 
-from oracles import photon_path_yield
+from oracles import lp_contains, photon_path_yield
 
 WORKERS = max(1, min(8, os.cpu_count() or 1))
 LOSS_GRID = (30.0, 40.0, 50.0)
@@ -167,7 +167,7 @@ def test_criterion_3_yield_soundness_and_tightness():
             decoys.append((mu, nu, 0.0))
         problem = build_problem(observations_from_scenario(sc, decoys[0], decoys[1]))
         truth = yield_grid(sc, 9)
-        if not problem.contains(truth):
+        if not lp_contains(problem, truth):
             sound = False
         bounds = solve_yield_bounds(problem)
         for n, m in TARGET_PAIRS:

@@ -7,9 +7,7 @@ from tfqkd.channel import (
     ArrivingIntensities,
     ChannelScenario,
     arriving_intensity,
-    db_to_transmittance,
     first_order_diagnostics,
-    transmittance_to_db,
     x_basis_gain,
     x_basis_qber,
     yield_grid,
@@ -40,10 +38,6 @@ class TestScenario:
         with pytest.raises(DomainError):
             scenario(**kwargs)
 
-    def test_db_conversion_round_trips_on_decade_multiples(self):
-        for db in range(0, 101, 10):
-            assert transmittance_to_db(db_to_transmittance(db)) == float(db)
-
 
 class TestArrivingIntensity:
     def test_direct_product(self):
@@ -53,7 +47,7 @@ class TestArrivingIntensity:
         assert arriving_intensity(0.0, 0.5) == 0.0
 
     def test_with_db_conversion(self):
-        assert arriving_intensity(0.2, db_to_transmittance(20.0)) == pytest.approx(0.002, rel=1e-12)
+        assert arriving_intensity(0.2, 10.0 ** (-20.0 / 10.0)) == pytest.approx(0.002, rel=1e-12)
 
     def test_rejects_negative_input(self):
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tfqkd import experiments
 from tfqkd.cli import main
 from tfqkd.decoy import LpProblem
 from tfqkd.errors import ConfigError
@@ -145,6 +146,22 @@ class TestQberScanConfig:
         with pytest.raises(ConfigError, match="list"):
             QberScanConfig.from_dict({"s_a_grid": "1"})
 
+    @pytest.mark.parametrize("document", [
+        {"s_a_grid": [float("nan")]},
+        {"s_a_grid": [0.1, float("inf")]},
+        {"s_a_grid": [0.1], "s_b": float("nan")},
+        {"s_a_grid": [0.1], "s_b": float("inf")},
+        {"s_a_grid": [0.1], "mu_b": float("nan")},
+        {"s_a_grid": [0.1], "mu_b": float("inf")},
+    ])
+    def test_non_finite_values_are_config_errors(self, document, tmp_path):
+        # these used to pass parsing and end in a runtime error (NaN QBER), exit 3
+        with pytest.raises(ConfigError, match="finite"):
+            QberScanConfig.from_dict(document)
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps(document))  # written as the JSON extensions NaN/Infinity
+        assert main(["qber-scan", "--config", str(config), "--out", str(tmp_path / "scan.csv")]) == 2
+
     def test_scan_shape(self):
         rows = run_qber_scan(QberScanConfig(s_a_grid=(0.01, 0.02, 0.1, 0.5, 1.0)))
         ratios = [r.ratio for r in rows]
@@ -177,6 +194,34 @@ class TestSweep:
     def test_worker_pool_matches_serial_execution(self):
         config = SweepConfig.from_dict(dict(TINY_SWEEP))
         assert run_sweep(config, workers=2) == run_sweep(config, workers=1)
+
+    def test_worker_pool_is_capped_at_the_job_count(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Stands in for the process pool: records its size, runs jobs in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "_sweep_job", lambda config, loss, name: ((loss, name), None))
+        config = SweepConfig.from_dict(dict(TINY_SWEEP))  # two jobs
+        rows, problems = run_sweep(config, workers=64)
+        assert pools == [2]
+        assert rows == [(30.0, "symmetric"), (30.0, "fully_asymmetric")]
+        assert problems == [None, None]
+        run_sweep(config, workers=2)
+        assert pools == [2, 2]
 
     def test_finite_rows_carry_probabilities(self, finite_run):
         _, out, _ = finite_run

@@ -24,6 +24,8 @@ from tfqkd.optimizer import (
 )
 from tfqkd.security import key_rate
 
+from oracles import coordinate_descent_reference, strategy_coordinates_reference
+
 ASYMPTOTIC = EvaluationMode.asymptotic()
 FINITE = EvaluationMode.finite(1e12, 5.3)
 
@@ -35,6 +37,11 @@ def finite_params(**overrides):
     )
     values.update(overrides)
     return ProtocolParameters(**values)
+
+
+def vector(params):
+    """The 12-slot search vector of a parameter set."""
+    return [getattr(params, f"{name}_{side}") for side in "ab" for name in ("s", "mu", "nu", "p_s", "p_mu", "p_nu")]
 
 
 class TestProtocolParameters:
@@ -54,7 +61,7 @@ class TestProtocolParameters:
         with pytest.raises(DomainError):
             finite_params(p_s_a=None)  # partial probabilities
         # NaN used to pass (nan < 0 is false) and surface only in a later QBER check
-        for name in ("s_a", "s_b", "mu_a", "nu_a", "mu_b", "nu_b", "omega_a", "omega_b"):
+        for name in ("s_a", "s_b", "mu_a", "nu_a", "mu_b", "nu_b"):
             for value in (math.nan, -0.1):
                 with pytest.raises(DomainError, match=f"intensity {name} must be nonnegative"):
                     finite_params(**{name: value})
@@ -63,7 +70,7 @@ class TestProtocolParameters:
         with pytest.raises(DomainError, match="decoys on side b must be ordered"):
             finite_params(nu_b=0.2)
         with pytest.raises(DomainError, match="decoys on side a must be ordered"):
-            finite_params(omega_a=0.05)
+            finite_params(mu_a=0.005)
         with pytest.raises(DomainError, match=r"probability p_mu_b must lie in \(0, 1\), got nan"):
             finite_params(p_mu_b=math.nan)
         with pytest.raises(DomainError, match="probabilities on side b must leave room"):
@@ -113,6 +120,14 @@ class TestAddFibre:
 
 
 class TestStrategyCoordinates:
+    def test_slot_tuples(self):
+        tied = ((0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11))
+        assert strategy_coordinates(Strategy.SYMMETRIC, FINITE) == tied
+        assert strategy_coordinates(Strategy.SIGNAL_ONLY, FINITE) == ((0,),) + tied[1:] + ((6,),)
+        assert strategy_coordinates(Strategy.FULLY_ASYMMETRIC, FINITE) == tuple((k,) for k in range(12))
+        assert strategy_coordinates(Strategy.ADD_FIBRE, ASYMPTOTIC) == ((0, 6),)
+        assert strategy_coordinates(Strategy.SIGNAL_ONLY, ASYMPTOTIC) == ((0,), (6,))
+
     @pytest.mark.parametrize("strategy,expected", [
         (Strategy.SYMMETRIC, 6),
         (Strategy.ADD_FIBRE, 6),
@@ -133,24 +148,27 @@ class TestStrategyCoordinates:
 
     def test_tied_coordinates_move_both_sides(self):
         coord = strategy_coordinates(Strategy.SYMMETRIC, FINITE)[0]
-        moved = coord.apply(finite_params(), 0.25)
+        moved = optimizer._params(optimizer._moved(vector(finite_params()), coord, 0.25))
         assert moved.s_a == moved.s_b == 0.25
+        assert moved == finite_params(s_a=0.25, s_b=0.25)
 
     def test_boxes_respect_decoy_ordering(self):
-        params = finite_params(mu_a=0.3, nu_a=0.05)
+        x = vector(finite_params(mu_a=0.3, nu_a=0.05))
         for coord in strategy_coordinates(Strategy.FULLY_ASYMMETRIC, FINITE):
-            lo, hi = coord.box(params)
-            if coord.name == "nu_a":
+            lo, hi = optimizer._box(x, coord)
+            if coord == (2,):  # nu_a
                 assert hi < 0.3
-            if coord.name == "mu_a":
+            if coord == (1,):  # mu_a
                 assert lo > 0.05
-            moved = coord.apply(params, 0.5 * (lo + hi))
+            if coord == (10,):  # p_mu_b: 1 - p_s_b - p_nu_b - the vacuum floor
+                assert hi == pytest.approx(0.299, abs=1e-12)
+            moved = optimizer._params(optimizer._moved(x, coord, 0.5 * (lo + hi)))
             assert moved is not None  # stays constructible
 
 
 class TestGoldenSection:
     def test_finds_parabola_peak(self):
-        x, fx = golden_section_max(lambda v: -(v - 0.37) ** 2, 0.0, 1.0, 30)
+        x, fx = golden_section_max(lambda v: -(v - 0.37) ** 2, 0.0, 1.0)
         assert x == pytest.approx(0.37, abs=1e-4)
         assert fx == pytest.approx(0.0, abs=1e-8)
 
@@ -174,6 +192,69 @@ class TestCoordinateDescent:
         best, value = coordinate_descent(objective, init, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC)
         assert math.isfinite(value)
         assert best.s_a <= 0.5 + 1e-9
+
+
+#: Optimum of the synthetic objective: mu below nu on side a and near-saturated
+#: probabilities, so the decoy-order and simplex boxes bind during the search.
+_SYNTHETIC_TARGETS = dict(
+    s_a=0.3, s_b=0.04, mu_a=0.002, nu_a=0.4, mu_b=0.2, nu_b=0.003,
+    p_s_a=0.9, p_mu_a=0.3, p_nu_a=0.05, p_s_b=0.05, p_mu_b=0.5, p_nu_b=0.7,
+)
+
+
+def _synthetic(params):
+    """Cheap positive objective over all 12 fields; NaN (a rejected point) above s_a = 0.5."""
+    if params.s_a > 0.5:
+        return math.nan
+    penalty = 0.0
+    for name, target in _SYNTHETIC_TARGETS.items():
+        value = getattr(params, name)
+        if value is not None:
+            penalty += (math.log(value) - math.log(target)) ** 2
+    return 1.0 / (1.0 + penalty)
+
+
+def _param_bits(params):
+    return tuple(_bits(getattr(params, f.name)) for f in dataclasses.fields(params))
+
+
+def _traced_descent(descent, objective, init, strategy, mode):
+    """The points a descent hands to the objective, and its result, as bytes."""
+    points = []
+
+    def recording(params):
+        points.append(_param_bits(params))
+        return objective(params)
+
+    params, rate = descent(recording, init, strategy, mode)
+    return points, _param_bits(params), _bits(rate)
+
+
+class TestDescentRetracesReference:
+    """The search-vector descent evaluates the string-keyed reference's points, bit for bit."""
+
+    @pytest.mark.parametrize("mode", [ASYMPTOTIC, FINITE], ids=["asymptotic", "finite"])
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_synthetic_objective(self, strategy, mode):
+        assert len(strategy_coordinates(strategy, mode)) == len(strategy_coordinates_reference(strategy, mode))
+        for seed, index in ((0, 0), (3, 1), (11, 2)):
+            init = draw_start(strategy, mode, seed, index)
+            mine = _traced_descent(coordinate_descent, _synthetic, init, strategy, mode)
+            reference = _traced_descent(coordinate_descent_reference, _synthetic, init, strategy, mode)
+            assert len(mine[0]) > 31  # the start and more than one line search
+            assert mine == reference
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_asymptotic_key_rate(self, strategy):
+        scenario = ChannelScenario(eta_a=0.00316, eta_b=0.0316, p_d=1e-8, e_d=0.02)
+        if strategy is Strategy.ADD_FIBRE:
+            scenario = add_fibre_transform(scenario)
+        objective = make_objective(scenario, ASYMPTOTIC)
+        for index in range(2):
+            init = draw_start(strategy, ASYMPTOTIC, 5, index)
+            mine = _traced_descent(coordinate_descent, objective, init, strategy, ASYMPTOTIC)
+            reference = _traced_descent(coordinate_descent_reference, objective, init, strategy, ASYMPTOTIC)
+            assert mine == reference
 
 
 class TestMultistart:
@@ -217,8 +298,8 @@ class TestEvaluate:
     def test_no_light_no_key(self):
         sc = ChannelScenario(eta_a=0.1, eta_b=0.1, p_d=0.0, e_d=0.02)
         report = evaluate_key_rate(sc, finite_params(s_a=0.0, s_b=0.0), ASYMPTOTIC)
-        assert report.no_key
-        assert report.rate == 0.0
+        assert report.p_xx == 0.0
+        assert report.rate == report.rate_raw == 0.0
 
     def test_finite_mode_requires_probabilities(self):
         params = ProtocolParameters(s_a=0.1, s_b=0.1, mu_a=0.1, nu_a=0.01, mu_b=0.1, nu_b=0.01)
@@ -228,8 +309,8 @@ class TestEvaluate:
 
     def test_finite_rate_carries_the_signal_choice_weight(self):
         sc = ChannelScenario(eta_a=0.05, eta_b=0.05, p_d=1e-8, e_d=0.02)
-        report = evaluate_key_rate(sc, finite_params(), FINITE)
-        assert report.basis_weight == pytest.approx(0.25)
+        report = evaluate_key_rate(sc, finite_params(s_a=0.02, s_b=0.02), FINITE)
+        assert report.rate > 0.0
         assert report.rate == pytest.approx(report.rate_raw * 0.25, rel=1e-12)
 
     def test_degenerate_decoys_inflate_the_phase_error(self):
@@ -247,8 +328,8 @@ class TestEvaluate:
         report = evaluate_key_rate(sc, finite_params(), ASYMPTOTIC)
         grid = yield_grid(sc, 2)
         assert report.yield_bounds[1, 1] == pytest.approx(grid[1, 1], rel=1e-12)
-        assert report.basis_weight == 1.0
-        assert report.rate == pytest.approx(report.rate_raw, rel=1e-12)
+        assert report.rate > 0.0
+        assert report.rate == report.rate_raw  # the basis weight is 1
         assert report.lp_problem is None
 
 
@@ -290,10 +371,13 @@ class TestLpMemo:
         return calls
 
     def test_signal_line_search_solves_once(self, solves):
-        (signal,) = (c for c in strategy_coordinates(Strategy.SYMMETRIC, FINITE) if c.name == "s")
+        signal = strategy_coordinates(Strategy.SYMMETRIC, FINITE)[0]
+        assert signal == (0, 6)
         objective = make_objective(self.SCENARIO, FINITE)
-        start = finite_params()
-        _, rate = golden_section_max(lambda v: objective(signal.apply(start, v)), *signal.box(start))
+        x = vector(finite_params())
+        _, rate = golden_section_max(
+            lambda v: objective(optimizer._params(optimizer._moved(x, signal, v))), *optimizer._box(x, signal),
+        )
         assert rate > 0.0
         assert len(solves) == 1
 
@@ -310,7 +394,7 @@ class TestLpMemo:
     def test_zero_gain_builds_but_never_solves(self, solves):
         dark = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=0.0, e_d=0.02)
         report = evaluate_key_rate(dark, finite_params(s_a=0.0, s_b=0.0), FINITE)
-        assert report.no_key and report.p_xx == 0.0
+        assert report.rate == 0.0 and report.p_xx == 0.0
         assert report.yield_bounds is None
         assert isinstance(report.lp_problem, LpProblem)
         assert solves == []
@@ -364,8 +448,8 @@ class TestAsymptoticMemo:
         sc = ChannelScenario(eta_a=0.2, eta_b=0.2, p_d=1e-8, e_d=0.02)
         report = evaluate_key_rate(sc, finite_params(s_a=0.05, s_b=0.05), FINITE)
         args = (report.p_xx, report.e_xx, report.e_zz_upper)
-        assert _bits(report.rate) == _bits(key_rate(*args, pattern_count=2, basis_weight=0.25))
-        assert _bits(report.rate_raw) == _bits(key_rate(*args, pattern_count=2, basis_weight=1.0))
+        assert _bits(report.rate) == _bits(key_rate(*args, basis_weight=0.25))
+        assert _bits(report.rate_raw) == _bits(key_rate(*args))
         assert 0.0 < report.rate < report.rate_raw
 
 

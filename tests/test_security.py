@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cat_coefficients_reference, phase_error_bound_reference
+from oracles import cat_coefficients_reference, key_rate_reference, phase_error_bound_reference
 from tfqkd import optimizer
 from tfqkd.channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
 from tfqkd.decoy import TARGET_PAIRS
@@ -296,7 +296,7 @@ class TestKeyRate:
         assert key_rate(0.03, 0.5, 0.5) == 0.0
 
     def test_noiseless_limit(self):
-        assert key_rate(0.03, 0.0, 0.0, pattern_count=2, basis_weight=0.25) == pytest.approx(2 * 0.25 * 0.03)
+        assert key_rate(0.03, 0.0, 0.0, basis_weight=0.25) == pytest.approx(2 * 0.25 * 0.03)
 
     def test_worked_example(self):
         assert key_rate(0.01, 0.02, 0.05) == pytest.approx(0.0114433, abs=1e-6)
@@ -310,10 +310,16 @@ class TestKeyRate:
         three = key_rate(0.03, 0.02, 0.05)
         assert three == pytest.approx(3.0 * one, rel=1e-12)
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(p_xx=st.floats(0.0, 1.0), e_xx=st.floats(0.0, 1.0), e_zz=st.floats(0.0, 1.0),
+           weight=st.sampled_from([1.0, 0.25]) | st.floats(0.0, 1.0))
+    def test_matches_the_parameterised_form_in_bits(self, p_xx, e_xx, e_zz, weight):
+        # the reference at its defaults: two click patterns, error-correction factor 1
+        mine = key_rate(p_xx, e_xx, e_zz, basis_weight=weight)
+        assert struct.pack("<d", mine) == struct.pack("<d", key_rate_reference(p_xx, e_xx, e_zz, basis_weight=weight))
+
     def test_rejects_invalid_inputs(self):
         with pytest.raises(DomainError):
             key_rate(-0.1, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            key_rate(0.1, 0.0, 0.0, pattern_count=0)
         with pytest.raises(DomainError):
             key_rate(0.1, 0.0, 0.0, basis_weight=1.4)

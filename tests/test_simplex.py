@@ -14,9 +14,14 @@ from tfqkd import simplex
 from tfqkd.decoy import TARGET_PAIRS, PHOTON_CUTOFF, _equality_form, build_problem, observations_from_scenario
 from tfqkd.errors import DomainError, InfeasibleProblemError, UnboundedProblemError
 from tfqkd.experiments import QberScanConfig, SweepConfig
-from tfqkd.simplex import maximize, maximize_prepared, prepare
+from tfqkd.simplex import maximize_prepared, prepare
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def maximize(objective, a, b, upper):
+    """One-shot solve: phase 1 for the constraints, then phase 2 for the objective."""
+    return maximize_prepared(prepare(a, b, upper), objective)
 
 
 def test_simple_box_optimum():
