@@ -24,7 +24,6 @@ from .decoy import (  # noqa: F401
 from .optimizer import (  # noqa: F401
     EvaluationMode,
     KeyRateReport,
-    OptimizationResult,
     ProtocolParameters,
     Strategy,
     add_fibre_transform,

@@ -61,6 +61,8 @@ class ChannelScenario:
             raise DomainError(f"dark-count probability must lie in [0, 1), got {self.p_d}")
         if not (0.0 <= self.e_d < 1.0):
             raise DomainError(f"misalignment fraction must lie in [0, 1), got {self.e_d}")
+        if not math.isfinite(self.phi):
+            raise DomainError(f"phase mismatch must be finite, got {self.phi}")
 
     @property
     def theta(self) -> float:

@@ -212,19 +212,16 @@ class LpProblem:
         return "\n".join(lines)
 
 
-def build_problem(
-    obs: DecoyObservations,
-    finite_size: bool = False,
-    sigma_multiplier: float = 5.3,
-) -> LpProblem:
+def build_problem(obs: DecoyObservations, sigma_multiplier: float | None = None) -> LpProblem:
     """Assemble the yield LP from observations.
 
-    In finite mode every gain is first widened to its confidence interval,
-    which can only loosen the resulting upper bounds.  Equal decoy
-    intensities on one side leave duplicated, information-free rows; the
-    problem is still well posed and a warning records the degeneracy.
+    Given a sigma multiplier (finite mode), every gain is first widened to
+    its confidence interval, which can only loosen the resulting upper
+    bounds.  Equal decoy intensities on one side leave duplicated,
+    information-free rows; the problem is still well posed and a warning
+    records the degeneracy.
     """
-    if finite_size:
+    if sigma_multiplier is not None:
         if obs.pulse_counts is None:
             raise DomainError("finite-size mode requires pulse counts in the observations")
         if not sigma_multiplier > 0.0:  # also rejects NaN
@@ -257,7 +254,7 @@ def build_problem(
             coefficients[row] = np.outer(pmf_a[i], pmf_b[j]).reshape(_N_VARS)
             slack_mass[row] = 1.0 - pmf_a[i].sum() * pmf_b[j].sum()
             gain = obs.gains[i][j]
-            if finite_size:
+            if sigma_multiplier is not None:
                 low, high = widened_gain_interval(gain, obs.pulse_counts[i][j], sigma_multiplier)
             else:
                 low = high = gain

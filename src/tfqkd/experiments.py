@@ -8,8 +8,14 @@ expression and first-order approximation) and the LP-bounded phase-error
 rate versus decoy asymmetry.
 
 Configurations are single JSON documents with snake_case fields; unknown
-fields are rejected so experiment records stay unambiguous.  Output files
-are byte-identical for identical configurations: rows are emitted in
+fields are rejected so experiment records stay unambiguous.  A
+configuration checks the shape of its document (lists, integers,
+non-empty fields, the spelling of the mode) and the scan intensities,
+which no domain type bounds; every other value range belongs to the
+domain type that uses it (ChannelScenario, split_total_loss,
+EvaluationMode, sigma_multiplier_from_epsilon, Strategy), built once at
+parse time, and its error becomes a ConfigError.  Output files are
+byte-identical for identical configurations: rows are emitted in
 configuration order regardless of worker scheduling, floats are written
 with shortest round-trip formatting, and the header carries the tool
 version and a hash of the configuration.
@@ -43,13 +49,6 @@ from .errors import ConfigError, DomainError
 from .optimizer import EvaluationMode, Strategy, optimize_strategy
 from .security import cat_coefficients, phase_error_bound_from_matrix
 
-STRATEGY_ORDER = (
-    Strategy.SYMMETRIC,
-    Strategy.ADD_FIBRE,
-    Strategy.SIGNAL_ONLY,
-    Strategy.FULLY_ASYMMETRIC,
-)
-
 
 def split_total_loss(total_loss_db: float, mismatch_ratio: float) -> tuple[float, float]:
     """Transmittances (eta_a, eta_b) for a total loss and a fixed ratio.
@@ -58,8 +57,9 @@ def split_total_loss(total_loss_db: float, mismatch_ratio: float) -> tuple[float
     eta_b = 10^(-L/20) / sqrt(x).  If that exceeds 1 the B side is capped
     and the excess loss lands entirely on the A side.
     """
-    if total_loss_db < 0.0:
-        raise DomainError(f"total loss must be nonnegative, got {total_loss_db}")
+    # written as 0 <= x < inf so that NaN is rejected too
+    if not 0.0 <= total_loss_db < math.inf:
+        raise DomainError(f"total loss must be finite and nonnegative, got {total_loss_db}")
     if not (0.0 < mismatch_ratio <= 1.0):
         raise DomainError(f"mismatch ratio must lie in (0, 1], got {mismatch_ratio}")
     eta_total = 10.0 ** (-total_loss_db / 10.0)
@@ -105,7 +105,7 @@ class SweepConfig:
     n_pulses: float = 1e12
     epsilon: float = 1e-7
     sigma_multiplier: float | None = None
-    strategies: tuple[str, ...] = tuple(s.value for s in STRATEGY_ORDER)
+    strategies: tuple[str, ...] = tuple(s.value for s in Strategy)
     n_starts: int = 4
     seed: int = 1
 
@@ -119,46 +119,36 @@ class SweepConfig:
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if len(self.total_loss_db_grid) == 0:
             raise ConfigError("total_loss_db_grid must not be empty")
-        if not all(0.0 <= v < math.inf for v in self.total_loss_db_grid):
-            raise ConfigError("total_loss_db_grid entries must be finite and nonnegative")
-        if not (0.0 < self.mismatch_ratio <= 1.0):
-            raise ConfigError(f"mismatch_ratio must lie in (0, 1], got {self.mismatch_ratio}")
-        for name in ("p_d", "e_d"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if isinstance(self.phi, bool) or not isinstance(self.phi, (int, float)) or not math.isfinite(self.phi):
-            raise ConfigError(f"phi must be a finite number, got {self.phi!r}")
-        if self.mode not in ("asymptotic", "finite"):
-            raise ConfigError(f"mode must be 'asymptotic' or 'finite', got {self.mode!r}")
-        # written as not (x > 0) so that NaN is rejected too
-        if not self.n_pulses > 0.0:
-            raise ConfigError(f"n_pulses must be positive, got {self.n_pulses}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.sigma_multiplier is not None and not self.sigma_multiplier > 0.0:
-            raise ConfigError(f"sigma_multiplier must be positive, got {self.sigma_multiplier}")
         if len(self.strategies) == 0:
             raise ConfigError("strategies must not be empty")
-        valid = {s.value for s in Strategy}
-        for name in self.strategies:
-            if name not in valid:
-                raise ConfigError(f"unknown strategy {name!r}; valid: {sorted(valid)}")
+        if isinstance(self.phi, bool):
+            raise ConfigError(f"phi must be a number, got {self.phi!r}")
+        if self.mode not in ("asymptotic", "finite"):
+            raise ConfigError(f"mode must be 'asymptotic' or 'finite', got {self.mode!r}")
         if self.n_starts < 1:
             raise ConfigError(f"n_starts must be at least 1, got {self.n_starts}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        # the domain types own the range rules; building each once checks
+        # every value, and from_dict turns their errors into ConfigError
+        for loss in self.total_loss_db_grid:
+            self.scenario_for(loss)
+        self.evaluation_mode()
+        for name in self.strategies:
+            Strategy(name)
 
     @classmethod
     def from_dict(cls, document: dict) -> "SweepConfig":
         return _parse_config(cls, document, required=("total_loss_db_grid", "mismatch_ratio"))
 
     def evaluation_mode(self) -> EvaluationMode:
-        if self.mode == "asymptotic":
-            return EvaluationMode.asymptotic()
-        sigma = self.sigma_multiplier
-        if sigma is None:
-            sigma = sigma_multiplier_from_epsilon(self.epsilon)
-        return EvaluationMode.finite(self.n_pulses, sigma)
+        # the finite mode is built, and epsilon mapped, whatever the mode and
+        # the override, so that parsing checks n_pulses, epsilon and sigma
+        sigma = sigma_multiplier_from_epsilon(self.epsilon)
+        if self.sigma_multiplier is not None:
+            sigma = self.sigma_multiplier
+        finite = EvaluationMode.finite(self.n_pulses, sigma)
+        return finite if self.mode == "finite" else EvaluationMode.asymptotic()
 
     def scenario_for(self, total_loss_db: float) -> ChannelScenario:
         eta_a, eta_b = split_total_loss(total_loss_db, self.mismatch_ratio)
@@ -166,7 +156,7 @@ class SweepConfig:
 
     def ordered_strategies(self) -> tuple[Strategy, ...]:
         requested = set(self.strategies)
-        return tuple(s for s in STRATEGY_ORDER if s.value in requested)
+        return tuple(s for s in Strategy if s.value in requested)
 
 
 @dataclass(frozen=True)
@@ -197,8 +187,7 @@ class QberScanConfig:
             raise ConfigError("s_b and mu_b must be positive and finite")
         if not (0.0 < self.nu <= self.mu_b):
             raise ConfigError(f"nu must lie in (0, mu_b], got {self.nu}")
-        if not (0.0 <= self.e_d < 1.0):
-            raise ConfigError(f"e_d must lie in [0, 1), got {self.e_d}")
+        self.scenario()  # checks e_d
 
     @classmethod
     def from_dict(cls, document: dict) -> "QberScanConfig":
@@ -238,8 +227,7 @@ def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple
     strategy = Strategy(strategy_name)
     scenario = config.scenario_for(loss_db)
     mode = config.evaluation_mode()
-    result = optimize_strategy(scenario, strategy, mode, n_starts=config.n_starts, seed=config.seed)
-    params, report = result.params, result.report
+    params, report = optimize_strategy(scenario, strategy, mode, n_starts=config.n_starts, seed=config.seed)
     finite = mode.is_finite
     row = SweepRow(
         loss_db=loss_db,

@@ -113,33 +113,32 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class EvaluationMode:
-    """Asymptotic (yields perfectly known) or finite statistics."""
+    """Asymptotic (yields perfectly known, no pulse count) or finite statistics."""
 
-    kind: str
     n_pulses: float | None = None
-    sigma_multiplier: float = 5.3
+    sigma_multiplier: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("asymptotic", "finite"):
-            raise DomainError(f"unknown evaluation mode {self.kind!r}")
-        if self.kind == "finite":
-            # not (x > 0) also rejects NaN, which would widen every gain to NaN
-            if self.n_pulses is None or not self.n_pulses > 0.0:
-                raise DomainError("finite mode requires a positive pulse count")
-            if not self.sigma_multiplier > 0.0:
-                raise DomainError("finite mode requires a positive sigma multiplier")
+        if self.n_pulses is None:
+            return
+        # 0 < x < inf also rejects NaN, which would widen every gain to NaN,
+        # and inf, which would leave every gain unwidened
+        if not 0.0 < self.n_pulses < math.inf:
+            raise DomainError(f"finite mode requires a positive finite pulse count, got {self.n_pulses}")
+        if self.sigma_multiplier is None or not 0.0 < self.sigma_multiplier < math.inf:
+            raise DomainError(f"finite mode requires a positive finite sigma multiplier, got {self.sigma_multiplier}")
 
     @classmethod
     def asymptotic(cls) -> "EvaluationMode":
-        return cls(kind="asymptotic")
+        return cls()
 
     @classmethod
     def finite(cls, n_pulses: float, sigma_multiplier: float = 5.3) -> "EvaluationMode":
-        return cls(kind="finite", n_pulses=n_pulses, sigma_multiplier=sigma_multiplier)
+        return cls(n_pulses=n_pulses, sigma_multiplier=sigma_multiplier)
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == "finite"
+        return self.n_pulses is not None
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def _finite_problem(scenario: ChannelScenario, mode: EvaluationMode,
         scenario, intensities_a, intensities_b, n_pulses=mode.n_pulses,
         probabilities_a=probabilities_a, probabilities_b=probabilities_b,
     )
-    problem = build_problem(obs, finite_size=True, sigma_multiplier=mode.sigma_multiplier)
+    problem = build_problem(obs, sigma_multiplier=mode.sigma_multiplier)
     for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass):
         array.setflags(write=False)
     return problem
@@ -254,15 +253,6 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
         p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds, rate=rate, rate_raw=rate_raw,
         lp_problem=problem,
     )
-
-
-def make_objective(scenario: ChannelScenario, mode: EvaluationMode):
-    """Key rate as a function of the parameters (the optimization target)."""
-
-    def objective(params: ProtocolParameters) -> float:
-        return evaluate_key_rate(scenario, params, mode).rate
-
-    return objective
 
 
 _TIED = ((0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11))
@@ -439,24 +429,14 @@ def multistart(objective, strategy: Strategy, n_starts: int, seed: int,
     return best_params, best_rate
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    strategy: Strategy
-    params: ProtocolParameters
-    rate: float
-    report: KeyRateReport
-
-
 def optimize_strategy(scenario: ChannelScenario, strategy: Strategy, mode: EvaluationMode,
-                      n_starts: int = 4, seed: int = 0) -> OptimizationResult:
-    """Optimize one strategy on a scenario and evaluate the winner.
+                      n_starts: int, seed: int) -> tuple[ProtocolParameters, KeyRateReport]:
+    """Optimize one strategy on a scenario; returns the winner and its evaluation.
 
     The padding strategy optimizes the symmetric protocol on the
     transformed (equal-loss) scenario; the extra loss is part of the
     strategy, so its reported rate refers to the padded channel.
     """
     working = add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario
-    objective = make_objective(working, mode)
-    params, rate = multistart(objective, strategy, n_starts, seed, mode)
-    report = evaluate_key_rate(working, params, mode)
-    return OptimizationResult(strategy=strategy, params=params, rate=rate, report=report)
+    params, _ = multistart(lambda p: evaluate_key_rate(working, p, mode).rate, strategy, n_starts, seed, mode)
+    return params, evaluate_key_rate(working, params, mode)

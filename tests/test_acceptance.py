@@ -349,9 +349,9 @@ def test_criterion_7_property_suites():
     # strategy nesting within 5% search noise
     sc = ChannelScenario(eta_a=0.00316227766, eta_b=0.0316227766, p_d=1e-8, e_d=0.02)
     mode = EvaluationMode.asymptotic()
-    fully = optimize_strategy(sc, Strategy.FULLY_ASYMMETRIC, mode, n_starts=4, seed=1).rate
-    signal = optimize_strategy(sc, Strategy.SIGNAL_ONLY, mode, n_starts=4, seed=1).rate
-    sym = optimize_strategy(sc, Strategy.SYMMETRIC, mode, n_starts=4, seed=1).rate
+    fully = optimize_strategy(sc, Strategy.FULLY_ASYMMETRIC, mode, n_starts=4, seed=1)[1].rate
+    signal = optimize_strategy(sc, Strategy.SIGNAL_ONLY, mode, n_starts=4, seed=1)[1].rate
+    sym = optimize_strategy(sc, Strategy.SYMMETRIC, mode, n_starts=4, seed=1)[1].rate
     checks["strategy_nesting_5pct"] = fully >= 0.95 * signal and signal >= 0.95 * sym
 
     elapsed = time.monotonic() - start
@@ -369,7 +369,7 @@ def test_criterion_8_finite_size_arithmetic():
     counts = tuple(tuple(1e10 for _ in range(3)) for _ in range(3))
     problem = build_problem(
         DecoyObservations((0.1, 0.01, 0.0), (0.1, 0.01, 0.0), gains, counts),
-        finite_size=True, sigma_multiplier=5.3,
+        sigma_multiplier=5.3,
     )
     expected_up = 1e-4 + 5.3e-7
     expected_low = 1e-4 - 5.3e-7
@@ -382,7 +382,7 @@ def test_criterion_8_finite_size_arithmetic():
             tuple(tuple(1e-12 for _ in range(3)) for _ in range(3)),
             tuple(tuple(1e6 for _ in range(3)) for _ in range(3)),
         ),
-        finite_size=True, sigma_multiplier=5.3,
+        sigma_multiplier=5.3,
     )
     elapsed = time.monotonic() - start
     checks = {

@@ -33,6 +33,8 @@ class TestScenario:
     @pytest.mark.parametrize("kwargs", [
         dict(eta_a=0.0), dict(eta_a=1.2), dict(eta_b=-0.1),
         dict(p_d=1.0), dict(p_d=-1e-3), dict(e_d=1.0), dict(e_d=-0.1),
+        # a non-finite phase used to pass and fail later with "QBER evaluated to nan"
+        dict(phi=math.nan), dict(phi=math.inf),
     ])
     def test_rejects_invalid_parameters(self, kwargs):
         with pytest.raises(DomainError):

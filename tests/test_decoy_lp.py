@@ -120,7 +120,7 @@ class TestNanIsRejected:
     def test_build_rejects_nan_sigma(self):
         obs = observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=1e12, **self.PROBABILITIES)
         with pytest.raises(DomainError, match="sigma multiplier must be positive"):
-            build_problem(obs, finite_size=True, sigma_multiplier=math.nan)
+            build_problem(obs, sigma_multiplier=math.nan)
 
     def test_solve_raises_on_a_non_finite_maximum(self, monkeypatch):
         monkeypatch.setattr(simplex, "maximize_prepared", lambda basis, objective: (None, math.nan))
@@ -165,7 +165,7 @@ class TestBuildProblem:
             probabilities_a=(0.4, 0.3, 0.3), probabilities_b=(0.4, 0.3, 0.3),
         )
         tight = build_problem(obs)
-        wide = build_problem(obs, finite_size=True, sigma_multiplier=5.3)
+        wide = build_problem(obs, sigma_multiplier=5.3)
         positive = tight.gain_upper > 0
         assert np.all(wide.gain_upper[positive] > tight.gain_upper[positive])
         assert np.all(wide.gain_lower <= tight.gain_lower)
@@ -174,13 +174,13 @@ class TestBuildProblem:
     def test_finite_mode_requires_counts_and_width(self):
         obs = observations_from_scenario(NOMINAL, DECOYS, DECOYS)
         with pytest.raises(DomainError):
-            build_problem(obs, finite_size=True)
+            build_problem(obs, sigma_multiplier=5.3)
         obs_counts = observations_from_scenario(
             NOMINAL, DECOYS, DECOYS, n_pulses=1e12,
             probabilities_a=(0.4, 0.3, 0.3), probabilities_b=(0.4, 0.3, 0.3),
         )
         with pytest.raises(DomainError):
-            build_problem(obs_counts, finite_size=True, sigma_multiplier=0.0)
+            build_problem(obs_counts, sigma_multiplier=0.0)
 
     def test_degenerate_decoys_attach_a_warning(self):
         obs = observations_from_scenario(NOMINAL, (0.01, 0.01, 0.0), DECOYS)
@@ -259,7 +259,7 @@ class TestSolve:
         )
         previous = solve_yield_bounds(build_problem(obs))
         for sigma in (1.0, 5.3, 12.0):
-            current = solve_yield_bounds(build_problem(obs, finite_size=True, sigma_multiplier=sigma))
+            current = solve_yield_bounds(build_problem(obs, sigma_multiplier=sigma))
             for pair in TARGET_PAIRS:
                 assert current[pair] >= previous[pair] - 1e-12
             previous = current

@@ -9,7 +9,7 @@ import pytest
 from tfqkd import experiments
 from tfqkd.cli import main
 from tfqkd.decoy import LpProblem
-from tfqkd.errors import ConfigError
+from tfqkd.errors import ConfigError, DomainError
 from tfqkd.experiments import (
     QBER_SCAN_COLUMNS,
     SWEEP_COLUMNS,
@@ -67,6 +67,10 @@ class TestLossSplit:
             split_total_loss(-1.0, 0.1)
         with pytest.raises(Exception):
             split_total_loss(10.0, 0.0)
+        # these used to return (nan, nan) and (0.0, 0.0)
+        for loss in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="finite"):
+                split_total_loss(loss, 0.1)
 
 
 class TestSweepConfig:
@@ -114,6 +118,11 @@ class TestSweepConfig:
         {"total_loss_db_grid": [float("inf")]},
         {"n_pulses": float("nan")},
         {"sigma_multiplier": float("nan")},
+        {"phi": True},
+        # +inf used to pass: exit 0 with unwidened finite rows, or exit 3
+        {"mode": "finite", "n_pulses": float("inf")},
+        {"mode": "finite", "sigma_multiplier": float("inf")},
+        {"n_pulses": float("inf")},
     ])
     def test_invalid_values(self, patch):
         with pytest.raises(ConfigError):

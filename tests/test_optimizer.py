@@ -17,7 +17,6 @@ from tfqkd.optimizer import (
     draw_start,
     evaluate_key_rate,
     golden_section_max,
-    make_objective,
     multistart,
     optimize_strategy,
     strategy_coordinates,
@@ -28,6 +27,11 @@ from oracles import coordinate_descent_reference, strategy_coordinates_reference
 
 ASYMPTOTIC = EvaluationMode.asymptotic()
 FINITE = EvaluationMode.finite(1e12, 5.3)
+
+
+def objective_for(scenario, mode):
+    """The key rate as a function of the parameters, as optimize_strategy searches it."""
+    return lambda params: evaluate_key_rate(scenario, params, mode).rate
 
 
 def finite_params(**overrides):
@@ -89,8 +93,6 @@ class TestModes:
             EvaluationMode.finite(0.0)
         with pytest.raises(DomainError):
             EvaluationMode.finite(1e10, sigma_multiplier=0.0)
-        with pytest.raises(DomainError):
-            EvaluationMode(kind="bogus")
 
     def test_finite_mode_rejects_nan(self):
         # NaN widening used to turn every LP bound into 0 and the rate positive
@@ -98,6 +100,11 @@ class TestModes:
             EvaluationMode.finite(math.nan)
         with pytest.raises(DomainError):
             EvaluationMode.finite(1e12, sigma_multiplier=math.nan)
+        # an infinite count skipped the widening; an infinite sigma made the LP data infinite
+        with pytest.raises(DomainError):
+            EvaluationMode.finite(math.inf)
+        with pytest.raises(DomainError):
+            EvaluationMode.finite(1e12, sigma_multiplier=math.inf)
 
 
 class TestAddFibre:
@@ -249,7 +256,7 @@ class TestDescentRetracesReference:
         scenario = ChannelScenario(eta_a=0.00316, eta_b=0.0316, p_d=1e-8, e_d=0.02)
         if strategy is Strategy.ADD_FIBRE:
             scenario = add_fibre_transform(scenario)
-        objective = make_objective(scenario, ASYMPTOTIC)
+        objective = objective_for(scenario, ASYMPTOTIC)
         for index in range(2):
             init = draw_start(strategy, ASYMPTOTIC, 5, index)
             mine = _traced_descent(coordinate_descent, objective, init, strategy, ASYMPTOTIC)
@@ -260,21 +267,21 @@ class TestDescentRetracesReference:
 class TestMultistart:
     def test_deterministic_reruns(self):
         sc = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=1e-8, e_d=0.02)
-        objective = make_objective(sc, ASYMPTOTIC)
+        objective = objective_for(sc, ASYMPTOTIC)
         one = multistart(objective, Strategy.FULLY_ASYMMETRIC, 3, seed=9, mode=ASYMPTOTIC)
         two = multistart(objective, Strategy.FULLY_ASYMMETRIC, 3, seed=9, mode=ASYMPTOTIC)
         assert one == two
 
     def test_single_start_equals_plain_descent(self):
         sc = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=1e-8, e_d=0.02)
-        objective = make_objective(sc, ASYMPTOTIC)
+        objective = objective_for(sc, ASYMPTOTIC)
         init = draw_start(Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC, seed=4, index=0)
         direct = coordinate_descent(objective, init, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC)
         assert multistart(objective, Strategy.FULLY_ASYMMETRIC, 1, seed=4, mode=ASYMPTOTIC) == direct
 
     def test_more_starts_never_hurt(self):
         sc = ChannelScenario(eta_a=0.0005, eta_b=0.05, p_d=1e-8, e_d=0.02)
-        objective = make_objective(sc, ASYMPTOTIC)
+        objective = objective_for(sc, ASYMPTOTIC)
         _, rate_one = multistart(objective, Strategy.FULLY_ASYMMETRIC, 1, seed=2, mode=ASYMPTOTIC)
         _, rate_eight = multistart(objective, Strategy.FULLY_ASYMMETRIC, 8, seed=2, mode=ASYMPTOTIC)
         assert rate_eight >= rate_one
@@ -373,7 +380,7 @@ class TestLpMemo:
     def test_signal_line_search_solves_once(self, solves):
         signal = strategy_coordinates(Strategy.SYMMETRIC, FINITE)[0]
         assert signal == (0, 6)
-        objective = make_objective(self.SCENARIO, FINITE)
+        objective = objective_for(self.SCENARIO, FINITE)
         x = vector(finite_params())
         _, rate = golden_section_max(
             lambda v: objective(optimizer._params(optimizer._moved(x, signal, v))), *optimizer._box(x, signal),
@@ -456,18 +463,18 @@ class TestAsymptoticMemo:
 class TestOptimizeStrategy:
     def test_symmetric_channels_have_symmetric_optima(self):
         sc = ChannelScenario(eta_a=0.0316, eta_b=0.0316, p_d=1e-8, e_d=0.02)
-        result = optimize_strategy(sc, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC, n_starts=4, seed=3)
-        assert abs(math.log10(result.params.s_a / result.params.s_b)) <= 0.1
+        params, _ = optimize_strategy(sc, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC, n_starts=4, seed=3)
+        assert abs(math.log10(params.s_a / params.s_b)) <= 0.1
 
     def test_tenfold_mismatch_calls_for_tenfold_intensity_ratio(self):
         sc = ChannelScenario(eta_a=0.00316, eta_b=0.0316, p_d=1e-8, e_d=0.02)
-        result = optimize_strategy(sc, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC, n_starts=4, seed=3)
-        assert math.log10(result.params.s_a / result.params.s_b) == pytest.approx(1.0, abs=0.3)
+        params, _ = optimize_strategy(sc, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC, n_starts=4, seed=3)
+        assert math.log10(params.s_a / params.s_b) == pytest.approx(1.0, abs=0.3)
 
     def test_padding_strategy_reports_padded_rate(self):
         sc = ChannelScenario(eta_a=0.001, eta_b=0.01, p_d=1e-8, e_d=0.02)
-        padded = optimize_strategy(sc, Strategy.ADD_FIBRE, ASYMPTOTIC, n_starts=2, seed=0)
-        symmetric_on_padded = optimize_strategy(
+        _, padded = optimize_strategy(sc, Strategy.ADD_FIBRE, ASYMPTOTIC, n_starts=2, seed=0)
+        _, symmetric_on_padded = optimize_strategy(
             add_fibre_transform(sc), Strategy.SYMMETRIC, ASYMPTOTIC, n_starts=2, seed=0,
         )
         assert padded.rate == pytest.approx(symmetric_on_padded.rate, rel=1e-12)

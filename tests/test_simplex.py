@@ -244,7 +244,7 @@ class TestLeanLoopRetracesReference:
             (value["mu_a"], value["nu_a"], 0.0), (value["mu_b"], value["nu_b"], 0.0),
             n_pulses=mode.n_pulses, probabilities_a=probabilities["a"], probabilities_b=probabilities["b"],
         )
-        problem = build_problem(obs, finite_size=True, sigma_multiplier=mode.sigma_multiplier)
+        problem = build_problem(obs, sigma_multiplier=mode.sigma_multiplier)
         results, _ = _assert_retraces_reference(*self._decoy_targets(problem))
         assert len(results) == len(TARGET_PAIRS)
 
