@@ -79,8 +79,12 @@ def _parse_config(cls, document: dict, required: tuple[str, ...]):
     missing = sorted(set(required) - set(document))
     if missing:
         raise ConfigError(f"missing configuration field(s): {', '.join(missing)}")
+    return _config_checked(cls, **document)
+
+
+def _config_checked(build, *args, **kwargs):
     try:
-        return cls(**document)
+        return build(*args, **kwargs)
     except (DomainError, TypeError, ValueError) as error:
         raise ConfigError(str(error)) from None
 
@@ -130,12 +134,12 @@ class SweepConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         # the domain types own the range rules; building each once checks
-        # every value, and from_dict turns their errors into ConfigError
+        # every value, and _config_checked turns their errors into ConfigError
         for loss in self.total_loss_db_grid:
-            self.scenario_for(loss)
-        self.evaluation_mode()
+            _config_checked(self.scenario_for, loss)
+        _config_checked(self.evaluation_mode)
         for name in self.strategies:
-            Strategy(name)
+            _config_checked(Strategy, name)
 
     @classmethod
     def from_dict(cls, document: dict) -> "SweepConfig":
@@ -187,7 +191,7 @@ class QberScanConfig:
             raise ConfigError("s_b and mu_b must be positive and finite")
         if not (0.0 < self.nu <= self.mu_b):
             raise ConfigError(f"nu must lie in (0, mu_b], got {self.nu}")
-        self.scenario()  # checks e_d
+        _config_checked(self.scenario)  # checks e_d
 
     @classmethod
     def from_dict(cls, document: dict) -> "QberScanConfig":

@@ -119,11 +119,11 @@ class EvaluationMode:
     sigma_multiplier: float | None = None
 
     def __post_init__(self):
-        if self.n_pulses is None:
+        if self.n_pulses is None and self.sigma_multiplier is None:
             return
         # 0 < x < inf also rejects NaN, which would widen every gain to NaN,
         # and inf, which would leave every gain unwidened
-        if not 0.0 < self.n_pulses < math.inf:
+        if self.n_pulses is None or not 0.0 < self.n_pulses < math.inf:
             raise DomainError(f"finite mode requires a positive finite pulse count, got {self.n_pulses}")
         if self.sigma_multiplier is None or not 0.0 < self.sigma_multiplier < math.inf:
             raise DomainError(f"finite mode requires a positive finite sigma multiplier, got {self.sigma_multiplier}")

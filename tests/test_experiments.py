@@ -123,10 +123,22 @@ class TestSweepConfig:
         {"mode": "finite", "n_pulses": float("inf")},
         {"mode": "finite", "sigma_multiplier": float("inf")},
         {"n_pulses": float("inf")},
+        # a null pulse count with a sigma multiplier is no mode at all
+        {"mode": "finite", "n_pulses": None},
+        {"n_pulses": None},
     ])
     def test_invalid_values(self, patch):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(dict(TINY_SWEEP, **patch))
+
+    def test_direct_construction_raises_config_errors(self):
+        # the domain types' range errors surface as ConfigError without from_dict too
+        with pytest.raises(ConfigError, match="not a valid Strategy"):
+            SweepConfig(total_loss_db_grid=(10.0,), mismatch_ratio=0.1, strategies=("bogus",))
+        with pytest.raises(ConfigError, match="finite"):
+            SweepConfig(total_loss_db_grid=(10.0,), mismatch_ratio=0.1, phi=float("nan"))
+        with pytest.raises(ConfigError):
+            QberScanConfig(s_a_grid=(0.1,), e_d=1.5)
 
     def test_finite_mode_maps_epsilon_to_z_score(self):
         config = SweepConfig.from_dict(dict(TINY_SWEEP, mode="finite"))

@@ -93,6 +93,11 @@ class TestModes:
             EvaluationMode.finite(0.0)
         with pytest.raises(DomainError):
             EvaluationMode.finite(1e10, sigma_multiplier=0.0)
+        # a sigma multiplier without a pulse count would be a second spelling of asymptotic
+        with pytest.raises(DomainError):
+            EvaluationMode.finite(None)
+        with pytest.raises(DomainError):
+            EvaluationMode(sigma_multiplier=5.3)
 
     def test_finite_mode_rejects_nan(self):
         # NaN widening used to turn every LP bound into 0 and the rate positive
