@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .channel import (  # noqa: F401
     ArrivingIntensities,
     ChannelScenario,
-    arriving_intensity,
     first_order_diagnostics,
     x_basis_gain,
     x_basis_qber,

@@ -13,15 +13,11 @@ RELATIVE_TRUNCATION = 1e-16
 _MAX_TERMS = 400
 
 
-def i0(x: float) -> float:
-    """I0(x) by power series, accurate to ~1e-15 relative for |x| <= 10."""
-    return 1.0 + i0m1(x)
-
-
 def i0m1(x: float) -> float:
     """I0(x) - 1, summed without the leading 1 to avoid cancellation.
 
-    Useful in expressions such as exp(s)*I0(x) - 1 with both s and x small.
+    1.0 + i0m1(x) is I0(x) to ~1e-15 relative for |x| <= 10; the form serves
+    expressions such as exp(s)*I0(x) - 1 with both s and x small.
     """
     q = 0.25 * x * x
     term = q  # k = 1 term

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import i0, i0m1
+from .bessel import i0m1
 from .errors import DomainError, UnsupportedPhotonNumberError, ZeroGainError
 
 #: Largest photon number accepted by the yield evaluation.
@@ -78,24 +78,13 @@ class ArrivingIntensities:
     gamma_b: float
 
     def __post_init__(self):
-        if self.gamma_a < 0.0 or self.gamma_b < 0.0:
-            raise DomainError(f"arriving intensities must be nonnegative, got {self.gamma_a}, {self.gamma_b}")
+        # written as 0 <= x < inf so that NaN is rejected too
+        if not (0.0 <= self.gamma_a < math.inf and 0.0 <= self.gamma_b < math.inf):
+            raise DomainError(f"arriving intensities must lie in [0, inf), got {self.gamma_a}, {self.gamma_b}")
 
     @classmethod
     def from_sources(cls, scenario: ChannelScenario, intensity_a: float, intensity_b: float) -> "ArrivingIntensities":
-        return cls(
-            arriving_intensity(intensity_a, scenario.eta_a),
-            arriving_intensity(intensity_b, scenario.eta_b),
-        )
-
-
-def arriving_intensity(source_intensity: float, eta: float) -> float:
-    """Mean photon number after the channel: source intensity times transmittance."""
-    if source_intensity < 0.0:
-        raise DomainError(f"source intensity must be nonnegative, got {source_intensity}")
-    if not (0.0 <= eta <= 1.0):
-        raise DomainError(f"transmittance must lie in [0, 1], got {eta}")
-    return source_intensity * eta
+        return cls(intensity_a * scenario.eta_a, intensity_b * scenario.eta_b)
 
 
 def _clamp_probability(value: float) -> float:
@@ -160,7 +149,8 @@ def z_basis_gain(scenario: ChannelScenario, gamma_decoy: ArrivingIntensities) ->
     total = gamma_decoy.gamma_a + gamma_decoy.gamma_b
     x = math.sqrt(gamma_decoy.gamma_a * gamma_decoy.gamma_b) * math.cos(scenario.theta)
     one_minus_pd = 1.0 - scenario.p_d
-    light = math.expm1(0.5 * total) * i0(x) + i0m1(x)
+    series = i0m1(x)  # I0(x) is 1.0 + series
+    light = math.expm1(0.5 * total) * (1.0 + series) + series
     return _clamp_probability(one_minus_pd * math.exp(-total) * (light + scenario.p_d))
 
 

@@ -304,10 +304,7 @@ def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
     try:
         basis = simplex.prepare(a, b, ub)
     except InfeasibleProblemError as error:
-        label = error.constraint
-        if not (label and label.startswith("row:")):
-            raise
-        pair = problem.pair_labels[int(label.split(":", 1)[1]) % len(problem.pair_labels)]
+        pair = problem.pair_labels[error.constraint]
         raise InfeasibleProblemError(
             f"observations are contradictory beyond their widening at pair {pair}",
             constraint=pair,

@@ -18,9 +18,12 @@ class ZeroGainError(ValueError):
 
 
 class InfeasibleProblemError(RuntimeError):
-    """The linear program has no feasible point; carries the offending constraint."""
+    """The linear program has no feasible point; carries the offending constraint.
 
-    def __init__(self, message: str, constraint: str | None = None):
+    simplex reports its most-violated row index, decoy that row's pair label.
+    """
+
+    def __init__(self, message: str, constraint: int | str):
         super().__init__(message)
         self.constraint = constraint
 

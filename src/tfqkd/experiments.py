@@ -9,7 +9,7 @@ rate versus decoy asymmetry.
 
 Configurations are single JSON documents with snake_case fields; unknown
 fields are rejected so experiment records stay unambiguous.  A
-configuration checks the shape of its document (lists, integers,
+configuration checks the shape of its document (lists, integers, numbers,
 non-empty fields, the spelling of the mode) and the scan intensities,
 which no domain type bounds; every other value range belongs to the
 domain type that uses it (ChannelScenario, split_total_loss,
@@ -46,7 +46,7 @@ from .decoy import (
     solve_yield_bounds,
 )
 from .errors import ConfigError, DomainError
-from .optimizer import EvaluationMode, Strategy, optimize_strategy
+from .optimizer import EvaluationMode, ProtocolParameters, Strategy, optimize_strategy
 from .security import cat_coefficients, phase_error_bound_from_matrix
 
 
@@ -96,6 +96,15 @@ def _require_lists(config, *names: str) -> None:
             raise ConfigError(f"{name} must be a list, got {getattr(config, name)!r}")
 
 
+def _require_type(config, *names: str, kind=(int, float), noun: str = "a finite number") -> None:
+    # checked by type: a bool is an int to Python, and float() would parse a string
+    for name in names:
+        value = getattr(config, name)
+        for entry in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(entry, bool) or not isinstance(entry, kind):
+                raise ConfigError(f"{name}: {entry!r} is not {noun}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Strategy-comparison sweep over a total-loss grid."""
@@ -115,18 +124,16 @@ class SweepConfig:
 
     def __post_init__(self):
         _require_lists(self, "total_loss_db_grid", "strategies")
-        for name in ("n_starts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        _require_type(self, "total_loss_db_grid", "mismatch_ratio", "p_d", "e_d", "phi", "n_pulses", "epsilon")
+        if self.sigma_multiplier is not None:
+            _require_type(self, "sigma_multiplier")
+        _require_type(self, "n_starts", "seed", kind=int, noun="an integer")
         object.__setattr__(self, "total_loss_db_grid", tuple(float(v) for v in self.total_loss_db_grid))
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if len(self.total_loss_db_grid) == 0:
             raise ConfigError("total_loss_db_grid must not be empty")
         if len(self.strategies) == 0:
             raise ConfigError("strategies must not be empty")
-        if isinstance(self.phi, bool):
-            raise ConfigError(f"phi must be a number, got {self.phi!r}")
         if self.mode not in ("asymptotic", "finite"):
             raise ConfigError(f"mode must be 'asymptotic' or 'finite', got {self.mode!r}")
         if self.n_starts < 1:
@@ -181,6 +188,7 @@ class QberScanConfig:
 
     def __post_init__(self):
         _require_lists(self, "s_a_grid")
+        _require_type(self, "s_a_grid", "s_b", "mu_b", "nu", "e_d")
         object.__setattr__(self, "s_a_grid", tuple(float(v) for v in self.s_a_grid))
         if len(self.s_a_grid) == 0:
             raise ConfigError("s_a_grid must not be empty")
@@ -232,29 +240,19 @@ def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple
     scenario = config.scenario_for(loss_db)
     mode = config.evaluation_mode()
     params, report = optimize_strategy(scenario, strategy, mode, n_starts=config.n_starts, seed=config.seed)
-    finite = mode.is_finite
-    row = SweepRow(
+    values = {f.name: getattr(params, f.name) for f in dataclass_fields(ProtocolParameters)}
+    if not mode.is_finite:  # blank the unsearched placeholder decoys; the probabilities are None
+        values.update(mu_a=None, nu_a=None, mu_b=None, nu_b=None)
+    return SweepRow(
         loss_db=loss_db,
         strategy=strategy.value,
         key_rate=report.rate,
         key_rate_raw=report.rate_raw,
-        s_a=params.s_a,
-        s_b=params.s_b,
-        mu_a=params.mu_a if finite else None,
-        nu_a=params.nu_a if finite else None,
-        mu_b=params.mu_b if finite else None,
-        nu_b=params.nu_b if finite else None,
-        p_s_a=params.p_s_a if finite else None,
-        p_mu_a=params.p_mu_a if finite else None,
-        p_nu_a=params.p_nu_a if finite else None,
-        p_s_b=params.p_s_b if finite else None,
-        p_mu_b=params.p_mu_b if finite else None,
-        p_nu_b=params.p_nu_b if finite else None,
+        **values,
         e_xx=report.e_xx,
         e_zz_upper=report.e_zz_upper,
         p_xx=report.p_xx,
-    )
-    return row, report.lp_problem
+    ), report.lp_problem
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> tuple[list[SweepRow], list[LpProblem | None]]:

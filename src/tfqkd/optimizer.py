@@ -5,12 +5,12 @@ decoy intensities and three selection probabilities of side a, then those
 of side b; asymptotic mode moves only the signal slots.  Four
 strategies restrict how the two sides may differ: fully symmetric,
 symmetric-after-padding (extra loss on the better channel), asymmetric
-signal intensities only, and fully asymmetric.  A strategy is a tuple of
-coordinates, each the tuple of slots it sets to one value (tied slots
-move together).  Each coordinate is line-searched by golden section
-inside its box; passes repeat until the rate stops improving.  Multistart
-draws seeded random starting points and keeps the best outcome, with ties
-broken by the lowest start index so results are reproducible bit for bit.
+signal intensities only, and fully asymmetric.  A strategy is one row of
+the tie table TIED_SLOTS; its coordinates (each the tuple of slots it sets
+to one value) and its random starts follow from that row.  Each coordinate
+is line-searched by golden section inside its box; passes repeat until the
+rate stops improving.  Multistart keeps the best outcome over seeded
+starts, with ties broken by the lowest start index, bit for bit.
 """
 
 from __future__ import annotations
@@ -109,6 +109,15 @@ class Strategy(Enum):
     ADD_FIBRE = "add_fibre"
     SIGNAL_ONLY = "signal_only"
     FULLY_ASYMMETRIC = "fully_asymmetric"
+
+
+#: Per strategy, the side-a slots tied to their side-b twin (slot + 6).
+TIED_SLOTS = {
+    Strategy.SYMMETRIC: range(6),
+    Strategy.ADD_FIBRE: range(6),
+    Strategy.SIGNAL_ONLY: range(1, 6),
+    Strategy.FULLY_ASYMMETRIC: range(0),
+}
 
 
 @dataclass(frozen=True)
@@ -255,22 +264,15 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     )
 
 
-_TIED = ((0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11))
-
-
 def strategy_coordinates(strategy: Strategy, mode: EvaluationMode) -> tuple[tuple[int, ...], ...]:
-    """Free coordinates under the strategy's tying rules, in a fixed order.
+    """Free coordinates under the strategy's ties, in a fixed order.
 
     Each coordinate is the tuple of search-vector slots it sets to one value.
     """
-    tied = strategy in (Strategy.SYMMETRIC, Strategy.ADD_FIBRE)
-    if not mode.is_finite:
-        return _TIED[:1] if tied else ((0,), (6,))
-    if tied:
-        return _TIED
-    if strategy is Strategy.SIGNAL_ONLY:
-        return ((0,),) + _TIED[1:] + ((6,),)
-    return tuple((slot,) for slot in range(12))
+    side_a = range(6) if mode.is_finite else range(1)
+    tied = TIED_SLOTS[strategy]
+    return (tuple((slot, slot + 6) if slot in tied else (slot,) for slot in side_a)
+            + tuple((slot + 6,) for slot in side_a if slot not in tied))
 
 
 def _box(x: list, coord: tuple[int, ...]) -> tuple[float, float]:
@@ -371,10 +373,12 @@ def draw_start(strategy: Strategy, mode: EvaluationMode, seed: int, index: int) 
 
     Intensities are drawn log-uniformly over the search box; selection
     probabilities uniformly over the interior of the simplex (a rescaled
-    flat Dirichlet keeps every share above its floor).
+    flat Dirichlet keeps every share above its floor).  Each group (signal,
+    decoy pair, probabilities) is drawn for side a, then for side b unless
+    tied; asymptotic mode draws the signals only, the decoys are fixed.
     """
     rng = np.random.default_rng([seed, index])
-    tied = strategy in (Strategy.SYMMETRIC, Strategy.ADD_FIBRE)
+    tied = TIED_SLOTS[strategy]
 
     def log_uniform() -> float:
         return float(10.0 ** rng.uniform(math.log10(INTENSITY_MIN), math.log10(INTENSITY_MAX)))
@@ -392,20 +396,13 @@ def draw_start(strategy: Strategy, mode: EvaluationMode, seed: int, index: int) 
         shares = PROBABILITY_MIN + (1.0 - 4.0 * PROBABILITY_MIN) * rng.dirichlet(np.ones(4))
         return float(shares[0]), float(shares[1]), float(shares[2])
 
-    s_a = log_uniform()
-    s_b = s_a if tied else log_uniform()
-    if not mode.is_finite:
-        return ProtocolParameters(s_a=s_a, s_b=s_b, mu_a=0.1, nu_a=0.01, mu_b=0.1, nu_b=0.01)
-
-    mu_a, nu_a = decoy_pair()
-    mu_b, nu_b = (mu_a, nu_a) if tied or strategy is Strategy.SIGNAL_ONLY else decoy_pair()
-    pa = prob_triple()
-    pb = pa if tied or strategy is Strategy.SIGNAL_ONLY else prob_triple()
-    return ProtocolParameters(
-        s_a=s_a, s_b=s_b, mu_a=mu_a, nu_a=nu_a, mu_b=mu_b, nu_b=nu_b,
-        p_s_a=pa[0], p_mu_a=pa[1], p_nu_a=pa[2],
-        p_s_b=pb[0], p_mu_b=pb[1], p_nu_b=pb[2],
-    )
+    x = [None, 0.1, 0.01, None, None, None] * 2
+    groups = ((0, lambda: (log_uniform(),)), (1, decoy_pair), (3, prob_triple))
+    for first, draw in groups if mode.is_finite else groups[:1]:
+        values = draw()
+        x[first:first + len(values)] = values
+        x[first + 6:first + 6 + len(values)] = values if first in tied else draw()
+    return _params(x)
 
 
 def multistart(objective, strategy: Strategy, n_starts: int, seed: int,
@@ -413,20 +410,14 @@ def multistart(objective, strategy: Strategy, n_starts: int, seed: int,
     """Best coordinate-descent outcome over seeded random starting points.
 
     Results are collected keyed by start index and reduced afterwards, so
-    the winner (ties to the lowest index) does not depend on evaluation
-    order.
+    the winner (ties to the lowest index, which max keeps) does not depend
+    on evaluation order.
     """
     if n_starts < 1:
         raise DomainError(f"need at least one start, got {n_starts}")
-    outcomes = []
-    for index in range(n_starts):
-        init = draw_start(strategy, mode, seed, index)
-        outcomes.append(coordinate_descent(objective, init, strategy, mode))
-    best_params, best_rate = outcomes[0]
-    for params, rate in outcomes[1:]:
-        if rate > best_rate:
-            best_params, best_rate = params, rate
-    return best_params, best_rate
+    outcomes = [coordinate_descent(objective, draw_start(strategy, mode, seed, index), strategy, mode)
+                for index in range(n_starts)]
+    return max(outcomes, key=lambda outcome: outcome[1])
 
 
 def optimize_strategy(scenario: ChannelScenario, strategy: Strategy, mode: EvaluationMode,

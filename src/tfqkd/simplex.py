@@ -188,7 +188,7 @@ def prepare(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> PreparedBasis:
     if residual > FEASIBILITY_TOLERANCE:
         raise InfeasibleProblemError(
             f"constraints admit no feasible point (residual {residual:.3e})",
-            constraint=f"row:{worst_row}",
+            constraint=worst_row,
         )
     state.upper[n:] = 0.0  # pin artificials for any later objective
     return state

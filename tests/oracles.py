@@ -15,7 +15,10 @@ coordinate-descent reference is the string-keyed search as first written:
 coordinates named by ProtocolParameters fields, boxes found from field-name
 prefixes and every point made by dataclasses.replace; the package's
 search-vector descent must evaluate the same points and return the same
-bytes.  lp_contains is the feasibility check the yield LP used to carry.
+bytes.  The start reference is the random starting point as first written,
+with the ties spelled out per strategy; the package's tie-table draw must
+consume the generator in the same order and return the same bytes.
+lp_contains is the feasibility check the yield LP used to carry.
 """
 
 import itertools
@@ -472,3 +475,45 @@ def coordinate_descent_reference(objective, init: ProtocolParameters, strategy: 
         if current - pass_start <= rel_improvement * max(pass_start, 0.0):
             break
     return params, current
+
+
+def draw_start_reference(strategy: Strategy, mode: EvaluationMode, seed: int, index: int) -> ProtocolParameters:
+    """Seeded random starting point honouring the strategy's ties.
+
+    Intensities are drawn log-uniformly over the search box; selection
+    probabilities uniformly over the interior of the simplex (a rescaled
+    flat Dirichlet keeps every share above its floor).
+    """
+    rng = np.random.default_rng([seed, index])
+    tied = strategy in (Strategy.SYMMETRIC, Strategy.ADD_FIBRE)
+
+    def log_uniform() -> float:
+        return float(10.0 ** rng.uniform(math.log10(INTENSITY_MIN), math.log10(INTENSITY_MAX)))
+
+    def decoy_pair() -> tuple[float, float]:
+        first, second = log_uniform(), log_uniform()
+        mu, nu = max(first, second), min(first, second)
+        if mu - nu < 1e-5:
+            nu = max(INTENSITY_MIN, mu / 2.0)
+        if mu - nu < 1e-5:
+            mu = min(INTENSITY_MAX, 2.0 * nu)
+        return mu, nu
+
+    def prob_triple() -> tuple[float, float, float]:
+        shares = PROBABILITY_MIN + (1.0 - 4.0 * PROBABILITY_MIN) * rng.dirichlet(np.ones(4))
+        return float(shares[0]), float(shares[1]), float(shares[2])
+
+    s_a = log_uniform()
+    s_b = s_a if tied else log_uniform()
+    if not mode.is_finite:
+        return ProtocolParameters(s_a=s_a, s_b=s_b, mu_a=0.1, nu_a=0.01, mu_b=0.1, nu_b=0.01)
+
+    mu_a, nu_a = decoy_pair()
+    mu_b, nu_b = (mu_a, nu_a) if tied or strategy is Strategy.SIGNAL_ONLY else decoy_pair()
+    pa = prob_triple()
+    pb = pa if tied or strategy is Strategy.SIGNAL_ONLY else prob_triple()
+    return ProtocolParameters(
+        s_a=s_a, s_b=s_b, mu_a=mu_a, nu_a=nu_a, mu_b=mu_b, nu_b=nu_b,
+        p_s_a=pa[0], p_mu_a=pa[1], p_nu_a=pa[2],
+        p_s_b=pb[0], p_mu_b=pb[1], p_nu_b=pb[2],
+    )

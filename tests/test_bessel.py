@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 import scipy.special
 
-from tfqkd.bessel import i0, i0m1
+from tfqkd.bessel import i0m1
 
 from oracles import i0_reference
+
+
+def i0(x):
+    """I0 as the channel model forms it from the series."""
+    return 1.0 + i0m1(x)
 
 
 def test_series_matches_defining_integral():

@@ -6,7 +6,6 @@ import pytest
 from tfqkd.channel import (
     ArrivingIntensities,
     ChannelScenario,
-    arriving_intensity,
     first_order_diagnostics,
     x_basis_gain,
     x_basis_qber,
@@ -43,19 +42,32 @@ class TestScenario:
 
 class TestArrivingIntensity:
     def test_direct_product(self):
-        assert arriving_intensity(0.1, 0.1) == pytest.approx(0.01, rel=1e-15)
+        gamma = ArrivingIntensities.from_sources(scenario(eta_a=0.1, eta_b=0.5), 0.1, 0.3)
+        assert gamma.gamma_a == pytest.approx(0.01, rel=1e-15)
+        assert gamma.gamma_b == pytest.approx(0.15, rel=1e-15)
 
     def test_vacuum_stays_vacuum(self):
-        assert arriving_intensity(0.0, 0.5) == 0.0
+        assert ArrivingIntensities.from_sources(scenario(eta_a=0.5), 0.0, 0.0).gamma_a == 0.0
 
     def test_with_db_conversion(self):
-        assert arriving_intensity(0.2, 10.0 ** (-20.0 / 10.0)) == pytest.approx(0.002, rel=1e-12)
+        gamma = ArrivingIntensities.from_sources(scenario(eta_a=10.0 ** (-20.0 / 10.0)), 0.2, 0.0)
+        assert gamma.gamma_a == pytest.approx(0.002, rel=1e-12)
 
     def test_rejects_negative_input(self):
         with pytest.raises(DomainError):
-            arriving_intensity(-0.1, 0.5)
+            ArrivingIntensities.from_sources(scenario(eta_a=0.5), -0.1, 0.1)
         with pytest.raises(DomainError):
             ArrivingIntensities(-1e-3, 0.1)
+
+    # these used to pass, and x_basis_gain and z_basis_gain returned NaN
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(DomainError):
+            ArrivingIntensities.from_sources(scenario(eta_a=0.5), bad, 0.1)
+        with pytest.raises(DomainError):
+            ArrivingIntensities.from_sources(scenario(eta_b=0.5), 0.1, bad)
+        with pytest.raises(DomainError):
+            ArrivingIntensities(0.1, bad)
 
 
 class TestXBasis:

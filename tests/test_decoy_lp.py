@@ -319,5 +319,6 @@ class TestSolve:
             slack_mass=np.zeros(2),
             pair_labels=("pin-high", "pin-low"),
         )
-        with pytest.raises(InfeasibleProblemError):
+        with pytest.raises(InfeasibleProblemError) as excinfo:
             solve_yield_bounds(problem)
+        assert excinfo.value.constraint in problem.pair_labels

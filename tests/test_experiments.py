@@ -126,6 +126,13 @@ class TestSweepConfig:
         # a null pulse count with a sigma multiplier is no mode at all
         {"mode": "finite", "n_pulses": None},
         {"n_pulses": None},
+        # a bool or a string used to be read as a number: true as 1.0, "30" as 30.0
+        {"mismatch_ratio": True},
+        {"e_d": False},
+        {"n_pulses": True},
+        {"sigma_multiplier": True},
+        {"total_loss_db_grid": ["30"]},
+        {"total_loss_db_grid": [True]},
     ])
     def test_invalid_values(self, patch):
         with pytest.raises(ConfigError):
@@ -174,9 +181,12 @@ class TestQberScanConfig:
         {"s_a_grid": [0.1], "s_b": float("inf")},
         {"s_a_grid": [0.1], "mu_b": float("nan")},
         {"s_a_grid": [0.1], "mu_b": float("inf")},
+        {"s_a_grid": [0.1], "s_b": True},
+        {"s_a_grid": ["0.1"]},
     ])
     def test_non_finite_values_are_config_errors(self, document, tmp_path):
-        # these used to pass parsing and end in a runtime error (NaN QBER), exit 3
+        # the non-finite values used to pass parsing and end in a runtime
+        # error (NaN QBER), exit 3; the bool and the string were read as numbers
         with pytest.raises(ConfigError, match="finite"):
             QberScanConfig.from_dict(document)
         config = tmp_path / "scan.json"

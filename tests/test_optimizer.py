@@ -23,7 +23,7 @@ from tfqkd.optimizer import (
 )
 from tfqkd.security import key_rate
 
-from oracles import coordinate_descent_reference, strategy_coordinates_reference
+from oracles import coordinate_descent_reference, draw_start_reference, strategy_coordinates_reference
 
 ASYMPTOTIC = EvaluationMode.asymptotic()
 FINITE = EvaluationMode.finite(1e12, 5.3)
@@ -294,6 +294,15 @@ class TestMultistart:
     def test_needs_at_least_one_start(self):
         with pytest.raises(DomainError):
             multistart(lambda p: 0.0, Strategy.SYMMETRIC, 0, seed=0, mode=ASYMPTOTIC)
+
+    @pytest.mark.parametrize("mode", [ASYMPTOTIC, FINITE], ids=["asymptotic", "finite"])
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_draws_retrace_reference(self, strategy, mode):
+        # the tie-table draw consumes the generator in the reference's order
+        for seed in range(30):
+            for index in range(6):
+                mine = draw_start(strategy, mode, seed, index)
+                assert _param_bits(mine) == _param_bits(draw_start_reference(strategy, mode, seed, index))
 
     def test_draws_satisfy_invariants(self):
         for strategy in Strategy:

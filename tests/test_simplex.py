@@ -54,8 +54,10 @@ def test_phase_one_finds_interior_start():
 def test_detects_infeasible_rows():
     # x0 + x1 = 3 cannot hold with both variables capped at 1
     a = np.array([[1.0, 1.0]])
-    with pytest.raises(InfeasibleProblemError):
+    with pytest.raises(InfeasibleProblemError) as excinfo:
         prepare(a, np.array([3.0]), np.array([1.0, 1.0]))
+    # the offending row comes back as its index, which decoy maps to a pair label
+    assert excinfo.value.constraint == 0 and type(excinfo.value.constraint) is int
 
 
 @pytest.mark.parametrize("name, value", [("a", np.nan), ("b", np.nan), ("upper", np.nan), ("a", np.inf), ("b", np.inf)])
