@@ -39,6 +39,8 @@ def _load_document(path: str) -> dict:
             return json.load(handle)
     except OSError as error:
         raise ConfigError(f"cannot read configuration {path}: {error}") from None
+    except UnicodeDecodeError as error:
+        raise ConfigError(f"configuration {path} is not UTF-8 text: {error}") from None
     except json.JSONDecodeError as error:
         raise ConfigError(f"configuration {path} is not valid JSON: {error}") from None
 
@@ -88,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             rows = run_qber_scan(config)
             write_csv(args.out, QBER_SCAN_COLUMNS, rows, document)
-    except (OSError, RuntimeError, ValueError) as error:
+    except (OSError, OverflowError, RuntimeError, ValueError) as error:
         print(f"runtime error: {error}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

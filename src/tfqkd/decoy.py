@@ -41,8 +41,9 @@ _BOUND_SIZE = 1 + max(max(pair) for pair in TARGET_PAIRS)
 
 def poisson_pmf_vector(mu: float, count: int = PHOTON_CUTOFF) -> np.ndarray:
     """P_n = e^-mu mu^n / n! for n = 0..count-1 (a vacuum source gives e_0)."""
-    if mu < 0.0:
-        raise DomainError(f"intensity must be nonnegative, got {mu}")
+    # 0 <= x < inf also rejects NaN, which would fill the vector with NaN
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"intensity must be finite and nonnegative, got {mu}")
     out = np.empty(count)
     term = math.exp(-mu)
     for n in range(count):

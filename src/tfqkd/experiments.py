@@ -47,7 +47,7 @@ from .decoy import (
 )
 from .errors import ConfigError, DomainError
 from .optimizer import EvaluationMode, ProtocolParameters, Strategy, optimize_strategy
-from .security import cat_coefficients, phase_error_bound_from_matrix
+from .security import cat_coefficients, key_rate, phase_error_bound_from_matrix
 
 
 def split_total_loss(total_loss_db: float, mismatch_ratio: float) -> tuple[float, float]:
@@ -117,7 +117,6 @@ class SweepConfig:
     mode: str = "asymptotic"
     n_pulses: float = 1e12
     epsilon: float = 1e-7
-    sigma_multiplier: float | None = None
     strategies: tuple[str, ...] = tuple(s.value for s in Strategy)
     n_starts: int = 4
     seed: int = 1
@@ -125,8 +124,6 @@ class SweepConfig:
     def __post_init__(self):
         _require_lists(self, "total_loss_db_grid", "strategies")
         _require_type(self, "total_loss_db_grid", "mismatch_ratio", "p_d", "e_d", "phi", "n_pulses", "epsilon")
-        if self.sigma_multiplier is not None:
-            _require_type(self, "sigma_multiplier")
         _require_type(self, "n_starts", "seed", kind=int, noun="an integer")
         object.__setattr__(self, "total_loss_db_grid", tuple(float(v) for v in self.total_loss_db_grid))
         object.__setattr__(self, "strategies", tuple(self.strategies))
@@ -153,12 +150,9 @@ class SweepConfig:
         return _parse_config(cls, document, required=("total_loss_db_grid", "mismatch_ratio"))
 
     def evaluation_mode(self) -> EvaluationMode:
-        # the finite mode is built, and epsilon mapped, whatever the mode and
-        # the override, so that parsing checks n_pulses, epsilon and sigma
-        sigma = sigma_multiplier_from_epsilon(self.epsilon)
-        if self.sigma_multiplier is not None:
-            sigma = self.sigma_multiplier
-        finite = EvaluationMode.finite(self.n_pulses, sigma)
+        # the finite mode is built, and epsilon mapped, whatever the mode, so
+        # that parsing checks n_pulses and epsilon
+        finite = EvaluationMode.finite(self.n_pulses, sigma_multiplier_from_epsilon(self.epsilon))
         return finite if self.mode == "finite" else EvaluationMode.asymptotic()
 
     def scenario_for(self, total_loss_db: float) -> ChannelScenario:
@@ -247,7 +241,7 @@ def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple
         loss_db=loss_db,
         strategy=strategy.value,
         key_rate=report.rate,
-        key_rate_raw=report.rate_raw,
+        key_rate_raw=key_rate(report.p_xx, report.e_xx, report.e_zz_upper),
         **values,
         e_xx=report.e_xx,
         e_zz_upper=report.e_zz_upper,

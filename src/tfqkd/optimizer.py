@@ -158,7 +158,8 @@ class KeyRateReport:
     true-yield grid in asymptotic mode and the decoy LP's bound matrix in
     finite mode (None when no X-basis click can occur).  lp_problem is the
     finite-mode yield LP, None in asymptotic mode.  rate is 0.0 when no
-    key can be distilled.
+    key can be distilled; in finite mode it carries the signal-choice
+    weight p_s_a * p_s_b, which the other fields leave out.
     """
 
     p_xx: float
@@ -166,7 +167,6 @@ class KeyRateReport:
     e_zz_upper: float
     yield_bounds: np.ndarray | None
     rate: float
-    rate_raw: float
     lp_problem: LpProblem | None = None
 
 
@@ -185,11 +185,11 @@ def _true_yield_grid(scenario: ChannelScenario) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _finite_problem(scenario: ChannelScenario, mode: EvaluationMode,
-                    intensities_a: tuple[float, float, float], intensities_b: tuple[float, float, float],
-                    probabilities_a: tuple[float, float, float],
-                    probabilities_b: tuple[float, float, float]) -> LpProblem:
-    """Finite-size yield LP, cached per decoy setting (arrays read-only)."""
+def _finite_lp(scenario: ChannelScenario, mode: EvaluationMode,
+               intensities_a: tuple[float, float, float], intensities_b: tuple[float, float, float],
+               probabilities_a: tuple[float, float, float],
+               probabilities_b: tuple[float, float, float]) -> tuple[LpProblem, np.ndarray]:
+    """Finite-size yield LP and its bound matrix, cached per decoy setting (arrays read-only)."""
     obs = observations_from_scenario(
         scenario, intensities_a, intensities_b, n_pulses=mode.n_pulses,
         probabilities_a=probabilities_a, probabilities_b=probabilities_b,
@@ -197,15 +197,9 @@ def _finite_problem(scenario: ChannelScenario, mode: EvaluationMode,
     problem = build_problem(obs, sigma_multiplier=mode.sigma_multiplier)
     for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass):
         array.setflags(write=False)
-    return problem
-
-
-@lru_cache(maxsize=64)
-def _finite_bounds(*key) -> np.ndarray:
-    """Bound matrix of the LP that _finite_problem(*key) builds (read-only)."""
-    bounds = solve_yield_bounds(_finite_problem(*key))
+    bounds = solve_yield_bounds(problem)
     bounds.setflags(write=False)
-    return bounds
+    return problem, bounds
 
 
 def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
@@ -216,52 +210,40 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     and uses the whole true-yield grid in the phase-error bound.  Finite
     mode simulates the nine decoy gains, widens them to confidence
     intervals, and solves the yield LP for the bounded pairs; the report
-    carries that LP.  The LP and its bound matrix are memoised on the
-    scenario, the mode and the decoy intensities and selection
+    carries that LP.  The LP and its bound matrix come from one memo keyed
+    on the scenario, the mode and the decoy intensities and selection
     probabilities of both sides; the signal intensities never enter the
     LP, so a line search over them solves it once.  Both come back
     read-only.  The cat states come from the memoised cat_coefficients,
     so the fixed side of a one-sided line search, and a tied side, reuse
     one instance and its parity vectors; the result bits do not depend on
-    the memo.  The reported rate counts both successful click patterns;
+    either memo.  The reported rate counts both successful click patterns;
     in finite mode it additionally carries the probability that both
-    parties chose signal states (rate_raw leaves that weight out).  In
-    asymptotic mode that weight is 1, and rate_raw is the same float as
-    rate, computed once.
+    parties chose signal states.  The rate without that weight is
+    key_rate(report.p_xx, report.e_xx, report.e_zz_upper).
     """
     gamma = ArrivingIntensities.from_sources(scenario, params.s_a, params.s_b)
-    weight = 1.0
-    problem = None
     if mode.is_finite:
         if not params.has_probabilities:
             raise DomainError("finite mode requires selection probabilities")
         weight = params.p_s_a * params.p_s_b
-        lp_key = (
+        problem, bounds = _finite_lp(
             scenario, mode,
             (params.mu_a, params.nu_a, 0.0), (params.mu_b, params.nu_b, 0.0),
             (params.p_mu_a, params.p_nu_a, params.p_omega_a), (params.p_mu_b, params.p_nu_b, params.p_omega_b),
         )
-        problem = _finite_problem(*lp_key)
+    else:
+        weight, problem, bounds = 1.0, None, _true_yield_grid(scenario)
 
     p_xx = x_basis_gain(scenario, gamma)
     if p_xx <= 0.0:
-        return KeyRateReport(
-            p_xx=p_xx, e_xx=0.0, e_zz_upper=1.0, yield_bounds=None, rate=0.0, rate_raw=0.0,
-            lp_problem=problem,
-        )
+        return KeyRateReport(p_xx=p_xx, e_xx=0.0, e_zz_upper=1.0, yield_bounds=None, rate=0.0, lp_problem=problem)
     e_xx = x_basis_qber(scenario, gamma)
-
-    bounds = _finite_bounds(*lp_key) if mode.is_finite else _true_yield_grid(scenario)
     e_zz = phase_error_bound_from_matrix(
         p_xx, cat_coefficients(math.sqrt(params.s_a)), cat_coefficients(math.sqrt(params.s_b)), bounds,
     )
     rate = key_rate(p_xx, e_xx, e_zz, basis_weight=weight)
-    # at weight 1 both calls would be the same float expression
-    rate_raw = rate if weight == 1.0 else key_rate(p_xx, e_xx, e_zz)
-    return KeyRateReport(
-        p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds, rate=rate, rate_raw=rate_raw,
-        lp_problem=problem,
-    )
+    return KeyRateReport(p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds, rate=rate, lp_problem=problem)
 
 
 def strategy_coordinates(strategy: Strategy, mode: EvaluationMode) -> tuple[tuple[int, ...], ...]:

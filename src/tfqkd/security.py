@@ -14,13 +14,13 @@ rate combines the X-basis gain with binary-entropy penalties for the bit
 and phase error rates.
 
 Everything here is a pure function of its arguments.  cat_coefficients is
-memoised (a bounded functools cache on alpha and the tail tolerance):
-line searches over one signal intensity, and tied sides, ask for the same
-cat state over and over.  A cached instance also keeps its parity-split
-amplitude vectors, built once per vector length and read-only, so the
-memory they take is bounded by the cache.  Sharing is safe because the
-instances are frozen and their arrays immutable; every result is the
-same float it would be without the memo.
+memoised (a bounded functools cache on alpha): line searches over one
+signal intensity, and tied sides, ask for the same cat state over and
+over.  A cached instance also keeps its parity-split amplitude vectors,
+built once per vector length and read-only, so the memory they take is
+bounded by the cache.  Sharing is safe because the instances are frozen
+and their arrays immutable; every result is the same float it would be
+without the memo.
 """
 
 from __future__ import annotations
@@ -56,19 +56,12 @@ class CatStateCoefficients:
     odd_sum: float
     _parity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def amplitude(self, n: int) -> float:
-        """c_n, zero for n beyond the truncation."""
-        if n < 0:
-            raise DomainError(f"photon number must be nonnegative, got {n}")
-        if n > self.n_max:
-            return 0.0
-        return self.even[n // 2] if n % 2 == 0 else self.odd[n // 2]
-
     def dense(self, size: int) -> np.ndarray:
         """Amplitudes c_0..c_(size-1) as a vector, zero-padded/truncated."""
         out = np.zeros(size)
-        for n in range(min(size, self.n_max + 1)):
-            out[n] = self.amplitude(n)
+        count = min(size, self.n_max + 1)
+        out[0:count:2] = self.even[:(count + 1) // 2]
+        out[1:count:2] = self.odd[:count // 2]
         return out
 
     def parity_vectors(self, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,12 +78,12 @@ class CatStateCoefficients:
 
 
 @lru_cache(maxsize=256)
-def cat_coefficients(alpha: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE) -> CatStateCoefficients:
+def cat_coefficients(alpha: float) -> CatStateCoefficients:
     """Cat-state amplitudes with adaptive truncation (memoised).
 
     n_max is the smallest photon number for which the omitted squared
-    amplitude mass (a Poisson tail in alpha^2) stays below tail_tolerance.
-    Equal arguments share one instance.
+    amplitude mass (a Poisson tail in alpha^2) stays below
+    DEFAULT_TAIL_TOLERANCE.  Equal amplitudes share one instance.
     """
     if not math.isfinite(alpha):
         # NaN passes both range tests below and never ends the sum loop
@@ -99,8 +92,6 @@ def cat_coefficients(alpha: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANC
         raise DomainError(f"amplitude must be nonnegative, got {alpha}")
     if alpha > MAX_AMPLITUDE:
         raise UnsupportedAmplitudeError(f"amplitude {alpha} is far outside the protocol regime (max {MAX_AMPLITUDE})")
-    if not (0.0 < tail_tolerance <= 1e-6):
-        raise DomainError(f"tail tolerance must lie in (0, 1e-6], got {tail_tolerance}")
 
     mu = alpha * alpha
     # Walk the Poisson weights w_n = e^-mu mu^n / n!; amplitudes are sqrt(w_n).
@@ -109,14 +100,12 @@ def cat_coefficients(alpha: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANC
     covered = weight
     amplitudes = [amplitude]
     n = 0
-    while 1.0 - covered > tail_tolerance:
+    while 1.0 - covered > DEFAULT_TAIL_TOLERANCE:
         n += 1
         weight *= mu / n
         amplitude = math.sqrt(weight)
         covered += weight
         amplitudes.append(amplitude)
-        if n > 4000:  # unreachable for alpha <= 10; guards the loop
-            raise DomainError("cat-state truncation failed to converge")
     n_max = n
 
     # Amplitude sums to machine convergence (tail terms decay superexponentially).
@@ -196,7 +185,8 @@ def key_rate(p_xx: float, e_xx: float, e_zz_upper: float, basis_weight: float = 
     point no key can be distilled, and the symmetric decrease of h2 must
     not resurrect the rate.
     """
-    if p_xx < 0.0 or not (0.0 <= basis_weight <= 1.0):
+    # 0 <= x < inf also rejects NaN and an infinite gain
+    if not 0.0 <= p_xx < math.inf or not (0.0 <= basis_weight <= 1.0):
         raise DomainError(f"invalid gain {p_xx} or basis weight {basis_weight}")
     net = 1.0 - binary_entropy(min(e_xx, 0.5)) - binary_entropy(min(e_zz_upper, 0.5))
     return basis_weight * PATTERN_COUNT * p_xx * max(0.0, net)

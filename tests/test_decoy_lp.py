@@ -44,8 +44,10 @@ class TestPoisson:
         assert np.all(vec[1:] == 0.0)
 
     def test_rejects_negative_intensity(self):
-        with pytest.raises(DomainError):
-            poisson_pmf_vector(-0.1)
+        # a NaN intensity would fill the vector with NaN; +inf is no intensity either
+        for mu in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                poisson_pmf_vector(mu)
 
 
 class TestStatistics:

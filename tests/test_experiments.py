@@ -117,11 +117,9 @@ class TestSweepConfig:
         {"total_loss_db_grid": [30.0, float("nan")]},
         {"total_loss_db_grid": [float("inf")]},
         {"n_pulses": float("nan")},
-        {"sigma_multiplier": float("nan")},
         {"phi": True},
         # +inf used to pass: exit 0 with unwidened finite rows, or exit 3
         {"mode": "finite", "n_pulses": float("inf")},
-        {"mode": "finite", "sigma_multiplier": float("inf")},
         {"n_pulses": float("inf")},
         # a null pulse count with a sigma multiplier is no mode at all
         {"mode": "finite", "n_pulses": None},
@@ -130,7 +128,6 @@ class TestSweepConfig:
         {"mismatch_ratio": True},
         {"e_d": False},
         {"n_pulses": True},
-        {"sigma_multiplier": True},
         {"total_loss_db_grid": ["30"]},
         {"total_loss_db_grid": [True]},
     ])
@@ -151,9 +148,14 @@ class TestSweepConfig:
         config = SweepConfig.from_dict(dict(TINY_SWEEP, mode="finite"))
         assert config.evaluation_mode().sigma_multiplier == 5.3
 
-    def test_explicit_sigma_override(self):
-        config = SweepConfig.from_dict(dict(TINY_SWEEP, mode="finite", sigma_multiplier=3.0))
-        assert config.evaluation_mode().sigma_multiplier == 3.0
+    def test_explicit_sigma_override(self, tmp_path):
+        # epsilon is the one input that sets the confidence width
+        document = dict(TINY_SWEEP, mode="finite", sigma_multiplier=3.0)
+        with pytest.raises(ConfigError, match="unknown configuration field.*sigma_multiplier"):
+            SweepConfig.from_dict(document)
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(document))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_strategy_order_is_canonical(self):
         config = SweepConfig.from_dict(dict(TINY_SWEEP, strategies=["fully_asymmetric", "symmetric"]))
@@ -357,6 +359,20 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_undecodable_config_exits_with_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"s_a_grid": [0.1], "note": "\xe9"}')
+        assert main(["qber-scan", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("configuration error:") and message.count("\n") == 1
+
+    def test_overflowing_scan_intensity_exits_with_runtime_error(self, tmp_path, capsys):
+        # expm1 of the arriving intensity overflows; 1000.0 still evaluates
+        config = self._write(tmp_path, "scan.json", {"s_a_grid": [1500.0]})
+        assert main(["qber-scan", "--config", config, "--out", str(tmp_path / "x.csv")]) == 3
+        message = capsys.readouterr().err
+        assert message.startswith("runtime error:") and message.count("\n") == 1
 
     def test_missing_config_file_exits_with_config_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.json"), "--out", "x.csv"]) == 2

@@ -26,9 +26,16 @@ class TestCatCoefficients:
         cat = cat_coefficients(0.0)
         assert cat.even[0] == 1.0
         assert cat.n_max == 0
-        assert cat.amplitude(0) == 1.0
-        assert cat.amplitude(1) == 0.0
+        assert list(cat.dense(2)) == [1.0, 0.0]
         assert cat.odd_sum == 0.0
+
+    @pytest.mark.parametrize("size", [0, 1, 4, 9, 14, 40])
+    def test_dense_interleaves_the_parity_amplitudes(self, size):
+        cat = cat_coefficients(0.9)
+        assert cat.n_max == 13  # so the sizes fall short of, meet and pass the truncation
+        expected = [(cat.even[n // 2] if n % 2 == 0 else cat.odd[n // 2]) if n <= cat.n_max else 0.0
+                    for n in range(size)]
+        assert cat.dense(size).tobytes() == np.array(expected, dtype=float).tobytes()
 
     def test_leading_amplitude(self):
         cat = cat_coefficients(math.sqrt(0.1))
@@ -54,18 +61,14 @@ class TestCatCoefficients:
             cat_coefficients(10.5)
         with pytest.raises(DomainError):
             cat_coefficients(-0.1)
-        with pytest.raises(DomainError):
-            cat_coefficients(0.3, tail_tolerance=1e-3)
-        with pytest.raises(DomainError):
-            cat_coefficients(0.3, tail_tolerance=0.0)
         # NaN used to pass both range tests and never leave the amplitude-sum loop
         for alpha in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 cat_coefficients(alpha)
 
     def test_truncation_adapts_to_tolerance(self):
-        loose = cat_coefficients(0.8, tail_tolerance=1e-6)
-        tight = cat_coefficients(0.8, tail_tolerance=1e-12)
+        loose = cat_coefficients_reference(0.8, 1e-6)
+        tight = cat_coefficients(0.8)
         assert tight.n_max > loose.n_max
         # the converged amplitude sums do not depend on the truncation
         assert tight.even_sum == pytest.approx(loose.even_sum, rel=1e-14)
@@ -82,9 +85,8 @@ class TestCatMemo:
     def test_repeated_amplitude_returns_the_same_instance(self):
         first = cat_coefficients(0.3)
         assert cat_coefficients(0.3) is first
-        assert cat_coefficients(0.3, tail_tolerance=1e-7) is not first
         info = cat_coefficients.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
+        assert (info.hits, info.misses) == (1, 1)
         assert info.maxsize is not None  # bounded, and with it the parity vectors
 
     def test_parity_vectors_are_read_only_and_built_once_per_size(self):
@@ -130,9 +132,10 @@ def _cat_bytes(cat):
     )
 
 
-def _assert_matches_reference(p_xx, alpha_a, alpha_b, tolerance, matrix):
-    cat_a, cat_b = cat_coefficients(alpha_a, tolerance), cat_coefficients(alpha_b, tolerance)
-    ref_a, ref_b = cat_coefficients_reference(alpha_a, tolerance), cat_coefficients_reference(alpha_b, tolerance)
+def _assert_matches_reference(p_xx, alpha_a, alpha_b, matrix):
+    cat_a, cat_b = cat_coefficients(alpha_a), cat_coefficients(alpha_b)
+    ref_a = cat_coefficients_reference(alpha_a, DEFAULT_TAIL_TOLERANCE)
+    ref_b = cat_coefficients_reference(alpha_b, DEFAULT_TAIL_TOLERANCE)
     assert _cat_bytes(cat_a) == _cat_bytes(ref_a)
     assert _cat_bytes(cat_b) == _cat_bytes(ref_b)
     expected = _outcome(lambda: phase_error_bound_reference(p_xx, ref_a, ref_b, matrix))
@@ -145,14 +148,13 @@ class TestMatchesReference:
     """The memoised routines return the same float bytes as the routines as first written."""
 
     amplitudes = st.floats(0.0, 1.0)
-    tolerances = st.sampled_from((DEFAULT_TAIL_TOLERANCE, 1e-7, 1e-6))
     gains = st.floats(1e-9, 1.0)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(alpha_a=amplitudes, alpha_b=amplitudes, tolerance=tolerances, p_xx=gains,
+    @given(alpha_a=amplitudes, alpha_b=amplitudes, p_xx=gains,
            size=st.sampled_from((3, 21)), seed=st.integers(0, 2**32 - 1),
            bad=st.sampled_from((None, math.nan, -5e-324, 1.0000000000000002)))
-    def test_random_bound_matrices(self, alpha_a, alpha_b, tolerance, p_xx, size, seed, bad):
+    def test_random_bound_matrices(self, alpha_a, alpha_b, p_xx, size, seed, bad):
         rng = np.random.default_rng(seed)
         matrix = rng.uniform(0.0, 1.0, (size, size))
         exact = rng.integers(0, 4, (size, size))  # a quarter each pinned at exactly 0 and 1
@@ -160,18 +162,18 @@ class TestMatchesReference:
         matrix[exact == 1] = 1.0
         if bad is not None:
             matrix[rng.integers(size), rng.integers(size)] = bad
-        _assert_matches_reference(p_xx, alpha_a, alpha_b, tolerance, matrix)
+        _assert_matches_reference(p_xx, alpha_a, alpha_b, matrix)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(alpha_a=amplitudes, alpha_b=amplitudes, tolerance=tolerances, p_xx=gains,
+    @given(alpha_a=amplitudes, alpha_b=amplitudes, p_xx=gains,
            eta_a=st.floats(1e-6, 1.0), eta_b=st.floats(1e-6, 1.0), e_d=st.floats(0.0, 0.1))
-    def test_true_yield_grids(self, alpha_a, alpha_b, tolerance, p_xx, eta_a, eta_b, e_d):
+    def test_true_yield_grids(self, alpha_a, alpha_b, p_xx, eta_a, eta_b, e_d):
         grid = optimizer._true_yield_grid(ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=1e-8, e_d=e_d))
-        _assert_matches_reference(p_xx, alpha_a, alpha_b, tolerance, grid)
+        _assert_matches_reference(p_xx, alpha_a, alpha_b, grid)
 
     def test_empty_matrix_and_zero_gain(self):
-        _assert_matches_reference(0.1, 0.3, 0.3, DEFAULT_TAIL_TOLERANCE, np.ones((0, 0)))
-        _assert_matches_reference(0.0, 0.3, 0.3, DEFAULT_TAIL_TOLERANCE, np.ones((3, 3)))
+        _assert_matches_reference(0.1, 0.3, 0.3, np.ones((0, 0)))
+        _assert_matches_reference(0.0, 0.3, 0.3, np.ones((3, 3)))
 
 
 def _nominal_cats():
@@ -240,11 +242,9 @@ class TestPhaseErrorBound:
         grid = yield_grid(sc, 20)
         p_xx = 0.01
         loose = phase_error_bound_from_matrix(
-            p_xx, cat_coefficients(0.4, 1e-7), cat_coefficients(0.3, 1e-7), grid,
+            p_xx, cat_coefficients_reference(0.4, 1e-7), cat_coefficients_reference(0.3, 1e-7), grid,
         )
-        tight = phase_error_bound_from_matrix(
-            p_xx, cat_coefficients(0.4, 1e-12), cat_coefficients(0.3, 1e-12), grid,
-        )
+        tight = phase_error_bound_from_matrix(p_xx, cat_coefficients(0.4), cat_coefficients(0.3), grid)
         assert tight <= loose + 1e-12
 
     def test_zero_gain_is_a_no_key_event(self):
@@ -323,3 +323,7 @@ class TestKeyRate:
             key_rate(-0.1, 0.0, 0.0)
         with pytest.raises(DomainError):
             key_rate(0.1, 0.0, 0.0, basis_weight=1.4)
+        # a NaN gain would give a NaN rate, an infinite one an infinite rate
+        for gain in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                key_rate(gain, 0.01, 0.01)
