@@ -95,6 +95,22 @@ def _clamp_probability(value: float) -> float:
     return min(value, 1.0)
 
 
+def _x_basis_terms(scenario: ChannelScenario, gamma: ArrivingIntensities) -> tuple[float, float, float]:
+    """S, expm1(S/2 - g) and expm1(S/2 + g) of the X-basis formulas below.
+
+    Raises DomainError, naming the arriving intensities, once an expm1
+    argument passes the float range (about 709.78).
+    """
+    total = gamma.gamma_a + gamma.gamma_b
+    g = math.sqrt(gamma.gamma_a * gamma.gamma_b) * math.cos(scenario.phi) * math.cos(scenario.theta)
+    try:
+        return total, math.expm1(0.5 * total - g), math.expm1(0.5 * total + g)
+    except OverflowError:
+        raise DomainError(
+            f"arriving intensities {gamma.gamma_a}, {gamma.gamma_b} overflow the X-basis gain"
+        ) from None
+
+
 def x_basis_gain(scenario: ChannelScenario, gamma: ArrivingIntensities) -> float:
     """Probability of one successful click pattern for phase-encoded signals.
 
@@ -105,10 +121,9 @@ def x_basis_gain(scenario: ChannelScenario, gamma: ArrivingIntensities) -> float
     evaluated here in expm1 form so the near-cancellation at small
     intensities keeps full relative precision.
     """
-    total = gamma.gamma_a + gamma.gamma_b
-    g = math.sqrt(gamma.gamma_a * gamma.gamma_b) * math.cos(scenario.phi) * math.cos(scenario.theta)
+    total, minus, plus = _x_basis_terms(scenario, gamma)
     one_minus_pd = 1.0 - scenario.p_d
-    bracket = 0.5 * (math.expm1(0.5 * total - g) + math.expm1(0.5 * total + g)) + scenario.p_d
+    bracket = 0.5 * (minus + plus) + scenario.p_d
     return _clamp_probability(one_minus_pd * math.exp(-total) * bracket)
 
 
@@ -123,10 +138,9 @@ def x_basis_qber(scenario: ChannelScenario, gamma: ArrivingIntensities) -> float
     which is exact and cancellation-free.  Raises ZeroGainError when no
     click can occur (zero light and zero dark counts).
     """
-    total = gamma.gamma_a + gamma.gamma_b
-    g = math.sqrt(gamma.gamma_a * gamma.gamma_b) * math.cos(scenario.phi) * math.cos(scenario.theta)
-    numerator = math.expm1(0.5 * total - g) + scenario.p_d
-    denominator = math.expm1(0.5 * total - g) + math.expm1(0.5 * total + g) + 2.0 * scenario.p_d
+    _, minus, plus = _x_basis_terms(scenario, gamma)
+    numerator = minus + scenario.p_d
+    denominator = minus + plus + 2.0 * scenario.p_d
     if denominator <= 0.0:
         raise ZeroGainError("QBER undefined: the X-basis gain is zero for these inputs")
     ratio = numerator / denominator

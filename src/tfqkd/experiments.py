@@ -235,7 +235,7 @@ def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple
     mode = config.evaluation_mode()
     params, report = optimize_strategy(scenario, strategy, mode, n_starts=config.n_starts, seed=config.seed)
     values = {f.name: getattr(params, f.name) for f in dataclass_fields(ProtocolParameters)}
-    if not mode.is_finite:  # blank the unsearched placeholder decoys; the probabilities are None
+    if not mode.is_finite:  # blank the zero decoys asymptotic rates do not use; the probabilities are None
         values.update(mu_a=None, nu_a=None, mu_b=None, nu_b=None)
     return SweepRow(
         loss_db=loss_db,

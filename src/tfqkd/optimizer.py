@@ -1,16 +1,27 @@
-"""Protocol parameter search by coordinate descent with multistart.
+"""Protocol parameter search: a grid search in asymptotic mode, coordinate descent in finite mode.
 
 Every strategy searches one 12-slot vector: the signal intensity, two
 decoy intensities and three selection probabilities of side a, then those
-of side b; asymptotic mode moves only the signal slots.  Four
-strategies restrict how the two sides may differ: fully symmetric,
-symmetric-after-padding (extra loss on the better channel), asymmetric
-signal intensities only, and fully asymmetric.  A strategy is one row of
-the tie table TIED_SLOTS; its coordinates (each the tuple of slots it sets
-to one value) and its random starts follow from that row.  Each coordinate
-is line-searched by golden section inside its box; passes repeat until the
-rate stops improving.  Multistart keeps the best outcome over seeded
-starts, with ties broken by the lowest start index, bit for bit.
+of side b.  Four strategies restrict how the two sides may differ: fully
+symmetric, symmetric-after-padding (extra loss on the better channel),
+asymmetric signal intensities only, and fully asymmetric.  A strategy is
+one row of the tie table TIED_SLOTS.
+
+In asymptotic mode the rate depends on the two signal intensities alone,
+so the search is one- or two-dimensional: asymptotic_rate_grid evaluates a
+log-spaced grid over the intensity box at once (tied strategies read its
+diagonal), and grids shrunk around the best point refine it until the
+log step reaches float-level precision.  No seed enters.
+
+In finite mode the strategy's coordinates (each the tuple of slots it sets
+to one value) and its random starts follow from its row of the tie table.
+Each coordinate is line-searched by golden section inside its box; passes
+repeat until the rate stops improving.  Multistart keeps the best outcome
+over seeded starts, with ties broken by the lowest start index, bit for
+bit.
+
+Either way the winner is evaluated once more by evaluate_key_rate, so a
+reported rate is reproduced bit for bit by evaluating its parameters.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import numpy as np
 from .channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
 from .decoy import LpProblem, build_problem, observations_from_scenario, solve_yield_bounds
 from .errors import DomainError
-from .security import cat_coefficients, key_rate, phase_error_bound_from_matrix
+from .security import PATTERN_COUNT, cat_amplitude_rows, cat_coefficients, key_rate, phase_error_bound_from_matrix
 
 INTENSITY_MIN = 1e-4
 INTENSITY_MAX = 1.0
@@ -37,6 +48,10 @@ OMEGA_SHARE_MIN = 1e-3  # selection probability reserved for the vacuum decoy
 MAX_PASSES = 50  # coordinate-descent passes per start
 REL_IMPROVEMENT = 1e-4  # a pass that gains no more than this share of the rate ends the descent
 LINE_EVALUATIONS = 30  # objective evaluations per golden-section line search
+
+COARSE_POINTS = 41  # asymptotic search: points per side of the first log grid (0.1-decade steps)
+REFINE_POINTS = 11  # points per side of each shrunk grid; a round divides the step by 5
+FINAL_LOG_STEP = 1e-12  # log10 step that ends the refinement, about 2e-12 relative in s
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -246,15 +261,86 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     return KeyRateReport(p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds, rate=rate, lp_problem=problem)
 
 
-def strategy_coordinates(strategy: Strategy, mode: EvaluationMode) -> tuple[tuple[int, ...], ...]:
-    """Free coordinates under the strategy's ties, in a fixed order.
+def _entropy(x: np.ndarray) -> np.ndarray:
+    """binary_entropy of an array in [0, 1/2], with h2(0) = 0 and no log of zero."""
+    return -x * np.log2(np.where(x > 0.0, x, 1.0)) - (1.0 - x) * np.log2(1.0 - x)
+
+
+def asymptotic_rate_grid(scenario: ChannelScenario, s_a_values, s_b_values) -> np.ndarray:
+    """Asymptotic key rates on the mesh s_a_values x s_b_values, shape (len(s_a), len(s_b)).
+
+    The array form of evaluate_key_rate(...).rate in asymptotic mode: p_xx
+    and e_xx in the expm1 forms of x_basis_gain and x_basis_qber; cat
+    states from cat_amplitude_rows, one row per intensity of each side;
+    both Cauchy-Schwarz brackets as T + A (sqrt(Y) - 1) B^T over the
+    cached true-yield grid, one matrix product per parity.  Sums run in
+    another order than the scalar path, so values agree with it to
+    rounding, not bit for bit; the rate is 0 wherever no X-basis click can
+    occur.  Intensities must be nonnegative; as in cat_coefficients, an
+    amplitude above MAX_AMPLITUDE raises DomainError.
+    """
+    s_a = np.asarray(s_a_values, dtype=float)
+    s_b = np.asarray(s_b_values, dtype=float)
+    gamma_a = (s_a * scenario.eta_a)[:, None]
+    gamma_b = (s_b * scenario.eta_b)[None, :]
+    total = gamma_a + gamma_b
+    g = np.sqrt(gamma_a * gamma_b) * math.cos(scenario.phi) * math.cos(scenario.theta)
+    minus = np.expm1(0.5 * total - g)
+    plus = np.expm1(0.5 * total + g)
+    p_xx = np.clip((1.0 - scenario.p_d) * np.exp(-total) * (0.5 * (minus + plus) + scenario.p_d), 0.0, 1.0)
+    clicks = p_xx > 0.0
+    e_xx = np.divide(minus + scenario.p_d, minus + plus + 2.0 * scenario.p_d, out=np.zeros_like(p_xx), where=clicks)
+
+    correction = np.sqrt(_true_yield_grid(scenario)) - 1.0
+    size = correction.shape[0]
+    rows_a, even_a, odd_a = cat_amplitude_rows(np.sqrt(s_a), size)
+    rows_b, even_b, odd_b = cat_amplitude_rows(np.sqrt(s_b), size)
+    brackets = 0.0
+    for parity, sums_a, sums_b in ((0, even_a, even_b), (1, odd_a, odd_b)):
+        a, b = rows_a[:, parity::2], rows_b[:, parity::2]
+        bracket = np.outer(sums_a, sums_b) + a @ correction[parity::2, parity::2] @ b.T
+        brackets = brackets + np.maximum(bracket, 0.0) ** 2
+    # where no click occurs e_zz stays 1, so the entropy penalty alone zeroes the rate
+    e_zz = np.minimum(np.divide(brackets, p_xx, out=np.ones_like(p_xx), where=clicks), 1.0)
+    net = 1.0 - _entropy(np.clip(e_xx, 0.0, 0.5)) - _entropy(np.minimum(e_zz, 0.5))
+    return PATTERN_COUNT * p_xx * np.maximum(net, 0.0)
+
+
+def _asymptotic_search(scenario: ChannelScenario, tied: bool) -> tuple[float, float]:
+    """Signal intensities (s_a, s_b) of the best asymptotic rate, by shrinking log grids.
+
+    The first grid has COARSE_POINTS log-spaced intensities per side over
+    [INTENSITY_MIN, INTENSITY_MAX]; tied sides read the diagonal of the
+    rate mesh.  Each later grid has REFINE_POINTS per side over the cell of
+    one step either side of the best point, clipped to the box, until the
+    log10 step is at most FINAL_LOG_STEP.  The first best point in the
+    mesh wins ties, so a grid without key keeps the lowest intensities.
+    """
+    box = (math.log10(INTENSITY_MIN), math.log10(INTENSITY_MAX))
+    cells, points = (box, box), COARSE_POINTS
+    while True:
+        logs = [np.linspace(low, high, points) for low, high in cells]
+        values = [10.0 ** u for u in logs]
+        rates = asymptotic_rate_grid(scenario, *values)
+        if tied:
+            best = (int(np.argmax(np.diagonal(rates))),) * 2
+        else:
+            best = np.unravel_index(int(np.argmax(rates)), rates.shape)
+        steps = [(high - low) / (points - 1) for low, high in cells]
+        if max(steps) <= FINAL_LOG_STEP:
+            return float(values[0][best[0]]), float(values[1][best[1]])
+        cells = tuple((max(box[0], u[k] - step), min(box[1], u[k] + step)) for u, k, step in zip(logs, best, steps))
+        points = REFINE_POINTS
+
+
+def strategy_coordinates(strategy: Strategy) -> tuple[tuple[int, ...], ...]:
+    """Free coordinates of the finite-mode search under the strategy's ties, in a fixed order.
 
     Each coordinate is the tuple of search-vector slots it sets to one value.
     """
-    side_a = range(6) if mode.is_finite else range(1)
     tied = TIED_SLOTS[strategy]
-    return (tuple((slot, slot + 6) if slot in tied else (slot,) for slot in side_a)
-            + tuple((slot + 6,) for slot in side_a if slot not in tied))
+    return (tuple((slot, slot + 6) if slot in tied else (slot,) for slot in range(6))
+            + tuple((slot + 6,) for slot in range(6) if slot not in tied))
 
 
 def _box(x: list, coord: tuple[int, ...]) -> tuple[float, float]:
@@ -322,8 +408,7 @@ def golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def coordinate_descent(objective, init: ProtocolParameters, strategy: Strategy,
-                       mode: EvaluationMode) -> tuple[ProtocolParameters, float]:
+def coordinate_descent(objective, init: ProtocolParameters, strategy: Strategy) -> tuple[ProtocolParameters, float]:
     """Cyclic line search over the strategy's free coordinates.
 
     Each coordinate is maximized by golden section within its current box;
@@ -331,7 +416,7 @@ def coordinate_descent(objective, init: ProtocolParameters, strategy: Strategy,
     pass by no more than REL_IMPROVEMENT of its value.  Objectives
     returning NaN count as rejected points.
     """
-    coords = strategy_coordinates(strategy, mode)
+    coords = strategy_coordinates(strategy)
     x = [init.s_a, init.mu_a, init.nu_a, init.p_s_a, init.p_mu_a, init.p_nu_a,
          init.s_b, init.mu_b, init.nu_b, init.p_s_b, init.p_mu_b, init.p_nu_b]
     current = _safe(objective, init)
@@ -350,14 +435,14 @@ def coordinate_descent(objective, init: ProtocolParameters, strategy: Strategy,
     return _params(x), current
 
 
-def draw_start(strategy: Strategy, mode: EvaluationMode, seed: int, index: int) -> ProtocolParameters:
-    """Seeded random starting point honouring the strategy's ties.
+def draw_start(strategy: Strategy, seed: int, index: int) -> ProtocolParameters:
+    """Seeded random starting point of the finite-mode search, honouring the strategy's ties.
 
     Intensities are drawn log-uniformly over the search box; selection
     probabilities uniformly over the interior of the simplex (a rescaled
     flat Dirichlet keeps every share above its floor).  Each group (signal,
     decoy pair, probabilities) is drawn for side a, then for side b unless
-    tied; asymptotic mode draws the signals only, the decoys are fixed.
+    tied.
     """
     rng = np.random.default_rng([seed, index])
     tied = TIED_SLOTS[strategy]
@@ -378,17 +463,15 @@ def draw_start(strategy: Strategy, mode: EvaluationMode, seed: int, index: int) 
         shares = PROBABILITY_MIN + (1.0 - 4.0 * PROBABILITY_MIN) * rng.dirichlet(np.ones(4))
         return float(shares[0]), float(shares[1]), float(shares[2])
 
-    x = [None, 0.1, 0.01, None, None, None] * 2
-    groups = ((0, lambda: (log_uniform(),)), (1, decoy_pair), (3, prob_triple))
-    for first, draw in groups if mode.is_finite else groups[:1]:
+    x = [None] * 12
+    for first, draw in ((0, lambda: (log_uniform(),)), (1, decoy_pair), (3, prob_triple)):
         values = draw()
         x[first:first + len(values)] = values
         x[first + 6:first + 6 + len(values)] = values if first in tied else draw()
     return _params(x)
 
 
-def multistart(objective, strategy: Strategy, n_starts: int, seed: int,
-               mode: EvaluationMode) -> tuple[ProtocolParameters, float]:
+def multistart(objective, strategy: Strategy, n_starts: int, seed: int) -> tuple[ProtocolParameters, float]:
     """Best coordinate-descent outcome over seeded random starting points.
 
     Results are collected keyed by start index and reduced afterwards, so
@@ -397,7 +480,7 @@ def multistart(objective, strategy: Strategy, n_starts: int, seed: int,
     """
     if n_starts < 1:
         raise DomainError(f"need at least one start, got {n_starts}")
-    outcomes = [coordinate_descent(objective, draw_start(strategy, mode, seed, index), strategy, mode)
+    outcomes = [coordinate_descent(objective, draw_start(strategy, seed, index), strategy)
                 for index in range(n_starts)]
     return max(outcomes, key=lambda outcome: outcome[1])
 
@@ -406,10 +489,17 @@ def optimize_strategy(scenario: ChannelScenario, strategy: Strategy, mode: Evalu
                       n_starts: int, seed: int) -> tuple[ProtocolParameters, KeyRateReport]:
     """Optimize one strategy on a scenario; returns the winner and its evaluation.
 
-    The padding strategy optimizes the symmetric protocol on the
+    Finite mode runs the seeded multistart; asymptotic mode runs the grid
+    search, which takes no seed, so n_starts and seed steer finite mode
+    only.  The padding strategy optimizes the symmetric protocol on the
     transformed (equal-loss) scenario; the extra loss is part of the
     strategy, so its reported rate refers to the padded channel.
     """
     working = add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario
-    params, _ = multistart(lambda p: evaluate_key_rate(working, p, mode).rate, strategy, n_starts, seed, mode)
+    if mode.is_finite:
+        params, _ = multistart(lambda p: evaluate_key_rate(working, p, mode).rate, strategy, n_starts, seed)
+    else:
+        s_a, s_b = _asymptotic_search(working, tied=0 in TIED_SLOTS[strategy])
+        # asymptotic rates take no decoys
+        params = ProtocolParameters(s_a=s_a, s_b=s_b, mu_a=0.0, nu_a=0.0, mu_b=0.0, nu_b=0.0)
     return params, evaluate_key_rate(working, params, mode)

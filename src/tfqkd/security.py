@@ -132,6 +132,39 @@ def cat_coefficients(alpha: float) -> CatStateCoefficients:
     )
 
 
+def cat_amplitude_rows(alphas: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truncated amplitudes of many cat states at once, with their full amplitude sums.
+
+    Row i of the (len(alphas), size) matrix is
+    cat_coefficients(alphas[i]).dense(size): the same Poisson-weight
+    recursion, multiplied and accumulated in the same order, and the same
+    cut where the omitted mass falls to DEFAULT_TAIL_TOLERANCE, so the
+    amplitudes are the same floats.  Returns (rows, even_sums, odd_sums);
+    the full sums add the same terms in another order than cat_coefficients
+    does, so they can differ from its even_sum/odd_sum in the last bits.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    # both comparisons are false for NaN, so NaN is rejected too
+    if alphas.size and not (alphas.min() >= 0.0 and alphas.max() <= MAX_AMPLITUDE):
+        raise DomainError(f"amplitudes must lie in [0, {MAX_AMPLITUDE}]")
+    mu = alphas * alphas
+    # w_0 = e^-mu through math.exp and w_n = w_(n-1) * (mu / n), as cat_coefficients computes them
+    first = np.array([math.exp(-m) for m in mu.tolist()]).reshape(-1, 1)
+    weights = np.cumprod(np.hstack([first, mu[:, None] / np.arange(1, size)]), axis=1)
+    rows = np.sqrt(weights)
+    rows[:, 0] = [math.exp(-0.5 * m) for m in mu.tolist()]
+    # c_n is kept while the mass covered up to n - 1 leaves more than the tolerance out
+    rows[:, 1:] *= 1.0 - np.cumsum(weights, axis=1)[:, :-1] > DEFAULT_TAIL_TOLERANCE
+
+    # terms c_0 alpha^k / sqrt(k!) up to where the largest amplitude's terms are negligible
+    count, bound, top = 1, 1.0, float(alphas.max(initial=0.0))
+    while bound >= 1e-18:
+        bound *= top / math.sqrt(count)
+        count += 1
+    terms = np.cumprod(np.hstack([rows[:, :1], alphas[:, None] / np.sqrt(np.arange(1, count))]), axis=1)
+    return rows, terms[:, 0::2].sum(axis=1), terms[:, 1::2].sum(axis=1)
+
+
 def phase_error_bound_from_matrix(p_xx: float, cat_a: CatStateCoefficients, cat_b: CatStateCoefficients,
                                   bound_matrix: np.ndarray) -> float:
     """Phase-error upper bound from a dense matrix of yield upper bounds.

@@ -108,6 +108,14 @@ class TestXBasis:
         with pytest.raises(ZeroGainError):
             x_basis_qber(scenario(p_d=0.0), ArrivingIntensities(0.0, 0.0))
 
+    def test_overflow_names_the_arriving_intensities(self):
+        # expm1 passes the float range beyond an argument of about 709.78; 1000.0 still evaluates
+        sc = scenario()
+        assert 0.0 <= x_basis_gain(sc, ArrivingIntensities(1000.0, 0.1)) <= 1.0
+        for function in (x_basis_gain, x_basis_qber):
+            with pytest.raises(DomainError, match=r"arriving intensities 1500\.0, 0\.1 overflow"):
+                function(sc, ArrivingIntensities(1500.0, 0.1))
+
     def test_qber_minimized_at_balanced_arrival(self):
         sc = scenario()
         gamma_b = 0.05

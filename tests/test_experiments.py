@@ -374,6 +374,11 @@ class TestCli:
         message = capsys.readouterr().err
         assert message.startswith("runtime error:") and message.count("\n") == 1
 
+    def test_overflow_message_names_the_arriving_intensities(self, tmp_path, capsys):
+        config = self._write(tmp_path, "scan.json", {"s_a_grid": [1500.0]})
+        assert main(["qber-scan", "--config", config, "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == "runtime error: arriving intensities 1500.0, 0.1 overflow the X-basis gain\n"
+
     def test_missing_config_file_exits_with_config_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.json"), "--out", "x.csv"]) == 2
 
@@ -406,6 +411,37 @@ class TestGolden:
         config = str(GOLDEN / "asymptotic_sweep_mismatch001.json")
         assert main(["sweep", "--config", config, "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "asymptotic_sweep_mismatch001.csv").read_bytes()
+
+    #: Key rates of the asymptotic goldens when the multistart coordinate descent
+    #: (4 and 2 starts) produced them, before the grid search replaced it.
+    MULTISTART_RATES = {
+        "asymptotic_sweep": {
+            ("20.0", "symmetric"): 0.0002854343659253268,
+            ("20.0", "add_fibre"): 0.0008515931822320577,
+            ("20.0", "signal_only"): 0.0019503270688916382,
+            ("20.0", "fully_asymmetric"): 0.0019503270688916382,
+            ("40.0", "symmetric"): 2.522452427592556e-05,
+            ("40.0", "add_fibre"): 8.353329710093553e-05,
+            ("40.0", "signal_only"): 0.0001839573585726456,
+            ("40.0", "fully_asymmetric"): 0.0001839573585726456,
+        },
+        "asymptotic_sweep_mismatch001": {
+            ("30.0", "symmetric"): 2.5513395187183814e-06,
+            ("30.0", "add_fibre"): 8.353329710093549e-05,
+            ("30.0", "fully_asymmetric"): 0.0002466797766166555,
+            ("50.0", "symmetric"): 2.264784332963549e-07,
+            ("50.0", "add_fibre"): 8.301120198211865e-06,
+            ("50.0", "fully_asymmetric"): 2.423401710670985e-05,
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(MULTISTART_RATES))
+    def test_asymptotic_rates_never_fall_below_the_multistart_ones(self, name):
+        rows = _csv_rows(GOLDEN / f"{name}.csv")
+        previous = self.MULTISTART_RATES[name]
+        assert {(row["loss_db"], row["strategy"]) for row in rows} == set(previous)
+        for row in rows:
+            assert float(row["key_rate"]) >= previous[(row["loss_db"], row["strategy"])] * (1.0 - 1e-12)
 
     def test_finite_sweep(self, finite_run):
         code, out, dump = finite_run

@@ -15,6 +15,7 @@ from tfqkd.optimizer import (
     ProtocolParameters,
     Strategy,
     add_fibre_transform,
+    asymptotic_rate_grid,
     coordinate_descent,
     draw_start,
     evaluate_key_rate,
@@ -136,11 +137,9 @@ class TestAddFibre:
 class TestStrategyCoordinates:
     def test_slot_tuples(self):
         tied = ((0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11))
-        assert strategy_coordinates(Strategy.SYMMETRIC, FINITE) == tied
-        assert strategy_coordinates(Strategy.SIGNAL_ONLY, FINITE) == ((0,),) + tied[1:] + ((6,),)
-        assert strategy_coordinates(Strategy.FULLY_ASYMMETRIC, FINITE) == tuple((k,) for k in range(12))
-        assert strategy_coordinates(Strategy.ADD_FIBRE, ASYMPTOTIC) == ((0, 6),)
-        assert strategy_coordinates(Strategy.SIGNAL_ONLY, ASYMPTOTIC) == ((0,), (6,))
+        assert strategy_coordinates(Strategy.SYMMETRIC) == tied
+        assert strategy_coordinates(Strategy.SIGNAL_ONLY) == ((0,),) + tied[1:] + ((6,),)
+        assert strategy_coordinates(Strategy.FULLY_ASYMMETRIC) == tuple((k,) for k in range(12))
 
     @pytest.mark.parametrize("strategy,expected", [
         (Strategy.SYMMETRIC, 6),
@@ -149,7 +148,7 @@ class TestStrategyCoordinates:
         (Strategy.FULLY_ASYMMETRIC, 12),
     ])
     def test_finite_counts(self, strategy, expected):
-        assert len(strategy_coordinates(strategy, FINITE)) == expected
+        assert len(strategy_coordinates(strategy)) == expected
 
     @pytest.mark.parametrize("strategy,expected", [
         (Strategy.SYMMETRIC, 1),
@@ -158,17 +157,21 @@ class TestStrategyCoordinates:
         (Strategy.FULLY_ASYMMETRIC, 2),
     ])
     def test_asymptotic_counts(self, strategy, expected):
-        assert len(strategy_coordinates(strategy, ASYMPTOTIC)) == expected
+        # the asymptotic search frees the signal intensities only: one when tied, two otherwise
+        sc = ChannelScenario(eta_a=0.00316, eta_b=0.0316, p_d=1e-8, e_d=0.02)
+        params, report = optimize_strategy(sc, strategy, ASYMPTOTIC, n_starts=1, seed=0)
+        assert report.rate > 0.0
+        assert len({params.s_a, params.s_b}) == expected
 
     def test_tied_coordinates_move_both_sides(self):
-        coord = strategy_coordinates(Strategy.SYMMETRIC, FINITE)[0]
+        coord = strategy_coordinates(Strategy.SYMMETRIC)[0]
         moved = optimizer._params(optimizer._moved(vector(finite_params()), coord, 0.25))
         assert moved.s_a == moved.s_b == 0.25
         assert moved == finite_params(s_a=0.25, s_b=0.25)
 
     def test_boxes_respect_decoy_ordering(self):
         x = vector(finite_params(mu_a=0.3, nu_a=0.05))
-        for coord in strategy_coordinates(Strategy.FULLY_ASYMMETRIC, FINITE):
+        for coord in strategy_coordinates(Strategy.FULLY_ASYMMETRIC):
             lo, hi = optimizer._box(x, coord)
             if coord == (2,):  # nu_a
                 assert hi < 0.3
@@ -192,8 +195,8 @@ class TestCoordinateDescent:
         def objective(params):
             return -(params.s_a - 0.31) ** 2 - 2.0 * (params.s_b - 0.07) ** 2
 
-        init = draw_start(Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC, seed=0, index=0)
-        best, value = coordinate_descent(objective, init, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC)
+        init = draw_start(Strategy.FULLY_ASYMMETRIC, seed=0, index=0)
+        best, value = coordinate_descent(objective, init, Strategy.FULLY_ASYMMETRIC)
         assert best.s_a == pytest.approx(0.31, abs=1e-3)
         assert best.s_b == pytest.approx(0.07, abs=1e-3)
         assert value == pytest.approx(0.0, abs=1e-5)
@@ -202,8 +205,8 @@ class TestCoordinateDescent:
         def objective(params):
             return float("nan") if params.s_a > 0.5 else params.s_a
 
-        init = draw_start(Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC, seed=0, index=0)
-        best, value = coordinate_descent(objective, init, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC)
+        init = draw_start(Strategy.FULLY_ASYMMETRIC, seed=0, index=0)
+        best, value = coordinate_descent(objective, init, Strategy.FULLY_ASYMMETRIC)
         assert math.isfinite(value)
         assert best.s_a <= 0.5 + 1e-9
 
@@ -232,7 +235,7 @@ def _param_bits(params):
     return tuple(_bits(getattr(params, f.name)) for f in dataclasses.fields(params))
 
 
-def _traced_descent(descent, objective, init, strategy, mode):
+def _traced_descent(descent, objective, init, strategy):
     """The points a descent hands to the objective, and its result, as bytes."""
     points = []
 
@@ -240,76 +243,74 @@ def _traced_descent(descent, objective, init, strategy, mode):
         points.append(_param_bits(params))
         return objective(params)
 
-    params, rate = descent(recording, init, strategy, mode)
+    params, rate = descent(recording, init, strategy)
     return points, _param_bits(params), _bits(rate)
+
+
+def _finite_reference_descent(objective, init, strategy):
+    """The reference descent over the finite-mode coordinates, the package descent's only space."""
+    return coordinate_descent_reference(objective, init, strategy, FINITE)
 
 
 class TestDescentRetracesReference:
     """The search-vector descent evaluates the string-keyed reference's points, bit for bit."""
 
-    @pytest.mark.parametrize("mode", [ASYMPTOTIC, FINITE], ids=["asymptotic", "finite"])
-    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
-    def test_synthetic_objective(self, strategy, mode):
-        assert len(strategy_coordinates(strategy, mode)) == len(strategy_coordinates_reference(strategy, mode))
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: f"{s.value}-finite")
+    def test_synthetic_objective(self, strategy):
+        assert len(strategy_coordinates(strategy)) == len(strategy_coordinates_reference(strategy, FINITE))
         for seed, index in ((0, 0), (3, 1), (11, 2)):
-            init = draw_start(strategy, mode, seed, index)
-            mine = _traced_descent(coordinate_descent, _synthetic, init, strategy, mode)
-            reference = _traced_descent(coordinate_descent_reference, _synthetic, init, strategy, mode)
+            init = draw_start(strategy, seed, index)
+            mine = _traced_descent(coordinate_descent, _synthetic, init, strategy)
+            reference = _traced_descent(_finite_reference_descent, _synthetic, init, strategy)
             assert len(mine[0]) > 31  # the start and more than one line search
             assert mine == reference
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_asymptotic_key_rate(self, strategy):
+        # a cheap real objective: the descent moves every finite coordinate, the rate reads the signals
         scenario = ChannelScenario(eta_a=0.00316, eta_b=0.0316, p_d=1e-8, e_d=0.02)
         if strategy is Strategy.ADD_FIBRE:
             scenario = add_fibre_transform(scenario)
         objective = objective_for(scenario, ASYMPTOTIC)
         for index in range(2):
-            init = draw_start(strategy, ASYMPTOTIC, 5, index)
-            mine = _traced_descent(coordinate_descent, objective, init, strategy, ASYMPTOTIC)
-            reference = _traced_descent(coordinate_descent_reference, objective, init, strategy, ASYMPTOTIC)
+            init = draw_start(strategy, 5, index)
+            mine = _traced_descent(coordinate_descent, objective, init, strategy)
+            reference = _traced_descent(_finite_reference_descent, objective, init, strategy)
             assert mine == reference
 
 
 class TestMultistart:
     def test_deterministic_reruns(self):
-        sc = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=1e-8, e_d=0.02)
-        objective = objective_for(sc, ASYMPTOTIC)
-        one = multistart(objective, Strategy.FULLY_ASYMMETRIC, 3, seed=9, mode=ASYMPTOTIC)
-        two = multistart(objective, Strategy.FULLY_ASYMMETRIC, 3, seed=9, mode=ASYMPTOTIC)
+        one = multistart(_synthetic, Strategy.FULLY_ASYMMETRIC, 3, seed=9)
+        two = multistart(_synthetic, Strategy.FULLY_ASYMMETRIC, 3, seed=9)
         assert one == two
 
     def test_single_start_equals_plain_descent(self):
-        sc = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=1e-8, e_d=0.02)
-        objective = objective_for(sc, ASYMPTOTIC)
-        init = draw_start(Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC, seed=4, index=0)
-        direct = coordinate_descent(objective, init, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC)
-        assert multistart(objective, Strategy.FULLY_ASYMMETRIC, 1, seed=4, mode=ASYMPTOTIC) == direct
+        init = draw_start(Strategy.FULLY_ASYMMETRIC, seed=4, index=0)
+        direct = coordinate_descent(_synthetic, init, Strategy.FULLY_ASYMMETRIC)
+        assert multistart(_synthetic, Strategy.FULLY_ASYMMETRIC, 1, seed=4) == direct
 
     def test_more_starts_never_hurt(self):
-        sc = ChannelScenario(eta_a=0.0005, eta_b=0.05, p_d=1e-8, e_d=0.02)
-        objective = objective_for(sc, ASYMPTOTIC)
-        _, rate_one = multistart(objective, Strategy.FULLY_ASYMMETRIC, 1, seed=2, mode=ASYMPTOTIC)
-        _, rate_eight = multistart(objective, Strategy.FULLY_ASYMMETRIC, 8, seed=2, mode=ASYMPTOTIC)
+        _, rate_one = multistart(_synthetic, Strategy.FULLY_ASYMMETRIC, 1, seed=2)
+        _, rate_eight = multistart(_synthetic, Strategy.FULLY_ASYMMETRIC, 8, seed=2)
         assert rate_eight >= rate_one
 
     def test_needs_at_least_one_start(self):
         with pytest.raises(DomainError):
-            multistart(lambda p: 0.0, Strategy.SYMMETRIC, 0, seed=0, mode=ASYMPTOTIC)
+            multistart(lambda p: 0.0, Strategy.SYMMETRIC, 0, seed=0)
 
-    @pytest.mark.parametrize("mode", [ASYMPTOTIC, FINITE], ids=["asymptotic", "finite"])
-    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
-    def test_draws_retrace_reference(self, strategy, mode):
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: f"{s.value}-finite")
+    def test_draws_retrace_reference(self, strategy):
         # the tie-table draw consumes the generator in the reference's order
         for seed in range(30):
             for index in range(6):
-                mine = draw_start(strategy, mode, seed, index)
-                assert _param_bits(mine) == _param_bits(draw_start_reference(strategy, mode, seed, index))
+                mine = draw_start(strategy, seed, index)
+                assert _param_bits(mine) == _param_bits(draw_start_reference(strategy, FINITE, seed, index))
 
     def test_draws_satisfy_invariants(self):
         for strategy in Strategy:
             for index in range(40):
-                params = draw_start(strategy, FINITE, seed=1, index=index)
+                params = draw_start(strategy, seed=1, index=index)
                 assert params.mu_a > params.nu_a > 0.0
                 assert params.p_omega_a > 0.0 and params.p_omega_b > 0.0
                 if strategy in (Strategy.SYMMETRIC, Strategy.ADD_FIBRE):
@@ -354,6 +355,31 @@ class TestEvaluate:
         assert report.rate > 0.0
         assert report.rate == key_rate(report.p_xx, report.e_xx, report.e_zz_upper)  # the basis weight is 1
         assert report.lp_problem is None
+
+
+class TestAsymptoticRateGrid:
+    """The batched kernel is the array form of the scalar asymptotic evaluation."""
+
+    intensities = st.lists(st.floats(optimizer.INTENSITY_MIN, optimizer.INTENSITY_MAX), min_size=1, max_size=3)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(loss_db=st.floats(0.0, 70.0), mismatch=st.floats(0.0, 1.0, exclude_min=True),
+           e_d=st.floats(0.0, 0.05), p_d=st.floats(0.0, 1e-6), phi=st.floats(-0.1, 0.1),
+           s_a=intensities, s_b=intensities)
+    def test_matches_scalar_evaluation(self, loss_db, mismatch, e_d, p_d, phi, s_a, s_b):
+        from tfqkd.experiments import split_total_loss
+
+        eta_a, eta_b = split_total_loss(loss_db, mismatch)
+        scenario = ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=p_d, e_d=e_d, phi=phi)
+        edges = [optimizer.INTENSITY_MIN, optimizer.INTENSITY_MAX]
+        s_a, s_b = edges + s_a, edges + s_b
+        grid = asymptotic_rate_grid(scenario, s_a, s_b)
+        assert grid.shape == (len(s_a), len(s_b))
+        for i, a in enumerate(s_a):
+            for j, b in enumerate(s_b):
+                scalar = evaluate_key_rate(scenario, ProtocolParameters(a, b, 0.0, 0.0, 0.0, 0.0), ASYMPTOTIC).rate
+                assert (grid[i, j] == 0.0) == (scalar == 0.0)
+                assert grid[i, j] == pytest.approx(scalar, rel=1e-9, abs=0.0)
 
 
 def _swapped(params):
@@ -426,7 +452,7 @@ class TestLpMemo:
         return calls
 
     def test_signal_line_search_solves_once(self, solves):
-        signal = strategy_coordinates(Strategy.SYMMETRIC, FINITE)[0]
+        signal = strategy_coordinates(Strategy.SYMMETRIC)[0]
         assert signal == (0, 6)
         objective = objective_for(self.SCENARIO, FINITE)
         x = vector(finite_params())
@@ -516,6 +542,25 @@ class TestOptimizeStrategy:
         sc = ChannelScenario(eta_a=0.00316, eta_b=0.0316, p_d=1e-8, e_d=0.02)
         params, _ = optimize_strategy(sc, Strategy.FULLY_ASYMMETRIC, ASYMPTOTIC, n_starts=4, seed=3)
         assert math.log10(params.s_a / params.s_b) == pytest.approx(1.0, abs=0.3)
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_asymptotic_search_takes_no_seed(self, strategy):
+        sc = ChannelScenario(eta_a=0.001, eta_b=0.05, p_d=1e-8, e_d=0.02)
+        params, report = optimize_strategy(sc, strategy, ASYMPTOTIC, n_starts=1, seed=0)
+        other_params, other_report = optimize_strategy(sc, strategy, ASYMPTOTIC, n_starts=5, seed=11)
+        assert _param_bits(other_params) == _param_bits(params)
+        assert _report_bits(other_report) == _report_bits(report)
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_swapping_the_channels_swaps_the_winner(self, strategy):
+        sc = ChannelScenario(eta_a=0.00316, eta_b=0.0316, p_d=1e-8, e_d=0.02)
+        mirror = dataclasses.replace(sc, eta_a=sc.eta_b, eta_b=sc.eta_a)
+        params, report = optimize_strategy(sc, strategy, ASYMPTOTIC, n_starts=1, seed=0)
+        swapped, swapped_report = optimize_strategy(mirror, strategy, ASYMPTOTIC, n_starts=1, seed=0)
+        # the rate is flat at the top: rounding at 1e-13 of the rate moves the winner by ~1e-7
+        assert swapped.s_a == pytest.approx(params.s_b, rel=1e-5)
+        assert swapped.s_b == pytest.approx(params.s_a, rel=1e-5)
+        assert swapped_report.rate == pytest.approx(report.rate, rel=1e-9)
 
     def test_padding_strategy_reports_padded_rate(self):
         sc = ChannelScenario(eta_a=0.001, eta_b=0.01, p_d=1e-8, e_d=0.02)

@@ -15,6 +15,7 @@ from tfqkd.errors import DomainError, UnsupportedAmplitudeError, ZeroGainError
 from tfqkd.security import (
     DEFAULT_TAIL_TOLERANCE,
     binary_entropy,
+    cat_amplitude_rows,
     cat_coefficients,
     key_rate,
     phase_error_bound_from_matrix,
@@ -73,6 +74,30 @@ class TestCatCoefficients:
         # the converged amplitude sums do not depend on the truncation
         assert tight.even_sum == pytest.approx(loose.even_sum, rel=1e-14)
         assert tight.odd_sum == pytest.approx(loose.odd_sum, rel=1e-14)
+
+
+class TestCatAmplitudeRows:
+    """The batched cat states are the scalar ones, row by row."""
+
+    ALPHAS = np.concatenate([[0.0, 0.01, math.sqrt(0.1)], np.linspace(0.05, 10.0, 60)])
+
+    @pytest.mark.parametrize("size", [1, 2, 21, 40])
+    def test_rows_are_the_dense_amplitudes_in_bits(self, size):
+        batch = cat_amplitude_rows(self.ALPHAS, size)
+        assert batch[0].shape == (len(self.ALPHAS), size)
+        for i, alpha in enumerate(self.ALPHAS):
+            cat = cat_coefficients(float(alpha))
+            # alone, an amplitude's sums stop where its own terms vanish, not where the largest one's do
+            alone = cat_amplitude_rows(self.ALPHAS[i:i + 1], size)
+            for rows, even_sums, odd_sums, k in ((*batch, i), (*alone, 0)):
+                assert rows[k].tobytes() == cat.dense(size).tobytes()
+                assert even_sums[k] == pytest.approx(cat.even_sum, rel=1e-14)
+                assert odd_sums[k] == pytest.approx(cat.odd_sum, rel=1e-14, abs=0.0)
+
+    def test_rejects_out_of_regime_amplitudes(self):
+        for alpha in (10.5, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                cat_amplitude_rows(np.array([0.1, alpha]), 21)
 
 
 class TestCatMemo:
