@@ -32,9 +32,9 @@ from .optimizer import (  # noqa: F401
     optimize_strategy,
 )
 from .security import (  # noqa: F401
-    CatStateCoefficients,
     binary_entropy,
-    cat_coefficients,
+    cat_amplitude_rows,
+    cat_state,
     key_rate,
-    phase_error_bound_from_matrix,
+    phase_error_upper_bound,
 )

@@ -159,12 +159,22 @@ def z_basis_gain(scenario: ChannelScenario, gamma_decoy: ArrivingIntensities) ->
 
         p = (1-p_d)[e^(-S/2) I0(sqrt(g'_a g'_b) cos theta) - e^-S]
             + p_d (1-p_d) e^-S
+
+    Raises DomainError, naming the arriving intensities, once the light
+    term passes the float range.
     """
     total = gamma_decoy.gamma_a + gamma_decoy.gamma_b
     x = math.sqrt(gamma_decoy.gamma_a * gamma_decoy.gamma_b) * math.cos(scenario.theta)
     one_minus_pd = 1.0 - scenario.p_d
     series = i0m1(x)  # I0(x) is 1.0 + series
-    light = math.expm1(0.5 * total) * (1.0 + series) + series
+    try:
+        light = math.expm1(0.5 * total) * (1.0 + series) + series
+    except OverflowError:
+        light = math.inf
+    # the product can overflow too, and inf * e^-S would then be NaN
+    if light == math.inf:
+        raise DomainError(f"decoy arriving intensities {gamma_decoy.gamma_a}, {gamma_decoy.gamma_b} "
+                          "overflow the Z-basis gain")
     return _clamp_probability(one_minus_pd * math.exp(-total) * (light + scenario.p_d))
 
 

@@ -47,7 +47,7 @@ from .decoy import (
 )
 from .errors import ConfigError, DomainError
 from .optimizer import EvaluationMode, ProtocolParameters, Strategy, optimize_strategy
-from .security import cat_coefficients, key_rate, phase_error_bound_from_matrix
+from .security import cat_state, key_rate, phase_error_upper_bound
 
 
 def split_total_loss(total_loss_db: float, mismatch_ratio: float) -> tuple[float, float]:
@@ -292,7 +292,6 @@ def run_qber_scan(config: QberScanConfig):
     (s_b, s_b) for the cat-state weights.
     """
     scenario = config.scenario()
-    cat = cat_coefficients(math.sqrt(config.s_b))
     gamma_signal = ArrivingIntensities.from_sources(scenario, config.s_b, config.s_b)
     p_xx_signal = x_basis_gain(scenario, gamma_signal)
     rows = []
@@ -305,7 +304,9 @@ def run_qber_scan(config: QberScanConfig):
         obs = observations_from_scenario(
             scenario, (strong, weak, 0.0), (config.mu_b, config.nu, 0.0),
         )
-        e_zz = phase_error_bound_from_matrix(p_xx_signal, cat, cat, solve_yield_bounds(build_problem(obs)))
+        bounds = solve_yield_bounds(build_problem(obs))
+        cat = cat_state(math.sqrt(config.s_b), bounds.shape[0])
+        e_zz = min(1.0, float(phase_error_upper_bound(cat, cat, bounds)[0, 0]) / p_xx_signal)
         rows.append(QberScanRow(
             ratio=value / config.s_b,
             e_xx_full=e_full,

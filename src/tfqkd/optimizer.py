@@ -36,7 +36,7 @@ import numpy as np
 from .channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
 from .decoy import LpProblem, build_problem, observations_from_scenario, solve_yield_bounds
 from .errors import DomainError
-from .security import PATTERN_COUNT, cat_amplitude_rows, cat_coefficients, key_rate, phase_error_bound_from_matrix
+from .security import PATTERN_COUNT, cat_amplitude_rows, cat_state, key_rate, phase_error_upper_bound
 
 INTENSITY_MIN = 1e-4
 INTENSITY_MAX = 1.0
@@ -229,12 +229,13 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     on the scenario, the mode and the decoy intensities and selection
     probabilities of both sides; the signal intensities never enter the
     LP, so a line search over them solves it once.  Both come back
-    read-only.  The cat states come from the memoised cat_coefficients,
-    so the fixed side of a one-sided line search, and a tied side, reuse
-    one instance and its parity vectors; the result bits do not depend on
-    either memo.  The reported rate counts both successful click patterns;
-    in finite mode it additionally carries the probability that both
-    parties chose signal states.  The rate without that weight is
+    read-only.  The cat states come from the memoised cat_state, so the
+    fixed side of a one-sided line search, and a tied side, reuse one
+    row; the result bits do not depend on either memo.  The phase-error
+    bound is asymptotic_rate_grid's, on one cat state per side.  The
+    reported rate counts both successful click patterns; in finite mode
+    it additionally carries the probability that both parties chose
+    signal states.  The rate without that weight is
     key_rate(report.p_xx, report.e_xx, report.e_zz_upper).
     """
     gamma = ArrivingIntensities.from_sources(scenario, params.s_a, params.s_b)
@@ -254,9 +255,10 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     if p_xx <= 0.0:
         return KeyRateReport(p_xx=p_xx, e_xx=0.0, e_zz_upper=1.0, yield_bounds=None, rate=0.0, lp_problem=problem)
     e_xx = x_basis_qber(scenario, gamma)
-    e_zz = phase_error_bound_from_matrix(
-        p_xx, cat_coefficients(math.sqrt(params.s_a)), cat_coefficients(math.sqrt(params.s_b)), bounds,
-    )
+    size = bounds.shape[0]
+    gain = phase_error_upper_bound(cat_state(math.sqrt(params.s_a), size), cat_state(math.sqrt(params.s_b), size),
+                                   bounds)
+    e_zz = min(1.0, float(gain[0, 0]) / p_xx)
     rate = key_rate(p_xx, e_xx, e_zz, basis_weight=weight)
     return KeyRateReport(p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds, rate=rate, lp_problem=problem)
 
@@ -269,15 +271,16 @@ def _entropy(x: np.ndarray) -> np.ndarray:
 def asymptotic_rate_grid(scenario: ChannelScenario, s_a_values, s_b_values) -> np.ndarray:
     """Asymptotic key rates on the mesh s_a_values x s_b_values, shape (len(s_a), len(s_b)).
 
-    The array form of evaluate_key_rate(...).rate in asymptotic mode: p_xx
-    and e_xx in the expm1 forms of x_basis_gain and x_basis_qber; cat
-    states from cat_amplitude_rows, one row per intensity of each side;
-    both Cauchy-Schwarz brackets as T + A (sqrt(Y) - 1) B^T over the
-    cached true-yield grid, one matrix product per parity.  Sums run in
-    another order than the scalar path, so values agree with it to
+    The array form of evaluate_key_rate(...).rate in asymptotic mode.  The
+    phase-error bound is the one evaluate_key_rate uses:
+    phase_error_upper_bound on one cat state per intensity of each side and
+    the cached true-yield grid.  Only the X-basis and entropy arithmetic
+    differs: p_xx and e_xx in numpy's forms of x_basis_gain and
+    x_basis_qber, then e_zz, h2 and key_rate.  numpy rounds exp, expm1 and
+    longer matrix sums differently, so values agree with evaluate_key_rate to
     rounding, not bit for bit; the rate is 0 wherever no X-basis click can
-    occur.  Intensities must be nonnegative; as in cat_coefficients, an
-    amplitude above MAX_AMPLITUDE raises DomainError.
+    occur.  Intensities must be nonnegative; an amplitude above
+    MAX_AMPLITUDE raises UnsupportedAmplitudeError.
     """
     s_a = np.asarray(s_a_values, dtype=float)
     s_b = np.asarray(s_b_values, dtype=float)
@@ -291,17 +294,11 @@ def asymptotic_rate_grid(scenario: ChannelScenario, s_a_values, s_b_values) -> n
     clicks = p_xx > 0.0
     e_xx = np.divide(minus + scenario.p_d, minus + plus + 2.0 * scenario.p_d, out=np.zeros_like(p_xx), where=clicks)
 
-    correction = np.sqrt(_true_yield_grid(scenario)) - 1.0
-    size = correction.shape[0]
-    rows_a, even_a, odd_a = cat_amplitude_rows(np.sqrt(s_a), size)
-    rows_b, even_b, odd_b = cat_amplitude_rows(np.sqrt(s_b), size)
-    brackets = 0.0
-    for parity, sums_a, sums_b in ((0, even_a, even_b), (1, odd_a, odd_b)):
-        a, b = rows_a[:, parity::2], rows_b[:, parity::2]
-        bracket = np.outer(sums_a, sums_b) + a @ correction[parity::2, parity::2] @ b.T
-        brackets = brackets + np.maximum(bracket, 0.0) ** 2
+    grid = _true_yield_grid(scenario)
+    size = grid.shape[0]
+    gain = phase_error_upper_bound(cat_amplitude_rows(np.sqrt(s_a), size), cat_amplitude_rows(np.sqrt(s_b), size), grid)
     # where no click occurs e_zz stays 1, so the entropy penalty alone zeroes the rate
-    e_zz = np.minimum(np.divide(brackets, p_xx, out=np.ones_like(p_xx), where=clicks), 1.0)
+    e_zz = np.minimum(np.divide(gain, p_xx, out=np.ones_like(p_xx), where=clicks), 1.0)
     net = 1.0 - _entropy(np.clip(e_xx, 0.0, 0.5)) - _entropy(np.minimum(e_zz, 0.5))
     return PATTERN_COUNT * p_xx * np.maximum(net, 0.0)
 

@@ -7,10 +7,12 @@ form, and the scalar yield loop sums the binomial thinning term by term
 where the package multiplies matrices.  The Bland reference is the
 simplex loop as first written, with numpy masks and numpy scalars
 throughout; the package's leaner loop must retrace it bit for bit.  The
-cat-state and phase-error references are those routines as first written,
-before the memo and the cached parity vectors; the package must return
-the same float bytes.  The key-rate reference is the key rate with its
-pattern count and error-correction factor still parameters.  The
+cat-state and phase-error references are the scalar routines as first
+written, one cat state at a time; the package's batched cat rows must
+hold the same amplitude bytes, and its sums and bounds must agree within
+the relative tolerances that test_security states.  The key-rate
+reference is the key rate with its pattern count and error-correction
+factor still parameters.  The
 coordinate-descent reference is the string-keyed search as first written:
 coordinates named by ProtocolParameters fields, boxes found from field-name
 prefixes and every point made by dataclasses.replace; the package's
@@ -40,7 +42,7 @@ from tfqkd.optimizer import (
     ProtocolParameters,
     Strategy,
 )
-from tfqkd.security import DEFAULT_TAIL_TOLERANCE, MAX_AMPLITUDE, CatStateCoefficients, binary_entropy
+from tfqkd.security import DEFAULT_TAIL_TOLERANCE, MAX_AMPLITUDE, binary_entropy
 from tfqkd.simplex import (
     _BASIC,
     _LOWER,
@@ -226,8 +228,35 @@ def bland_run_simplex(cost: np.ndarray, state) -> int:
         x_basic[leaving_row] = entering_value
 
 
+@dataclass(frozen=True)
+class CatStateCoefficients:
+    """Truncated photon-number amplitudes of the even/odd cat states, as first written.
+
+    even/odd hold c_n for n = 0,2,...  and n = 1,3,... up to n_max.
+    even_sum/odd_sum are the full amplitude sums, accumulated to machine
+    convergence independently of n_max, so trivially-bounded tails never
+    get undercounted.
+    """
+
+    alpha: float
+    even: tuple[float, ...]
+    odd: tuple[float, ...]
+    n_max: int
+    even_sum: float
+    odd_sum: float
+
+    def dense(self, size: int) -> np.ndarray:
+        """Amplitudes c_0..c_(size-1) as a vector, zero-padded/truncated."""
+        out = np.zeros(size)
+        count = min(size, self.n_max + 1)
+        out[0:count:2] = self.even[:(count + 1) // 2]
+        out[1:count:2] = self.odd[:count // 2]
+        return out
+
+
 def cat_coefficients_reference(alpha: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE) -> CatStateCoefficients:
-    """``tfqkd.security.cat_coefficients`` as first written, without the memo.
+    """The scalar cat state as first written, without the memo; the package's
+    ``cat_amplitude_rows`` must return the same amplitudes.
 
     n_max is the smallest photon number for which the omitted squared
     amplitude mass (a Poisson tail in alpha^2) stays below tail_tolerance.
@@ -282,8 +311,9 @@ def cat_coefficients_reference(alpha: float, tail_tolerance: float = DEFAULT_TAI
 
 def phase_error_bound_reference(p_xx: float, cat_a: CatStateCoefficients, cat_b: CatStateCoefficients,
                                 bound_matrix: np.ndarray) -> float:
-    """``tfqkd.security.phase_error_bound_from_matrix`` as first written,
-    rebuilding every amplitude vector on each call.
+    """The scalar phase-error bound as first written, rebuilding every
+    amplitude vector on each call; the package's ``phase_error_upper_bound``
+    must agree with it.
 
     bound_matrix[n, m] bounds the yield of pair (n, m); pairs beyond the
     matrix edge take the trivial bound 1.  The matrix is the decoy LP's

@@ -35,7 +35,7 @@ from tfqkd.decoy import (
 )
 from tfqkd.experiments import QberScanConfig, SweepConfig, run_qber_scan, run_sweep
 from tfqkd.optimizer import EvaluationMode, Strategy, optimize_strategy
-from tfqkd.security import cat_coefficients
+from tfqkd.security import cat_amplitude_rows
 
 from oracles import lp_contains, photon_path_yield
 
@@ -289,9 +289,9 @@ def test_criterion_7_property_suites():
 
     # cat-state normalization at 1e-12
     worst_norm = 0.0
-    for alpha in (0.0, 0.1, math.sqrt(0.1), 0.5, 1.0):
-        cat = cat_coefficients(alpha)
-        mass = sum(c * c for c in cat.even) + sum(c * c for c in cat.odd)
+    rows, _ = cat_amplitude_rows(np.array([0.0, 0.1, math.sqrt(0.1), 0.5, 1.0]), 40)
+    for row in rows[0] + rows[1]:
+        mass = sum(c * c for c in row)
         worst_norm = max(worst_norm, abs(mass - 1.0))
     checks["cat_normalization_1e-12"] = worst_norm <= 1e-12
 

@@ -174,6 +174,15 @@ class TestZBasis:
             two = z_basis_gain(scenario(e_d=ed), ArrivingIntensities(gb, ga))
             assert one == pytest.approx(two, rel=1e-12, abs=1e-15)
 
+    def test_overflow_names_the_arriving_intensities(self):
+        # expm1(S/2) passes the float range beyond S of about 1419.6; at S = 1400 the
+        # product with I0 overflows instead, which used to surface as a NaN gain
+        sc = scenario()
+        assert 0.0 <= z_basis_gain(sc, ArrivingIntensities(0.5, 1000.0)) <= 1.0
+        for gamma_b in (1400.0, 2000.0):
+            with pytest.raises(DomainError, match=rf"decoy arriving intensities 0\.5, {gamma_b} overflow"):
+                z_basis_gain(sc, ArrivingIntensities(0.5, gamma_b))
+
 
 class TestYields:
     def test_vacuum_cannot_click(self):

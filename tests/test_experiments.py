@@ -379,6 +379,14 @@ class TestCli:
         assert main(["qber-scan", "--config", config, "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().err == "runtime error: arriving intensities 1500.0, 0.1 overflow the X-basis gain\n"
 
+    def test_decoy_overflow_message_names_the_decoy_arriving_intensities(self, tmp_path, capsys):
+        # the decoy pair (0.5, 2000.0) overflows the Z-basis gain of the phase-error LP
+        config = self._write(tmp_path, "scan.json", {"s_a_grid": [0.5], "mu_b": 2000.0})
+        assert main(["qber-scan", "--config", config, "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "runtime error: decoy arriving intensities 0.5, 2000.0 overflow the Z-basis gain\n"
+        )
+
     def test_missing_config_file_exits_with_config_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.json"), "--out", "x.csv"]) == 2
 

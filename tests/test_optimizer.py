@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tfqkd import optimizer, security
 from tfqkd.channel import ChannelScenario
 from tfqkd.decoy import LpProblem
-from tfqkd.errors import DomainError, InfeasibleProblemError
+from tfqkd.errors import DomainError, InfeasibleProblemError, UnsupportedAmplitudeError
 from tfqkd.optimizer import (
     EvaluationMode,
     ProtocolParameters,
@@ -381,6 +381,14 @@ class TestAsymptoticRateGrid:
                 assert (grid[i, j] == 0.0) == (scalar == 0.0)
                 assert grid[i, j] == pytest.approx(scalar, rel=1e-9, abs=0.0)
 
+    def test_amplitudes_above_the_regime_are_unsupported(self):
+        # s = 150 is an amplitude of 12.2, above MAX_AMPLITUDE = 10, for the point and the mesh alike
+        scenario = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=1e-8, e_d=0.02)
+        with pytest.raises(UnsupportedAmplitudeError):
+            evaluate_key_rate(scenario, ProtocolParameters(150.0, 0.01, 0.0, 0.0, 0.0, 0.0), ASYMPTOTIC)
+        with pytest.raises(UnsupportedAmplitudeError):
+            asymptotic_rate_grid(scenario, [150.0], [0.01])
+
 
 def _swapped(params):
     """The same parameters with every side-a field exchanged for its side-b twin."""
@@ -508,7 +516,7 @@ class TestAsymptoticMemo:
 
     @staticmethod
     def _clear():
-        security.cat_coefficients.cache_clear()
+        security.cat_state.cache_clear()
         optimizer._true_yield_grid.cache_clear()
 
     def test_warm_report_matches_cold_evaluation_in_bits(self):
@@ -516,7 +524,7 @@ class TestAsymptoticMemo:
         params = finite_params(s_a=0.07, s_b=0.012)
         for s_a in (0.3, 0.07, 0.02):  # a one-sided line search: s_b repeats
             evaluate_key_rate(self.SCENARIO, dataclasses.replace(params, s_a=s_a), ASYMPTOTIC)
-        info = security.cat_coefficients.cache_info()
+        info = security.cat_state.cache_info()
         assert (info.hits, info.misses) == (2, 4)
         warm = evaluate_key_rate(self.SCENARIO, params, ASYMPTOTIC)
         self._clear()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 
@@ -12,165 +11,197 @@ from tfqkd import optimizer
 from tfqkd.channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
 from tfqkd.decoy import TARGET_PAIRS
 from tfqkd.errors import DomainError, UnsupportedAmplitudeError, ZeroGainError
+from tfqkd.optimizer import EvaluationMode, ProtocolParameters, evaluate_key_rate
 from tfqkd.security import (
-    DEFAULT_TAIL_TOLERANCE,
     binary_entropy,
     cat_amplitude_rows,
-    cat_coefficients,
+    cat_state,
     key_rate,
-    phase_error_bound_from_matrix,
+    phase_error_upper_bound,
 )
+
+#: Against the scalar references as first written the amplitudes are the
+#: same floats, and the sums add the same terms in the same order; but the
+#: rows keep adding terms until the largest amplitude's fall below 1e-18,
+#: where the reference stops at its own first term below 1e-18 of its sum.
+#: Those extra terms change a sum by at most 3.5e-18 (measured over 27,001
+#: amplitudes in [1e-9, 10]), which is up to 1.2e-12 of the odd sum of an
+#: amplitude near 2e-6, so sums are compared at 1e-14 relative above a
+#: 1e-17 absolute floor.  The bounds also multiply the parity-split rows
+#: as stacks: measured 5.4e-13 relative over the draws of
+#: TestMatchesReference and 6.2e-14 over 40,000 more such draws; they move
+#: most where they are smallest, because the brackets cancel their leading
+#: term T ~ 1 down to the bound's square root.
+SUM_RELATIVE_TOLERANCE = 1e-14
+SUM_ABSOLUTE_TOLERANCE = 1e-17
+BOUND_RELATIVE_TOLERANCE = 1e-12
+
+
+def _cat(alpha, size):
+    """The memoised cat state of one amplitude as (amplitudes, even sum, odd sum)."""
+    rows, sums = cat_state(alpha, size)
+    return rows[0, 0] + rows[1, 0], float(sums[0, 0]), float(sums[1, 0])
+
+
+def _last_amplitude(alpha):
+    """n_max: the last photon number the truncation keeps (rows long enough to reach it)."""
+    return int(np.flatnonzero(_cat(alpha, 60)[0])[-1])
+
+
+def _bound(p_xx, alpha_a, alpha_b, matrix):
+    """The phase-error rate bound as evaluate_key_rate forms it: one memoised cat state per side."""
+    size = np.asarray(matrix).shape[0]
+    gain = phase_error_upper_bound(cat_state(alpha_a, size), cat_state(alpha_b, size), matrix)
+    return min(1.0, float(gain[0, 0]) / p_xx)
 
 
 class TestCatCoefficients:
+    """One row of cat_state is one cat state."""
+
     def test_vacuum_amplitude_is_the_even_state(self):
-        cat = cat_coefficients(0.0)
-        assert cat.even[0] == 1.0
-        assert cat.n_max == 0
-        assert list(cat.dense(2)) == [1.0, 0.0]
-        assert cat.odd_sum == 0.0
+        row, even_sum, odd_sum = _cat(0.0, 2)
+        assert list(row) == [1.0, 0.0]
+        assert _last_amplitude(0.0) == 0
+        assert even_sum == 1.0 and odd_sum == 0.0
 
     @pytest.mark.parametrize("size", [0, 1, 4, 9, 14, 40])
     def test_dense_interleaves_the_parity_amplitudes(self, size):
-        cat = cat_coefficients(0.9)
+        cat = cat_coefficients_reference(0.9)
         assert cat.n_max == 13  # so the sizes fall short of, meet and pass the truncation
         expected = [(cat.even[n // 2] if n % 2 == 0 else cat.odd[n // 2]) if n <= cat.n_max else 0.0
                     for n in range(size)]
-        assert cat.dense(size).tobytes() == np.array(expected, dtype=float).tobytes()
+        assert _cat(0.9, size)[0].tobytes() == np.array(expected, dtype=float).tobytes()
 
     def test_leading_amplitude(self):
-        cat = cat_coefficients(math.sqrt(0.1))
-        assert cat.even[0] == pytest.approx(math.exp(-0.05), rel=1e-14)
-        assert cat.odd[0] == pytest.approx(math.exp(-0.05) * math.sqrt(0.1), rel=1e-13)
+        row = _cat(math.sqrt(0.1), 2)[0]
+        assert row[0] == pytest.approx(math.exp(-0.05), rel=1e-14)
+        assert row[1] == pytest.approx(math.exp(-0.05) * math.sqrt(0.1), rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05, math.sqrt(0.1), 0.5, 1.0, 2.0])
     def test_normalization(self, alpha):
-        cat = cat_coefficients(alpha)
-        mass = sum(c * c for c in cat.even) + sum(c * c for c in cat.odd)
-        assert mass == pytest.approx(1.0, abs=1e-12)
+        row = _cat(alpha, 40)[0]  # n_max is 25 at alpha = 2
+        assert sum(c * c for c in row) == pytest.approx(1.0, abs=1e-12)
 
     def test_amplitudes_follow_poisson_recursion(self):
-        cat = cat_coefficients(0.7)
-        dense = cat.dense(cat.n_max + 1)
-        rescaled = [dense[n] * math.sqrt(math.factorial(n)) for n in range(cat.n_max + 1)]
+        n_max = _last_amplitude(0.7)
+        row = _cat(0.7, n_max + 1)[0]
+        rescaled = [row[n] * math.sqrt(math.factorial(n)) for n in range(n_max + 1)]
         # c_n = e^(-a^2/2) a^n / sqrt(n!), so the rescaled sequence is geometric
-        for n in range(1, cat.n_max + 1):
+        for n in range(1, n_max + 1):
             assert rescaled[n] == pytest.approx(rescaled[n - 1] * 0.7, rel=1e-9)
 
     def test_rejects_out_of_regime_amplitudes(self):
-        with pytest.raises(UnsupportedAmplitudeError):
-            cat_coefficients(10.5)
-        with pytest.raises(DomainError):
-            cat_coefficients(-0.1)
+        for alpha in (10.5, math.inf):
+            with pytest.raises(UnsupportedAmplitudeError):
+                cat_state(alpha, 21)
         # NaN used to pass both range tests and never leave the amplitude-sum loop
-        for alpha in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError):
-                cat_coefficients(alpha)
+        for alpha in (-0.1, math.nan, -math.inf):
+            with pytest.raises(DomainError) as error:
+                cat_state(alpha, 21)
+            assert not isinstance(error.value, UnsupportedAmplitudeError)
 
     def test_truncation_adapts_to_tolerance(self):
         loose = cat_coefficients_reference(0.8, 1e-6)
-        tight = cat_coefficients(0.8)
-        assert tight.n_max > loose.n_max
+        _, even_sum, odd_sum = _cat(0.8, 21)
+        assert _last_amplitude(0.8) > loose.n_max
         # the converged amplitude sums do not depend on the truncation
-        assert tight.even_sum == pytest.approx(loose.even_sum, rel=1e-14)
-        assert tight.odd_sum == pytest.approx(loose.odd_sum, rel=1e-14)
+        assert even_sum == pytest.approx(loose.even_sum, rel=1e-14)
+        assert odd_sum == pytest.approx(loose.odd_sum, rel=1e-14)
 
 
 class TestCatAmplitudeRows:
-    """The batched cat states are the scalar ones, row by row."""
+    """The batched cat states are the reference ones, row by row."""
 
     ALPHAS = np.concatenate([[0.0, 0.01, math.sqrt(0.1)], np.linspace(0.05, 10.0, 60)])
 
     @pytest.mark.parametrize("size", [1, 2, 21, 40])
     def test_rows_are_the_dense_amplitudes_in_bits(self, size):
         batch = cat_amplitude_rows(self.ALPHAS, size)
-        assert batch[0].shape == (len(self.ALPHAS), size)
+        assert batch[0].shape == (2, len(self.ALPHAS), size) and batch[1].shape == (2, len(self.ALPHAS))
+        # each parity row holds its own photon numbers only
+        assert not batch[0][0, :, 1::2].any() and not batch[0][1, :, 0::2].any()
         for i, alpha in enumerate(self.ALPHAS):
-            cat = cat_coefficients(float(alpha))
+            cat = cat_coefficients_reference(float(alpha))
             # alone, an amplitude's sums stop where its own terms vanish, not where the largest one's do
             alone = cat_amplitude_rows(self.ALPHAS[i:i + 1], size)
-            for rows, even_sums, odd_sums, k in ((*batch, i), (*alone, 0)):
-                assert rows[k].tobytes() == cat.dense(size).tobytes()
-                assert even_sums[k] == pytest.approx(cat.even_sum, rel=1e-14)
-                assert odd_sums[k] == pytest.approx(cat.odd_sum, rel=1e-14, abs=0.0)
+            for (rows, sums), k in ((batch, i), (alone, 0)):
+                assert (rows[0, k] + rows[1, k]).tobytes() == cat.dense(size).tobytes()
+                assert sums[0, k] == pytest.approx(cat.even_sum, rel=SUM_RELATIVE_TOLERANCE, abs=SUM_ABSOLUTE_TOLERANCE)
+                assert sums[1, k] == pytest.approx(cat.odd_sum, rel=SUM_RELATIVE_TOLERANCE, abs=SUM_ABSOLUTE_TOLERANCE)
 
     def test_rejects_out_of_regime_amplitudes(self):
-        for alpha in (10.5, -0.1, math.nan):
-            with pytest.raises(DomainError):
+        with pytest.raises(UnsupportedAmplitudeError, match="amplitude 10.5 is far outside"):
+            cat_amplitude_rows(np.array([0.1, 10.5]), 21)
+        for alpha in (-0.1, math.nan):
+            with pytest.raises(DomainError) as error:
                 cat_amplitude_rows(np.array([0.1, alpha]), 21)
+            assert not isinstance(error.value, UnsupportedAmplitudeError)
 
 
 class TestCatMemo:
-    """cat_coefficients is memoised; cached instances keep read-only parity vectors."""
+    """cat_state is memoised on the amplitude and the row length; its arrays are read-only."""
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        cat_coefficients.cache_clear()
+        cat_state.cache_clear()
 
     def test_repeated_amplitude_returns_the_same_instance(self):
-        first = cat_coefficients(0.3)
-        assert cat_coefficients(0.3) is first
-        info = cat_coefficients.cache_info()
+        first = cat_state(0.3, 21)
+        assert cat_state(0.3, 21) is first
+        info = cat_state.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        assert info.maxsize is not None  # bounded, and with it the parity vectors
+        assert info.maxsize is not None  # bounded, and with it the arrays it keeps
 
-    def test_parity_vectors_are_read_only_and_built_once_per_size(self):
-        cat = cat_coefficients(0.4)
-        even, odd = cat.parity_vectors(21)
-        assert cat.parity_vectors(21)[0] is even
-        assert cat.parity_vectors(3)[0] is not even
-        for vector in (even, odd):
+    def test_rows_are_read_only_and_built_once_per_size(self):
+        state = cat_state(0.4, 21)
+        assert cat_state(0.4, 21) is state
+        short = cat_state(0.4, 3)
+        assert short is not state
+        assert short[0].tobytes() == np.ascontiguousarray(state[0][..., :3]).tobytes()
+        for array in state + short:
             with pytest.raises(ValueError, match="read-only"):
-                vector[0] = 0.5
-        assert np.array_equal(even + odd, cat.dense(21))
-        assert not even[1::2].any() and not odd[0::2].any()
+                array[0] = 0.5
 
     def test_errors_are_not_cached(self):
         for _ in range(2):
             with pytest.raises(DomainError):
-                cat_coefficients(math.nan)
-        assert cat_coefficients.cache_info().currsize == 0
+                cat_state(math.nan, 21)
+        assert cat_state.cache_info().currsize == 0
 
-    def test_parity_cache_does_not_change_equality(self):
-        cat = cat_coefficients(0.4)
-        fresh = cat_coefficients_reference(0.4)
-        cat.parity_vectors(21)
-        assert cat == fresh and hash(cat) == hash(fresh)
-
-
-def _float_bytes(value):
-    return struct.pack("<d", value)
+    def test_memo_returns_the_uncached_floats(self):
+        for state, fresh in zip(cat_state(0.4, 21), cat_amplitude_rows(np.array([0.4]), 21)):
+            assert state.tobytes() == fresh.tobytes()
 
 
 def _outcome(call):
-    """The result's float bytes, or the type of the error raised."""
+    """The result, or the type of the error raised."""
     try:
-        return _float_bytes(call())
+        return call()
     except (DomainError, ZeroGainError) as error:
         return type(error)
 
 
-def _cat_bytes(cat):
-    return tuple(
-        tuple(_float_bytes(v) for v in value) if isinstance(value, tuple) else value
-        for value in (getattr(cat, f.name) for f in dataclasses.fields(cat) if f.compare)
-    )
-
-
 def _assert_matches_reference(p_xx, alpha_a, alpha_b, matrix):
-    cat_a, cat_b = cat_coefficients(alpha_a), cat_coefficients(alpha_b)
-    ref_a = cat_coefficients_reference(alpha_a, DEFAULT_TAIL_TOLERANCE)
-    ref_b = cat_coefficients_reference(alpha_b, DEFAULT_TAIL_TOLERANCE)
-    assert _cat_bytes(cat_a) == _cat_bytes(ref_a)
-    assert _cat_bytes(cat_b) == _cat_bytes(ref_b)
+    size = matrix.shape[0]
+    ref_a, ref_b = cat_coefficients_reference(alpha_a), cat_coefficients_reference(alpha_b)
+    for alpha, ref in ((alpha_a, ref_a), (alpha_b, ref_b)):
+        row, even_sum, odd_sum = _cat(alpha, size)
+        assert row.tobytes() == ref.dense(size).tobytes()
+        assert even_sum == pytest.approx(ref.even_sum, rel=SUM_RELATIVE_TOLERANCE, abs=SUM_ABSOLUTE_TOLERANCE)
+        # for a tiny amplitude the reference's odd sum can be 0 where the row's is alpha e^(-alpha^2/2)
+        assert odd_sum == pytest.approx(ref.odd_sum, rel=SUM_RELATIVE_TOLERANCE, abs=SUM_ABSOLUTE_TOLERANCE)
     expected = _outcome(lambda: phase_error_bound_reference(p_xx, ref_a, ref_b, matrix))
-    # twice: the second call reads the parity vectors the first one cached
+    # twice: the second call reads the cat states the first one memoised
     for _ in range(2):
-        assert _outcome(lambda: phase_error_bound_from_matrix(p_xx, cat_a, cat_b, matrix)) == expected
+        outcome = _outcome(lambda: _bound(p_xx, alpha_a, alpha_b, matrix))
+        if isinstance(expected, type):
+            assert outcome is expected
+        else:
+            assert outcome == pytest.approx(expected, rel=BOUND_RELATIVE_TOLERANCE, abs=0.0)
 
 
 class TestMatchesReference:
-    """The memoised routines return the same float bytes as the routines as first written."""
+    """The point bound agrees with the routines as first written."""
 
     amplitudes = st.floats(0.0, 1.0)
     gains = st.floats(1e-9, 1.0)
@@ -198,12 +229,17 @@ class TestMatchesReference:
 
     def test_empty_matrix_and_zero_gain(self):
         _assert_matches_reference(0.1, 0.3, 0.3, np.ones((0, 0)))
-        _assert_matches_reference(0.0, 0.3, 0.3, np.ones((3, 3)))
+        # the reference raised at zero gain; the package's callers never divide by a zero gain
+        # and report the trivial bound 1, which leaves no key
+        with pytest.raises(ZeroGainError):
+            phase_error_bound_reference(0.0, cat_coefficients_reference(0.3), cat_coefficients_reference(0.3),
+                                        np.ones((3, 3)))
+        dark = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=0.0, e_d=0.02)
+        report = evaluate_key_rate(dark, ProtocolParameters(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), EvaluationMode.asymptotic())
+        assert (report.p_xx, report.e_zz_upper, report.rate) == (0.0, 1.0, 0.0)
 
 
-def _nominal_cats():
-    cat = cat_coefficients(math.sqrt(0.1))
-    return cat, cat
+ALPHA = math.sqrt(0.1)
 
 
 def _target_bounds(*values):
@@ -216,36 +252,32 @@ def _target_bounds(*values):
 
 class TestPhaseErrorBound:
     def test_fully_relaxed_bounds_collapse_to_coefficient_sums(self):
-        cat_a, cat_b = _nominal_cats()
+        _, even_sum, odd_sum = _cat(ALPHA, 3)
         p_xx = 0.09
-        expected = (
-            (cat_a.even_sum * cat_b.even_sum) ** 2 + (cat_a.odd_sum * cat_b.odd_sum) ** 2
-        ) / p_xx
-        result = phase_error_bound_from_matrix(p_xx, cat_a, cat_b, np.ones((3, 3)))
-        assert result == pytest.approx(min(1.0, expected), rel=1e-12)
+        expected = ((even_sum * even_sum) ** 2 + (odd_sum * odd_sum) ** 2) / p_xx
+        assert _bound(p_xx, ALPHA, ALPHA, np.ones((3, 3))) == pytest.approx(min(1.0, expected), rel=1e-12)
 
     def test_all_zero_bounds_leave_only_the_tail(self):
-        cat_a, cat_b = _nominal_cats()
+        c, even_sum, odd_sum = _cat(ALPHA, 3)
         p_xx = 0.09
         bounds = _target_bounds(0.0, 0.0, 0.0, 0.0, 0.0)
-        covered_even = (cat_a.even[0] + cat_a.even[1]) * (cat_b.even[0] + cat_b.even[1])
-        covered_odd = cat_a.odd[0] * cat_b.odd[0]
+        covered_even = (c[0] + c[2]) * (c[0] + c[2])
+        covered_odd = c[1] * c[1]
         expected = (
-            (cat_a.even_sum * cat_b.even_sum - covered_even) ** 2
-            + (cat_a.odd_sum * cat_b.odd_sum - covered_odd) ** 2
+            (even_sum * even_sum - covered_even) ** 2
+            + (odd_sum * odd_sum - covered_odd) ** 2
         ) / p_xx
-        assert phase_error_bound_from_matrix(p_xx, cat_a, cat_b, bounds) == pytest.approx(expected, rel=1e-10)
+        assert _bound(p_xx, ALPHA, ALPHA, bounds) == pytest.approx(expected, rel=1e-10)
 
     def test_monotone_in_every_bound(self):
-        cat_a, cat_b = _nominal_cats()
         rng = np.random.default_rng(3)
         for _ in range(40):
             values = rng.uniform(0.0, 1.0, 5)
-            base = phase_error_bound_from_matrix(0.09, cat_a, cat_b, _target_bounds(*values))
+            base = _bound(0.09, ALPHA, ALPHA, _target_bounds(*values))
             bump = values.copy()
             index = rng.integers(0, 5)
             bump[index] = min(1.0, bump[index] + rng.uniform(0.0, 0.3))
-            bumped = phase_error_bound_from_matrix(0.09, cat_a, cat_b, _target_bounds(*bump))
+            bumped = _bound(0.09, ALPHA, ALPHA, _target_bounds(*bump))
             assert bumped >= base - 1e-13
 
     def test_monotone_in_tail(self):
@@ -253,12 +285,11 @@ class TestPhaseErrorBound:
         # bound when they are known better; a 5x5 matrix reaches the
         # same-parity pairs (3,1), (3,3), (4,0), (4,2), (4,4) that the
         # brackets read, and p_xx = 0.5 keeps both results below the clamp at 1
-        cat_a, cat_b = _nominal_cats()
         loose = np.ones((5, 5))
         loose[:3, :3] = _target_bounds(0.1, 0.2, 0.2, 0.3, 0.1)
         tight = np.where(loose == 1.0, 0.5, loose)
-        loose_bound = phase_error_bound_from_matrix(0.5, cat_a, cat_b, loose)
-        tight_bound = phase_error_bound_from_matrix(0.5, cat_a, cat_b, tight)
+        loose_bound = _bound(0.5, ALPHA, ALPHA, loose)
+        tight_bound = _bound(0.5, ALPHA, ALPHA, tight)
         assert loose_bound < 1.0
         assert tight_bound < loose_bound - 1e-3
 
@@ -266,25 +297,37 @@ class TestPhaseErrorBound:
         sc = ChannelScenario(eta_a=0.3, eta_b=0.9, p_d=0.0, e_d=0.02)
         grid = yield_grid(sc, 20)
         p_xx = 0.01
-        loose = phase_error_bound_from_matrix(
+        loose = phase_error_bound_reference(
             p_xx, cat_coefficients_reference(0.4, 1e-7), cat_coefficients_reference(0.3, 1e-7), grid,
         )
-        tight = phase_error_bound_from_matrix(p_xx, cat_coefficients(0.4), cat_coefficients(0.3), grid)
+        tight = _bound(p_xx, 0.4, 0.3, grid)
         assert tight <= loose + 1e-12
 
     def test_zero_gain_is_a_no_key_event(self):
-        cat_a, cat_b = _nominal_cats()
-        with pytest.raises(ZeroGainError):
-            phase_error_bound_from_matrix(0.0, cat_a, cat_b, np.ones((3, 3)))
+        # the trivial bound: h2(1/2) = 1 consumes the whole key, and the grid reports no key where nothing clicks
+        assert key_rate(0.0, 0.0, 1.0) == 0.0
+        dark = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=0.0, e_d=0.02)
+        rates = optimizer.asymptotic_rate_grid(dark, [0.0, 0.1], [0.0, 0.01])  # 0.1 and 0.01 arrive balanced
+        assert rates[0, 0] == 0.0 and rates[1, 1] > 0.0
 
     def test_bound_rejects_invalid_yields(self):
-        cat_a, cat_b = _nominal_cats()
         with pytest.raises(DomainError):
-            phase_error_bound_from_matrix(0.09, cat_a, cat_b, _target_bounds(1.2, 0, 0, 0, 0))
+            _bound(0.09, ALPHA, ALPHA, _target_bounds(1.2, 0, 0, 0, 0))
         with pytest.raises(DomainError):
-            phase_error_bound_from_matrix(0.09, cat_a, cat_b, np.full((3, 3), -0.1))
+            _bound(0.09, ALPHA, ALPHA, np.full((3, 3), -0.1))
         with pytest.raises(DomainError):
-            phase_error_bound_from_matrix(0.09, cat_a, cat_b, _target_bounds(math.nan, 0, 0, 0, 0))
+            _bound(0.09, ALPHA, ALPHA, _target_bounds(math.nan, 0, 0, 0, 0))
+
+    def test_a_mesh_is_its_pairs(self):
+        # the grid's call and the point evaluation's calls of the one routine
+        alphas = np.array([0.0, 0.05, ALPHA, 0.6, 1.0])
+        grid = yield_grid(ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=0.0, e_d=0.02))
+        mesh = phase_error_upper_bound(cat_amplitude_rows(alphas, 21), cat_amplitude_rows(alphas[:4], 21), grid)
+        assert mesh.shape == (5, 4)
+        for i, alpha_a in enumerate(alphas):
+            for j, alpha_b in enumerate(alphas[:4]):
+                pair = phase_error_upper_bound(cat_state(alpha_a, 21), cat_state(alpha_b, 21), grid)
+                assert mesh[i, j] == pytest.approx(pair[0, 0], rel=1e-12)
 
     def test_positive_key_at_symmetric_short_distance(self):
         # true yields at unit transmittance support a positive rate
@@ -292,8 +335,7 @@ class TestPhaseErrorBound:
         gamma = ArrivingIntensities(0.1, 0.1)
         p_xx = x_basis_gain(sc, gamma)
         e_xx = x_basis_qber(sc, gamma)
-        cat = cat_coefficients(math.sqrt(0.1))
-        e_zz = phase_error_bound_from_matrix(p_xx, cat, cat, yield_grid(sc, 20))
+        e_zz = _bound(p_xx, ALPHA, ALPHA, yield_grid(sc, 20))
         assert 0.0 < e_zz < 0.5
         assert key_rate(p_xx, e_xx, e_zz) > 0.0
 
