@@ -169,12 +169,11 @@ def z_basis_gain(scenario: ChannelScenario, gamma_decoy: ArrivingIntensities) ->
     series = i0m1(x)  # I0(x) is 1.0 + series
     try:
         light = math.expm1(0.5 * total) * (1.0 + series) + series
+        if light == math.inf:  # the product overflowed, and inf * e^-S would be NaN
+            raise OverflowError
     except OverflowError:
-        light = math.inf
-    # the product can overflow too, and inf * e^-S would then be NaN
-    if light == math.inf:
         raise DomainError(f"decoy arriving intensities {gamma_decoy.gamma_a}, {gamma_decoy.gamma_b} "
-                          "overflow the Z-basis gain")
+                          "overflow the Z-basis gain") from None
     return _clamp_probability(one_minus_pd * math.exp(-total) * (light + scenario.p_d))
 
 

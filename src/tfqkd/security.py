@@ -63,23 +63,23 @@ def cat_amplitude_rows(alphas: np.ndarray, size: int) -> tuple[np.ndarray, np.nd
     mu = alphas * alphas
     # Poisson weights w_0 = e^-mu through math.exp and w_n = w_(n-1) * (mu / n); amplitudes are sqrt(w_n)
     first = np.array([math.exp(-m) for m in mu.tolist()]).reshape(-1, 1)
-    weights = np.cumprod(np.concatenate([first, mu[:, None] / np.arange(1, size)], axis=1), axis=1)
-    rows = np.sqrt(weights)
-    rows[:, 0] = [math.exp(-0.5 * m) for m in mu.tolist()]
+    weights = np.concatenate([first, mu[:, None] / np.arange(1, size)], axis=1).cumprod(axis=1)
+    amplitudes = np.sqrt(weights)
+    amplitudes[:, 0] = [math.exp(-0.5 * m) for m in mu.tolist()]
     # c_n is kept while the mass covered up to n - 1 leaves more than the tolerance out
-    rows[:, 1:] *= 1.0 - np.cumsum(weights, axis=1)[:, :-1] > DEFAULT_TAIL_TOLERANCE
+    amplitudes[:, 1:] *= 1.0 - weights.cumsum(axis=1)[:, :-1] > DEFAULT_TAIL_TOLERANCE
+    rows = np.zeros((2, len(alphas), size))
+    rows[0, :, 0::2] = amplitudes[:, 0:size:2]
+    rows[1, :, 1::2] = amplitudes[:, 1:size:2]
 
-    # terms c_0 alpha^k / sqrt(k!) up to where the largest amplitude's terms are negligible, each
-    # parity summed in order of k, as a scalar loop would add them
+    # terms c_0 alpha^k / sqrt(k!), each parity summed in order of k as a scalar loop would, in an even count
+    # past where the largest amplitude's terms are negligible (one more term is below half an ulp of a sum)
     count, bound = 1, 1.0
-    while bound >= 1e-18:
+    while bound >= 1e-18 or count % 2:
         bound *= top / math.sqrt(count)
         count += 1
-    terms = np.cumprod(np.concatenate([rows[:, :1], alphas[:, None] / np.sqrt(np.arange(1, count))], axis=1), axis=1)
-    sums = np.array([np.cumsum(terms[:, 0::2], axis=1)[:, -1], np.cumsum(terms[:, 1::2], axis=1)[:, -1]])
-    even = np.arange(size) % 2 == 0
-    rows = rows[:, :size]
-    return np.array([rows * even, rows * ~even]), sums
+    terms = np.concatenate([amplitudes[:, :1], alphas[:, None] / np.sqrt(np.arange(1, count))], axis=1).cumprod(axis=1)
+    return rows, terms.reshape(len(alphas), count // 2, 2).cumsum(axis=1)[:, -1].T
 
 
 @lru_cache(maxsize=256)

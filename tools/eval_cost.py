@@ -1,10 +1,10 @@
 """Microseconds per evaluate_key_rate call, in the three cases a search meets.
 
-    python tools/eval_cost.py [--calls N] [--repeats R]
+    python tools/eval_cost.py
 
 The scenario is the finite-sweep point of the benchmark: 40 dB total loss,
 mismatch 0.1, e_d 0.02, p_d 1e-8, 1e12 pulses and epsilon 1e-7.  Three
-cases are timed, each as R repeats of N calls:
+cases are timed, each as REPEATS repeats of CALLS calls:
 
 * finite_fixed_signals: the same finite point every call, so the decoy LP
   and both cat states come from their memos (a line search over a decoy
@@ -19,7 +19,6 @@ over the repeats of the mean time per call, and the fastest repeat.  Only
 the standard library and numpy are used.
 """
 
-import argparse
 import statistics
 import sys
 import time
@@ -38,37 +37,35 @@ FINITE = EvaluationMode.finite(1e12, sigma_multiplier_from_epsilon(1e-7))
 ASYMPTOTIC = EvaluationMode.asymptotic()
 POINT = dict(s_a=0.3, s_b=0.03, mu_a=0.1, nu_a=0.01, mu_b=0.1, nu_b=0.01,
              p_s_a=0.8, p_mu_a=0.1, p_nu_a=0.05, p_s_b=0.8, p_mu_b=0.1, p_nu_b=0.05)
+CALLS = 2000  # calls per timed repeat
+REPEATS = 9  # timed repeats per case
 
 
-def _signals(count: int, start: int) -> list[float]:
-    """Distinct side-a signals near POINT's, none of them seen in an earlier repeat."""
-    return [POINT["s_a"] * (1.0 + 1e-9 * (start + k)) for k in range(count)]
+def _signals(start: int) -> list[float]:
+    """CALLS distinct side-a signals near POINT's, none of them seen in an earlier repeat."""
+    return [POINT["s_a"] * (1.0 + 1e-9 * (start + k)) for k in range(CALLS)]
 
 
-def _time_case(mode: EvaluationMode, changed: bool, calls: int, repeats: int) -> list[float]:
+def _time_case(mode: EvaluationMode, changed: bool) -> list[float]:
     per_call = []
     evaluate_key_rate(SCENARIO, ProtocolParameters(**POINT), mode)
-    for repeat in range(repeats):
-        s_a = _signals(calls, (repeat + 1) * calls) if changed else [POINT["s_a"]] * calls
+    for repeat in range(REPEATS):
+        s_a = _signals((repeat + 1) * CALLS) if changed else [POINT["s_a"]] * CALLS
         points = [ProtocolParameters(**{**POINT, "s_a": value}) for value in s_a]
         start = time.perf_counter()
         for params in points:
             evaluate_key_rate(SCENARIO, params, mode)
-        per_call.append((time.perf_counter() - start) / calls * 1e6)
+        per_call.append((time.perf_counter() - start) / CALLS * 1e6)
     return per_call
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--calls", type=int, default=2000, help="calls per repeat (default 2000)")
-    parser.add_argument("--repeats", type=int, default=7, help="timed repeats per case (default 7)")
-    args = parser.parse_args(argv)
+def main() -> int:
     cases = (("finite_fixed_signals", FINITE, False), ("finite_changed_signal", FINITE, True),
              ("asymptotic", ASYMPTOTIC, True))
     for name, mode, changed in cases:
-        times = _time_case(mode, changed, args.calls, args.repeats)
+        times = _time_case(mode, changed)
         print(f"{name:<22} {statistics.median(times):7.1f} us/call  (fastest repeat {min(times):.1f}; "
-              f"{args.repeats} x {args.calls} calls)")
+              f"{REPEATS} x {CALLS} calls)")
     return 0
 
 
