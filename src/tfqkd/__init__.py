@@ -14,11 +14,9 @@ from .channel import (  # noqa: F401
 from .decoy import (  # noqa: F401
     DecoyObservations,
     LpProblem,
-    build_problem,
-    observations_from_scenario,
     sigma_multiplier_from_epsilon,
-    solve_yield_bounds,
     widened_gain_interval,
+    yield_lp,
 )
 from .optimizer import (  # noqa: F401
     EvaluationMode,

@@ -28,9 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import i0m1
-from .errors import DomainError, UnsupportedPhotonNumberError, ZeroGainError
+from .errors import DomainError, ZeroGainError
 
-#: Largest photon number accepted by the yield evaluation.
+#: Largest photon number of the yield grid.
 PHOTON_NUMBER_CAP = 20
 
 #: Negative probabilities within this margin of zero are clamped to 0.
@@ -213,10 +213,11 @@ def _binomial_pmf_matrix(n_max: int, eta: float) -> np.ndarray:
     return out
 
 
-def yield_grid(scenario: ChannelScenario, cap: int = PHOTON_NUMBER_CAP) -> np.ndarray:
+def yield_grid(scenario: ChannelScenario) -> np.ndarray:
     """Click probabilities of one successful pattern given Fock inputs |n_a>, |n_b>.
 
-    Returns all yields for 0 <= n_a, n_b <= cap as a (cap+1, cap+1) array.
+    Returns all yields for 0 <= n_a, n_b <= PHOTON_NUMBER_CAP as a square
+    array; a caller that needs fewer photon numbers slices it.
     Each photon survives its channel independently (binomial thinning of
     the Fock state), and the survivors interfere on the beamsplitter.  The
     pattern requires zero photons at one detector and at least one at the
@@ -226,8 +227,7 @@ def yield_grid(scenario: ChannelScenario, cap: int = PHOTON_NUMBER_CAP) -> np.nd
     Dark counts are deliberately excluded; this form feeds the
     perfect-knowledge (infinite-decoy) analysis only.
     """
-    if cap < 0 or cap > PHOTON_NUMBER_CAP:
-        raise UnsupportedPhotonNumberError(f"cap must lie in [0, {PHOTON_NUMBER_CAP}], got {cap}")
+    cap = PHOTON_NUMBER_CAP
     bunch = np.array(_port_bunching_table(cap, math.cos(scenario.theta)))
     b_a = _binomial_pmf_matrix(cap, scenario.eta_a)
     b_b = _binomial_pmf_matrix(cap, scenario.eta_b)

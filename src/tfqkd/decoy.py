@@ -7,6 +7,8 @@ equations into two-sided inequalities over a 10x10 grid of yield
 variables; maximizing a single Y_nm over that polytope gives the upper
 bound fed to the phase-error estimate.  Finite data widens each gain to a
 standard-error confidence interval before the program is built.
+yield_lp is the one path from a channel scenario to the LP and its bound
+matrix: the finite key-rate evaluation memoises it, the QBER scan calls it.
 
 The statistical z-score is named ``sigma_multiplier`` throughout: the
 literature reuses the same symbol for arriving intensities and for the
@@ -320,3 +322,21 @@ def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
             raise DomainError(f"LP maximum of Y[{n}][{m}] is not finite: {value}")
         bounds[n, m] = min(1.0, max(0.0, value + SAFETY_MARGIN))
     return bounds
+
+
+def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float],
+             intensities_b: tuple[float, float, float], n_pulses: float | None = None,
+             sigma_multiplier: float | None = None, probabilities_a: tuple[float, float, float] | None = None,
+             probabilities_b: tuple[float, float, float] | None = None) -> tuple[LpProblem, np.ndarray]:
+    """The yield LP of a channel scenario and its bound matrix, every array read-only.
+
+    Simulates the nine decoy gains, builds the problem (widened by the
+    sigma multiplier in finite mode, which needs the pulse count and both
+    sides' selection probabilities) and solves it for the TARGET_PAIRS.
+    """
+    obs = observations_from_scenario(scenario, intensities_a, intensities_b, n_pulses, probabilities_a, probabilities_b)
+    problem = build_problem(obs, sigma_multiplier)
+    bounds = solve_yield_bounds(problem)
+    for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass, bounds):
+        array.setflags(write=False)
+    return problem, bounds

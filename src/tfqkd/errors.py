@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An input falls outside the physically/numerically supported domain."""
 
 
-class UnsupportedPhotonNumberError(DomainError):
-    """Photon number exceeds the supported evaluation cap."""
-
-
 class UnsupportedAmplitudeError(DomainError):
     """Coherent amplitude far outside the protocol regime."""
 

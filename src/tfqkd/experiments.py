@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -38,15 +39,9 @@ from .channel import (
     x_basis_gain,
     x_basis_qber,
 )
-from .decoy import (
-    LpProblem,
-    build_problem,
-    observations_from_scenario,
-    sigma_multiplier_from_epsilon,
-    solve_yield_bounds,
-)
+from .decoy import LpProblem, sigma_multiplier_from_epsilon, yield_lp
 from .errors import ConfigError, DomainError
-from .optimizer import EvaluationMode, ProtocolParameters, Strategy, optimize_strategy
+from .optimizer import PARAMETER_NAMES, EvaluationMode, Strategy, optimize_strategy
 from .security import cat_state, key_rate, phase_error_upper_bound
 
 
@@ -144,6 +139,9 @@ class SweepConfig:
         _config_checked(self.evaluation_mode)
         for name in self.strategies:
             _config_checked(Strategy, name)
+        for name in ("total_loss_db_grid", "strategies"):  # one row per (loss, strategy)
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} must not repeat an entry, got {list(getattr(self, name))}")
 
     @classmethod
     def from_dict(cls, document: dict) -> "SweepConfig":
@@ -203,30 +201,10 @@ class QberScanConfig:
         return ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=self.e_d, phi=0.0)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    loss_db: float
-    strategy: str
-    key_rate: float
-    key_rate_raw: float
-    s_a: float
-    s_b: float
-    mu_a: float | None
-    nu_a: float | None
-    mu_b: float | None
-    nu_b: float | None
-    p_s_a: float | None
-    p_mu_a: float | None
-    p_nu_a: float | None
-    p_s_b: float | None
-    p_mu_b: float | None
-    p_nu_b: float | None
-    e_xx: float
-    e_zz_upper: float
-    p_xx: float
-
-
-SWEEP_COLUMNS = tuple(f.name for f in dataclass_fields(SweepRow))
+#: One CSV row per (loss, strategy); the parameter columns are the ProtocolParameters fields.
+SWEEP_COLUMNS = ("loss_db", "strategy", "key_rate", "key_rate_raw", *PARAMETER_NAMES, "e_xx", "e_zz_upper", "p_xx")
+# a module-level type named here, so rows pickle to and from sweep workers
+SweepRow = namedtuple("SweepRow", SWEEP_COLUMNS, module=__name__)
 
 
 def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple[SweepRow, LpProblem | None]:
@@ -234,7 +212,7 @@ def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple
     scenario = config.scenario_for(loss_db)
     mode = config.evaluation_mode()
     params, report = optimize_strategy(scenario, strategy, mode, n_starts=config.n_starts, seed=config.seed)
-    values = {f.name: getattr(params, f.name) for f in dataclass_fields(ProtocolParameters)}
+    values = {name: getattr(params, name) for name in PARAMETER_NAMES}
     if not mode.is_finite:  # blank the zero decoys asymptotic rates do not use; the probabilities are None
         values.update(mu_a=None, nu_a=None, mu_b=None, nu_b=None)
     return SweepRow(
@@ -272,15 +250,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> tuple[list[SweepRow], li
     return [row for row, _ in outcomes], [problem for _, problem in outcomes]
 
 
-@dataclass(frozen=True)
-class QberScanRow:
-    ratio: float
-    e_xx_full: float
-    e_xx_first_order: float
-    e_zz_upper: float
-
-
-QBER_SCAN_COLUMNS = tuple(f.name for f in dataclass_fields(QberScanRow))
+QBER_SCAN_COLUMNS = ("ratio", "e_xx_full", "e_xx_first_order", "e_zz_upper")
+QberScanRow = namedtuple("QberScanRow", QBER_SCAN_COLUMNS, module=__name__)
 
 
 def run_qber_scan(config: QberScanConfig):
@@ -301,10 +272,7 @@ def run_qber_scan(config: QberScanConfig):
         e_first = first_order_diagnostics(scenario, gamma)
         # the decoy set is a set: a scan value below nu simply swaps roles
         strong, weak = (value, config.nu) if value >= config.nu else (config.nu, value)
-        obs = observations_from_scenario(
-            scenario, (strong, weak, 0.0), (config.mu_b, config.nu, 0.0),
-        )
-        bounds = solve_yield_bounds(build_problem(obs))
+        _, bounds = yield_lp(scenario, (strong, weak, 0.0), (config.mu_b, config.nu, 0.0))
         cat = cat_state(math.sqrt(config.s_b), bounds.shape[0])
         e_zz = min(1.0, float(phase_error_upper_bound(cat, cat, bounds)[0, 0]) / p_xx_signal)
         rows.append(QberScanRow(

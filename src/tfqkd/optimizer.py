@@ -2,7 +2,8 @@
 
 Every strategy searches one 12-slot vector: the signal intensity, two
 decoy intensities and three selection probabilities of side a, then those
-of side b.  Four strategies restrict how the two sides may differ: fully
+of side b: the ProtocolParameters fields (PARAMETER_NAMES) ordered by
+side.  Four strategies restrict how the two sides may differ: fully
 symmetric, symmetric-after-padding (extra loss on the better channel),
 asymmetric signal intensities only, and fully asymmetric.  A strategy is
 one row of the tie table TIED_SLOTS.
@@ -16,9 +17,10 @@ log step reaches float-level precision.  No seed enters.
 In finite mode the strategy's coordinates (each the tuple of slots it sets
 to one value) and its random starts follow from its row of the tie table.
 Each coordinate is line-searched by golden section inside its box; passes
-repeat until the rate stops improving.  Multistart keeps the best outcome
-over seeded starts, with ties broken by the lowest start index, bit for
-bit.
+repeat until the rate stops improving.  The yield LP comes from
+decoy.yield_lp through a memo that the signal intensities do not key.
+Multistart keeps the best outcome over seeded starts, with ties broken by
+the lowest start index, bit for bit.
 
 Either way the winner is evaluated once more by evaluate_key_rate, so a
 reported rate is reproduced bit for bit by evaluating its parameters.
@@ -27,14 +29,14 @@ reported rate is reproduced bit for bit by evaluating its parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
-from .decoy import LpProblem, build_problem, observations_from_scenario, solve_yield_bounds
+from .decoy import LpProblem, yield_lp
 from .errors import DomainError
 from .security import PATTERN_COUNT, cat_amplitude_rows, cat_state, key_rate, phase_error_upper_bound
 
@@ -54,8 +56,6 @@ REFINE_POINTS = 11  # points per side of each shrunk grid; a round divides the s
 FINAL_LOG_STEP = 1e-12  # log10 step that ends the refinement, about 2e-12 relative in s
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-_INTENSITY_FIELDS = ("s_a", "s_b", "mu_a", "nu_a", "mu_b", "nu_b")
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class ProtocolParameters:
         # line-search point); not (x >= 0) also rejects NaN
         if not (self.s_a >= 0.0 and self.s_b >= 0.0 and self.mu_a >= 0.0 and self.nu_a >= 0.0
                 and self.mu_b >= 0.0 and self.nu_b >= 0.0):
-            name = next(n for n in _INTENSITY_FIELDS if not getattr(self, n) >= 0.0)
+            name = next(n for n in PARAMETER_NAMES[:6] if not getattr(self, n) >= 0.0)
             raise DomainError(f"intensity {name} must be nonnegative")
         # equality is degenerate but legal; the LP attaches a warning for it
         if not self.mu_a >= self.nu_a:
@@ -97,10 +97,10 @@ class ProtocolParameters:
             return
         if None in probs:
             raise DomainError("selection probabilities must be given for all intensities or none")
+        for name, p in zip(PARAMETER_NAMES[6:], probs):
+            if not (0.0 < p < 1.0):
+                raise DomainError(f"probability {name} must lie in (0, 1), got {p}")
         for side, (p_s, p_mu, p_nu) in (("a", probs[:3]), ("b", probs[3:])):
-            for k, p in (("s", p_s), ("mu", p_mu), ("nu", p_nu)):
-                if not (0.0 < p < 1.0):
-                    raise DomainError(f"probability p_{k}_{side} must lie in (0, 1), got {p}")
             if p_s + p_mu + p_nu >= 1.0:
                 raise DomainError(f"probabilities on side {side} must leave room for the vacuum decoy")
 
@@ -115,6 +115,12 @@ class ProtocolParameters:
     @property
     def p_omega_b(self) -> float:
         return 1.0 - self.p_s_b - self.p_mu_b - self.p_nu_b
+
+
+#: The twelve parameter names in field order, which is also their CSV column order.
+PARAMETER_NAMES = tuple(f.name for f in fields(ProtocolParameters))
+#: Search-vector slot -> parameter name: side a's fields, then side b's, each in field order.
+_SLOT_NAMES = tuple(sorted(PARAMETER_NAMES, key=lambda name: name[-1]))
 
 
 class Strategy(Enum):
@@ -199,22 +205,8 @@ def _true_yield_grid(scenario: ChannelScenario) -> np.ndarray:
     return grid
 
 
-@lru_cache(maxsize=64)
-def _finite_lp(scenario: ChannelScenario, mode: EvaluationMode,
-               intensities_a: tuple[float, float, float], intensities_b: tuple[float, float, float],
-               probabilities_a: tuple[float, float, float],
-               probabilities_b: tuple[float, float, float]) -> tuple[LpProblem, np.ndarray]:
-    """Finite-size yield LP and its bound matrix, cached per decoy setting (arrays read-only)."""
-    obs = observations_from_scenario(
-        scenario, intensities_a, intensities_b, n_pulses=mode.n_pulses,
-        probabilities_a=probabilities_a, probabilities_b=probabilities_b,
-    )
-    problem = build_problem(obs, sigma_multiplier=mode.sigma_multiplier)
-    for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass):
-        array.setflags(write=False)
-    bounds = solve_yield_bounds(problem)
-    bounds.setflags(write=False)
-    return problem, bounds
+#: Finite-size yield LP and its bound matrix, memoised per decoy setting (arrays read-only).
+_finite_lp = lru_cache(maxsize=64)(yield_lp)
 
 
 def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
@@ -225,17 +217,17 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     and uses the whole true-yield grid in the phase-error bound.  Finite
     mode simulates the nine decoy gains, widens them to confidence
     intervals, and solves the yield LP for the bounded pairs; the report
-    carries that LP.  The LP and its bound matrix come from one memo keyed
-    on the scenario, the mode and the decoy intensities and selection
-    probabilities of both sides; the signal intensities never enter the
-    LP, so a line search over them solves it once.  Both come back
-    read-only.  The cat states come from the memoised cat_state, so the
-    fixed side of a one-sided line search, and a tied side, reuse one
-    row; the result bits do not depend on either memo.  The phase-error
-    bound is asymptotic_rate_grid's, on one cat state per side.  The
-    reported rate counts both successful click patterns; in finite mode
-    it additionally carries the probability that both parties chose
-    signal states.  The rate without that weight is
+    carries that LP.  The LP and its bound matrix come from decoy.yield_lp
+    through one memo keyed on the scenario, the mode and the decoy
+    intensities and selection probabilities of both sides; the signal
+    intensities never enter the LP, so a line search over them solves it
+    once.  Both come back read-only.  The cat states come from the
+    memoised cat_state, so the fixed side of a one-sided line search, and
+    a tied side, reuse one row; the result bits do not depend on either
+    memo.  The phase-error bound is asymptotic_rate_grid's, on one cat
+    state per side.  The reported rate counts both successful click
+    patterns; in finite mode it additionally carries the probability that
+    both parties chose signal states.  The rate without that weight is
     key_rate(report.p_xx, report.e_xx, report.e_zz_upper).
     """
     gamma = ArrivingIntensities.from_sources(scenario, params.s_a, params.s_b)
@@ -244,10 +236,9 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
             raise DomainError("finite mode requires selection probabilities")
         weight = params.p_s_a * params.p_s_b
         problem, bounds = _finite_lp(
-            scenario, mode,
-            (params.mu_a, params.nu_a, 0.0), (params.mu_b, params.nu_b, 0.0),
-            (params.p_mu_a, params.p_nu_a, params.p_omega_a), (params.p_mu_b, params.p_nu_b, params.p_omega_b),
-        )
+            scenario, (params.mu_a, params.nu_a, 0.0), (params.mu_b, params.nu_b, 0.0), mode.n_pulses,
+            mode.sigma_multiplier, (params.p_mu_a, params.p_nu_a, params.p_omega_a),
+            (params.p_mu_b, params.p_nu_b, params.p_omega_b))
     else:
         weight, problem, bounds = 1.0, None, _true_yield_grid(scenario)
 
@@ -368,10 +359,7 @@ def _moved(x: list, coord: tuple[int, ...], value: float) -> list:
 
 def _params(x: list) -> ProtocolParameters:
     """The point x = (s, mu, nu, p_s, p_mu, p_nu) of side a followed by those of side b."""
-    return ProtocolParameters(
-        s_a=x[0], mu_a=x[1], nu_a=x[2], p_s_a=x[3], p_mu_a=x[4], p_nu_a=x[5],
-        s_b=x[6], mu_b=x[7], nu_b=x[8], p_s_b=x[9], p_mu_b=x[10], p_nu_b=x[11],
-    )
+    return ProtocolParameters(**dict(zip(_SLOT_NAMES, x)))
 
 
 def _safe(objective, params: ProtocolParameters) -> float:
@@ -414,8 +402,7 @@ def coordinate_descent(objective, init: ProtocolParameters, strategy: Strategy) 
     returning NaN count as rejected points.
     """
     coords = strategy_coordinates(strategy)
-    x = [init.s_a, init.mu_a, init.nu_a, init.p_s_a, init.p_mu_a, init.p_nu_a,
-         init.s_b, init.mu_b, init.nu_b, init.p_s_b, init.p_mu_b, init.p_nu_b]
+    x = [getattr(init, name) for name in _SLOT_NAMES]
     current = _safe(objective, init)
     for _ in range(MAX_PASSES):
         pass_start = current

@@ -166,7 +166,7 @@ def test_criterion_3_yield_soundness_and_tightness():
             nu = float(rng.uniform(0.005, mu / 2.0))
             decoys.append((mu, nu, 0.0))
         problem = build_problem(observations_from_scenario(sc, decoys[0], decoys[1]))
-        truth = yield_grid(sc, 9)
+        truth = yield_grid(sc)[:10, :10]
         if not lp_contains(problem, truth):
             sound = False
         bounds = solve_yield_bounds(problem)
@@ -195,7 +195,7 @@ def test_criterion_3_yield_soundness_and_tightness():
     nominal = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
     problem = build_problem(observations_from_scenario(nominal, (0.1, 0.01, 0.0), (0.1, 0.01, 0.0)))
     u11 = solve_yield_bounds(problem)[1, 1]
-    true_11 = yield_grid(nominal, 1)[1, 1]
+    true_11 = yield_grid(nominal)[1, 1]
     tight = u11 <= 1.10 * true_11 and u11 >= true_11 - 1e-12
     elapsed = time.monotonic() - start
 
@@ -300,7 +300,7 @@ def test_criterion_7_property_suites():
     for theta_a, theta_b in ((0.1418971, 0.1418971), (0.3, 0.1)):
         e_d = math.sin(0.5 * (theta_a + theta_b)) ** 2
         for eta_a, eta_b in ((1.0, 1.0), (0.35, 0.8)):
-            grid = yield_grid(ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=0.0, e_d=e_d), 4)
+            grid = yield_grid(ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=0.0, e_d=e_d))
             for n_a in range(5):
                 for n_b in range(5 - n_a):
                     reference = photon_path_yield(eta_a, eta_b, theta_a, theta_b, n_a, n_b)
@@ -332,8 +332,8 @@ def test_criterion_7_property_suites():
             symmetric = False
         n_a, n_b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         if not math.isclose(
-            yield_grid(sc, 3)[n_a, n_b],
-            yield_grid(sc_swap, 3)[n_b, n_a],
+            yield_grid(sc)[n_a, n_b],
+            yield_grid(sc_swap)[n_b, n_a],
             rel_tol=1e-12, abs_tol=1e-15,
         ):
             symmetric = False

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfqkd import simplex
 from tfqkd.channel import ChannelScenario, yield_grid
@@ -17,6 +19,7 @@ from tfqkd.decoy import (
     sigma_multiplier_from_epsilon,
     solve_yield_bounds,
     widened_gain_interval,
+    yield_lp,
 )
 from tfqkd.errors import DomainError, InfeasibleProblemError
 
@@ -216,7 +219,7 @@ class TestSolve:
                     assert bounds[n, m] == 1.0  # the trivial bound
 
     def test_upper_bounds_are_sound_for_true_yields(self):
-        grid = yield_grid(NOMINAL, PHOTON_CUTOFF - 1)
+        grid = yield_grid(NOMINAL)[:PHOTON_CUTOFF, :PHOTON_CUTOFF]
         problem = nominal_problem()
         assert lp_contains(problem, grid)  # cutoff slack keeps the truth feasible
         bounds = solve_yield_bounds(problem)
@@ -225,7 +228,7 @@ class TestSolve:
 
     def test_tightness_at_nominal_point(self):
         bounds = solve_yield_bounds(nominal_problem())
-        true_11 = yield_grid(NOMINAL, 2)[1, 1]
+        true_11 = yield_grid(NOMINAL)[1, 1]
         assert bounds[(1, 1)] <= 1.10 * true_11
 
     def test_sound_for_randomized_synthetic_yields(self):
@@ -324,3 +327,46 @@ class TestSolve:
         with pytest.raises(InfeasibleProblemError) as excinfo:
             solve_yield_bounds(problem)
         assert excinfo.value.constraint in problem.pair_labels
+
+
+unit = st.floats(1e-4, 1.0)
+#: Strong and weak decoy of one side, strictly ordered, then the vacuum decoy.
+decoy_sets = st.tuples(unit, unit).filter(lambda pair: pair[0] != pair[1]).map(
+    lambda pair: (max(pair), min(pair), 0.0))
+#: Selection probabilities of the three decoys of one side, leaving a share for the signal.
+selections = st.tuples(*[st.floats(0.01, 1.0)] * 4).map(lambda shares: tuple(v / sum(shares) for v in shares[1:]))
+
+
+class TestYieldLp:
+    """The one routine from a scenario to the LP and its bound matrix."""
+
+    PROBABILITIES = dict(probabilities_a=(0.1, 0.05, 0.05), probabilities_b=(0.1, 0.05, 0.05))
+
+    def test_is_the_chain_it_replaces_with_read_only_arrays(self):
+        problem, bounds = yield_lp(NOMINAL, DECOYS, DECOYS, 1e12, 5.3, **self.PROBABILITIES)
+        obs = observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=1e12, **self.PROBABILITIES)
+        expected = build_problem(obs, sigma_multiplier=5.3)
+        assert problem.to_text() == expected.to_text()
+        assert bounds.tobytes() == solve_yield_bounds(expected).tobytes()
+        for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass, bounds):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(eta_a=unit, eta_b=unit, e_d=st.floats(0.0, 0.2), decoys_a=decoy_sets, decoys_b=decoy_sets)
+    def test_bounds_are_sound_for_the_true_yields(self, eta_a, eta_b, e_d, decoys_a, decoys_b):
+        scenario = ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=0.0, e_d=e_d)
+        _, bounds = yield_lp(scenario, decoys_a, decoys_b)
+        truth = yield_grid(scenario)
+        for n, m in TARGET_PAIRS:
+            assert bounds[n, m] >= truth[n, m]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n_pulses=st.floats(1e8, 1e13), probabilities_a=selections, probabilities_b=selections)
+    def test_a_wider_confidence_interval_never_lowers_a_bound(self, n_pulses, probabilities_a, probabilities_b):
+        scenario = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=1e-8, e_d=0.02)
+        narrow, wide = (
+            yield_lp(scenario, DECOYS, DECOYS, n_pulses, sigma, probabilities_a, probabilities_b)[1]
+            for sigma in (1.0, 5.3)
+        )
+        assert np.all(narrow <= wide)

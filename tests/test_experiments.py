@@ -130,6 +130,10 @@ class TestSweepConfig:
         {"n_pulses": True},
         {"total_loss_db_grid": ["30"]},
         {"total_loss_db_grid": [True]},
+        # a repeated entry used to pass: a repeated loss wrote two identical rows,
+        # a repeated strategy was silently dropped
+        {"total_loss_db_grid": [20.0, 20.0]},
+        {"strategies": ["symmetric", "symmetric"]},
     ])
     def test_invalid_values(self, patch):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfqkd import optimizer, security
+from tfqkd import decoy, optimizer, security
 from tfqkd.channel import ChannelScenario
 from tfqkd.decoy import LpProblem
 from tfqkd.errors import DomainError, InfeasibleProblemError, UnsupportedAmplitudeError
@@ -350,7 +350,7 @@ class TestEvaluate:
 
         sc = ChannelScenario(eta_a=0.3, eta_b=0.6, p_d=0.0, e_d=0.02)
         report = evaluate_key_rate(sc, finite_params(), ASYMPTOTIC)
-        grid = yield_grid(sc, 2)
+        grid = yield_grid(sc)
         assert report.yield_bounds[1, 1] == pytest.approx(grid[1, 1], rel=1e-12)
         assert report.rate > 0.0
         assert report.rate == key_rate(report.p_xx, report.e_xx, report.e_zz_upper)  # the basis weight is 1
@@ -450,13 +450,13 @@ class TestLpMemo:
     @pytest.fixture
     def solves(self, monkeypatch):
         calls = []
-        solve = optimizer.solve_yield_bounds
+        solve = decoy.solve_yield_bounds
 
         def counting(problem):
             calls.append(problem)
             return solve(problem)
 
-        monkeypatch.setattr(optimizer, "solve_yield_bounds", counting)
+        monkeypatch.setattr(decoy, "solve_yield_bounds", counting)
         return calls
 
     def test_signal_line_search_solves_once(self, solves):
@@ -488,13 +488,13 @@ class TestLpMemo:
         assert isinstance(report.lp_problem, LpProblem)
 
     def test_infeasible_program_raises_on_every_call(self, monkeypatch, solves):
-        build = optimizer.build_problem
+        build = decoy.build_problem
 
         def contradictory(*args, **kwargs):
             problem = build(*args, **kwargs)
             return dataclasses.replace(problem, gain_upper=np.full_like(problem.gain_upper, -1.0))
 
-        monkeypatch.setattr(optimizer, "build_problem", contradictory)
+        monkeypatch.setattr(decoy, "build_problem", contradictory)
         for _ in range(2):
             with pytest.raises(InfeasibleProblemError):
                 evaluate_key_rate(self.SCENARIO, finite_params(), FINITE)

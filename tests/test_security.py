@@ -295,7 +295,7 @@ class TestPhaseErrorBound:
 
     def test_tighter_truncation_never_raises_the_bound(self):
         sc = ChannelScenario(eta_a=0.3, eta_b=0.9, p_d=0.0, e_d=0.02)
-        grid = yield_grid(sc, 20)
+        grid = yield_grid(sc)
         p_xx = 0.01
         loose = phase_error_bound_reference(
             p_xx, cat_coefficients_reference(0.4, 1e-7), cat_coefficients_reference(0.3, 1e-7), grid,
@@ -335,7 +335,7 @@ class TestPhaseErrorBound:
         gamma = ArrivingIntensities(0.1, 0.1)
         p_xx = x_basis_gain(sc, gamma)
         e_xx = x_basis_qber(sc, gamma)
-        e_zz = _bound(p_xx, ALPHA, ALPHA, yield_grid(sc, 20))
+        e_zz = _bound(p_xx, ALPHA, ALPHA, yield_grid(sc))
         assert 0.0 < e_zz < 0.5
         assert key_rate(p_xx, e_xx, e_zz) > 0.0
 
