@@ -301,7 +301,9 @@ def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
     pair, the form the phase-error bound takes.  The feasible region does
     not depend on the objective, so phase 1 runs once and each target only
     pays for its own phase 2.  Deterministic for fixed input: the embedded
-    simplex uses Bland's rule throughout, so reruns are bit-identical.
+    simplex keeps no state between calls and its pricing (Dantzig's rule
+    with a Bland fallback in phase 2, Bland's rule in phase 1) breaks ties
+    by index, so reruns are bit-identical.
     """
     a, b, ub = _equality_form(problem)
     try:
@@ -333,7 +335,11 @@ def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float
     Simulates the nine decoy gains, builds the problem (widened by the
     sigma multiplier in finite mode, which needs the pulse count and both
     sides' selection probabilities) and solves it for the TARGET_PAIRS.
+    A pulse count without a sigma multiplier raises DomainError, because
+    it would return the exact LP's bounds as if they were finite-size ones.
     """
+    if n_pulses is not None and sigma_multiplier is None:
+        raise DomainError("a pulse count needs a sigma multiplier to widen the gains")
     obs = observations_from_scenario(scenario, intensities_a, intensities_b, n_pulses, probabilities_a, probabilities_b)
     problem = build_problem(obs, sigma_multiplier)
     bounds = solve_yield_bounds(problem)

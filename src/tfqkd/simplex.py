@@ -3,9 +3,18 @@
 Solves   maximize c.x   subject to   A x = b,  0 <= x <= ub
 with per-variable upper bounds handled implicitly (variables may sit
 nonbasic at either bound), which keeps the tableau at the number of
-equality rows rather than the number of box constraints.  Entering and
-leaving choices follow Bland's smallest-index rule, so the iteration is
-anti-cycling and fully deterministic; no state survives between calls.
+equality rows rather than the number of box constraints.
+
+Phase 2 enters the variable with the largest signed reduced cost
+(Dantzig's rule; argmax keeps the first maximum, so ties go to the
+smallest index).  After _DANTZIG_DEGENERATE_LIMIT degenerate steps in a
+row (steps of length 0) it switches to Bland's smallest-index rule until
+the next step that is not degenerate, which keeps the iteration
+anti-cycling (Bland, Math. Oper. Res. 2:103, 1977).  Phase 1 enters by
+Bland's rule alone (a degenerate budget of 0): on the decoy LP, Dantzig's
+rule there took more pivots, not fewer.  The leaving row always follows
+Bland's smallest basis index among tied ratios.  The iteration is fully
+deterministic and no state survives between calls.
 
 Feasibility is established once by a phase-1 pass with artificial
 variables; the resulting basis can be snapshotted and reused for several
@@ -16,8 +25,9 @@ iteration costs mostly interpreter overhead, and the loop keeps that low
 without changing a single decision or float.  A per-variable sign (+1 at
 the lower bound, -1 at the upper bound, 0 when basic or when the box is
 empty) turns the entering test into one signed comparison,
-reduced * sign > COST_TOLERANCE; negating by 1 is exact, so it selects
-what the separate lower/upper tests would.  The ratio test runs over
+reduced * sign > COST_TOLERANCE, and Dantzig's choice into one argmax over
+the same scores; negating by 1 is exact, so both select what the separate
+lower/upper tests would.  The ratio test runs over
 plain Python floats taken from the row arrays once per iteration, in the
 same order and with the same expressions as a numpy-scalar loop.
 """
@@ -37,6 +47,10 @@ COST_TOLERANCE = 1e-11
 PIVOT_TOLERANCE = 1e-11
 FEASIBILITY_TOLERANCE = 1e-9
 _MAX_ITERATIONS = 50_000
+
+#: Degenerate phase-2 steps in a row after which pricing falls back to
+#: Bland's rule until a step makes progress.
+_DANTZIG_DEGENERATE_LIMIT = 20
 
 
 @dataclass
@@ -69,8 +83,13 @@ class PreparedBasis:
         self.x_basic = values
 
 
-def _run_simplex(cost: np.ndarray, state: PreparedBasis) -> int:
-    """Iterate to optimality for the given objective; returns iteration count."""
+def _run_simplex(cost: np.ndarray, state: PreparedBasis, degenerate_budget: int) -> int:
+    """Iterate to optimality for the given objective; returns iteration count.
+
+    Enters by Dantzig's rule while fewer than ``degenerate_budget``
+    degenerate steps ran in a row, by Bland's rule otherwise; a budget of
+    0 is Bland's rule throughout.
+    """
     tableau, basis, status, x_basic, upper = (
         state.tableau, state.basis, state.status, state.x_basic, state.upper,
     )
@@ -80,16 +99,22 @@ def _run_simplex(cost: np.ndarray, state: PreparedBasis) -> int:
     upper_list = upper.tolist()
     basis_list = basis.tolist()
     iterations = 0
+    degenerate_run = 0
     while True:
         iterations += 1
         if iterations > _MAX_ITERATIONS:
             raise RuntimeError("simplex iteration limit exceeded")
 
-        reduced = cost - cost[basis] @ tableau
-        candidates = (reduced * sign > COST_TOLERANCE).nonzero()[0]
-        if candidates.size == 0:
-            return iterations - 1
-        entering = int(candidates[0])  # Bland: smallest index
+        scores = (cost - cost[basis] @ tableau) * sign
+        if degenerate_run < degenerate_budget:
+            entering = int(scores.argmax())  # Dantzig: largest signed reduced cost
+            if not scores[entering] > COST_TOLERANCE:
+                return iterations - 1
+        else:
+            candidates = (scores > COST_TOLERANCE).nonzero()[0]
+            if candidates.size == 0:
+                return iterations - 1
+            entering = int(candidates[0])  # Bland: smallest index
         direction = 1.0 if status[entering] == _LOWER else -1.0
         column = direction * tableau[:, entering]
 
@@ -119,6 +144,7 @@ def _run_simplex(cost: np.ndarray, state: PreparedBasis) -> int:
         if not math.isfinite(step):
             raise UnboundedProblemError("objective unbounded along entering variable")
 
+        degenerate_run = degenerate_run + 1 if step == 0.0 else 0
         x_basic -= step * column
         if leaving_row < 0:
             # Entering variable traverses its whole box: bound flip only.
@@ -176,7 +202,7 @@ def prepare(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> PreparedBasis:
 
     phase1_cost = np.zeros(n + m)
     phase1_cost[n:] = -1.0
-    _run_simplex(phase1_cost, state)
+    _run_simplex(phase1_cost, state, 0)
     state.refresh_basics()
 
     residual = 0.0
@@ -200,7 +226,7 @@ def maximize_prepared(state: PreparedBasis, objective: np.ndarray) -> tuple[np.n
     n = work.n_structural
     cost = np.zeros(work.upper.size)
     cost[:n] = np.asarray(objective, dtype=float)
-    _run_simplex(cost, work)
+    _run_simplex(cost, work, _DANTZIG_DEGENERATE_LIMIT)
     work.refresh_basics()
 
     x = np.where(work.status[:n] == _UPPER, work.upper[:n], 0.0)

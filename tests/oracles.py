@@ -6,7 +6,10 @@ enumerates quantum amplitudes mode by mode instead of using any closed
 form, and the scalar yield loop sums the binomial thinning term by term
 where the package multiplies matrices.  The Bland reference is the
 simplex loop as first written, with numpy masks and numpy scalars
-throughout; the package's leaner loop must retrace it bit for bit.  The
+throughout; the Dantzig reference is the same loop with the pricing of
+the package's phase 2 (largest reduced cost, Bland's rule after a run of
+degenerate steps).  The package's leaner loop must retrace the Dantzig
+reference bit for bit, and the Bland one with a degenerate budget of 0.  The
 cat-state and phase-error references are the scalar routines as first
 written, one cat state at a time; the package's batched cat rows must
 hold the same amplitude bytes, and its sums and bounds must agree within
@@ -207,6 +210,89 @@ def bland_run_simplex(cost: np.ndarray, state) -> int:
         x_basic -= step * column
         if leaving_row < 0:
             # Entering variable traverses its whole box: bound flip only.
+            status[entering] = _UPPER if status[entering] == _LOWER else _LOWER
+            continue
+
+        entering_value = (0.0 if direction > 0.0 else upper[entering]) + direction * step
+        leaving_var = int(basis[leaving_row])
+        hit_upper = column[leaving_row] < 0.0
+        status[leaving_var] = _UPPER if hit_upper else _LOWER
+
+        pivot = tableau[leaving_row, entering]
+        tableau[leaving_row] /= pivot
+        state.rhs[leaving_row] /= pivot
+        factors = tableau[:, entering].copy()
+        factors[leaving_row] = 0.0
+        tableau -= np.outer(factors, tableau[leaving_row])
+        state.rhs -= factors * state.rhs[leaving_row]
+
+        status[entering] = _BASIC
+        basis[leaving_row] = entering
+        x_basic[leaving_row] = entering_value
+
+
+def dantzig_run_simplex(cost: np.ndarray, state, degenerate_budget: int) -> int:
+    """The Bland loop above with Dantzig pricing and a Bland fallback.
+
+    While fewer than ``degenerate_budget`` steps of length 0 ran in a row,
+    the eligible variable with the largest reduced cost in its improving
+    direction enters (the first one on ties); otherwise the smallest
+    eligible index enters, as in ``bland_run_simplex``.  Ratio test and
+    updates are those of ``bland_run_simplex``.
+    """
+    tableau, basis, status, x_basic, upper = (
+        state.tableau, state.basis, state.status, state.x_basic, state.upper,
+    )
+    iterations = 0
+    degenerate_run = 0
+    while True:
+        iterations += 1
+        if iterations > _MAX_ITERATIONS:
+            raise RuntimeError("simplex iteration limit exceeded")
+
+        reduced = cost - cost[basis] @ tableau
+        improvement = np.where(status == _LOWER, reduced, -reduced)
+        eligible = (upper > 0.0) & (status != _BASIC) & (improvement > COST_TOLERANCE)
+        candidates = np.flatnonzero(eligible)
+        if candidates.size == 0:
+            return iterations - 1
+        if degenerate_run < degenerate_budget:
+            entering = int(candidates[np.argmax(improvement[candidates])])  # Dantzig
+        else:
+            entering = int(candidates[0])  # Bland: smallest index
+        direction = 1.0 if status[entering] == _LOWER else -1.0
+        column = direction * tableau[:, entering]
+
+        step = upper[entering]
+        leaving_row = -1
+        for i in range(column.size):
+            a = column[i]
+            if a > PIVOT_TOLERANCE:
+                limit = max(0.0, x_basic[i]) / a
+            elif a < -PIVOT_TOLERANCE:
+                ub_i = upper[basis[i]]
+                if not np.isfinite(ub_i):
+                    continue
+                limit = (x_basic[i] - ub_i) / a
+                if limit < 0.0:
+                    limit = 0.0
+            else:
+                continue
+            if limit < step - 1e-15 or (
+                leaving_row >= 0 and abs(limit - step) <= 1e-15 and basis[i] < basis[leaving_row]
+            ):
+                step = limit
+                leaving_row = i
+
+        if not np.isfinite(step):
+            raise UnboundedProblemError("objective unbounded along entering variable")
+        if step == 0.0:
+            degenerate_run += 1
+        else:
+            degenerate_run = 0
+
+        x_basic -= step * column
+        if leaving_row < 0:
             status[entering] = _UPPER if status[entering] == _LOWER else _LOWER
             continue
 

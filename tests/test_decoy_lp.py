@@ -352,6 +352,11 @@ class TestYieldLp:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
 
+    def test_a_pulse_count_without_a_sigma_multiplier_is_rejected(self):
+        # the exact LP's bounds would come back as if they were finite-size ones
+        with pytest.raises(DomainError, match="sigma multiplier"):
+            yield_lp(NOMINAL, DECOYS, DECOYS, 1e12, None, **self.PROBABILITIES)
+
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(eta_a=unit, eta_b=unit, e_d=st.floats(0.0, 0.2), decoys_a=decoy_sets, decoys_b=decoy_sets)
     def test_bounds_are_sound_for_the_true_yields(self, eta_a, eta_b, e_d, decoys_a, decoys_b):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from oracles import bland_run_simplex
+from oracles import bland_run_simplex, dantzig_run_simplex
 from tfqkd import simplex
 from tfqkd.decoy import TARGET_PAIRS, PHOTON_CUTOFF, _equality_form, build_problem, observations_from_scenario
 from tfqkd.errors import DomainError, InfeasibleProblemError, UnboundedProblemError
@@ -114,19 +114,34 @@ def test_deterministic_reruns():
     assert first[1] == second[1]
 
 
+def test_beale_cycling_example_reaches_its_optimum():
+    # Beale (1955): Dantzig's rule with smallest-index ties cycles forever
+    # from the slack basis, which phase 1 reaches here; the Bland fallback
+    # after a run of degenerate steps must break the cycle
+    a = np.array([
+        [1.0, 0.0, 0.0, 0.25, -60.0, -1.0 / 25.0, 9.0],
+        [0.0, 1.0, 0.0, 0.5, -90.0, -1.0 / 50.0, 3.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+    ])
+    cost = np.array([0.0, 0.0, 0.0, 0.75, -150.0, 1.0 / 50.0, -6.0])
+    x, value = maximize(cost, a, np.array([0.0, 0.0, 1.0]), np.full(7, np.inf))
+    assert value == pytest.approx(1.0 / 20.0, abs=1e-12)
+    assert x == pytest.approx([3.0 / 100.0, 0.0, 0.0, 1.0 / 25.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
 def _trace_solves(loop, a, b, upper, objectives):
     """Phase 1 and one phase 2 per objective with the given simplex loop.
 
     Returns the (x, objective) bytes of every solve, or the error raised,
-    and for every loop call its pivot count and final basis, status,
-    basic values and tableau bytes.
+    and for every loop call its pivot count, final basis, status, basic
+    values and tableau bytes, and the degenerate budget it was given.
     """
     calls = []
 
-    def recording(cost, state):
-        pivots = loop(cost, state)
+    def recording(cost, state, degenerate_budget):
+        pivots = loop(cost, state, degenerate_budget)
         calls.append((pivots, state.basis.tobytes(), state.status.tobytes(),
-                      state.x_basic.tobytes(), state.tableau.tobytes()))
+                      state.x_basic.tobytes(), state.tableau.tobytes(), degenerate_budget))
         return pivots
 
     with mock.patch.object(simplex, "_run_simplex", recording):
@@ -141,112 +156,184 @@ def _trace_solves(loop, a, b, upper, objectives):
     return results, calls
 
 
+_lean_loop = simplex._run_simplex  # the package loop, unpatched
+
+
+def _budget_zero(cost, state, degenerate_budget):
+    return _lean_loop(cost, state, 0)
+
+
+def _bland_reference(cost, state, degenerate_budget):
+    return bland_run_simplex(cost, state)
+
+
 def _assert_retraces_reference(a, b, upper, objectives):
-    lean = _trace_solves(simplex._run_simplex, a, b, upper, objectives)
-    reference = _trace_solves(bland_run_simplex, a, b, upper, objectives)
+    lean = _trace_solves(_lean_loop, a, b, upper, objectives)
+    reference = _trace_solves(dantzig_run_simplex, a, b, upper, objectives)
+    assert lean == reference
+    budgets = [call[-1] for call in lean[1]]
+    assert budgets[:1] == [0] and set(budgets[1:]) <= {simplex._DANTZIG_DEGENERATE_LIMIT}
+    return lean
+
+
+def _assert_budget_zero_retraces_bland(a, b, upper, objectives):
+    lean = _trace_solves(_budget_zero, a, b, upper, objectives)
+    reference = _trace_solves(_bland_reference, a, b, upper, objectives)
     assert lean == reference
     return lean
 
 
+def _random_program(seed, rows, columns, duplicate_row, zero_spans, tight_boxes, degenerate_row):
+    rng = np.random.default_rng(seed)
+    coefficients = rng.uniform(-1.0, 1.0, size=(rows, columns))
+    coefficients[rng.uniform(size=coefficients.shape) < 0.3] = 0.0
+    if duplicate_row and rows > 1:
+        coefficients[-1] = coefficients[0]
+    # range rows as in the decoy LP: one slack per row, some with zero span
+    a = np.hstack([coefficients, np.eye(rows)])
+    upper = rng.uniform(0.05, 0.5, size=columns + rows) if tight_boxes else np.ones(columns + rows)
+    upper[columns + rng.permutation(rows)[:zero_spans]] = 0.0
+    x_feasible = rng.uniform(0.0, 1.0, size=upper.size) * upper
+    if degenerate_row:
+        # row 0 right-hand side 0: its artificial can end phase 1 basic at
+        # zero and leave in phase 2 with an empty box
+        x_feasible[a[0] != 0.0] = 0.0
+    b = a @ x_feasible  # feasible, with either sign
+    objectives = [rng.uniform(-1.0, 1.0, size=upper.size), np.eye(upper.size)[rng.integers(upper.size)]]
+    return a, b, upper, objectives
+
+
+def _bound_flip_program():
+    # x0..x3 have boxes far tighter than the row, so phase 1 moves each
+    # across its whole box (a bound flip) before x4 replaces the artificial
+    a = np.array([[1.0, 1.0, 1.0, 1.0, 1.0]])
+    upper = np.array([0.1, 0.2, 0.3, 0.4, 5.0])
+    return a, np.array([1.0]), upper, [np.array([1.0, 2.0, 3.0, 4.0, 0.0])]
+
+
+def _artificial_leaving_program():
+    # the zero-span slack of row 2 pins x1 to 0, so that row's artificial
+    # ends phase 1 basic at zero; the second objective's phase 2 pivots it
+    # out (Bland's rule does so for the first as well) and leaves it with a
+    # positive reduced cost, so only its box pinned to [0, 0] keeps it from
+    # entering again
+    a = np.array([[-0.9, -0.2, 1.0, 0.0, 0.0], [0.3, -0.03, 0.0, 1.0, 0.0], [0.0, -0.4, 0.0, 0.0, 1.0]])
+    upper = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+    objectives = [np.array([-0.8, 0.0, 0.0, -0.05, 0.0]), np.array([0.0, 0.1, 0.0, 1.0, 0.0])]
+    return a, np.array([0.4, 0.8, 0.0]), upper, objectives
+
+
+def _decoy_targets(problem):
+    a, b, ub = _equality_form(problem)
+    objectives = []
+    for n, m in TARGET_PAIRS:
+        objective = np.zeros(a.shape[1])
+        objective[n * PHOTON_CUTOFF + m] = 1.0
+        objectives.append(objective)
+    return a, b, ub, objectives
+
+
+def _degenerate_qber_scan_problem():
+    config = QberScanConfig(s_a_grid=(0.01,))
+    (s_a,) = config.s_a_grid
+    assert s_a == config.nu  # the scan point whose decoy rows are duplicated
+    obs = observations_from_scenario(
+        config.scenario(), (s_a, config.nu, 0.0), (config.mu_b, config.nu, 0.0),
+    )
+    return build_problem(obs)
+
+
+def _finite_sweep_problem(loss_db):
+    config = SweepConfig.from_dict(json.loads((GOLDEN / "finite_sweep.json").read_text()))
+    mode = config.evaluation_mode()
+    (row,) = csv.DictReader((GOLDEN / "finite_sweep.csv").read_text().splitlines()[1:])
+    value = {k: float(v) for k, v in row.items() if k.startswith(("mu_", "nu_", "p_"))}
+    probabilities = {
+        side: (value[f"p_mu_{side}"], value[f"p_nu_{side}"],
+               1.0 - value[f"p_s_{side}"] - value[f"p_mu_{side}"] - value[f"p_nu_{side}"])
+        for side in "ab"
+    }
+    obs = observations_from_scenario(
+        config.scenario_for(loss_db),
+        (value["mu_a"], value["nu_a"], 0.0), (value["mu_b"], value["nu_b"], 0.0),
+        n_pulses=mode.n_pulses, probabilities_a=probabilities["a"], probabilities_b=probabilities["b"],
+    )
+    return build_problem(obs, sigma_multiplier=mode.sigma_multiplier)
+
+
+_random_programs = given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    columns=st.integers(1, 12),
+    duplicate_row=st.booleans(),
+    zero_spans=st.integers(0, 3),
+    tight_boxes=st.booleans(),
+    degenerate_row=st.booleans(),
+)
+
+_FIXED_PROGRAMS = {
+    "bound_flips": _bound_flip_program,
+    "artificial_leaving": _artificial_leaving_program,
+    "degenerate_qber_scan": lambda: _decoy_targets(_degenerate_qber_scan_problem()),
+    "finite_sweep_20dB": lambda: _decoy_targets(_finite_sweep_problem(20.0)),
+    "finite_sweep_40dB": lambda: _decoy_targets(_finite_sweep_problem(40.0)),
+}
+
+
 class TestLeanLoopRetracesReference:
-    """The package loop against the original Bland loop, bit for bit."""
+    """The package loop against the Dantzig reference loop, bit for bit,
+    and at a degenerate budget of 0 against the original Bland loop."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        rows=st.integers(1, 6),
-        columns=st.integers(1, 12),
-        duplicate_row=st.booleans(),
-        zero_spans=st.integers(0, 3),
-        tight_boxes=st.booleans(),
-        degenerate_row=st.booleans(),
-    )
-    def test_random_boxed_programs(self, seed, rows, columns, duplicate_row, zero_spans, tight_boxes,
-                                   degenerate_row):
-        rng = np.random.default_rng(seed)
-        coefficients = rng.uniform(-1.0, 1.0, size=(rows, columns))
-        coefficients[rng.uniform(size=coefficients.shape) < 0.3] = 0.0
-        if duplicate_row and rows > 1:
-            coefficients[-1] = coefficients[0]
-        # range rows as in the decoy LP: one slack per row, some with zero span
-        a = np.hstack([coefficients, np.eye(rows)])
-        upper = rng.uniform(0.05, 0.5, size=columns + rows) if tight_boxes else np.ones(columns + rows)
-        upper[columns + rng.permutation(rows)[:zero_spans]] = 0.0
-        x_feasible = rng.uniform(0.0, 1.0, size=upper.size) * upper
-        if degenerate_row:
-            # row 0 right-hand side 0: its artificial can end phase 1 basic at
-            # zero and leave in phase 2 with an empty box
-            x_feasible[a[0] != 0.0] = 0.0
-        b = a @ x_feasible  # feasible, with either sign
-        objectives = [rng.uniform(-1.0, 1.0, size=upper.size), np.eye(upper.size)[rng.integers(upper.size)]]
-        results, calls = _assert_retraces_reference(a, b, upper, objectives)
+    @_random_programs
+    def test_random_boxed_programs(self, **program):
+        results, calls = _assert_retraces_reference(*_random_program(**program))
         assert isinstance(results, list)
-        assert len(calls) == 1 + len(objectives)
+        assert len(calls) == 3  # phase 1 and one phase 2 per objective
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @_random_programs
+    def test_random_boxed_programs_at_budget_zero_retrace_bland(self, **program):
+        results, calls = _assert_budget_zero_retraces_bland(*_random_program(**program))
+        assert isinstance(results, list)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("program", _FIXED_PROGRAMS)
+    def test_budget_zero_retraces_bland(self, program):
+        _assert_budget_zero_retraces_bland(*_FIXED_PROGRAMS[program]())
 
     def test_bound_flips_are_exercised(self):
-        # x0..x3 have boxes far tighter than the row, so phase 1 moves each
-        # across its whole box (a bound flip) before x4 replaces the artificial
-        a = np.array([[1.0, 1.0, 1.0, 1.0, 1.0]])
-        upper = np.array([0.1, 0.2, 0.3, 0.4, 5.0])
-        _, calls = _assert_retraces_reference(a, np.array([1.0]), upper, [np.array([1.0, 2.0, 3.0, 4.0, 0.0])])
+        _, calls = _assert_retraces_reference(*_bound_flip_program())
         pivots, basis, status = calls[0][:3]
         assert pivots == 5
         assert np.frombuffer(basis, dtype=np.int64).tolist() == [4]
         assert np.frombuffer(status, dtype=np.int8)[:4].tolist() == [simplex._UPPER] * 4
 
     def test_artificial_leaving_in_phase_two_stays_out(self):
-        # the zero-span slack of row 2 pins x1 to 0, so that row's artificial
-        # ends phase 1 basic at zero; phase 2 pivots it out, and with its box
-        # pinned to [0, 0] it must never be chosen to enter again
-        a = np.array([[-0.9, -0.2, 1.0, 0.0, 0.0], [0.3, -0.03, 0.0, 1.0, 0.0], [0.0, -0.4, 0.0, 0.0, 1.0]])
-        upper = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
-        _, calls = _assert_retraces_reference(
-            a, np.array([0.4, 0.8, 0.0]), upper, [np.array([-0.8, 0.0, 0.0, -0.05, 0.0])],
-        )
+        a, *_ = program = _artificial_leaving_program()
+        _, calls = _assert_retraces_reference(*program)
         artificial = a.shape[1] + 2
         assert artificial in np.frombuffer(calls[0][1], dtype=np.int64)
-        assert artificial not in np.frombuffer(calls[1][1], dtype=np.int64)
-
-    @staticmethod
-    def _decoy_targets(problem):
-        a, b, ub = _equality_form(problem)
-        objectives = []
-        for n, m in TARGET_PAIRS:
-            objective = np.zeros(a.shape[1])
-            objective[n * PHOTON_CUTOFF + m] = 1.0
-            objectives.append(objective)
-        return a, b, ub, objectives
+        assert artificial not in np.frombuffer(calls[2][1], dtype=np.int64)
 
     def test_degenerate_qber_scan_program(self):
-        config = QberScanConfig(s_a_grid=(0.01,))
-        (s_a,) = config.s_a_grid
-        assert s_a == config.nu  # the scan point whose decoy rows are duplicated
-        obs = observations_from_scenario(
-            config.scenario(), (s_a, config.nu, 0.0), (config.mu_b, config.nu, 0.0),
-        )
-        problem = build_problem(obs)
+        problem = _degenerate_qber_scan_problem()
         assert problem.warnings
-        results, calls = _assert_retraces_reference(*self._decoy_targets(problem))
+        results, calls = _assert_retraces_reference(*_decoy_targets(problem))
         assert len(results) == len(TARGET_PAIRS)
         assert sum(pivots for pivots, *_ in calls) > 0
 
     @pytest.mark.parametrize("loss_db", [20.0, 40.0])
     def test_finite_sweep_program(self, loss_db):
-        config = SweepConfig.from_dict(json.loads((GOLDEN / "finite_sweep.json").read_text()))
-        mode = config.evaluation_mode()
-        (row,) = csv.DictReader((GOLDEN / "finite_sweep.csv").read_text().splitlines()[1:])
-        value = {k: float(v) for k, v in row.items() if k.startswith(("mu_", "nu_", "p_"))}
-        probabilities = {
-            side: (value[f"p_mu_{side}"], value[f"p_nu_{side}"],
-                   1.0 - value[f"p_s_{side}"] - value[f"p_mu_{side}"] - value[f"p_nu_{side}"])
-            for side in "ab"
-        }
-        obs = observations_from_scenario(
-            config.scenario_for(loss_db),
-            (value["mu_a"], value["nu_a"], 0.0), (value["mu_b"], value["nu_b"], 0.0),
-            n_pulses=mode.n_pulses, probabilities_a=probabilities["a"], probabilities_b=probabilities["b"],
-        )
-        problem = build_problem(obs, sigma_multiplier=mode.sigma_multiplier)
-        results, _ = _assert_retraces_reference(*self._decoy_targets(problem))
+        results, _ = _assert_retraces_reference(*_decoy_targets(_finite_sweep_problem(loss_db)))
         assert len(results) == len(TARGET_PAIRS)
 
+
+@pytest.mark.parametrize("loss_db", [20.0, 40.0])
+def test_dantzig_pricing_takes_fewer_phase_two_pivots_on_the_finite_sweep(loss_db):
+    program = _decoy_targets(_finite_sweep_problem(loss_db))
+    dantzig = _trace_solves(_lean_loop, *program)[1]
+    bland = _trace_solves(_budget_zero, *program)[1]
+    assert len(dantzig) == len(bland) == 1 + len(TARGET_PAIRS)
+    assert dantzig[0][:5] == bland[0][:5]  # phase 1 is the same loop either way
+    assert sum(call[0] for call in dantzig[1:]) < sum(call[0] for call in bland[1:])
