@@ -6,6 +6,7 @@ from .channel import (  # noqa: F401
     ArrivingIntensities,
     ChannelScenario,
     first_order_diagnostics,
+    poisson_pmf_rows,
     x_basis_gain,
     x_basis_qber,
     yield_grid,
@@ -13,13 +14,12 @@ from .channel import (  # noqa: F401
 )
 from .decoy import (  # noqa: F401
     DecoyObservations,
+    EvaluationMode,
     LpProblem,
     sigma_multiplier_from_epsilon,
-    widened_gain_interval,
     yield_lp,
 )
 from .optimizer import (  # noqa: F401
-    EvaluationMode,
     KeyRateReport,
     ProtocolParameters,
     Strategy,

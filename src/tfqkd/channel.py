@@ -10,7 +10,10 @@ detector clicks.  This module computes, per successful click pattern:
   average over the random relative phase),
 * the photon-number yields, i.e. click probabilities conditioned on Fock
   inputs, used when decoy statistics are taken as perfectly known,
-* the first-order expansion of the QBER for plotting and diagnostics.
+* the first-order expansion of the QBER for plotting and diagnostics,
+* the Poisson photon-number distribution of a coherent source, one row per
+  intensity: the decoy LP mixes yields with it and the cat states of the
+  phase-error bound are its square roots.
 
 Misalignment is parametrized by a per-arm error fraction ``e_d``; the two
 arms are rotated in opposite directions so the relative polarization angle
@@ -177,8 +180,23 @@ def z_basis_gain(scenario: ChannelScenario, gamma_decoy: ArrivingIntensities) ->
     return _clamp_probability(one_minus_pd * math.exp(-total) * (light + scenario.p_d))
 
 
-@lru_cache(maxsize=None)
-def _port_bunching_table(cap: int, cos_theta: float) -> tuple[tuple[float, ...], ...]:
+def poisson_pmf_rows(intensities, count: int) -> np.ndarray:
+    """P_n = e^-mu mu^n / n! for n = 0..count-1, one row per intensity mu (a vacuum source gives e_0).
+
+    w_0 = math.exp(-mu) and w_n = w_(n-1) * (mu / n), the products taken in
+    order of n.  A negative, NaN or infinite intensity raises DomainError.
+    """
+    mu = np.asarray(intensities, dtype=float)
+    values = mu.tolist()
+    # 0 <= x < inf also rejects NaN; a Python loop costs less than numpy reductions on the few values a call has
+    if not all(0.0 <= m < math.inf for m in values):
+        raise DomainError(f"intensities must be finite and nonnegative, got {values}")
+    first = np.array([math.exp(-m) for m in values])
+    return np.concatenate([first[:, None], mu[:, None] / np.arange(1, count)], axis=1)[:, :count].cumprod(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _port_bunching_table(cos_theta: float) -> tuple[tuple[float, ...], ...]:
     """P(all k+l photons exit one port | k photons in one arm, l in the other).
 
     Two partially overlapping single-photon modes (overlap cos(theta)) feed
@@ -192,9 +210,9 @@ def _port_bunching_table(cap: int, cos_theta: float) -> tuple[tuple[float, ...],
     c2 = cos_theta * cos_theta
     s2 = max(0.0, 1.0 - c2)
     table = []
-    for k in range(cap + 1):
+    for k in range(PHOTON_NUMBER_CAP + 1):
         row = []
-        for l in range(cap + 1):
+        for l in range(PHOTON_NUMBER_CAP + 1):
             acc = 0.0
             for p in range(l + 1):
                 coeff = math.comb(l, p) ** 2 * math.factorial(k + l - p) * math.factorial(p)
@@ -228,7 +246,7 @@ def yield_grid(scenario: ChannelScenario) -> np.ndarray:
     perfect-knowledge (infinite-decoy) analysis only.
     """
     cap = PHOTON_NUMBER_CAP
-    bunch = np.array(_port_bunching_table(cap, math.cos(scenario.theta)))
+    bunch = np.array(_port_bunching_table(math.cos(scenario.theta)))
     b_a = _binomial_pmf_matrix(cap, scenario.eta_a)
     b_b = _binomial_pmf_matrix(cap, scenario.eta_b)
     grid = b_a @ bunch @ b_b.T

@@ -6,9 +6,11 @@ at a cutoff and bounding the discarded tail by [0, 1] turns the nine gain
 equations into two-sided inequalities over a 10x10 grid of yield
 variables; maximizing a single Y_nm over that polytope gives the upper
 bound fed to the phase-error estimate.  Finite data widens each gain to a
-standard-error confidence interval before the program is built.
-yield_lp is the one path from a channel scenario to the LP and its bound
-matrix: the finite key-rate evaluation memoises it, the QBER scan calls it.
+standard-error confidence interval before the program is built.  The
+Poisson weights are channel.poisson_pmf_rows, one 3x10 matrix per side.
+yield_lp is the one path from a channel scenario and an EvaluationMode to
+the LP and its bound matrix: the finite key-rate evaluation memoises it,
+the QBER scan calls it.
 
 The statistical z-score is named ``sigma_multiplier`` throughout: the
 literature reuses the same symbol for arriving intensities and for the
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simplex
-from .channel import ArrivingIntensities, ChannelScenario, z_basis_gain
+from .channel import ArrivingIntensities, ChannelScenario, poisson_pmf_rows, z_basis_gain
 from .errors import DomainError, InfeasibleProblemError
 
 #: Photon-number cutoff: yield variables cover 0 <= n, m < PHOTON_CUTOFF.
@@ -39,19 +41,6 @@ SAFETY_MARGIN = 1e-9
 
 _N_VARS = PHOTON_CUTOFF * PHOTON_CUTOFF
 _BOUND_SIZE = 1 + max(max(pair) for pair in TARGET_PAIRS)
-
-
-def poisson_pmf_vector(mu: float, count: int = PHOTON_CUTOFF) -> np.ndarray:
-    """P_n = e^-mu mu^n / n! for n = 0..count-1 (a vacuum source gives e_0)."""
-    # 0 <= x < inf also rejects NaN, which would fill the vector with NaN
-    if not 0.0 <= mu < math.inf:
-        raise DomainError(f"intensity must be finite and nonnegative, got {mu}")
-    out = np.empty(count)
-    term = math.exp(-mu)
-    for n in range(count):
-        out[n] = term
-        term *= mu / (n + 1)
-    return out
 
 
 def sigma_multiplier_from_epsilon(epsilon: float) -> float:
@@ -70,24 +59,40 @@ def sigma_multiplier_from_epsilon(epsilon: float) -> float:
             lo = mid
         else:
             hi = mid
-    return round(0.5 * (lo + hi), 1)
+    sigma_multiplier = round(0.5 * (lo + hi), 1)
+    if sigma_multiplier == 0.0:
+        raise DomainError(f"failure probability {epsilon} gives a confidence width of 0 standard deviations")
+    return sigma_multiplier
 
 
-def widened_gain_interval(gain: float, effective_pulses: float, sigma_multiplier: float) -> tuple[float, float]:
-    """Standard-error confidence interval for an observed gain.
+@dataclass(frozen=True)
+class EvaluationMode:
+    """Asymptotic (yields perfectly known, no pulse count) or finite statistics."""
 
-    Returns (max(0, Q - g*sqrt(Q/M)), Q + g*sqrt(Q/M)) with M the effective
-    pulse count for the intensity pair.  A zero observed gain widens to the
-    degenerate interval [0, 0]; the standard-error model carries no
-    information at zero counts.
-    """
-    # written as not (x >= 0) / not (x > 0) so that NaN is rejected too
-    if not (gain >= 0.0 and effective_pulses > 0.0 and sigma_multiplier > 0.0):
-        raise DomainError(
-            f"invalid widening inputs: gain={gain}, pulses={effective_pulses}, sigma={sigma_multiplier}"
-        )
-    delta = sigma_multiplier * math.sqrt(gain / effective_pulses)
-    return max(0.0, gain - delta), gain + delta
+    n_pulses: float | None = None
+    sigma_multiplier: float | None = None
+
+    def __post_init__(self):
+        if self.n_pulses is None and self.sigma_multiplier is None:
+            return
+        # 0 < x < inf also rejects NaN, which would widen every gain to NaN,
+        # and inf, which would leave every gain unwidened
+        if self.n_pulses is None or not 0.0 < self.n_pulses < math.inf:
+            raise DomainError(f"finite mode requires a positive finite pulse count, got {self.n_pulses}")
+        if self.sigma_multiplier is None or not 0.0 < self.sigma_multiplier < math.inf:
+            raise DomainError(f"finite mode requires a positive finite sigma multiplier, got {self.sigma_multiplier}")
+
+    @classmethod
+    def asymptotic(cls) -> "EvaluationMode":
+        return cls()
+
+    @classmethod
+    def finite(cls, n_pulses: float, sigma_multiplier: float = 5.3) -> "EvaluationMode":
+        return cls(n_pulses=n_pulses, sigma_multiplier=sigma_multiplier)
+
+    @property
+    def is_finite(self) -> bool:
+        return self.n_pulses is not None
 
 
 @dataclass(frozen=True)
@@ -218,61 +223,41 @@ class LpProblem:
 def build_problem(obs: DecoyObservations, sigma_multiplier: float | None = None) -> LpProblem:
     """Assemble the yield LP from observations.
 
-    Given a sigma multiplier (finite mode), every gain is first widened to
-    its confidence interval, which can only loosen the resulting upper
-    bounds.  Equal decoy intensities on one side leave duplicated,
-    information-free rows; the problem is still well posed and a warning
-    records the degeneracy.
+    Row 3i + j pairs intensity i of side A with intensity j of side B; all
+    nine rows, tail masses and gain intervals are formed as whole arrays.
+    Given a sigma multiplier g (finite mode), a gain Q with pulse count M
+    is first widened to (max(0, Q - g*sqrt(Q/M)), Q + g*sqrt(Q/M)), which
+    can only loosen the upper bounds; a zero gain stays at [0, 0].  Equal
+    decoy intensities on one side leave duplicated, information-free rows;
+    the problem is still well posed and a warning records the degeneracy.
     """
     if sigma_multiplier is not None:
         if obs.pulse_counts is None:
             raise DomainError("finite-size mode requires pulse counts in the observations")
-        if not sigma_multiplier > 0.0:  # also rejects NaN
-            raise DomainError(f"sigma multiplier must be positive, got {sigma_multiplier}")
+        if not 0.0 < sigma_multiplier < math.inf:  # also rejects NaN; inf would turn a zero gain's width into NaN
+            raise DomainError(f"sigma multiplier must be positive and finite, got {sigma_multiplier}")
 
-    warnings = []
-    for side, values in (("A", obs.intensities_a), ("B", obs.intensities_b)):
-        if values[0] == values[1]:
-            warnings.append(
-                f"degenerate decoys on side {side}: mu == nu == {values[0]}; "
-                "the duplicated rows provide no extra information"
-            )
-        if values[1] == values[2]:
-            warnings.append(
-                f"degenerate decoys on side {side}: nu == omega == {values[1]}; "
-                "the duplicated rows provide no extra information"
-            )
-
-    pmf_a = [poisson_pmf_vector(mu) for mu in obs.intensities_a]
-    pmf_b = [poisson_pmf_vector(mu) for mu in obs.intensities_b]
-
-    coefficients = np.empty((9, _N_VARS))
-    gain_lower = np.empty(9)
-    gain_upper = np.empty(9)
-    slack_mass = np.empty(9)
-    labels = []
-    row = 0
-    for i in range(3):
-        for j in range(3):
-            coefficients[row] = np.outer(pmf_a[i], pmf_b[j]).reshape(_N_VARS)
-            slack_mass[row] = 1.0 - pmf_a[i].sum() * pmf_b[j].sum()
-            gain = obs.gains[i][j]
-            if sigma_multiplier is not None:
-                low, high = widened_gain_interval(gain, obs.pulse_counts[i][j], sigma_multiplier)
-            else:
-                low = high = gain
-            gain_lower[row] = low
-            gain_upper[row] = high
-            labels.append(f"(mu_a[{i}]={obs.intensities_a[i]:g}, mu_b[{j}]={obs.intensities_b[j]:g})")
-            row += 1
-
+    warnings = tuple(
+        f"degenerate decoys on side {side}: {names} == {values[k]}; the duplicated rows provide no extra information"
+        for side, values in (("A", obs.intensities_a), ("B", obs.intensities_b))
+        for k, names in enumerate(("mu == nu", "nu == omega")) if values[k] == values[k + 1]
+    )
+    pmf_a = poisson_pmf_rows(obs.intensities_a, PHOTON_CUTOFF)
+    pmf_b = poisson_pmf_rows(obs.intensities_b, PHOTON_CUTOFF)
+    gains = np.array(obs.gains, dtype=float).reshape(9)
+    if sigma_multiplier is None:
+        gain_lower, gain_upper = gains, gains.copy()
+    else:
+        delta = sigma_multiplier * np.sqrt(gains / np.array(obs.pulse_counts, dtype=float).reshape(9))
+        gain_lower, gain_upper = np.maximum(0.0, gains - delta), gains + delta
     return LpProblem(
-        coefficients=coefficients,
+        coefficients=(pmf_a[:, None, :, None] * pmf_b[None, :, None, :]).reshape(9, _N_VARS),
         gain_lower=gain_lower,
         gain_upper=gain_upper,
-        slack_mass=slack_mass,
-        pair_labels=tuple(labels),
-        warnings=tuple(warnings),
+        slack_mass=1.0 - np.outer(pmf_a.sum(axis=1), pmf_b.sum(axis=1)).reshape(9),
+        pair_labels=tuple(f"(mu_a[{i}]={a:g}, mu_b[{j}]={b:g})"
+                          for i, a in enumerate(obs.intensities_a) for j, b in enumerate(obs.intensities_b)),
+        warnings=warnings,
     )
 
 
@@ -327,21 +312,20 @@ def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
 
 
 def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float],
-             intensities_b: tuple[float, float, float], n_pulses: float | None = None,
-             sigma_multiplier: float | None = None, probabilities_a: tuple[float, float, float] | None = None,
+             intensities_b: tuple[float, float, float], mode: EvaluationMode = EvaluationMode(),
+             probabilities_a: tuple[float, float, float] | None = None,
              probabilities_b: tuple[float, float, float] | None = None) -> tuple[LpProblem, np.ndarray]:
     """The yield LP of a channel scenario and its bound matrix, every array read-only.
 
-    Simulates the nine decoy gains, builds the problem (widened by the
-    sigma multiplier in finite mode, which needs the pulse count and both
-    sides' selection probabilities) and solves it for the TARGET_PAIRS.
-    A pulse count without a sigma multiplier raises DomainError, because
-    it would return the exact LP's bounds as if they were finite-size ones.
+    Simulates the nine decoy gains, builds the problem and solves it for
+    the TARGET_PAIRS.  In a finite mode the pulse count and both sides'
+    selection probabilities give each gain's pulse count, and the sigma
+    multiplier widens the gains; the asymptotic mode (the default) keeps
+    them exact and needs no probabilities.
     """
-    if n_pulses is not None and sigma_multiplier is None:
-        raise DomainError("a pulse count needs a sigma multiplier to widen the gains")
-    obs = observations_from_scenario(scenario, intensities_a, intensities_b, n_pulses, probabilities_a, probabilities_b)
-    problem = build_problem(obs, sigma_multiplier)
+    obs = observations_from_scenario(scenario, intensities_a, intensities_b, mode.n_pulses,
+                                     probabilities_a, probabilities_b)
+    problem = build_problem(obs, mode.sigma_multiplier)
     bounds = solve_yield_bounds(problem)
     for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass, bounds):
         array.setflags(write=False)

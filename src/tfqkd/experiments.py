@@ -39,9 +39,9 @@ from .channel import (
     x_basis_gain,
     x_basis_qber,
 )
-from .decoy import LpProblem, sigma_multiplier_from_epsilon, yield_lp
+from .decoy import EvaluationMode, LpProblem, sigma_multiplier_from_epsilon, yield_lp
 from .errors import ConfigError, DomainError
-from .optimizer import PARAMETER_NAMES, EvaluationMode, Strategy, optimize_strategy
+from .optimizer import PARAMETER_NAMES, Strategy, optimize_strategy
 from .security import cat_state, key_rate, phase_error_upper_bound
 
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
-from .decoy import LpProblem, yield_lp
+from .decoy import EvaluationMode, LpProblem, yield_lp
 from .errors import DomainError
 from .security import PATTERN_COUNT, cat_amplitude_rows, cat_state, key_rate, phase_error_upper_bound
 
@@ -142,36 +142,6 @@ TIED_SLOTS = {
 
 
 @dataclass(frozen=True)
-class EvaluationMode:
-    """Asymptotic (yields perfectly known, no pulse count) or finite statistics."""
-
-    n_pulses: float | None = None
-    sigma_multiplier: float | None = None
-
-    def __post_init__(self):
-        if self.n_pulses is None and self.sigma_multiplier is None:
-            return
-        # 0 < x < inf also rejects NaN, which would widen every gain to NaN,
-        # and inf, which would leave every gain unwidened
-        if self.n_pulses is None or not 0.0 < self.n_pulses < math.inf:
-            raise DomainError(f"finite mode requires a positive finite pulse count, got {self.n_pulses}")
-        if self.sigma_multiplier is None or not 0.0 < self.sigma_multiplier < math.inf:
-            raise DomainError(f"finite mode requires a positive finite sigma multiplier, got {self.sigma_multiplier}")
-
-    @classmethod
-    def asymptotic(cls) -> "EvaluationMode":
-        return cls()
-
-    @classmethod
-    def finite(cls, n_pulses: float, sigma_multiplier: float = 5.3) -> "EvaluationMode":
-        return cls(n_pulses=n_pulses, sigma_multiplier=sigma_multiplier)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.n_pulses is not None
-
-
-@dataclass(frozen=True)
 class KeyRateReport:
     """Everything the sweep front end reports for one evaluation.
 
@@ -236,9 +206,8 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
             raise DomainError("finite mode requires selection probabilities")
         weight = params.p_s_a * params.p_s_b
         problem, bounds = _finite_lp(
-            scenario, (params.mu_a, params.nu_a, 0.0), (params.mu_b, params.nu_b, 0.0), mode.n_pulses,
-            mode.sigma_multiplier, (params.p_mu_a, params.p_nu_a, params.p_omega_a),
-            (params.p_mu_b, params.p_nu_b, params.p_omega_b))
+            scenario, (params.mu_a, params.nu_a, 0.0), (params.mu_b, params.nu_b, 0.0), mode,
+            (params.p_mu_a, params.p_nu_a, params.p_omega_a), (params.p_mu_b, params.p_nu_b, params.p_omega_b))
     else:
         weight, problem, bounds = 1.0, None, _true_yield_grid(scenario)
 

@@ -15,14 +15,16 @@ and phase error rates.
 
 Cat states have one form.  cat_amplitude_rows stacks their amplitudes,
 one row per amplitude and parity, with the full even and odd amplitude
-sums, and phase_error_upper_bound bounds every pair of a side-a and a
-side-b cat state at once: the point evaluation passes one per side, the
-asymptotic grid one per intensity.  cat_state memoises the rows of one
-amplitude (a bounded functools cache on alpha and the row length): line
-searches over one signal intensity, and tied sides, ask for the same cat
-state over and over.  Its arrays are read-only, so sharing is safe, and
-every result is the same float it would be without the memo.  Everything
-here is a pure function of its arguments.
+sums; the squared amplitudes are channel.poisson_pmf_rows of alpha^2,
+the distribution the decoy LP mixes yields with.  phase_error_upper_bound
+bounds every pair of a side-a and a side-b cat state at once: the point
+evaluation passes one per side, the asymptotic grid one per intensity.
+cat_state memoises the rows of one amplitude (a bounded functools cache on
+alpha and the row length): line searches over one signal intensity, and
+tied sides, ask for the same cat state over and over.  Its arrays are
+read-only, so sharing is safe, and every result is the same float it
+would be without the memo.  Everything here is a pure function of its
+arguments.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import poisson_pmf_rows
 from .errors import DomainError, UnsupportedAmplitudeError
 
 MAX_AMPLITUDE = 10.0
@@ -61,9 +64,8 @@ def cat_amplitude_rows(alphas: np.ndarray, size: int) -> tuple[np.ndarray, np.nd
     if top > MAX_AMPLITUDE:
         raise UnsupportedAmplitudeError(f"amplitude {top} is far outside the protocol regime (max {MAX_AMPLITUDE})")
     mu = alphas * alphas
-    # Poisson weights w_0 = e^-mu through math.exp and w_n = w_(n-1) * (mu / n); amplitudes are sqrt(w_n)
-    first = np.array([math.exp(-m) for m in mu.tolist()]).reshape(-1, 1)
-    weights = np.concatenate([first, mu[:, None] / np.arange(1, size)], axis=1).cumprod(axis=1)
+    # amplitudes are the square roots of the Poisson weights of alpha^2; c_0 is needed for the sums even at size 0
+    weights = poisson_pmf_rows(mu, max(size, 1))
     amplitudes = np.sqrt(weights)
     amplitudes[:, 0] = [math.exp(-0.5 * m) for m in mu.tolist()]
     # c_n is kept while the mass covered up to n - 1 leaves more than the tolerance out

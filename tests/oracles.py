@@ -23,7 +23,10 @@ search-vector descent must evaluate the same points and return the same
 bytes.  The start reference is the random starting point as first written,
 with the ties spelled out per strategy; the package's tie-table draw must
 consume the generator in the same order and return the same bytes.
-lp_contains is the feasibility check the yield LP used to carry.
+lp_contains is the feasibility check the yield LP used to carry.  The
+decoy references are the Poisson vector, the gain widening and the LP
+assembly as first written, one intensity pair at a time; the package's
+poisson_pmf_rows and whole-array build_problem must return the same bytes.
 """
 
 import itertools
@@ -33,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from tfqkd.channel import _port_bunching_table
+from tfqkd.decoy import _N_VARS, PHOTON_CUTOFF, DecoyObservations, LpProblem
 from tfqkd.errors import DomainError, UnboundedProblemError, UnsupportedAmplitudeError, ZeroGainError
 from tfqkd.optimizer import (
     DECOY_GAP,
@@ -125,7 +129,7 @@ def yield_nm_asymptotic(scenario, n_a: int, n_b: int) -> float:
         Y = sum_{k,l} B(k;n_a,eta_a) B(l;n_b,eta_b) P_bunch(k, l)
             - (1-eta_a)^n_a (1-eta_b)^n_b
     """
-    bunch = _port_bunching_table(max(n_a, n_b), math.cos(scenario.theta))
+    bunch = _port_bunching_table(math.cos(scenario.theta))
     total = 0.0
     for k in range(n_a + 1):
         wa = math.comb(n_a, k) * scenario.eta_a**k * (1.0 - scenario.eta_a) ** (n_a - k)
@@ -454,6 +458,97 @@ def lp_contains(problem, yields: np.ndarray, tolerance: float = 1e-9) -> bool:
     mixed = problem.coefficients @ flat
     lower, upper = problem.constraint_bounds()
     return bool(np.all(mixed >= lower - tolerance) and np.all(mixed <= upper + tolerance))
+
+
+def poisson_pmf_vector_reference(mu: float, count: int = PHOTON_CUTOFF) -> np.ndarray:
+    """P_n = e^-mu mu^n / n! for n = 0..count-1 (a vacuum source gives e_0)."""
+    # 0 <= x < inf also rejects NaN, which would fill the vector with NaN
+    if not 0.0 <= mu < math.inf:
+        raise DomainError(f"intensity must be finite and nonnegative, got {mu}")
+    out = np.empty(count)
+    term = math.exp(-mu)
+    for n in range(count):
+        out[n] = term
+        term *= mu / (n + 1)
+    return out
+
+
+def widened_gain_interval_reference(gain: float, effective_pulses: float, sigma_multiplier: float) -> tuple[float, float]:
+    """Standard-error confidence interval for an observed gain.
+
+    Returns (max(0, Q - g*sqrt(Q/M)), Q + g*sqrt(Q/M)) with M the effective
+    pulse count for the intensity pair.  A zero observed gain widens to the
+    degenerate interval [0, 0]; the standard-error model carries no
+    information at zero counts.
+    """
+    # written as not (x >= 0) / not (x > 0) so that NaN is rejected too
+    if not (gain >= 0.0 and effective_pulses > 0.0 and sigma_multiplier > 0.0):
+        raise DomainError(
+            f"invalid widening inputs: gain={gain}, pulses={effective_pulses}, sigma={sigma_multiplier}"
+        )
+    delta = sigma_multiplier * math.sqrt(gain / effective_pulses)
+    return max(0.0, gain - delta), gain + delta
+
+
+def build_problem_reference(obs: DecoyObservations, sigma_multiplier: float | None = None) -> LpProblem:
+    """Assemble the yield LP from observations.
+
+    Given a sigma multiplier (finite mode), every gain is first widened to
+    its confidence interval, which can only loosen the resulting upper
+    bounds.  Equal decoy intensities on one side leave duplicated,
+    information-free rows; the problem is still well posed and a warning
+    records the degeneracy.
+    """
+    if sigma_multiplier is not None:
+        if obs.pulse_counts is None:
+            raise DomainError("finite-size mode requires pulse counts in the observations")
+        if not sigma_multiplier > 0.0:  # also rejects NaN
+            raise DomainError(f"sigma multiplier must be positive, got {sigma_multiplier}")
+
+    warnings = []
+    for side, values in (("A", obs.intensities_a), ("B", obs.intensities_b)):
+        if values[0] == values[1]:
+            warnings.append(
+                f"degenerate decoys on side {side}: mu == nu == {values[0]}; "
+                "the duplicated rows provide no extra information"
+            )
+        if values[1] == values[2]:
+            warnings.append(
+                f"degenerate decoys on side {side}: nu == omega == {values[1]}; "
+                "the duplicated rows provide no extra information"
+            )
+
+    pmf_a = [poisson_pmf_vector_reference(mu) for mu in obs.intensities_a]
+    pmf_b = [poisson_pmf_vector_reference(mu) for mu in obs.intensities_b]
+
+    coefficients = np.empty((9, _N_VARS))
+    gain_lower = np.empty(9)
+    gain_upper = np.empty(9)
+    slack_mass = np.empty(9)
+    labels = []
+    row = 0
+    for i in range(3):
+        for j in range(3):
+            coefficients[row] = np.outer(pmf_a[i], pmf_b[j]).reshape(_N_VARS)
+            slack_mass[row] = 1.0 - pmf_a[i].sum() * pmf_b[j].sum()
+            gain = obs.gains[i][j]
+            if sigma_multiplier is not None:
+                low, high = widened_gain_interval_reference(gain, obs.pulse_counts[i][j], sigma_multiplier)
+            else:
+                low = high = gain
+            gain_lower[row] = low
+            gain_upper[row] = high
+            labels.append(f"(mu_a[{i}]={obs.intensities_a[i]:g}, mu_b[{j}]={obs.intensities_b[j]:g})")
+            row += 1
+
+    return LpProblem(
+        coefficients=coefficients,
+        gain_lower=gain_lower,
+        gain_upper=gain_upper,
+        slack_mass=slack_mass,
+        pair_labels=tuple(labels),
+        warnings=tuple(warnings),
+    )
 
 
 @dataclass(frozen=True)

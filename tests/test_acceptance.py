@@ -21,6 +21,7 @@ import pytest
 from tfqkd.channel import (
     ArrivingIntensities,
     ChannelScenario,
+    poisson_pmf_rows,
     x_basis_gain,
     yield_grid,
     z_basis_gain,
@@ -30,7 +31,6 @@ from tfqkd.decoy import (
     DecoyObservations,
     build_problem,
     observations_from_scenario,
-    poisson_pmf_vector,
     solve_yield_bounds,
 )
 from tfqkd.experiments import QberScanConfig, SweepConfig, run_qber_scan, run_sweep
@@ -181,8 +181,8 @@ def test_criterion_3_yield_soundness_and_tightness():
         yields = rng.uniform(0.0, 1.0, size=(10, 10))
         mu_a = sorted(rng.uniform(0.005, 0.6, size=2), reverse=True) + [0.0]
         mu_b = sorted(rng.uniform(0.005, 0.6, size=2), reverse=True) + [0.0]
-        pa = [poisson_pmf_vector(m) for m in mu_a]
-        pb = [poisson_pmf_vector(m) for m in mu_b]
+        pa = poisson_pmf_rows(mu_a, 10)
+        pb = poisson_pmf_rows(mu_b, 10)
         gains = tuple(tuple(float(pa[i] @ yields @ pb[j]) for j in range(3)) for i in range(3))
         problem = build_problem(DecoyObservations(tuple(mu_a), tuple(mu_b), gains))
         bounds = solve_yield_bounds(problem)

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from tfqkd import channel
 from tfqkd.channel import (
+    PHOTON_NUMBER_CAP,
     ArrivingIntensities,
     ChannelScenario,
     first_order_diagnostics,
+    poisson_pmf_rows,
     x_basis_gain,
     x_basis_qber,
     yield_grid,
     z_basis_gain,
 )
-from tfqkd.decoy import poisson_pmf_vector
 from tfqkd.errors import DomainError, ZeroGainError
 
 from oracles import photon_path_yield, yield_nm_asymptotic
@@ -225,6 +227,17 @@ class TestYields:
             for n_b in range(7):
                 assert grid[n_a, n_b] == pytest.approx(yield_nm_asymptotic(sc, n_a, n_b), abs=1e-13)
 
+    def test_bunching_table_cache_is_bounded_and_changes_no_bit(self):
+        # one 21x21 table per distinct e_d; an unbounded cache would grow with every misalignment seen
+        table = channel._port_bunching_table
+        sc = scenario(eta_a=0.4, eta_b=0.8, e_d=0.03)
+        cached = yield_grid(sc)
+        table.cache_clear()
+        assert yield_grid(sc).tobytes() == cached.tobytes()
+        for k in range(70):
+            yield_grid(scenario(e_d=0.001 * (k + 1)))
+        assert table.cache_info().currsize == table.cache_info().maxsize == 64
+
     def test_poisson_mixture_reproduces_decoy_gain(self):
         # the Fock-state yields and the Bessel-form gain describe the same
         # channel, so mixing the yields with Poisson statistics must give
@@ -232,8 +245,7 @@ class TestYields:
         sc = scenario(eta_a=0.37, eta_b=0.81, e_d=0.04)
         grid = yield_grid(sc)
         for mu_a, mu_b in [(0.13, 0.27), (0.5, 0.02), (0.0, 0.3)]:
-            pa = poisson_pmf_vector(mu_a, 21)
-            pb = poisson_pmf_vector(mu_b, 21)
+            pa, pb = poisson_pmf_rows([mu_a, mu_b], PHOTON_NUMBER_CAP + 1)
             mixture = float(pa @ grid @ pb)
             gain = z_basis_gain(sc, ArrivingIntensities.from_sources(sc, mu_a, mu_b))
             assert mixture == pytest.approx(gain, rel=1e-10, abs=1e-14)

@@ -7,23 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfqkd import simplex
-from tfqkd.channel import ChannelScenario, yield_grid
+from tfqkd.channel import ChannelScenario, poisson_pmf_rows, yield_grid
 from tfqkd.decoy import (
     PHOTON_CUTOFF,
     TARGET_PAIRS,
     DecoyObservations,
+    EvaluationMode,
     LpProblem,
     build_problem,
     observations_from_scenario,
-    poisson_pmf_vector,
     sigma_multiplier_from_epsilon,
     solve_yield_bounds,
-    widened_gain_interval,
     yield_lp,
 )
 from tfqkd.errors import DomainError, InfeasibleProblemError
 
-from oracles import lp_contains, scipy_yield_upper_bound
+from oracles import build_problem_reference, lp_contains, poisson_pmf_vector_reference, scipy_yield_upper_bound
 
 NOMINAL = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
 DECOYS = (0.1, 0.01, 0.0)
@@ -33,49 +32,81 @@ def nominal_problem(**kwargs):
     return build_problem(observations_from_scenario(NOMINAL, DECOYS, DECOYS), **kwargs)
 
 
+#: The cell (A intensity 1, B intensity 2) of the widening tests, row 5 of the LP.
+CELL = (1, 2)
+
+
+def widened_cell(gain: float, count: float, sigma_multiplier: float) -> tuple[float, float]:
+    """(lower, upper) gain of CELL when it alone holds the given gain and pulse count."""
+    gains = [[1e-3] * 3 for _ in range(3)]
+    counts = [[1e9] * 3 for _ in range(3)]
+    gains[CELL[0]][CELL[1]], counts[CELL[0]][CELL[1]] = gain, count
+    obs = DecoyObservations(DECOYS, DECOYS, tuple(map(tuple, gains)), tuple(map(tuple, counts)))
+    problem = build_problem(obs, sigma_multiplier=sigma_multiplier)
+    row = 3 * CELL[0] + CELL[1]
+    return problem.gain_lower[row], problem.gain_upper[row]
+
+
 class TestPoisson:
     def test_normalized_within_cutoff(self):
-        for mu in (0.0, 0.01, 0.1, 0.9):
-            vec = poisson_pmf_vector(mu)
-            assert vec.shape == (PHOTON_CUTOFF,)
+        intensities = (0.0, 0.01, 0.1, 0.9)
+        rows = poisson_pmf_rows(intensities, PHOTON_CUTOFF)
+        assert rows.shape == (len(intensities), PHOTON_CUTOFF)
+        for mu, row in zip(intensities, rows):
             full = sum(math.exp(-mu) * mu**n / math.factorial(n) for n in range(PHOTON_CUTOFF))
-            assert vec.sum() == pytest.approx(full, rel=1e-14)
+            assert row.sum() == pytest.approx(full, rel=1e-14)
 
     def test_vacuum_source(self):
-        vec = poisson_pmf_vector(0.0)
-        assert vec[0] == 1.0
-        assert np.all(vec[1:] == 0.0)
+        row = poisson_pmf_rows([0.0], PHOTON_CUTOFF)[0]
+        assert row[0] == 1.0
+        assert np.all(row[1:] == 0.0)
 
     def test_rejects_negative_intensity(self):
-        # a NaN intensity would fill the vector with NaN; +inf is no intensity either
+        # a NaN intensity would fill its row with NaN; +inf is no intensity either
         for mu in (-0.1, math.nan, math.inf):
             with pytest.raises(DomainError):
-                poisson_pmf_vector(mu)
+                poisson_pmf_rows([0.1, mu], PHOTON_CUTOFF)
+
+    @pytest.mark.parametrize("count", [1, 10, 21])
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(intensities=st.lists(st.floats(0.0, 100.0) | st.sampled_from([0.0, 1.0, 100.0]), min_size=1, max_size=5))
+    def test_rows_are_the_reference_vectors(self, count, intensities):
+        rows = poisson_pmf_rows(intensities, count)
+        assert rows.shape == (len(intensities), count)
+        for mu, row in zip(intensities, rows):
+            assert row.tobytes() == poisson_pmf_vector_reference(mu, count).tobytes()
 
 
 class TestStatistics:
     def test_failure_probability_maps_to_known_z_score(self):
         assert sigma_multiplier_from_epsilon(1e-7) == 5.3
 
+    def test_an_epsilon_whose_z_score_rounds_to_zero_is_named(self):
+        # above about 0.96 the z-score rounds to 0.0, which EvaluationMode used to
+        # report as a bad sigma multiplier, a field no configuration has
+        assert sigma_multiplier_from_epsilon(0.95) == 0.1
+        with pytest.raises(DomainError, match="failure probability 0.97 "):
+            sigma_multiplier_from_epsilon(0.97)
+
     def test_interval_worked_example(self):
-        low, high = widened_gain_interval(1e-4, 1e10, 5.3)
+        low, high = widened_cell(1e-4, 1e10, 5.3)
         assert high == pytest.approx(1e-4 + 5.3e-7, rel=1e-12)
         assert low == pytest.approx(1e-4 - 5.3e-7, rel=1e-12)
 
     def test_lower_bound_clamps_at_zero(self):
-        low, high = widened_gain_interval(1e-12, 1e6, 5.3)
+        low, high = widened_cell(1e-12, 1e6, 5.3)
         assert low == 0.0
         assert high > 1e-12
 
     def test_zero_count_cell_stays_pinned(self):
-        low, high = widened_gain_interval(0.0, 1e9, 5.3)
+        low, high = widened_cell(0.0, 1e9, 5.3)
         assert (low, high) == (0.0, 0.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            widened_gain_interval(-1e-3, 1e9, 5.3)
+            widened_cell(-1e-3, 1e9, 5.3)
         with pytest.raises(DomainError):
-            widened_gain_interval(1e-3, 0.0, 5.3)
+            widened_cell(1e-3, 0.0, 5.3)
         with pytest.raises(DomainError):
             sigma_multiplier_from_epsilon(0.0)
 
@@ -119,8 +150,9 @@ class TestNanIsRejected:
 
     @pytest.mark.parametrize("args", [(math.nan, 1e9, 5.3), (1e-3, math.nan, 5.3), (1e-3, 1e9, math.nan)])
     def test_widening_rejects_nan(self, args):
+        # a NaN gain or count is rejected by DecoyObservations, a NaN sigma by build_problem
         with pytest.raises(DomainError):
-            widened_gain_interval(*args)
+            widened_cell(*args)
 
     def test_build_rejects_nan_sigma(self):
         obs = observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=1e12, **self.PROBABILITIES)
@@ -156,8 +188,7 @@ class TestBuildProblem:
 
     def test_tail_mass_is_exact(self):
         problem = nominal_problem()
-        pa = poisson_pmf_vector(0.1)
-        pb = poisson_pmf_vector(0.01)
+        pa, pb = poisson_pmf_rows([0.1, 0.01], PHOTON_CUTOFF)
         assert problem.slack_mass[1] == pytest.approx(1.0 - pa.sum() * pb.sum(), abs=1e-16)
 
     def test_asymptotic_bounds_pin_gains(self):
@@ -186,6 +217,9 @@ class TestBuildProblem:
         )
         with pytest.raises(DomainError):
             build_problem(obs_counts, sigma_multiplier=0.0)
+        # infinity times a zero gain's standard error would be a NaN width
+        with pytest.raises(DomainError, match="positive and finite"):
+            build_problem(obs_counts, sigma_multiplier=math.inf)
 
     def test_degenerate_decoys_attach_a_warning(self):
         obs = observations_from_scenario(NOMINAL, (0.01, 0.01, 0.0), DECOYS)
@@ -197,6 +231,35 @@ class TestBuildProblem:
         text = nominal_problem().to_text()
         assert text.count("pair (") == 9
         assert "100 variables" in text
+
+
+#: One side's (mu, nu, omega), non-increasing; drawing from a few shared values makes mu == nu and nu == omega common.
+decoy_triples = st.lists(st.floats(0.0, 2.0) | st.sampled_from([0.0, 0.01, 0.1]), min_size=3, max_size=3).map(
+    lambda values: tuple(sorted(values, reverse=True)))
+#: Gains in [0, 1], with zero gains and a gain of 1.0 drawn often.
+gain_grids = st.lists(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=3, max_size=3),
+                      min_size=3, max_size=3).map(lambda rows: tuple(map(tuple, rows)))
+count_grids = st.lists(st.lists(st.floats(1.0, 1e13), min_size=3, max_size=3), min_size=3, max_size=3).map(
+    lambda rows: tuple(map(tuple, rows)))
+
+
+class TestBuildProblemMatchesReference:
+    """The whole-array build_problem returns the bytes of the pair-by-pair assembly it replaced."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(intensities_a=decoy_triples, intensities_b=decoy_triples, gains=gain_grids,
+           finite=st.none() | st.tuples(count_grids, st.floats(0.5, 8.0)))
+    def test_same_bytes_as_the_reference(self, intensities_a, intensities_b, gains, finite):
+        counts, sigma_multiplier = finite if finite else (None, None)
+        obs = DecoyObservations(intensities_a, intensities_b, gains, counts)
+        problem = build_problem(obs, sigma_multiplier)
+        reference = build_problem_reference(obs, sigma_multiplier)
+        for name in ("coefficients", "gain_lower", "gain_upper", "slack_mass"):
+            mine, theirs = getattr(problem, name), getattr(reference, name)
+            assert (mine.shape, mine.dtype, mine.tobytes()) == (theirs.shape, theirs.dtype, theirs.tobytes()), name
+        assert problem.pair_labels == reference.pair_labels
+        assert problem.warnings == reference.warnings
+        assert problem.to_text() == reference.to_text()
 
 
 class TestSolve:
@@ -237,8 +300,8 @@ class TestSolve:
             yields = rng.uniform(0.0, 1.0, size=(10, 10))
             mu_a = sorted(rng.uniform(0.005, 0.6, size=2), reverse=True) + [0.0]
             mu_b = sorted(rng.uniform(0.005, 0.6, size=2), reverse=True) + [0.0]
-            pa = [poisson_pmf_vector(m) for m in mu_a]
-            pb = [poisson_pmf_vector(m) for m in mu_b]
+            pa = poisson_pmf_rows(mu_a, PHOTON_CUTOFF)
+            pb = poisson_pmf_rows(mu_b, PHOTON_CUTOFF)
             gains = tuple(
                 tuple(float(pa[i] @ yields @ pb[j]) for j in range(3)) for i in range(3)
             )
@@ -275,8 +338,8 @@ class TestSolve:
 
         # same information, built directly from the two unique intensities
         unique_rows = (0, 2)  # intensities 0.01 and 0.0 in the original grid
-        pa = {0: poisson_pmf_vector(0.01), 2: poisson_pmf_vector(0.0)}
-        pb = [poisson_pmf_vector(m) for m in DECOYS]
+        pa = {0: poisson_pmf_rows([0.01], PHOTON_CUTOFF)[0], 2: poisson_pmf_rows([0.0], PHOTON_CUTOFF)[0]}
+        pb = poisson_pmf_rows(DECOYS, PHOTON_CUTOFF)
         coefficients, lows, highs, slack, labels = [], [], [], [], []
         for i in unique_rows:
             for j in range(3):
@@ -343,7 +406,7 @@ class TestYieldLp:
     PROBABILITIES = dict(probabilities_a=(0.1, 0.05, 0.05), probabilities_b=(0.1, 0.05, 0.05))
 
     def test_is_the_chain_it_replaces_with_read_only_arrays(self):
-        problem, bounds = yield_lp(NOMINAL, DECOYS, DECOYS, 1e12, 5.3, **self.PROBABILITIES)
+        problem, bounds = yield_lp(NOMINAL, DECOYS, DECOYS, EvaluationMode.finite(1e12, 5.3), **self.PROBABILITIES)
         obs = observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=1e12, **self.PROBABILITIES)
         expected = build_problem(obs, sigma_multiplier=5.3)
         assert problem.to_text() == expected.to_text()
@@ -353,9 +416,10 @@ class TestYieldLp:
                 array[0] = 0.5
 
     def test_a_pulse_count_without_a_sigma_multiplier_is_rejected(self):
-        # the exact LP's bounds would come back as if they were finite-size ones
+        # the exact LP's bounds would come back as if they were finite-size ones;
+        # yield_lp takes an EvaluationMode, which cannot hold that state
         with pytest.raises(DomainError, match="sigma multiplier"):
-            yield_lp(NOMINAL, DECOYS, DECOYS, 1e12, None, **self.PROBABILITIES)
+            EvaluationMode(n_pulses=1e12)
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(eta_a=unit, eta_b=unit, e_d=st.floats(0.0, 0.2), decoys_a=decoy_sets, decoys_b=decoy_sets)
@@ -371,7 +435,8 @@ class TestYieldLp:
     def test_a_wider_confidence_interval_never_lowers_a_bound(self, n_pulses, probabilities_a, probabilities_b):
         scenario = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=1e-8, e_d=0.02)
         narrow, wide = (
-            yield_lp(scenario, DECOYS, DECOYS, n_pulses, sigma, probabilities_a, probabilities_b)[1]
+            yield_lp(scenario, DECOYS, DECOYS, EvaluationMode.finite(n_pulses, sigma),
+                     probabilities_a, probabilities_b)[1]
             for sigma in (1.0, 5.3)
         )
         assert np.all(narrow <= wide)

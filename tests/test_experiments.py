@@ -134,6 +134,8 @@ class TestSweepConfig:
         # a repeated strategy was silently dropped
         {"total_loss_db_grid": [20.0, 20.0]},
         {"strategies": ["symmetric", "symmetric"]},
+        # its z-score rounds to 0.0, which used to surface as a sigma multiplier error
+        {"epsilon": 0.97},
     ])
     def test_invalid_values(self, patch):
         with pytest.raises(ConfigError):
@@ -147,6 +149,11 @@ class TestSweepConfig:
             SweepConfig(total_loss_db_grid=(10.0,), mismatch_ratio=0.1, phi=float("nan"))
         with pytest.raises(ConfigError):
             QberScanConfig(s_a_grid=(0.1,), e_d=1.5)
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "finite"])
+    def test_an_epsilon_near_one_is_named_in_the_error(self, mode):
+        with pytest.raises(ConfigError, match="failure probability 0.97 "):
+            SweepConfig.from_dict(dict(TINY_SWEEP, mode=mode, epsilon=0.97))
 
     def test_finite_mode_maps_epsilon_to_z_score(self):
         config = SweepConfig.from_dict(dict(TINY_SWEEP, mode="finite"))

@@ -1,10 +1,10 @@
-"""Microseconds per evaluate_key_rate call, in the three cases a search meets.
+"""Microseconds per evaluate_key_rate call in the three cases a search meets, and per yield LP.
 
     python tools/eval_cost.py
 
 The scenario is the finite-sweep point of the benchmark: 40 dB total loss,
 mismatch 0.1, e_d 0.02, p_d 1e-8, 1e12 pulses and epsilon 1e-7.  Three
-cases are timed, each as REPEATS repeats of CALLS calls:
+evaluation cases are timed, each as REPEATS repeats of CALLS calls:
 
 * finite_fixed_signals: the same finite point every call, so the decoy LP
   and both cat states come from their memos (a line search over a decoy
@@ -13,6 +13,15 @@ cases are timed, each as REPEATS repeats of CALLS calls:
   probabilities, so the LP is memoised but side a's cat state is new;
 * asymptotic: a new side-a signal every call in asymptotic mode, on the
   memoised true-yield grid.
+
+Two decoy.yield_lp cases, each as REPEATS repeats of LP_CALLS calls, time
+the LP that the first two cases take from the memo, end to end (gains,
+build, both simplex phases):
+
+* yield_lp_finite: the finite LP of that point, both sides with decoys
+  (0.1, 0.01, 0) and selection probabilities (0.1, 0.05, p_omega);
+* yield_lp_qber_exact: the exact LP of the QBER scan at unit transmittance,
+  e_d 0.02 and no dark counts, both sides with decoys (0.1, 0.01, 0).
 
 Every case is warmed up once before timing.  Each line reports the median
 over the repeats of the mean time per call, and the fastest repeat.  Only
@@ -27,7 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tfqkd.channel import ChannelScenario  # noqa: E402  (needs src/ on the path)
-from tfqkd.decoy import sigma_multiplier_from_epsilon  # noqa: E402
+from tfqkd.decoy import sigma_multiplier_from_epsilon, yield_lp  # noqa: E402
 from tfqkd.experiments import split_total_loss  # noqa: E402
 from tfqkd.optimizer import EvaluationMode, ProtocolParameters, evaluate_key_rate  # noqa: E402
 
@@ -37,7 +46,12 @@ FINITE = EvaluationMode.finite(1e12, sigma_multiplier_from_epsilon(1e-7))
 ASYMPTOTIC = EvaluationMode.asymptotic()
 POINT = dict(s_a=0.3, s_b=0.03, mu_a=0.1, nu_a=0.01, mu_b=0.1, nu_b=0.01,
              p_s_a=0.8, p_mu_a=0.1, p_nu_a=0.05, p_s_b=0.8, p_mu_b=0.1, p_nu_b=0.05)
-CALLS = 2000  # calls per timed repeat
+PARAMS = ProtocolParameters(**POINT)
+DECOYS = (PARAMS.mu_a, PARAMS.nu_a, 0.0)
+PROBABILITIES = (PARAMS.p_mu_a, PARAMS.p_nu_a, PARAMS.p_omega_a)
+QBER_SCENARIO = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
+CALLS = 2000  # evaluate_key_rate calls per timed repeat
+LP_CALLS = 200  # yield_lp calls per timed repeat
 REPEATS = 9  # timed repeats per case
 
 
@@ -59,13 +73,27 @@ def _time_case(mode: EvaluationMode, changed: bool) -> list[float]:
     return per_call
 
 
+def _time_lp(scenario: ChannelScenario, mode: EvaluationMode, probabilities) -> list[float]:
+    per_call = []
+    yield_lp(scenario, DECOYS, DECOYS, mode, probabilities, probabilities)
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(LP_CALLS):
+            yield_lp(scenario, DECOYS, DECOYS, mode, probabilities, probabilities)
+        per_call.append((time.perf_counter() - start) / LP_CALLS * 1e6)
+    return per_call
+
+
 def main() -> int:
-    cases = (("finite_fixed_signals", FINITE, False), ("finite_changed_signal", FINITE, True),
-             ("asymptotic", ASYMPTOTIC, True))
-    for name, mode, changed in cases:
-        times = _time_case(mode, changed)
+    cases = (("finite_fixed_signals", lambda: _time_case(FINITE, False), CALLS),
+             ("finite_changed_signal", lambda: _time_case(FINITE, True), CALLS),
+             ("asymptotic", lambda: _time_case(ASYMPTOTIC, True), CALLS),
+             ("yield_lp_finite", lambda: _time_lp(SCENARIO, FINITE, PROBABILITIES), LP_CALLS),
+             ("yield_lp_qber_exact", lambda: _time_lp(QBER_SCENARIO, ASYMPTOTIC, None), LP_CALLS))
+    for name, run, calls in cases:
+        times = run()
         print(f"{name:<22} {statistics.median(times):7.1f} us/call  (fastest repeat {min(times):.1f}; "
-              f"{REPEATS} x {CALLS} calls)")
+              f"{REPEATS} x {calls} calls)")
     return 0
 
 
