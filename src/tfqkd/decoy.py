@@ -132,8 +132,8 @@ class DecoyObservations:
                 raise DomainError("pulse counts must form a 3x3 grid")
             for row in self.pulse_counts:
                 for count in row:
-                    if not count > 0.0:  # also rejects NaN
-                        raise DomainError(f"pulse counts must be positive, got {count}")
+                    if not 0.0 < count < math.inf:  # also rejects NaN; inf would leave every gain unwidened
+                        raise DomainError(f"pulse counts must be positive and finite, got {count}")
 
 
 def observations_from_scenario(

@@ -82,11 +82,11 @@ class ProtocolParameters:
 
     def __post_init__(self):
         # one direct comparison chain on the hot path (one construction per
-        # line-search point); not (x >= 0) also rejects NaN
-        if not (self.s_a >= 0.0 and self.s_b >= 0.0 and self.mu_a >= 0.0 and self.nu_a >= 0.0
-                and self.mu_b >= 0.0 and self.nu_b >= 0.0):
-            name = next(n for n in PARAMETER_NAMES[:6] if not getattr(self, n) >= 0.0)
-            raise DomainError(f"intensity {name} must be nonnegative")
+        # line-search point); 0 <= x < inf also rejects NaN
+        if not (0.0 <= self.s_a < math.inf and 0.0 <= self.s_b < math.inf and 0.0 <= self.mu_a < math.inf
+                and 0.0 <= self.nu_a < math.inf and 0.0 <= self.mu_b < math.inf and 0.0 <= self.nu_b < math.inf):
+            name = next(n for n in PARAMETER_NAMES[:6] if not 0.0 <= getattr(self, n) < math.inf)
+            raise DomainError(f"intensity {name} must be nonnegative and finite")
         # equality is degenerate but legal; the LP attaches a warning for it
         if not self.mu_a >= self.nu_a:
             raise DomainError("decoys on side a must be ordered mu >= nu")

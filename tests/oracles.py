@@ -27,6 +27,9 @@ lp_contains is the feasibility check the yield LP used to carry.  The
 decoy references are the Poisson vector, the gain widening and the LP
 assembly as first written, one intensity pair at a time; the package's
 poisson_pmf_rows and whole-array build_problem must return the same bytes.
+The QBER reference is x_basis_qber with the negative-margin branch and
+[0, 1] check it carried before it shared the gains' clamp rule; wherever it
+returns, the package must return the same bits.
 """
 
 import itertools
@@ -35,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tfqkd.channel import _port_bunching_table
+from tfqkd.channel import NEGATIVE_CLAMP, _port_bunching_table, _x_basis_terms
 from tfqkd.decoy import _N_VARS, PHOTON_CUTOFF, DecoyObservations, LpProblem
 from tfqkd.errors import DomainError, UnboundedProblemError, UnsupportedAmplitudeError, ZeroGainError
 from tfqkd.optimizer import (
@@ -728,3 +731,18 @@ def draw_start_reference(strategy: Strategy, mode: EvaluationMode, seed: int, in
         p_s_a=pa[0], p_mu_a=pa[1], p_nu_a=pa[2],
         p_s_b=pb[0], p_mu_b=pb[1], p_nu_b=pb[2],
     )
+
+
+def x_basis_qber_reference(scenario, gamma) -> float:
+    """X-basis QBER as first written, with its own clamp and [0, 1] check."""
+    _, minus, plus = _x_basis_terms(scenario, gamma)
+    numerator = minus + scenario.p_d
+    denominator = minus + plus + 2.0 * scenario.p_d
+    if denominator <= 0.0:
+        raise ZeroGainError("QBER undefined: the X-basis gain is zero for these inputs")
+    ratio = numerator / denominator
+    if ratio < 0.0:
+        ratio = 0.0 if ratio > -NEGATIVE_CLAMP else ratio
+    if not (0.0 <= ratio <= 1.0):
+        raise DomainError(f"QBER evaluated to {ratio}, outside [0, 1]")
+    return ratio

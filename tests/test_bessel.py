@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from tfqkd.bessel import i0m1
+from tfqkd.channel import i0m1
 
 from oracles import i0_reference
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfqkd import channel
 from tfqkd.channel import (
@@ -17,7 +19,23 @@ from tfqkd.channel import (
 )
 from tfqkd.errors import DomainError, ZeroGainError
 
-from oracles import photon_path_yield, yield_nm_asymptotic
+from oracles import photon_path_yield, x_basis_qber_reference, yield_nm_asymptotic
+
+# A near-balanced pair at phi = pi whose QBER ratio rounds to 1 + 2^-52
+BALANCED_AT_PI = (2.2620865017496965e-06, 2.262086501749698e-06)
+
+
+@st.composite
+def arriving_pairs(draw):
+    """Arriving intensities, three in four near-balanced (gamma_b is gamma_a moved 0 to 6 ulps)."""
+    # log-uniform, so that the low mantissa bits vary as they do in a sweep
+    gamma_a = draw(st.one_of(st.just(0.0), st.floats(-12.0, 1.0).map(lambda e: 10.0**e)))
+    if draw(st.integers(0, 3)) == 0:
+        return gamma_a, draw(st.floats(0.0, 10.0))
+    gamma_b = gamma_a
+    for _ in range(draw(st.integers(0, 6))):
+        gamma_b = math.nextafter(gamma_b, math.inf)
+    return (gamma_a, gamma_b) if draw(st.booleans()) else (gamma_b, gamma_a)
 
 
 def scenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02, phi=0.0):
@@ -146,6 +164,35 @@ class TestXBasis:
             assert 0.0 <= gain <= 1.0
             if gain > 0.0:
                 assert 0.0 <= x_basis_qber(sc, gamma) <= 1.0
+
+    @pytest.mark.parametrize("phi", [math.pi, -math.pi, 3.0 * math.pi])
+    def test_qber_rounding_above_one_returns_one(self, phi):
+        # the ratio rounds to 1 + 2^-52, which the gains' clamp rule makes 1
+        assert x_basis_qber(scenario(e_d=0.0, phi=phi), ArrivingIntensities(*BALANCED_AT_PI)) == 1.0
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(p_d=st.one_of(st.just(0.0), st.floats(1e-12, 0.1)),
+           e_d=st.one_of(st.just(0.0), st.floats(0.0, 0.99, exclude_max=True)),
+           phi=st.one_of(st.sampled_from([math.pi, -math.pi]), st.floats(-2.0 * math.pi, 2.0 * math.pi)),
+           pair=arriving_pairs())
+    @example(p_d=0.0, e_d=0.0, phi=math.pi, pair=BALANCED_AT_PI)
+    @example(p_d=0.0, e_d=0.0, phi=-math.pi, pair=BALANCED_AT_PI[::-1])
+    def test_qber_clamps_with_the_gains_rule(self, p_d, e_d, phi, pair):
+        sc, gamma = scenario(p_d=p_d, e_d=e_d, phi=phi), ArrivingIntensities(*pair)
+        probabilities = [x_basis_gain(sc, gamma), z_basis_gain(sc, gamma)]
+        try:
+            expected = x_basis_qber_reference(sc, gamma)
+        except ZeroGainError:  # no click can occur, so there is no QBER
+            with pytest.raises(ZeroGainError):
+                x_basis_qber(sc, gamma)
+        except DomainError as error:
+            assert "outside [0, 1]" in str(error)
+            assert x_basis_qber(sc, gamma) == 1.0
+        else:
+            qber = x_basis_qber(sc, gamma)
+            assert qber.hex() == expected.hex()
+            probabilities.append(qber)
+        assert all(0.0 <= value <= 1.0 for value in probabilities)
 
 
 class TestZBasis:

@@ -140,9 +140,11 @@ class TestNanIsRejected:
     PROBABILITIES = dict(probabilities_a=(0.4, 0.3, 0.3), probabilities_b=(0.4, 0.3, 0.3))
 
     def test_observations_reject_nan_pulse_counts(self):
-        with pytest.raises(DomainError, match="pulse counts must be positive"):
-            DecoyObservations(DECOYS, DECOYS, tuple((0.0,) * 3 for _ in range(3)),
-                              pulse_counts=tuple((math.nan, 1e9, 1e9) for _ in range(3)))
+        # an infinite count would leave every gain unwidened: an exact LP labelled finite
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="pulse counts must be positive"):
+                DecoyObservations(DECOYS, DECOYS, tuple((0.0,) * 3 for _ in range(3)),
+                                  pulse_counts=tuple((bad, 1e9, 1e9) for _ in range(3)))
 
     def test_observations_from_scenario_reject_nan_pulses(self):
         with pytest.raises(DomainError):

@@ -67,9 +67,10 @@ class TestProtocolParameters:
             finite_params(p_s_a=0.9, p_mu_a=0.05, p_nu_a=0.05)  # no room for vacuum
         with pytest.raises(DomainError):
             finite_params(p_s_a=None)  # partial probabilities
-        # NaN used to pass (nan < 0 is false) and surface only in a later QBER check
+        # NaN used to pass (nan < 0 is false) and surface only in a later QBER check;
+        # inf would surface only as an arriving-intensity error that names no field
         for name in ("s_a", "s_b", "mu_a", "nu_a", "mu_b", "nu_b"):
-            for value in (math.nan, -0.1):
+            for value in (math.nan, -0.1, math.inf):
                 with pytest.raises(DomainError, match=f"intensity {name} must be nonnegative"):
                     finite_params(**{name: value})
 
