@@ -286,11 +286,13 @@ def first_order_diagnostics(scenario: ChannelScenario, gamma: ArrivingIntensitie
 
         e_xx ~ (S/2 - sqrt(g_a g_b) cos theta) / S
 
-    which depends only on the balance of the arriving intensities.  No
-    accuracy is promised outside the small-intensity regime.
+    which depends only on the balance of the arriving intensities, clamped
+    by the gains' rule (near-balanced intensities at theta = 0 round a few
+    ulps below 0).  No accuracy is promised outside the small-intensity
+    regime.
     """
     ga, gb = gamma.gamma_a, gamma.gamma_b
     total = ga + gb
     if total > 0.0:
-        return (0.5 * total - math.sqrt(ga * gb) * math.cos(scenario.theta)) / total
+        return _clamp_probability((0.5 * total - math.sqrt(ga * gb) * math.cos(scenario.theta)) / total)
     return 0.0

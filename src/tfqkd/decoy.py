@@ -8,9 +8,13 @@ variables; maximizing a single Y_nm over that polytope gives the upper
 bound fed to the phase-error estimate.  Finite data widens each gain to a
 standard-error confidence interval before the program is built.  The
 Poisson weights are channel.poisson_pmf_rows, one 3x10 matrix per side.
-yield_lp is the one path from a channel scenario and an EvaluationMode to
-the LP and its bound matrix: the finite key-rate evaluation memoises it,
-the QBER scan calls it.
+yield_lp is the path from a channel scenario and an EvaluationMode to the
+LP and its bound matrix, which the finite key-rate evaluation memoises.
+yield_bounds is the QBER scan's path to the bound matrices of many decoy
+settings: it builds their asymptotic LPs a stack at a time and solves each
+stack in lockstep (simplex.maximize_stack), with the bits, and the first
+error, that one yield_lp per setting would give.  No module outside this
+one runs the chain from gains to problem to bounds.
 
 The statistical z-score is named ``sigma_multiplier`` throughout: the
 literature reuses the same symbol for arriving intensities and for the
@@ -19,7 +23,9 @@ confidence width, and the collision is worth avoiding in code.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +45,14 @@ TARGET_PAIRS = ((0, 0), (2, 0), (0, 2), (1, 1), (2, 2))
 #: under-reports a bound.
 SAFETY_MARGIN = 1e-9
 
+#: LPs that yield_bounds solves as one stack.  Memory grows with the stack
+#: (about 40 kB per LP: two tableaux, the stacked problem data and the
+#: problems), and the per-LP cost falls only slowly past a few dozen LPs.
+STACK_SIZE = 32
+
 _N_VARS = PHOTON_CUTOFF * PHOTON_CUTOFF
 _BOUND_SIZE = 1 + max(max(pair) for pair in TARGET_PAIRS)
+_TARGET_COLUMNS = [n * PHOTON_CUTOFF + m for n, m in TARGET_PAIRS]
 
 
 def sigma_multiplier_from_epsilon(epsilon: float) -> float:
@@ -261,21 +273,45 @@ def build_problem(obs: DecoyObservations, sigma_multiplier: float | None = None)
     )
 
 
-def _equality_form(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Range rows as equalities with box-bounded slack variables."""
+def _checked_bounds(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """constraint_bounds, or InfeasibleProblemError naming the pair whose upper bound lies below its lower bound."""
     lower, upper = problem.constraint_bounds()
-    n_rows = problem.coefficients.shape[0]
-    span = upper - lower
-    bad = span < -1e-12
+    bad = upper - lower < -1e-12
     if np.any(bad):
         index = int(np.argmax(bad))
         raise InfeasibleProblemError(
             f"constraint pair {problem.pair_labels[index]} has upper bound below lower bound",
             constraint=problem.pair_labels[index],
         )
-    a = np.hstack([problem.coefficients, np.eye(n_rows)])
-    ub = np.concatenate([np.ones(_N_VARS), np.maximum(span, 0.0)])
+    return lower, upper
+
+
+def _equality_form(coefficients: np.ndarray, lower: np.ndarray,
+                   upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Range rows as equalities with box-bounded slack variables; leading axes stack problems."""
+    n_rows = coefficients.shape[-2]
+    a = np.zeros(coefficients.shape[:-1] + (_N_VARS + n_rows,))
+    a[..., :_N_VARS] = coefficients
+    a[..., range(n_rows), range(_N_VARS, _N_VARS + n_rows)] = 1.0
+    ub = np.ones(a.shape[:-2] + a.shape[-1:])
+    ub[..., _N_VARS:] = np.maximum(upper - lower, 0.0)
     return a, upper, ub
+
+
+def _objectives(width: int) -> np.ndarray:
+    """One unit objective per TARGET_PAIRS yield over the width columns of an equality form."""
+    objectives = np.zeros((len(TARGET_PAIRS), width))
+    objectives[range(len(TARGET_PAIRS)), _TARGET_COLUMNS] = 1.0
+    return objectives
+
+
+def _bound_matrix(values) -> np.ndarray:
+    """The TARGET_PAIRS maxima, each rounded up by the safety margin and clamped
+    to [0, 1], in a matrix that holds the trivial bound 1 for every other pair."""
+    bounds = np.ones((_BOUND_SIZE, _BOUND_SIZE))
+    for (n, m), value in zip(TARGET_PAIRS, values):
+        bounds[n, m] = min(1.0, max(0.0, value + SAFETY_MARGIN))
+    return bounds
 
 
 def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
@@ -290,7 +326,7 @@ def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
     with a Bland fallback in phase 2, Bland's rule in phase 1) breaks ties
     by index, so reruns are bit-identical.
     """
-    a, b, ub = _equality_form(problem)
+    a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
     try:
         basis = simplex.prepare(a, b, ub)
     except InfeasibleProblemError as error:
@@ -299,16 +335,27 @@ def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
             f"observations are contradictory beyond their widening at pair {pair}",
             constraint=pair,
         ) from None
-    bounds = np.ones((_BOUND_SIZE, _BOUND_SIZE))
-    for n, m in TARGET_PAIRS:
-        objective = np.zeros(a.shape[1])
-        objective[n * PHOTON_CUTOFF + m] = 1.0
+    values = []
+    for (n, m), objective in zip(TARGET_PAIRS, _objectives(a.shape[-1])):
         _, value = simplex.maximize_prepared(basis, objective)
         if not math.isfinite(value):
             # clamping would turn NaN into the unsound bound 0
             raise DomainError(f"LP maximum of Y[{n}][{m}] is not finite: {value}")
-        bounds[n, m] = min(1.0, max(0.0, value + SAFETY_MARGIN))
-    return bounds
+        values.append(value)
+    return _bound_matrix(values)
+
+
+def _solve_stack(problems: list[LpProblem]) -> list[np.ndarray]:
+    """solve_yield_bounds of every problem, through one lockstep stack when there are several."""
+    if len(problems) > 1:
+        lower, upper = zip(*(problem.constraint_bounds() for problem in problems))
+        a, b, ub = _equality_form(np.array([problem.coefficients for problem in problems]),
+                                  np.array(lower), np.array(upper))
+        values = simplex.maximize_stack(a, b, ub, _objectives(a.shape[-1]))
+        if values is not None and np.isfinite(values).all():
+            return [_bound_matrix(row) for row in values.tolist()]
+    # one LP, or a stack in which some LP fails: LP by LP, so that the first failure raises
+    return [solve_yield_bounds(problem) for problem in problems]
 
 
 def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float],
@@ -330,3 +377,41 @@ def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float
     for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass, bounds):
         array.setflags(write=False)
     return problem, bounds
+
+
+def _solve_in_stacks(problems: Iterable[LpProblem]) -> list[np.ndarray]:
+    """solve_yield_bounds of every problem, in order, drawn and solved STACK_SIZE at a time.
+
+    Errors surface as solving the problems one by one would raise them:
+    when drawing or checking problem i raises, the problems before it in
+    its stack are solved first, and an error of theirs comes first.
+    """
+    problems = iter(problems)
+    bounds = []
+    while True:
+        stack = []
+        try:
+            for problem in itertools.islice(problems, STACK_SIZE):
+                _checked_bounds(problem)
+                stack.append(problem)
+        except Exception:
+            _solve_stack(stack)
+            raise
+        if not stack:
+            return bounds
+        bounds.extend(_solve_stack(stack))
+
+
+def yield_bounds(scenario: ChannelScenario,
+                 decoy_sets: Iterable[tuple[tuple[float, ...], tuple[float, ...]]]) -> list[np.ndarray]:
+    """Asymptotic bound matrices of many decoy settings of one scenario, in order.
+
+    decoy_sets yields (intensities_a, intensities_b) pairs; each matrix is
+    the one yield_lp returns for its pair in the asymptotic mode, bit for
+    bit.  The pairs are drawn as their problems are built, STACK_SIZE
+    problems at a time, and each such stack is solved in lockstep before
+    the next pairs are drawn.  Errors surface in the order of the pairs, as
+    one yield_lp call per pair would raise them.
+    """
+    return _solve_in_stacks(build_problem(observations_from_scenario(scenario, intensities_a, intensities_b))
+                            for intensities_a, intensities_b in decoy_sets)

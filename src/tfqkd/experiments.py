@@ -39,7 +39,7 @@ from .channel import (
     x_basis_gain,
     x_basis_qber,
 )
-from .decoy import EvaluationMode, LpProblem, sigma_multiplier_from_epsilon, yield_lp
+from .decoy import EvaluationMode, LpProblem, sigma_multiplier_from_epsilon, yield_bounds
 from .errors import ConfigError, DomainError
 from .optimizer import PARAMETER_NAMES, Strategy, optimize_strategy
 from .security import cat_state, key_rate, phase_error_upper_bound
@@ -260,19 +260,27 @@ def run_qber_scan(config: QberScanConfig):
     For each scan value v the X-basis columns use signal intensities
     (v, s_b), and the phase-error column bounds the yields by LP from the
     decoy sets {v, nu, 0} versus {mu_b, nu, 0} with signal states fixed at
-    (s_b, s_b) for the cat-state weights.
+    (s_b, s_b) for the cat-state weights.  The LPs of the whole grid go to
+    decoy.yield_bounds, which solves them in stacks.
     """
     scenario = config.scenario()
     gamma_signal = ArrivingIntensities.from_sources(scenario, config.s_b, config.s_b)
     p_xx_signal = x_basis_gain(scenario, gamma_signal)
+    x_columns = []
+
+    def decoy_sets():
+        # a point's X-basis columns are evaluated as its decoy sets are drawn,
+        # so a failing point raises in grid order, X basis before LP
+        for value in config.s_a_grid:
+            gamma = ArrivingIntensities.from_sources(scenario, value, config.s_b)
+            x_columns.append((x_basis_qber(scenario, gamma), first_order_diagnostics(scenario, gamma)))
+            # the decoy set is a set: a scan value below nu simply swaps roles
+            strong, weak = (value, config.nu) if value >= config.nu else (config.nu, value)
+            yield (strong, weak, 0.0), (config.mu_b, config.nu, 0.0)
+
+    bound_matrices = yield_bounds(scenario, decoy_sets())
     rows = []
-    for value in config.s_a_grid:
-        gamma = ArrivingIntensities.from_sources(scenario, value, config.s_b)
-        e_full = x_basis_qber(scenario, gamma)
-        e_first = first_order_diagnostics(scenario, gamma)
-        # the decoy set is a set: a scan value below nu simply swaps roles
-        strong, weak = (value, config.nu) if value >= config.nu else (config.nu, value)
-        _, bounds = yield_lp(scenario, (strong, weak, 0.0), (config.mu_b, config.nu, 0.0))
+    for value, (e_full, e_first), bounds in zip(config.s_a_grid, x_columns, bound_matrices):
         cat = cat_state(math.sqrt(config.s_b), bounds.shape[0])
         e_zz = min(1.0, float(phase_error_upper_bound(cat, cat, bounds)[0, 0]) / p_xx_signal)
         rows.append(QberScanRow(

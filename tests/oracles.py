@@ -29,7 +29,10 @@ assembly as first written, one intensity pair at a time; the package's
 poisson_pmf_rows and whole-array build_problem must return the same bytes.
 The QBER reference is x_basis_qber with the negative-margin branch and
 [0, 1] check it carried before it shared the gains' clamp rule; wherever it
-returns, the package must return the same bits.
+returns, the package must return the same bits.  The QBER-scan reference is
+run_qber_scan as first written, one yield_lp per grid point; the package's
+scan, which solves the grid's LPs in stacks, must return the same rows and
+raise the same first error.
 """
 
 import itertools
@@ -38,8 +41,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tfqkd.channel import NEGATIVE_CLAMP, _port_bunching_table, _x_basis_terms
-from tfqkd.decoy import _N_VARS, PHOTON_CUTOFF, DecoyObservations, LpProblem
+from tfqkd.channel import (
+    NEGATIVE_CLAMP,
+    ArrivingIntensities,
+    _port_bunching_table,
+    _x_basis_terms,
+    first_order_diagnostics,
+    x_basis_gain,
+    x_basis_qber,
+)
+from tfqkd.decoy import _N_VARS, PHOTON_CUTOFF, DecoyObservations, LpProblem, yield_lp
+from tfqkd.experiments import QberScanRow
 from tfqkd.errors import DomainError, UnboundedProblemError, UnsupportedAmplitudeError, ZeroGainError
 from tfqkd.optimizer import (
     DECOY_GAP,
@@ -52,7 +64,7 @@ from tfqkd.optimizer import (
     ProtocolParameters,
     Strategy,
 )
-from tfqkd.security import DEFAULT_TAIL_TOLERANCE, MAX_AMPLITUDE, binary_entropy
+from tfqkd.security import DEFAULT_TAIL_TOLERANCE, MAX_AMPLITUDE, binary_entropy, cat_state, phase_error_upper_bound
 from tfqkd.simplex import (
     _BASIC,
     _LOWER,
@@ -746,3 +758,21 @@ def x_basis_qber_reference(scenario, gamma) -> float:
     if not (0.0 <= ratio <= 1.0):
         raise DomainError(f"QBER evaluated to {ratio}, outside [0, 1]")
     return ratio
+
+
+def qber_scan_reference(config) -> list:
+    """run_qber_scan as first written: the X-basis columns and then one yield_lp per grid point."""
+    scenario = config.scenario()
+    p_xx_signal = x_basis_gain(scenario, ArrivingIntensities.from_sources(scenario, config.s_b, config.s_b))
+    rows = []
+    for value in config.s_a_grid:
+        gamma = ArrivingIntensities.from_sources(scenario, value, config.s_b)
+        e_full = x_basis_qber(scenario, gamma)
+        e_first = first_order_diagnostics(scenario, gamma)
+        strong, weak = (value, config.nu) if value >= config.nu else (config.nu, value)
+        _, bounds = yield_lp(scenario, (strong, weak, 0.0), (config.mu_b, config.nu, 0.0))
+        cat = cat_state(math.sqrt(config.s_b), bounds.shape[0])
+        e_zz = min(1.0, float(phase_error_upper_bound(cat, cat, bounds)[0, 0]) / p_xx_signal)
+        rows.append(QberScanRow(ratio=value / config.s_b, e_xx_full=e_full, e_xx_first_order=e_first,
+                                e_zz_upper=e_zz))
+    return rows

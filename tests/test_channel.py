@@ -179,7 +179,7 @@ class TestXBasis:
     @example(p_d=0.0, e_d=0.0, phi=-math.pi, pair=BALANCED_AT_PI[::-1])
     def test_qber_clamps_with_the_gains_rule(self, p_d, e_d, phi, pair):
         sc, gamma = scenario(p_d=p_d, e_d=e_d, phi=phi), ArrivingIntensities(*pair)
-        probabilities = [x_basis_gain(sc, gamma), z_basis_gain(sc, gamma)]
+        probabilities = [x_basis_gain(sc, gamma), z_basis_gain(sc, gamma), first_order_diagnostics(sc, gamma)]
         try:
             expected = x_basis_qber_reference(sc, gamma)
         except ZeroGainError:  # no click can occur, so there is no QBER
@@ -307,6 +307,11 @@ class TestFirstOrderDiagnostics:
     def test_balanced_misaligned_error(self):
         e_xx = first_order_diagnostics(scenario(), ArrivingIntensities(0.02, 0.02))
         assert e_xx == pytest.approx(0.02, rel=1e-10)
+
+    def test_near_balanced_rounding_below_zero_returns_zero(self):
+        # 0.5 * total - sqrt(ga * gb) rounds to a few ulps below 0 for this pair
+        gamma = ArrivingIntensities(0.7362553161942322, 0.7362553161942323)
+        assert first_order_diagnostics(scenario(e_d=0.0), gamma) == 0.0
 
     def test_zero_intensity_degenerate_case(self):
         e_xx = first_order_diagnostics(scenario(), ArrivingIntensities(0.0, 0.0))

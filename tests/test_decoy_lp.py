@@ -10,6 +10,7 @@ from tfqkd import simplex
 from tfqkd.channel import ChannelScenario, poisson_pmf_rows, yield_grid
 from tfqkd.decoy import (
     PHOTON_CUTOFF,
+    STACK_SIZE,
     TARGET_PAIRS,
     DecoyObservations,
     EvaluationMode,
@@ -17,6 +18,7 @@ from tfqkd.decoy import (
     build_problem,
     observations_from_scenario,
     sigma_multiplier_from_epsilon,
+    _solve_in_stacks,
     solve_yield_bounds,
     yield_lp,
 )
@@ -172,6 +174,80 @@ class TestNanIsRejected:
         gain_upper[4] = math.nan
         with pytest.raises(DomainError):
             solve_yield_bounds(dataclasses.replace(problem, gain_upper=gain_upper))
+
+
+class TestSolveInStacks:
+    """Errors of a stacked solve surface as one solve_yield_bounds per problem, in order, raises them."""
+
+    @staticmethod
+    def problems(count=6):
+        return [build_problem(observations_from_scenario(NOMINAL, (0.1 + 0.01 * i, 0.01, 0.0), DECOYS))
+                for i in range(count)]
+
+    @staticmethod
+    def contradictory(problem, row):
+        # a gain of 2 is above any mixture of yields in [0, 1]: phase 1 fails, the spans stay valid
+        gains = problem.gain_upper.copy()
+        gains[row] = 2.0
+        return dataclasses.replace(problem, gain_lower=gains, gain_upper=gains.copy())
+
+    @staticmethod
+    def crossed(problem, row):
+        gain_upper = problem.gain_upper.copy()
+        gain_upper[row] = problem.constraint_bounds()[0][row] - 1e-3
+        return dataclasses.replace(problem, gain_upper=gain_upper)
+
+    @staticmethod
+    def first_error(problems):
+        for problem in problems:
+            try:
+                solve_yield_bounds(problem)
+            except InfeasibleProblemError as error:
+                return str(error), error.constraint
+        raise AssertionError("no problem fails")
+
+    @pytest.mark.parametrize("broken", [
+        {3: (contradictory, 4), 5: (contradictory, 1)},
+        {1: (contradictory, 7), 4: (crossed, 2)},
+        {1: (crossed, 0), 4: (contradictory, 3)},
+        {2: (contradictory, 2), 3: (crossed, 8), 5: (contradictory, 0)},
+    ])
+    def test_the_first_failing_problem_raises(self, broken):
+        problems = self.problems()
+        for index, (make, row) in broken.items():
+            problems[index] = make(problems[index], row)
+        with pytest.raises(InfeasibleProblemError) as excinfo:
+            _solve_in_stacks(problems)
+        assert (str(excinfo.value), excinfo.value.constraint) == self.first_error(problems)
+
+    def test_a_problem_that_cannot_be_drawn_raises_after_the_ones_before_it(self):
+        def drawn(problems):
+            yield from problems
+            raise DomainError("the next problem cannot be built")
+
+        with pytest.raises(DomainError, match="cannot be built"):
+            _solve_in_stacks(drawn(self.problems(3)))
+        problems = self.problems(3)
+        problems[1] = self.contradictory(problems[1], 5)
+        with pytest.raises(InfeasibleProblemError) as excinfo:
+            _solve_in_stacks(drawn(problems))
+        assert (str(excinfo.value), excinfo.value.constraint) == self.first_error(problems)
+
+    @pytest.mark.parametrize("count, stacks", [(STACK_SIZE + 5, [STACK_SIZE, 5]),
+                                               (2 * STACK_SIZE + 1, [STACK_SIZE, STACK_SIZE])])
+    def test_stacked_bounds_match_one_solve_per_problem(self, monkeypatch, count, stacks):
+        problems = self.problems(count)
+        sizes = []
+        stacked = simplex.maximize_stack
+
+        def counting(a, *args):
+            sizes.append(len(a))
+            return stacked(a, *args)
+
+        monkeypatch.setattr(simplex, "maximize_stack", counting)
+        bounds = _solve_in_stacks(problems)
+        assert sizes == stacks  # a last stack of one problem takes the scalar loop
+        assert [matrix.tobytes() for matrix in bounds] == [solve_yield_bounds(p).tobytes() for p in problems]
 
 
 class TestBuildProblem:

@@ -8,7 +8,7 @@ import pytest
 
 from tfqkd import experiments
 from tfqkd.cli import main
-from tfqkd.decoy import LpProblem
+from tfqkd.decoy import STACK_SIZE, LpProblem
 from tfqkd.errors import ConfigError, DomainError
 from tfqkd.experiments import (
     QBER_SCAN_COLUMNS,
@@ -21,6 +21,8 @@ from tfqkd.experiments import (
     write_csv,
     write_lp_dumps,
 )
+
+from oracles import qber_scan_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -216,6 +218,12 @@ class TestQberScanConfig:
         assert rows[0].e_xx_full > 3 * balanced.e_xx_full
         assert rows[-1].e_xx_full > 3 * balanced.e_xx_full
 
+    def test_stacked_scan_matches_the_point_by_point_loop(self):
+        # three stacks of the decoy LP, the last of one, and the degenerate point s_a = nu
+        grid = [10.0 ** (-3.0 + 3.0 * i / (2 * STACK_SIZE)) for i in range(2 * STACK_SIZE + 1)]
+        config = QberScanConfig(s_a_grid=tuple(grid[:20] + [0.01] + grid[20:]))
+        assert run_qber_scan(config) == qber_scan_reference(config)
+
     def test_degenerate_decoy_point_spikes(self):
         rows = run_qber_scan(QberScanConfig(s_a_grid=(0.01, 0.1)))
         assert rows[0].e_zz_upper > 1.2 * rows[1].e_zz_upper
@@ -389,6 +397,17 @@ class TestCli:
         config = self._write(tmp_path, "scan.json", {"s_a_grid": [1500.0]})
         assert main(["qber-scan", "--config", config, "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().err == "runtime error: arriving intensities 1500.0, 0.1 overflow the X-basis gain\n"
+
+    @pytest.mark.parametrize("grid, message", [
+        ([0.5, 1500.0], "decoy arriving intensities 0.5, 2000.0 overflow the Z-basis gain"),
+        ([1500.0, 0.5], "arriving intensities 1500.0, 0.1 overflow the X-basis gain"),
+    ])
+    def test_the_first_failing_point_names_the_error(self, tmp_path, capsys, grid, message):
+        # point by point, as the grid is written, and a point's X-basis columns
+        # before its LP: 0.5 fails in its LP, 1500.0 in its X-basis columns
+        config = self._write(tmp_path, "scan.json", {"s_a_grid": grid, "mu_b": 2000.0})
+        assert main(["qber-scan", "--config", config, "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
 
     def test_decoy_overflow_message_names_the_decoy_arriving_intensities(self, tmp_path, capsys):
         # the decoy pair (0.5, 2000.0) overflows the Z-basis gain of the phase-error LP

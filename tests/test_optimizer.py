@@ -32,6 +32,18 @@ ASYMPTOTIC = EvaluationMode.asymptotic()
 FINITE = EvaluationMode.finite(1e12, 5.3)
 
 
+def log_uniform(low_exponent, high_exponent):
+    return st.floats(low_exponent, high_exponent).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def dirichlet_shares(draw):
+    """Selection probabilities (signal, mu, nu) of one side, drawn with the vacuum share from Dirichlet(1, 1, 1, 1)."""
+    # exponential weights, at least -log(0.999) each, so that every share is positive and the vacuum keeps room
+    weights = [-math.log(draw(st.floats(1e-6, 0.999))) for _ in range(4)]
+    return tuple(weight / sum(weights) for weight in weights[:3])
+
+
 def objective_for(scenario, mode):
     """The key rate as a function of the parameters, as optimize_strategy searches it."""
     return lambda params: evaluate_key_rate(scenario, params, mode).rate
@@ -345,6 +357,22 @@ class TestEvaluate:
         assert degenerate.e_zz_upper > 1.3 * clean.e_zz_upper
         assert degenerate.lp_problem.warnings
         assert clean.lp_problem.warnings == ()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(eta_a=log_uniform(-4.0, 0.0), eta_b=log_uniform(-4.0, 0.0), p_d=st.sampled_from([0.0, 1e-8, 1e-6]),
+           e_d=st.floats(0.0, 0.1), intensities=st.lists(log_uniform(-4.0, 0.0), min_size=6, max_size=6),
+           shares_a=dirichlet_shares(), shares_b=dirichlet_shares(), n_pulses=log_uniform(8.0, 14.0))
+    def test_finite_phase_error_bound_never_falls_below_the_asymptotic_one(
+            self, eta_a, eta_b, p_d, e_d, intensities, shares_a, shares_b, n_pulses):
+        # the chain's soundness: every LP bound dominates the true yield it
+        # stands for, and the pairs outside the bound matrix take 1
+        s_a, s_b, *decoys = intensities
+        mu_a, nu_a = sorted(decoys[:2], reverse=True)
+        mu_b, nu_b = sorted(decoys[2:], reverse=True)
+        params = ProtocolParameters(s_a, s_b, mu_a, nu_a, mu_b, nu_b, *shares_a, *shares_b)
+        scenario = ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=p_d, e_d=e_d)
+        finite = evaluate_key_rate(scenario, params, EvaluationMode.finite(n_pulses))
+        assert finite.e_zz_upper >= evaluate_key_rate(scenario, params, ASYMPTOTIC).e_zz_upper
 
     def test_asymptotic_reports_true_yields(self):
         from tfqkd.channel import yield_grid

@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,15 @@ from scipy.optimize import linprog
 
 from oracles import bland_run_simplex, dantzig_run_simplex
 from tfqkd import simplex
-from tfqkd.decoy import TARGET_PAIRS, PHOTON_CUTOFF, _equality_form, build_problem, observations_from_scenario
+from tfqkd.channel import ChannelScenario
+from tfqkd.decoy import (
+    PHOTON_CUTOFF,
+    STACK_SIZE,
+    TARGET_PAIRS,
+    _equality_form,
+    build_problem,
+    observations_from_scenario,
+)
 from tfqkd.errors import DomainError, InfeasibleProblemError, UnboundedProblemError
 from tfqkd.experiments import QberScanConfig, SweepConfig
 from tfqkd.simplex import maximize_prepared, prepare
@@ -114,17 +123,22 @@ def test_deterministic_reruns():
     assert first[1] == second[1]
 
 
-def test_beale_cycling_example_reaches_its_optimum():
+def _beale_program():
     # Beale (1955): Dantzig's rule with smallest-index ties cycles forever
-    # from the slack basis, which phase 1 reaches here; the Bland fallback
-    # after a run of degenerate steps must break the cycle
+    # from the slack basis, which phase 1 reaches here
     a = np.array([
         [1.0, 0.0, 0.0, 0.25, -60.0, -1.0 / 25.0, 9.0],
         [0.0, 1.0, 0.0, 0.5, -90.0, -1.0 / 50.0, 3.0],
         [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
     ])
     cost = np.array([0.0, 0.0, 0.0, 0.75, -150.0, 1.0 / 50.0, -6.0])
-    x, value = maximize(cost, a, np.array([0.0, 0.0, 1.0]), np.full(7, np.inf))
+    return a, np.array([0.0, 0.0, 1.0]), np.full(7, np.inf), [cost]
+
+
+def test_beale_cycling_example_reaches_its_optimum():
+    # the Bland fallback after a run of degenerate steps must break the cycle
+    a, b, upper, (cost,) = _beale_program()
+    x, value = maximize(cost, a, b, upper)
     assert value == pytest.approx(1.0 / 20.0, abs=1e-12)
     assert x == pytest.approx([3.0 / 100.0, 0.0, 0.0, 1.0 / 25.0, 0.0, 1.0, 0.0], abs=1e-12)
 
@@ -224,7 +238,7 @@ def _artificial_leaving_program():
 
 
 def _decoy_targets(problem):
-    a, b, ub = _equality_form(problem)
+    a, b, ub = _equality_form(problem.coefficients, *problem.constraint_bounds())
     objectives = []
     for n, m in TARGET_PAIRS:
         objective = np.zeros(a.shape[1])
@@ -337,3 +351,182 @@ def test_dantzig_pricing_takes_fewer_phase_two_pivots_on_the_finite_sweep(loss_d
     assert len(dantzig) == len(bland) == 1 + len(TARGET_PAIRS)
     assert dantzig[0][:5] == bland[0][:5]  # phase 1 is the same loop either way
     assert sum(call[0] for call in dantzig[1:]) < sum(call[0] for call in bland[1:])
+
+
+# ---------------------------------------------------------------------------
+# The lockstep stack against the scalar loop
+
+_stack_loop = simplex._run_stack  # the package stack loop, unpatched
+
+
+def _trace_stack(a, b, upper, objectives):
+    """maximize_stack on stacked LP data, with every _run_stack call recorded per LP.
+
+    Returns the values (None where the stack reports a failure) and, per
+    LP, its loop calls in _trace_solves' layout: pivot count, final basis,
+    status, basic values and tableau bytes, and the degenerate budget.
+    """
+    calls = []
+
+    def recording(cost, stack, degenerate_budget):
+        outcome = _stack_loop(cost, stack, degenerate_budget)
+        if outcome is not None:
+            order, pivots = outcome
+            calls.append((order.copy(), [
+                (int(pivots[slot]), stack.basis[slot].tobytes(), stack.status[slot].tobytes(),
+                 stack.x_basic[slot].tobytes(), stack.tableau[slot].tobytes(), degenerate_budget)
+                for slot in range(len(order))
+            ]))
+        return outcome
+
+    with mock.patch.object(simplex, "_run_stack", recording):
+        values = simplex.maximize_stack(a, b, upper, objectives)
+    per_lp = [[] for _ in range(len(a))]
+    prepared = None  # phase 1 leaves LP prepared[s] in slot s, which phase 2 starts from
+    for order, records in calls:
+        lps = order if prepared is None else prepared[order]
+        prepared = order if prepared is None else prepared
+        for lp, record in zip(lps, records):
+            per_lp[lp].append(record)
+    return values, per_lp
+
+
+def _assert_stack_retraces_scalar_loop(programs, objectives):
+    """Stack the programs (a, b, upper) of one shape and hold every LP to the scalar loop.
+
+    Where the scalar path raises for some LP, the stack reports a failure;
+    otherwise each LP's loop calls and maxima equal the scalar path's, bit
+    for bit.  Returns the per-LP calls, or None after a failure.
+    """
+    a, b, upper = (np.array(parts) for parts in zip(*programs))
+    values, per_lp = _trace_stack(a, b, upper, objectives)
+    scalar = [_trace_solves(_lean_loop, *program, objectives) for program in programs]
+    assert (values is None) == any(isinstance(results, str) for results, _ in scalar)
+    if values is None:
+        return None
+    for lp, (results, calls) in enumerate(scalar):
+        assert per_lp[lp] == calls, f"LP {lp} of {len(programs)}"
+        assert [np.float64(value).tobytes() for value in values[lp]] == [value for _, value in results]
+    return per_lp
+
+
+def _decoy_stack(problems):
+    """Equality forms of decoy problems as stacked programs, and their target objectives."""
+    programs = [_decoy_targets(problem)[:3] for problem in problems]
+    return programs, _decoy_targets(problems[0])[3]
+
+
+def _scan_problems(config):
+    """The QBER scan's decoy problems, one per grid point."""
+    scenario = config.scenario()
+    return [
+        build_problem(observations_from_scenario(scenario, (max(v, config.nu), min(v, config.nu), 0.0),
+                                                 (config.mu_b, config.nu, 0.0)))
+        for v in config.s_a_grid
+    ]
+
+
+def _near_tie_program():
+    # x0 enters first in phase 1 and meets three rows whose ratios 1 + 2u,
+    # 1 + u and 1 (u one ulp of 1) lie within the 1e-15 tie window: the
+    # scalar test keeps row 0, the smallest ratio is row 2's
+    u = np.spacing(1.0)
+    a = np.hstack([np.ones((3, 1)), np.eye(3)])
+    return a, np.array([1.0 + 2.0 * u, 1.0 + u, 1.0]), np.full(4, np.inf), [np.array([1.0, 0.0, 0.0, 0.0])]
+
+
+_STACKED_PROGRAMS = {
+    **_FIXED_PROGRAMS,
+    "near_tie": _near_tie_program,
+    "beale_cycling": _beale_program,
+}
+
+
+def _golden_scan_config():
+    return QberScanConfig.from_dict(json.loads((GOLDEN / "qber_scan.json").read_text()))
+
+
+def _seed_one_scan_grid():
+    """The benchmark's qber_scan grid at seed 1: 2,000 log-spaced points in
+    [1e-3, 1] and the degenerate point s_a = nu = 0.01, shuffled."""
+    grid = sorted({10.0 ** (-3.0 + 3.0 * i / 1999) for i in range(2000)} | {0.01})
+    random.Random(1).shuffle(grid)
+    return grid
+
+
+class TestStackRetracesScalarLoop:
+    """maximize_stack against the scalar loop, LP by LP, bit for bit."""
+
+    @pytest.mark.parametrize("program", _STACKED_PROGRAMS)
+    def test_fixed_programs(self, program):
+        a, b, upper, objectives = _STACKED_PROGRAMS[program]()
+        # the program, a copy at half the right-hand side, and the program again
+        per_lp = _assert_stack_retraces_scalar_loop([(a, b, upper), (a, 0.5 * b, upper), (a, b, upper)], objectives)
+        assert per_lp is not None and per_lp[0] == per_lp[2]
+
+    @pytest.mark.parametrize("program", ["bound_flips", "near_tie"])
+    def test_a_stack_of_one(self, program):
+        a, b, upper, objectives = _STACKED_PROGRAMS[program]()
+        assert _assert_stack_retraces_scalar_loop([(a, b, upper)], objectives) is not None
+
+    def test_near_ties_take_the_scalar_ratio_test(self):
+        a, b, upper, objectives = _near_tie_program()
+        with mock.patch.object(simplex, "_ratio_test", wraps=simplex._ratio_test) as ratio_test:
+            _, ((phase_one, *_),) = _trace_stack(a[None], b[None], upper[None], objectives)
+        assert ratio_test.call_count >= 1
+        # x0 holds row 0, the scalar test's choice, not row 2 of the smallest ratio
+        assert np.frombuffer(phase_one[1], dtype=np.int64).tolist().index(0) == 0
+        _assert_stack_retraces_scalar_loop([(a, b, upper)], objectives)
+
+    def test_bound_flips_and_the_bland_fallback_are_exercised(self):
+        a, b, upper, objectives = _bound_flip_program()
+        per_lp = _assert_stack_retraces_scalar_loop([(a, b, upper)] * 2, objectives)
+        assert per_lp[0][0][0] == 5  # four bound flips, then x4 replaces the artificial
+        a, b, upper, objectives = _beale_program()
+        with mock.patch.object(simplex, "_DANTZIG_DEGENERATE_LIMIT", 2):
+            # a short budget makes Beale's cycle reach the Bland fallback within the stack
+            _assert_stack_retraces_scalar_loop([(a, b, upper)] * 2, objectives)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 6), columns=st.integers(1, 12), stack=st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 3), st.booleans(), st.booleans()),
+        min_size=1, max_size=6))
+    def test_random_boxed_programs(self, rows, columns, stack):
+        programs = [_random_program(seed, rows, columns, *flags) for seed, *flags in stack]
+        _assert_stack_retraces_scalar_loop([program[:3] for program in programs], programs[0][3])
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(lps=st.lists(st.tuples(
+        st.floats(1e-3, 1.0), st.floats(1e-3, 1.0), st.floats(0.0, 0.1), st.sampled_from([0.0, 1e-8, 1e-6]),
+        st.tuples(st.floats(1e-3, 1.0), st.floats(0.0, 1.0), st.floats(1e-3, 1.0), st.floats(0.0, 1.0)),
+        st.one_of(st.none(), st.floats(8.0, 14.0))), min_size=1, max_size=5))
+    def test_decoy_lps_asymptotic_and_finite(self, lps):
+        problems = []
+        for eta_a, eta_b, e_d, p_d, (mu_a, nu_share_a, mu_b, nu_share_b), log_pulses in lps:
+            # a share of 1 makes the degenerate decoy set mu == nu
+            decoys_a, decoys_b = (mu_a, mu_a * nu_share_a, 0.0), (mu_b, mu_b * nu_share_b, 0.0)
+            scenario = ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=p_d, e_d=e_d)
+            if log_pulses is None:
+                obs = observations_from_scenario(scenario, decoys_a, decoys_b)
+                problems.append(build_problem(obs))
+            else:
+                obs = observations_from_scenario(scenario, decoys_a, decoys_b, n_pulses=10.0**log_pulses,
+                                                 probabilities_a=(0.1, 0.05, 0.05), probabilities_b=(0.2, 0.1, 0.1))
+                problems.append(build_problem(obs, sigma_multiplier=5.3))
+        assert _assert_stack_retraces_scalar_loop(*_decoy_stack(problems)) is not None
+
+    def test_golden_scan_grid(self):
+        config = _golden_scan_config()
+        assert config.nu in config.s_a_grid  # the degenerate point s_a = nu
+        assert _assert_stack_retraces_scalar_loop(*_decoy_stack(_scan_problems(config))) is not None
+
+    def test_seed_one_scan_grid_in_stacks(self):
+        config = QberScanConfig(s_a_grid=tuple(_seed_one_scan_grid()))
+        problems = _scan_problems(config)
+        pivots = [0, 0]
+        for start in range(0, len(problems), STACK_SIZE):  # 63 stacks, the last of 17 LPs
+            for calls in _assert_stack_retraces_scalar_loop(*_decoy_stack(problems[start:start + STACK_SIZE])):
+                pivots[0] += calls[0][0]
+                pivots[1] += sum(call[0] for call in calls[1:])
+        assert pivots == [18_006, 21_414]
+

@@ -23,9 +23,18 @@ build, both simplex phases):
 * yield_lp_qber_exact: the exact LP of the QBER scan at unit transmittance,
   e_d 0.02 and no dark counts, both sides with decoys (0.1, 0.01, 0).
 
+One decoy.yield_bounds case, timed as REPEATS repeats of STACK_CALLS calls,
+times the stacked path of the QBER scan per LP, end to end as above:
+
+* yield_lp_qber_stack: one stack of STACK_SIZE exact QBER-scan LPs, side a's
+  strong decoy log-spaced over [1e-3, 1] (the weak decoy 0.01, or the strong
+  one where it falls below 0.01) against side b's (0.1, 0.01, 0), in the
+  scenario of yield_lp_qber_exact.  It reports microseconds per LP, to
+  compare with the one-LP calls of yield_lp_qber_exact.
+
 Every case is warmed up once before timing.  Each line reports the median
-over the repeats of the mean time per call, and the fastest repeat.  Only
-the standard library and numpy are used.
+over the repeats of the mean time per call (per LP for the stack), and the
+fastest repeat.  Only the standard library and numpy are used.
 """
 
 import statistics
@@ -36,7 +45,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tfqkd.channel import ChannelScenario  # noqa: E402  (needs src/ on the path)
-from tfqkd.decoy import sigma_multiplier_from_epsilon, yield_lp  # noqa: E402
+from tfqkd.decoy import STACK_SIZE, sigma_multiplier_from_epsilon, yield_bounds, yield_lp  # noqa: E402
 from tfqkd.experiments import split_total_loss  # noqa: E402
 from tfqkd.optimizer import EvaluationMode, ProtocolParameters, evaluate_key_rate  # noqa: E402
 
@@ -50,8 +59,11 @@ PARAMS = ProtocolParameters(**POINT)
 DECOYS = (PARAMS.mu_a, PARAMS.nu_a, 0.0)
 PROBABILITIES = (PARAMS.p_mu_a, PARAMS.p_nu_a, PARAMS.p_omega_a)
 QBER_SCENARIO = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
+QBER_STACK = [((max(v, 0.01), min(v, 0.01), 0.0), DECOYS)
+              for v in (10.0 ** (-3.0 + 3.0 * i / (STACK_SIZE - 1)) for i in range(STACK_SIZE))]
 CALLS = 2000  # evaluate_key_rate calls per timed repeat
 LP_CALLS = 200  # yield_lp calls per timed repeat
+STACK_CALLS = 10  # yield_bounds calls per timed repeat
 REPEATS = 9  # timed repeats per case
 
 
@@ -84,15 +96,28 @@ def _time_lp(scenario: ChannelScenario, mode: EvaluationMode, probabilities) -> 
     return per_call
 
 
+def _time_stack() -> list[float]:
+    per_lp = []
+    yield_bounds(QBER_SCENARIO, QBER_STACK)
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(STACK_CALLS):
+            yield_bounds(QBER_SCENARIO, QBER_STACK)
+        per_lp.append((time.perf_counter() - start) / (STACK_CALLS * len(QBER_STACK)) * 1e6)
+    return per_lp
+
+
 def main() -> int:
     cases = (("finite_fixed_signals", lambda: _time_case(FINITE, False), CALLS),
              ("finite_changed_signal", lambda: _time_case(FINITE, True), CALLS),
              ("asymptotic", lambda: _time_case(ASYMPTOTIC, True), CALLS),
              ("yield_lp_finite", lambda: _time_lp(SCENARIO, FINITE, PROBABILITIES), LP_CALLS),
-             ("yield_lp_qber_exact", lambda: _time_lp(QBER_SCENARIO, ASYMPTOTIC, None), LP_CALLS))
+             ("yield_lp_qber_exact", lambda: _time_lp(QBER_SCENARIO, ASYMPTOTIC, None), LP_CALLS),
+             ("yield_lp_qber_stack", _time_stack, STACK_CALLS))
     for name, run, calls in cases:
         times = run()
-        print(f"{name:<22} {statistics.median(times):7.1f} us/call  (fastest repeat {min(times):.1f}; "
+        unit = "us/LP  " if run is _time_stack else "us/call"
+        print(f"{name:<22} {statistics.median(times):7.1f} {unit}  (fastest repeat {min(times):.1f}; "
               f"{REPEATS} x {calls} calls)")
     return 0
 
