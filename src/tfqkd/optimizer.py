@@ -16,8 +16,10 @@ log step reaches float-level precision.  No seed enters.
 
 In finite mode the strategy's coordinates (each the tuple of slots it sets
 to one value) and its random starts follow from its row of the tie table.
-Each coordinate is line-searched by golden section inside its box; passes
-repeat until the rate stops improving.  The yield LP comes from
+Each coordinate is line-searched by golden section inside its box, until
+the bracket is within LINE_TOLERANCE (1e-3) of its midpoint or after
+LINE_EVALUATIONS (30) evaluations; passes repeat until a pass gains no
+more than REL_IMPROVEMENT (1e-4) of the rate.  The yield LP comes from
 decoy.yield_lp through a memo that the signal intensities do not key.
 Multistart keeps the best outcome over seeded starts, with ties broken by
 the lowest start index, bit for bit.
@@ -49,7 +51,8 @@ OMEGA_SHARE_MIN = 1e-3  # selection probability reserved for the vacuum decoy
 
 MAX_PASSES = 50  # coordinate-descent passes per start
 REL_IMPROVEMENT = 1e-4  # a pass that gains no more than this share of the rate ends the descent
-LINE_EVALUATIONS = 30  # objective evaluations per golden-section line search
+LINE_TOLERANCE = 1e-3  # a line search ends once its bracket is this share of its midpoint
+LINE_EVALUATIONS = 30  # objective evaluations at most per golden-section line search
 
 COARSE_POINTS = 41  # asymptotic search: points per side of the first log grid (0.1-decade steps)
 REFINE_POINTS = 11  # points per side of each shrunk grid; a round divides the step by 5
@@ -337,7 +340,13 @@ def _safe(objective, params: ProtocolParameters) -> float:
 
 
 def golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section line search of LINE_EVALUATIONS points; returns the best evaluated one."""
+    """Golden-section line search over [lo, hi]; returns the best evaluated point.
+
+    The search stops once its bracket [a, b] satisfies
+    b - a <= LINE_TOLERANCE * (a + b) / 2, or after LINE_EVALUATIONS
+    evaluations, whichever comes first.  The cap also ends a search that
+    closes in on lo = 0, where the relative rule never holds.
+    """
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
@@ -347,6 +356,8 @@ def golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
     else:
         best_x, best_f = x2, f2
     for _ in range(LINE_EVALUATIONS - 2):
+        if b - a <= LINE_TOLERANCE * 0.5 * (a + b):
+            break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -367,8 +378,9 @@ def coordinate_descent(objective, init: ProtocolParameters, strategy: Strategy) 
 
     Each coordinate is maximized by golden section within its current box;
     passes repeat, at most MAX_PASSES, until the rate improves over a full
-    pass by no more than REL_IMPROVEMENT of its value.  Objectives
-    returning NaN count as rejected points.
+    pass by no more than REL_IMPROVEMENT of its value, or not at all.
+    Objectives returning NaN count as rejected points, so a descent that
+    meets only NaN ends after one pass.
     """
     coords = strategy_coordinates(strategy)
     x = [getattr(init, name) for name in _SLOT_NAMES]
@@ -383,7 +395,8 @@ def coordinate_descent(objective, init: ProtocolParameters, strategy: Strategy) 
             if rate > current:
                 x = _moved(x, coord, value)
                 current = rate
-        if current - pass_start <= REL_IMPROVEMENT * max(pass_start, 0.0):
+        # equality also ends a descent that found no finite rate (-inf - -inf is NaN)
+        if current == pass_start or current - pass_start <= REL_IMPROVEMENT * max(pass_start, 0.0):
             break
     return _params(x), current
 

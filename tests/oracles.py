@@ -646,8 +646,15 @@ def _safe(objective, params: ProtocolParameters) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max_reference(f, lo: float, hi: float, evaluations: int = 30) -> tuple[float, float]:
-    """Golden-section line search; returns the best evaluated point."""
+def golden_section_max_reference(f, lo: float, hi: float, evaluations: int = 30,
+                                 line_tolerance: float | None = 1e-3) -> tuple[float, float]:
+    """Golden-section line search; returns the best evaluated point.
+
+    The search stops after `evaluations` evaluations, or earlier once the
+    bracket [a, b] is within line_tolerance of its midpoint.  With
+    line_tolerance None it always makes `evaluations` evaluations: the
+    search before the bracket rule, kept as the old-search reference.
+    """
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
@@ -657,6 +664,8 @@ def golden_section_max_reference(f, lo: float, hi: float, evaluations: int = 30)
     else:
         best_x, best_f = x2, f2
     for _ in range(max(0, evaluations - 2)):
+        if line_tolerance is not None and b - a <= line_tolerance * 0.5 * (a + b):
+            break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -675,13 +684,16 @@ def golden_section_max_reference(f, lo: float, hi: float, evaluations: int = 30)
 def coordinate_descent_reference(objective, init: ProtocolParameters, strategy: Strategy,
                                  mode: EvaluationMode, max_passes: int = 50,
                                  rel_improvement: float = 1e-4,
-                                 line_evaluations: int = 30) -> tuple[ProtocolParameters, float]:
+                                 line_evaluations: int = 30,
+                                 line_tolerance: float | None = 1e-3) -> tuple[ProtocolParameters, float]:
     """Cyclic line search over the strategy's free coordinates.
 
-    Each coordinate is maximized by golden section within its current box;
-    passes repeat until the relative rate improvement over a full pass
-    drops below the threshold.  Objectives returning NaN count as
-    rejected points.
+    Each coordinate is maximized by golden section within its current box
+    (golden_section_max_reference, which line_tolerance None turns into
+    the search of line_evaluations points each); passes repeat until the relative rate
+    improvement over a full pass drops below the threshold, or the rate
+    does not change at all.  Objectives returning NaN count as rejected
+    points.
     """
     coords = strategy_coordinates_reference(strategy, mode)
     params = init
@@ -693,12 +705,12 @@ def coordinate_descent_reference(objective, init: ProtocolParameters, strategy: 
             if not lo < hi:
                 continue
             value, rate = golden_section_max_reference(
-                lambda v: _safe(objective, coord.apply(params, v)), lo, hi, line_evaluations,
+                lambda v: _safe(objective, coord.apply(params, v)), lo, hi, line_evaluations, line_tolerance,
             )
             if rate > current:
                 params = coord.apply(params, value)
                 current = rate
-        if current - pass_start <= rel_improvement * max(pass_start, 0.0):
+        if current == pass_start or current - pass_start <= rel_improvement * max(pass_start, 0.0):
             break
     return params, current
 

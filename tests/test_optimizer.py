@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,10 @@ from tfqkd import decoy, optimizer, security
 from tfqkd.channel import ChannelScenario
 from tfqkd.decoy import LpProblem
 from tfqkd.errors import DomainError, InfeasibleProblemError, UnsupportedAmplitudeError
+from tfqkd.experiments import SweepConfig
 from tfqkd.optimizer import (
+    LINE_EVALUATIONS,
+    LINE_TOLERANCE,
     EvaluationMode,
     ProtocolParameters,
     Strategy,
@@ -196,11 +201,58 @@ class TestStrategyCoordinates:
             assert moved is not None  # stays constructible
 
 
+def _recorded(f):
+    """f, and the list of points it is evaluated at."""
+    points = []
+
+    def recording(v):
+        points.append(v)
+        return f(v)
+
+    return recording, points
+
+
+def _within_tolerance(a, b):
+    return b - a <= LINE_TOLERANCE * 0.5 * (a + b)
+
+
 class TestGoldenSection:
     def test_finds_parabola_peak(self):
         x, fx = golden_section_max(lambda v: -(v - 0.37) ** 2, 0.0, 1.0)
         assert x == pytest.approx(0.37, abs=1e-4)
         assert fx == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (1e-3, 0.99), (1e-4, 1.0), (0.02, 0.021)])
+    def test_stops_once_the_bracket_is_within_tolerance(self, lo, hi):
+        # on an increasing function every step raises a to the lower interior
+        # point and keeps b = hi, so the n points evaluated so far, ascending,
+        # give the bracket [points[n - 3], hi] (lo while n < 3)
+        f, points = _recorded(lambda v: v)
+        x, fx = golden_section_max(f, lo, hi)
+        assert points == sorted(points)
+        assert (x, fx) == (points[-1], points[-1])
+        brackets = [(lo, hi)] + [(a, hi) for a in points]  # bracket after 2, 3, ... evaluations
+        stop = next(k for k, (a, b) in enumerate(brackets) if _within_tolerance(a, b))
+        assert len(points) == stop + 2 < LINE_EVALUATIONS
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda v: v, 0.0, 1e-9),
+        (lambda v: math.sin(40.0 * v), 0.0, 1.0),
+        (lambda v: -(v - 0.37) ** 2, 0.0, 1.0),
+        (lambda v: math.nan, 1e-4, 1.0),
+    ], ids=["tiny-box-at-zero", "oscillating", "parabola", "nan"])
+    def test_never_exceeds_line_evaluations(self, f, lo, hi):
+        recording, points = _recorded(f)
+        golden_section_max(recording, lo, hi)
+        assert 2 <= len(points) <= LINE_EVALUATIONS
+
+    def test_decreasing_function_from_zero_ends_at_the_cap(self):
+        # the bracket [0, b] is never within a share of its midpoint b / 2
+        f, points = _recorded(lambda v: -v)
+        x, fx = golden_section_max(f, 0.0, 1.0)
+        assert len(points) == LINE_EVALUATIONS
+        assert x == min(points) > 0.0
+        assert fx == -x
 
 
 class TestCoordinateDescent:
@@ -222,6 +274,20 @@ class TestCoordinateDescent:
         best, value = coordinate_descent(objective, init, Strategy.FULLY_ASYMMETRIC)
         assert math.isfinite(value)
         assert best.s_a <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_all_nan_objective_ends_after_one_pass(self, strategy):
+        calls = []
+
+        def objective(params):
+            calls.append(params)
+            return math.nan
+
+        init = draw_start(strategy, seed=0, index=0)
+        best, value = coordinate_descent(objective, init, strategy)
+        assert (best, value) == (init, -math.inf)
+        # the start, then one line search of at most LINE_EVALUATIONS points per coordinate
+        assert len(calls) <= 1 + len(strategy_coordinates(strategy)) * LINE_EVALUATIONS
 
 
 #: Optimum of the synthetic objective: mu below nu on side a and near-saturated
@@ -290,6 +356,30 @@ class TestDescentRetracesReference:
             mine = _traced_descent(coordinate_descent, objective, init, strategy)
             reference = _traced_descent(_finite_reference_descent, objective, init, strategy)
             assert mine == reference
+
+
+class TestBracketTolerance:
+    """The bracket rule against the fixed 30-evaluation search, on the finite golden sweep's point."""
+
+    def test_finite_golden_point_keeps_its_rate_with_fewer_lp_solves(self):
+        document = json.loads((Path(__file__).parent / "golden" / "finite_sweep.json").read_text(encoding="utf-8"))
+        config = SweepConfig.from_dict(document)
+        (loss_db,), (strategy,) = config.total_loss_db_grid, config.strategies
+        strategy = Strategy(strategy)
+        objective = objective_for(config.scenario_for(loss_db), config.evaluation_mode())
+        init = draw_start(strategy, config.seed, 0)
+
+        def solved(descent):
+            optimizer._finite_lp.cache_clear()
+            _, rate = descent()
+            return rate, optimizer._finite_lp.cache_info().misses
+
+        new_rate, new_solves = solved(lambda: coordinate_descent(objective, init, strategy))
+        old_rate, old_solves = solved(
+            lambda: coordinate_descent_reference(objective, init, strategy, FINITE, line_tolerance=None))
+        assert old_rate > 0.0
+        assert new_rate >= (1.0 - optimizer.REL_IMPROVEMENT) * old_rate
+        assert new_solves < old_solves
 
 
 class TestMultistart:

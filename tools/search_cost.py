@@ -1,0 +1,96 @@
+"""Cost and outcome of one finite-mode descent per strategy, loss and multistart seed.
+
+    python tools/search_cost.py [--baseline FILE]
+
+The inputs are the finite sweep of the benchmark's finite_opt workload at
+three total losses: mismatch 0.1, e_d 0.02, p_d 1e-8, 1e12 pulses and
+epsilon 1e-7, at 30, 40 and 50 dB.  For each of the four strategies, each
+loss and each multistart seed 0-7, one start runs as optimize_strategy
+runs it, on a cold LP memo.  Each row reports the objective evaluations,
+the yield LPs solved (misses of the LP memo) and the rate the descent
+reached, in repr so that rows compare bit for bit.  The last line sums
+evaluations and LP solves and counts the descents that ended at rate 0.
+
+With --baseline, FILE is an earlier output of this script (say, from the
+parent commit's source); each row then also reports its rate as a ratio
+to the baseline's, and a summary gives the range of the ratios between
+nonzero rates and the cells whose rate is zero on either side.  Only the
+standard library and numpy are used.
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tfqkd import optimizer  # noqa: E402  (needs src/ on the path)
+from tfqkd.experiments import SweepConfig  # noqa: E402
+from tfqkd.optimizer import Strategy, add_fibre_transform, evaluate_key_rate, multistart  # noqa: E402
+
+LOSSES_DB = (30.0, 40.0, 50.0)
+SEEDS = range(8)
+CONFIG = SweepConfig(total_loss_db_grid=LOSSES_DB, mismatch_ratio=0.1, mode="finite", n_pulses=1e12,
+                     epsilon=1e-7, n_starts=1)
+HEADER = ("strategy", "loss_db", "seed", "evaluations", "lp_solves", "rate")
+
+
+def descent_cost(strategy: Strategy, loss_db: float, seed: int) -> tuple[int, int, float]:
+    """Evaluations, LP solves and rate of one start of the finite search."""
+    scenario = CONFIG.scenario_for(loss_db)
+    working = add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario
+    mode = CONFIG.evaluation_mode()
+    evaluations = 0
+
+    def objective(params):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate_key_rate(working, params, mode).rate
+
+    optimizer._finite_lp.cache_clear()
+    _, rate = multistart(objective, strategy, 1, seed)
+    return evaluations, optimizer._finite_lp.cache_info().misses, rate
+
+
+def _read_baseline(path: str) -> dict:
+    rows = [line.split("\t") for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    return {tuple(row[:3]): float(row[5]) for row in rows if len(row) >= 6 and row[0] in CONFIG.strategies}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline", help="an earlier output of this script to compare rates with")
+    args = parser.parse_args()
+    baseline = _read_baseline(args.baseline) if args.baseline else None
+    print("\t".join(HEADER + (("rate_ratio",) if baseline else ())), flush=True)
+    total_evaluations = total_solves = zero_rates = 0
+    ratios, zero_cells = [], []
+    for name in CONFIG.strategies:
+        for loss_db in LOSSES_DB:
+            for seed in SEEDS:
+                evaluations, solves, rate = descent_cost(Strategy(name), loss_db, seed)
+                total_evaluations += evaluations
+                total_solves += solves
+                zero_rates += rate == 0.0
+                row = [name, repr(loss_db), str(seed), str(evaluations), str(solves), repr(rate)]
+                if baseline:
+                    old = baseline[tuple(row[:3])]
+                    if rate > 0.0 and old > 0.0:
+                        ratios.append(rate / old)
+                        row.append(repr(rate / old))
+                    else:
+                        row.append("-")
+                    if rate == 0.0 or old == 0.0:
+                        zero_cells.append(f"{name}/{loss_db:g}dB/seed{seed} ({old!r} -> {rate!r})")
+                print("\t".join(row), flush=True)
+    print(f"# total: {total_evaluations} evaluations, {total_solves} LP solves, "
+          f"{zero_rates} of {len(CONFIG.strategies) * len(LOSSES_DB) * len(SEEDS)} descents at rate 0")
+    if baseline:
+        if ratios:
+            print(f"# nonzero rate ratios to the baseline: min {min(ratios)!r}, max {max(ratios)!r}")
+        print(f"# cells at rate 0 on either side: {'; '.join(zero_cells) or 'none'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
