@@ -10,6 +10,11 @@ standard-error confidence interval before the program is built.  The
 Poisson weights are channel.poisson_pmf_rows, one 3x10 matrix per side.
 yield_lp is the path from a channel scenario and an EvaluationMode to the
 LP and its bound matrix, which the finite key-rate evaluation memoises.
+A finite search solves its LPs through yield_lp with a WarmBases of its
+own: an LP whose matrix did not change (only selection probabilities
+moved) is re-solved from each target's last optimal basis, skipping
+phase 1 unless every target's basis fails; those bounds may differ from
+the cold ones by a few 1e-11 and only rank points.
 yield_bounds is the QBER scan's path to the bound matrices of many decoy
 settings: it builds their asymptotic LPs a stack at a time and solves each
 stack in lockstep (simplex.maximize_stack), with the bits, and the first
@@ -314,7 +319,31 @@ def _bound_matrix(values) -> np.ndarray:
     return bounds
 
 
-def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
+class WarmBases:
+    """Each target's last optimal basis, kept by one finite search to re-solve its next LP.
+
+    A search that changes only selection probabilities changes only the
+    gain intervals, that is b and the slack boxes of the equality form,
+    and leaves its matrix as it was; the last optimal basis of a target
+    then stays dual feasible and only its primal values move.
+    solve_yield_bounds, given a WarmBases, carries each stored basis to the
+    new data with simplex.rebase and re-prices it in phase 2 from there.
+    A target whose basis is missing or not strictly feasible starts its
+    phase 2 from another target's carried basis, which is feasible for
+    every objective.  Phase 1 runs only when no basis carries over, or
+    when the matrix changed (a decoy moved); the LP is then solved as
+    without a WarmBases.  The stored bases are the final states of the
+    last solve.  The counters report how often each path ran: LPs solved,
+    target maxima re-priced from their own stored basis, and phase-1 runs.
+    """
+
+    def __init__(self):
+        self.matrix: np.ndarray | None = None
+        self.states: list = [None] * len(TARGET_PAIRS)
+        self.lp_solves = self.repriced = self.phase1_runs = 0
+
+
+def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.ndarray:
     """Upper bounds on the TARGET_PAIRS yields as a dense 3x3 bound matrix.
 
     Entry [n, m] holds the LP maximum of Y_nm rounded up by the safety
@@ -325,19 +354,43 @@ def solve_yield_bounds(problem: LpProblem) -> np.ndarray:
     simplex keeps no state between calls and its pricing (Dantzig's rule
     with a Bland fallback in phase 2, Bland's rule in phase 1) breaks ties
     by index, so reruns are bit-identical.
+
+    Given a WarmBases, phase 2 starts from the stored bases that stay
+    strictly feasible instead (see WarmBases).  Each maximum passes the
+    same optimality test, but its floats come from other pivots, so they
+    may differ from the cold ones by a few 1e-11, the rounding of an
+    ill-conditioned basis, and depend on the LPs solved before; the warm
+    bases for the next call are kept in warm.
     """
     a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
-    try:
-        basis = simplex.prepare(a, b, ub)
-    except InfeasibleProblemError as error:
-        pair = problem.pair_labels[error.constraint]
-        raise InfeasibleProblemError(
-            f"observations are contradictory beyond their widening at pair {pair}",
-            constraint=pair,
-        ) from None
+    states, rebased = [None] * len(TARGET_PAIRS), []
+    if warm is not None:
+        if warm.matrix is not None and np.array_equal(a, warm.matrix):
+            states = [None if state is None else simplex.rebase(state, b, ub) for state in warm.states]
+        # rebase needs bases whose phase 1 started on a nonnegative b
+        warm.matrix = a if b.min() >= 0.0 else None
+        warm.states = states
+        rebased = [state for state in states if state is not None]
+        warm.lp_solves += 1
+        warm.repriced += len(rebased)
+        warm.phase1_runs += not rebased
+    if rebased:
+        # feasibility does not depend on the objective: a re-based basis is a start for every target
+        basis = rebased[0].copy()
+    else:
+        try:
+            basis = simplex.prepare(a, b, ub)
+        except InfeasibleProblemError as error:
+            pair = problem.pair_labels[error.constraint]
+            raise InfeasibleProblemError(
+                f"observations are contradictory beyond their widening at pair {pair}",
+                constraint=pair,
+            ) from None
     values = []
-    for (n, m), objective in zip(TARGET_PAIRS, _objectives(a.shape[-1])):
-        _, value = simplex.maximize_prepared(basis, objective)
+    for target, ((n, m), objective) in enumerate(zip(TARGET_PAIRS, _objectives(a.shape[-1]))):
+        if states[target] is None:
+            states[target] = basis.copy()
+        _, value = simplex.maximize_prepared(states[target], objective, in_place=True)
         if not math.isfinite(value):
             # clamping would turn NaN into the unsound bound 0
             raise DomainError(f"LP maximum of Y[{n}][{m}] is not finite: {value}")
@@ -361,19 +414,21 @@ def _solve_stack(problems: list[LpProblem]) -> list[np.ndarray]:
 def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float],
              intensities_b: tuple[float, float, float], mode: EvaluationMode = EvaluationMode(),
              probabilities_a: tuple[float, float, float] | None = None,
-             probabilities_b: tuple[float, float, float] | None = None) -> tuple[LpProblem, np.ndarray]:
+             probabilities_b: tuple[float, float, float] | None = None,
+             warm: WarmBases | None = None) -> tuple[LpProblem, np.ndarray]:
     """The yield LP of a channel scenario and its bound matrix, every array read-only.
 
     Simulates the nine decoy gains, builds the problem and solves it for
     the TARGET_PAIRS.  In a finite mode the pulse count and both sides'
     selection probabilities give each gain's pulse count, and the sigma
     multiplier widens the gains; the asymptotic mode (the default) keeps
-    them exact and needs no probabilities.
+    them exact and needs no probabilities.  A WarmBases is handed to
+    solve_yield_bounds.
     """
     obs = observations_from_scenario(scenario, intensities_a, intensities_b, mode.n_pulses,
                                      probabilities_a, probabilities_b)
     problem = build_problem(obs, mode.sigma_multiplier)
-    bounds = solve_yield_bounds(problem)
+    bounds = solve_yield_bounds(problem, warm)
     for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass, bounds):
         array.setflags(write=False)
     return problem, bounds

@@ -21,11 +21,17 @@ the bracket is within LINE_TOLERANCE (1e-3) of its midpoint or after
 LINE_EVALUATIONS (30) evaluations; passes repeat until a pass gains no
 more than REL_IMPROVEMENT (1e-4) of the rate.  The yield LP comes from
 decoy.yield_lp through a memo that the signal intensities do not key.
-Multistart keeps the best outcome over seeded starts, with ties broken by
-the lowest start index, bit for bit.
+Each search owns that memo and a decoy.WarmBases behind it, which
+re-solves an LP whose matrix did not change (a probability step) from
+each target's last optimal basis; those bounds may differ from cold ones
+by a few 1e-11 and only rank points, though a comparison within that
+rounding can pick another winner than cold bounds would.  Multistart
+keeps the best outcome over seeded starts, with ties broken by the
+lowest start index, bit for bit.
 
-Either way the winner is evaluated once more by evaluate_key_rate, so a
-reported rate is reproduced bit for bit by evaluating its parameters.
+Either way the winner is evaluated once more by evaluate_key_rate on the
+cold path, so a reported rate is reproduced bit for bit by evaluating its
+parameters.
 """
 
 from __future__ import annotations
@@ -33,12 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .channel import ArrivingIntensities, ChannelScenario, x_basis_gain, x_basis_qber, yield_grid
-from .decoy import EvaluationMode, LpProblem, yield_lp
+from .decoy import EvaluationMode, LpProblem, WarmBases, yield_lp
 from .errors import DomainError
 from .security import PATTERN_COUNT, cat_amplitude_rows, cat_state, key_rate, phase_error_upper_bound
 
@@ -183,7 +189,7 @@ _finite_lp = lru_cache(maxsize=64)(yield_lp)
 
 
 def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
-                      mode: EvaluationMode) -> KeyRateReport:
+                      mode: EvaluationMode, *, _yield_lp=None) -> KeyRateReport:
     """Full pipeline: observables, yield bounds, phase error, key rate.
 
     Asymptotic mode treats every photon-number yield as perfectly known
@@ -202,13 +208,16 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     patterns; in finite mode it additionally carries the probability that
     both parties chose signal states.  The rate without that weight is
     key_rate(report.p_xx, report.e_xx, report.e_zz_upper).
+
+    The finite search passes its own yield-LP source as _yield_lp (see
+    _finite_objective); without it the LP comes from the cold memo above.
     """
     gamma = ArrivingIntensities.from_sources(scenario, params.s_a, params.s_b)
     if mode.is_finite:
         if not params.has_probabilities:
             raise DomainError("finite mode requires selection probabilities")
         weight = params.p_s_a * params.p_s_b
-        problem, bounds = _finite_lp(
+        problem, bounds = (_yield_lp or _finite_lp)(
             scenario, (params.mu_a, params.nu_a, 0.0), (params.mu_b, params.nu_b, 0.0), mode,
             (params.p_mu_a, params.p_nu_a, params.p_omega_a), (params.p_mu_b, params.p_nu_b, params.p_omega_b))
     else:
@@ -451,6 +460,19 @@ def multistart(objective, strategy: Strategy, n_starts: int, seed: int) -> tuple
     return max(outcomes, key=lambda outcome: outcome[1])
 
 
+def _finite_objective(scenario: ChannelScenario, mode: EvaluationMode):
+    """The finite search's objective, and the WarmBases its yield LPs are re-solved from.
+
+    The key rate as evaluate_key_rate gives it, with the yield LP from a
+    memo of _finite_lp's size over decoy.yield_lp that keeps each target's
+    last optimal basis (decoy.WarmBases).  Both belong to one search, so
+    nothing carries over between searches; the values only rank points.
+    """
+    warm = WarmBases()
+    source = lru_cache(maxsize=64)(partial(yield_lp, warm=warm))
+    return lambda params: evaluate_key_rate(scenario, params, mode, _yield_lp=source).rate, warm
+
+
 def optimize_strategy(scenario: ChannelScenario, strategy: Strategy, mode: EvaluationMode,
                       n_starts: int, seed: int) -> tuple[ProtocolParameters, KeyRateReport]:
     """Optimize one strategy on a scenario; returns the winner and its evaluation.
@@ -463,7 +485,7 @@ def optimize_strategy(scenario: ChannelScenario, strategy: Strategy, mode: Evalu
     """
     working = add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario
     if mode.is_finite:
-        params, _ = multistart(lambda p: evaluate_key_rate(working, p, mode).rate, strategy, n_starts, seed)
+        params, _ = multistart(_finite_objective(working, mode)[0], strategy, n_starts, seed)
     else:
         s_a, s_b = _asymptotic_search(working, tied=0 in TIED_SLOTS[strategy])
         # asymptotic rates take no decoys

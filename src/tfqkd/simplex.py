@@ -18,7 +18,11 @@ deterministic and no state survives between calls.
 
 Feasibility is established once by a phase-1 pass with artificial
 variables; the resulting basis can be snapshotted and reused for several
-objectives over the same constraints.
+objectives over the same constraints.  A final state of phase 2 can also
+be carried to a new right-hand side and new upper bounds of the same
+matrix (rebase): the artificial columns hold B^-1, so the basic values
+are recomputed directly, and the basis is kept only when they lie
+strictly inside their boxes, where it is feasible without phase 1.
 
 The tableaux are small (the decoy LP has 9 rows and 118 columns), so an
 iteration costs mostly interpreter overhead, and the loop keeps that low
@@ -429,9 +433,14 @@ def prepare(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> PreparedBasis:
     return state
 
 
-def maximize_prepared(state: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, float]:
-    """Phase 2 from a feasible snapshot; the snapshot itself is not mutated."""
-    work = state.copy()
+def maximize_prepared(state: PreparedBasis, objective: np.ndarray,
+                      in_place: bool = False) -> tuple[np.ndarray, float]:
+    """Phase 2 from a feasible snapshot.
+
+    The snapshot is left as it was, or with in_place it ends as the
+    optimal state, which rebase can carry over to new data.
+    """
+    work = state if in_place else state.copy()
     n = work.n_structural
     cost = np.zeros(work.upper.size)
     cost[:n] = np.asarray(objective, dtype=float)
@@ -439,6 +448,41 @@ def maximize_prepared(state: PreparedBasis, objective: np.ndarray) -> tuple[np.n
     work.refresh_basics()
     x = _solution(work)
     return x, float(cost[:n] @ x)
+
+
+def _basis_inverse_times(state: PreparedBasis, b: np.ndarray) -> np.ndarray:
+    """B^-1 b for the basis of a state whose phase 1 started on a nonnegative right-hand side.
+
+    The artificial columns started as the identity and took every pivot,
+    so they hold B^-1.  The one product by B^-1 outside the pivots.
+    """
+    return state.tableau[:, state.n_structural:] @ b
+
+
+def rebase(state: PreparedBasis, b: np.ndarray, upper: np.ndarray) -> PreparedBasis | None:
+    """The state's basis under a new b and new upper bounds of the same A, if strictly inside every box.
+
+    The state must come from prepare on the same A with a nonnegative b,
+    or from maximize_prepared or rebase after it.  The basic values are
+    recomputed, B^-1 b minus the columns at their new upper bounds, and
+    the copy is returned only when each lies strictly between 0 and its
+    upper bound; otherwise None, as also when b is not finite or upper
+    holds NaN (prepare then raises on the same data).  The nonbasic
+    variables keep their sides.
+    Phase 2 from the copy then needs no phase 1, and with an unchanged
+    objective its first pricing finds the old basis optimal unless a box
+    opened or closed.
+    """
+    if not (np.isfinite(b).all() and not np.isnan(upper).any()):
+        return None  # _finite_data's rule; the matrix is the state's, checked by prepare
+    work = state.copy()
+    work.upper[:work.n_structural] = upper
+    work.rhs = _basis_inverse_times(work, b)
+    work.refresh_basics()
+    box = work.upper[work.basis]
+    if not ((work.x_basic > 0.0) & (work.x_basic < box)).all():
+        return None
+    return work
 
 
 def _maximize_prepared_stack(stack: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -13,6 +13,7 @@ from tfqkd.decoy import (
     STACK_SIZE,
     TARGET_PAIRS,
     DecoyObservations,
+    WarmBases,
     EvaluationMode,
     LpProblem,
     build_problem,
@@ -23,6 +24,7 @@ from tfqkd.decoy import (
     yield_lp,
 )
 from tfqkd.errors import DomainError, InfeasibleProblemError
+from tfqkd.experiments import SweepConfig
 
 from oracles import build_problem_reference, lp_contains, poisson_pmf_vector_reference, scipy_yield_upper_bound
 
@@ -164,9 +166,20 @@ class TestNanIsRejected:
             build_problem(obs, sigma_multiplier=math.nan)
 
     def test_solve_raises_on_a_non_finite_maximum(self, monkeypatch):
-        monkeypatch.setattr(simplex, "maximize_prepared", lambda basis, objective: (None, math.nan))
+        monkeypatch.setattr(simplex, "maximize_prepared", lambda basis, objective, in_place=False: (None, math.nan))
         with pytest.raises(DomainError, match="not finite"):
             solve_yield_bounds(nominal_problem())
+
+    @pytest.mark.parametrize("pair", range(9))
+    def test_a_warm_solve_rejects_a_nan_box(self, pair):
+        # a NaN lower gain leaves b finite and makes the slack box NaN; the matrix is unchanged
+        warm = WarmBases()
+        problem, _ = yield_lp(FINITE_OPT_SCENARIO, DECOYS, DECOYS, FINITE_OPT_MODE,
+                              _decoy_probabilities(0.8, 0.1, 0.05), _decoy_probabilities(0.8, 0.1, 0.05), warm=warm)
+        gain_lower = problem.gain_lower.copy()
+        gain_lower[pair] = math.nan
+        with pytest.raises(DomainError):
+            solve_yield_bounds(dataclasses.replace(problem, gain_lower=gain_lower), warm)
 
     def test_solve_rejects_nan_problem_data(self):
         problem = nominal_problem()
@@ -518,3 +531,99 @@ class TestYieldLp:
             for sigma in (1.0, 5.3)
         )
         assert np.all(narrow <= wide)
+
+
+#: The finite sweep of the benchmark's finite_opt workload: 40 dB, mismatch 0.1, 1e12 pulses, epsilon 1e-7.
+FINITE_OPT = SweepConfig(total_loss_db_grid=(40.0,), mismatch_ratio=0.1, mode="finite", n_pulses=1e12, epsilon=1e-7)
+FINITE_OPT_SCENARIO = FINITE_OPT.scenario_for(40.0)
+FINITE_OPT_MODE = FINITE_OPT.evaluation_mode()
+
+#: Re-solved bounds agree with the cold ones to the rounding of bases whose
+#: condition number reaches about 1e8: 1.9e-11 at most over 1,500 walks of
+#: probability_walks, 2.9e-11 over the LPs of the 96 tools/search_cost.py
+#: descents.  A basis accepted within the phase-1 FEASIBILITY_TOLERANCE
+#: misses by 1.5e-5 (test_a_basic_value_just_below_zero_is_not_accepted).
+WARM_AGREEMENT = 5e-11
+
+
+def _decoy_probabilities(p_s, p_mu, p_nu):
+    """The LP's (mu, nu, omega) selection probabilities of one side."""
+    return p_mu, p_nu, 1.0 - p_s - p_mu - p_nu
+
+
+@st.composite
+def probability_walks(draw):
+    """(p_s, p_mu, p_nu) of both sides, then steps that each move one share of one side or of both, as a line search does.
+
+    A step multiplies the share by exp(+-10**u), u in [-6, 0], and is cut
+    back to keep every share at least 1e-3 and the vacuum share at least
+    1e-3, the finite search's floors.
+    """
+    sides = [[share * 0.99 + 1e-3 for share in draw(selections)] for _ in range(2)]
+    walk = [tuple(map(tuple, sides))]
+    for side, slot, sign, u in draw(st.lists(st.tuples(st.sampled_from(("a", "b", "both")), st.integers(0, 2),
+                                                         st.sampled_from((-1.0, 1.0)), st.floats(-6.0, 0.0)),
+                                             min_size=1, max_size=6)):
+        for k in ((0, 1) if side == "both" else ((0,) if side == "a" else (1,))):
+            others = sum(sides[k]) - sides[k][slot]
+            sides[k][slot] = min(max(1e-3, sides[k][slot] * math.exp(sign * 10.0 ** u)), 1.0 - 1e-3 - others)
+        walk.append(tuple(map(tuple, sides)))
+    return walk
+
+
+class TestWarmBases:
+    """Each target re-solved from its last optimal basis, against the cold solve."""
+
+    @staticmethod
+    def _args(decoys, probabilities):
+        """yield_lp's arguments at the finite_opt point, both sides alike."""
+        return FINITE_OPT_SCENARIO, decoys, decoys, FINITE_OPT_MODE, probabilities, probabilities
+
+    def _after_step(self, first, second):
+        """The WarmBases after solving first and then second, and second's warm and cold bound matrices."""
+        warm = WarmBases()
+        yield_lp(*first, warm=warm)
+        return warm, yield_lp(*second, warm=warm)[1], yield_lp(*second)[1]
+
+    def test_a_step_that_keeps_every_basis_strictly_feasible_skips_phase_one(self):
+        # (p_s, p_mu, p_nu) from (0.8, 0.1, 0.05) to (0.7, 0.2, 0.05)
+        warm, warm_bounds, cold = self._after_step(self._args(DECOYS, _decoy_probabilities(0.8, 0.1, 0.05)),
+                                                   self._args(DECOYS, _decoy_probabilities(0.7, 0.2, 0.05)))
+        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (2, 5, 1)
+        assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
+
+    def test_a_step_that_leaves_every_basis_infeasible_takes_the_cold_path(self):
+        # p_s from 0.8 to 0.7 at p_mu 0.1, p_nu 0.05: no stored basis stays primal feasible
+        warm, warm_bounds, cold = self._after_step(self._args(DECOYS, _decoy_probabilities(0.8, 0.1, 0.05)),
+                                                   self._args(DECOYS, _decoy_probabilities(0.7, 0.1, 0.05)))
+        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (2, 0, 2)
+        assert warm_bounds.tobytes() == cold.tobytes()
+
+    def test_a_decoy_step_changes_the_matrix_and_takes_the_cold_path(self):
+        probabilities = _decoy_probabilities(0.8, 0.1, 0.05)
+        warm, warm_bounds, cold = self._after_step(self._args(DECOYS, probabilities),
+                                                   self._args((0.2, 0.01, 0.0), probabilities))
+        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (2, 0, 2)
+        assert warm_bounds.tobytes() == cold.tobytes()
+
+    def test_a_basic_value_just_below_zero_is_not_accepted(self):
+        # A step of the finite_opt search (symmetric, multistart seed 1).  It
+        # leaves a basic value of target (2, 2) at -3.4e-10, inside the phase-1
+        # FEASIBILITY_TOLERANCE; re-pricing from there raises that bound by 1.5e-5.
+        decoys = (0.6231574457862891, 0.0003772579937783819, 0.0)
+        warm, warm_bounds, cold = self._after_step(
+            self._args(decoys, (0.042327797960310026, 0.6457671253164456, 0.26569053538008236)),
+            self._args(decoys, (0.042327797960310026, 0.6457671253164456, 0.2829609533874329)))
+        assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
+        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (2, 3, 1)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(decoys_a=decoy_sets, decoys_b=decoy_sets, walk=probability_walks())
+    def test_re_solved_bounds_agree_with_the_cold_solve(self, decoys_a, decoys_b, walk):
+        warm = WarmBases()
+        for side_a, side_b in walk:
+            args = (FINITE_OPT_SCENARIO, decoys_a, decoys_b, FINITE_OPT_MODE,
+                    _decoy_probabilities(*side_a), _decoy_probabilities(*side_b))
+            warm_bounds = yield_lp(*args, warm=warm)[1]
+            assert np.abs(warm_bounds - yield_lp(*args)[1]).max() <= WARM_AGREEMENT
+        assert warm.lp_solves == len(walk)

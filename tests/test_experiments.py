@@ -34,6 +34,9 @@ TINY_SWEEP = {
     "seed": 7,
 }
 
+#: Two finite rows at 20 dB, one start each.
+FINITE_SWEEP = dict(TINY_SWEEP, total_loss_db_grid=[20.0], mode="finite", strategies=["symmetric", "signal_only"])
+
 
 @pytest.fixture(scope="module")
 def finite_run(tmp_path_factory):
@@ -244,8 +247,12 @@ class TestSweep:
             assert row.mu_a is None  # asymptotic rows carry no decoy columns
 
     def test_worker_pool_matches_serial_execution(self):
-        config = SweepConfig.from_dict(dict(TINY_SWEEP))
-        assert run_sweep(config, workers=2) == run_sweep(config, workers=1)
+        # finite rows search on state of their own, which must not leak across rows or processes
+        for document in (TINY_SWEEP, FINITE_SWEEP):
+            config = SweepConfig.from_dict(dict(document))
+            (rows, problems), (serial_rows, serial_problems) = run_sweep(config, workers=2), run_sweep(config)
+            assert rows == serial_rows
+            assert [p and p.to_text() for p in problems] == [p and p.to_text() for p in serial_problems]
 
     def test_worker_pool_is_capped_at_the_job_count(self, monkeypatch):
         pools = []

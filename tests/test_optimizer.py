@@ -382,6 +382,31 @@ class TestBracketTolerance:
         assert new_solves < old_solves
 
 
+class TestWarmSearch:
+    """The finite search ranks points on bounds re-solved from each target's last basis; reports stay cold."""
+
+    @staticmethod
+    def _golden_point():
+        document = json.loads((Path(__file__).parent / "golden" / "finite_sweep.json").read_text(encoding="utf-8"))
+        config = SweepConfig.from_dict(document)
+        (loss_db,), (strategy,) = config.total_loss_db_grid, config.strategies
+        return config.scenario_for(loss_db), Strategy(strategy), config.evaluation_mode(), config.seed
+
+    def test_golden_point_re_prices_most_targets(self):
+        # a silent fallback to cold solves would re-price none and run phase 1 on every LP
+        scenario, strategy, mode, seed = self._golden_point()
+        objective, warm = optimizer._finite_objective(scenario, mode)
+        params, _ = multistart(objective, strategy, 1, seed)
+        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (1142, 2943, 492)
+        assert _param_bits(params) == _param_bits(optimize_strategy(scenario, strategy, mode, 1, seed)[0])
+
+    def test_the_report_is_the_cold_evaluation_of_the_winner(self):
+        scenario, strategy, mode, seed = self._golden_point()
+        params, report = optimize_strategy(scenario, strategy, mode, 1, seed)
+        optimizer._finite_lp.cache_clear()
+        assert _report_bits(evaluate_key_rate(scenario, params, mode)) == _report_bits(report)
+
+
 class TestMultistart:
     def test_deterministic_reruns(self):
         one = multistart(_synthetic, Strategy.FULLY_ASYMMETRIC, 3, seed=9)
@@ -571,9 +596,9 @@ class TestLpMemo:
         calls = []
         solve = decoy.solve_yield_bounds
 
-        def counting(problem):
+        def counting(problem, *warm):
             calls.append(problem)
-            return solve(problem)
+            return solve(problem, *warm)
 
         monkeypatch.setattr(decoy, "solve_yield_bounds", counting)
         return calls

@@ -1,4 +1,5 @@
 import csv
+import math
 import json
 import random
 from pathlib import Path
@@ -93,6 +94,28 @@ def test_prepared_basis_is_reusable():
         mine = maximize_prepared(basis, np.array(cost))[1]
         again = maximize_prepared(basis, np.array(cost))[1]
         assert mine == again  # snapshot is not consumed
+
+
+def test_rebase_keeps_a_basis_only_strictly_inside_its_boxes():
+    # max x0 with x0 + x1 + s = b, x0 <= 0.5: the optimum has x0 at its bound and x1 or s basic
+    a = np.array([[1.0, 1.0, 1.0]])
+    upper = np.array([0.5, 1.0, 1.0])
+    objective = np.array([1.0, 0.0, 0.0])
+    state = prepare(a, np.array([1.2]), upper)
+    _, value = maximize_prepared(state, objective, in_place=True)
+    assert value == 0.5
+    moved = simplex.rebase(state, np.array([1.1]), upper)
+    assert moved is not None
+    x, value = maximize_prepared(moved, objective)
+    assert value == 0.5 and x.sum() == pytest.approx(1.1, abs=1e-15)
+    # the basic value would fall to 0, or below, or leave its box: no basis comes back
+    for b, box in ((0.5, upper), (0.4, upper), (1.2, np.array([0.5, 0.1, 0.1])), (-0.1, upper)):
+        assert simplex.rebase(state, np.array([b]), box) is None
+    # data that prepare rejects; a NaN box on s, nonbasic at 0, would leave the basic values inside their boxes
+    for b, box in ((1.1, np.array([0.5, 1.0, math.nan])), (1.1, np.array([math.nan, 1.0, 1.0])),
+                   (math.nan, upper), (math.inf, upper)):
+        assert simplex.rebase(state, np.array([b]), box) is None
+    assert simplex.rebase(state, np.array([1.2]), upper) is not None  # the state itself was not changed
 
 
 def test_matches_reference_solver_on_random_instances():

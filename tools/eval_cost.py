@@ -23,6 +23,16 @@ build, both simplex phases):
 * yield_lp_qber_exact: the exact LP of the QBER scan at unit transmittance,
   e_d 0.02 and no dark counts, both sides with decoys (0.1, 0.01, 0).
 
+One more case times the finite search's re-solve path (decoy.WarmBases),
+as REPEATS repeats of LP_CALLS calls, next to yield_lp_finite:
+
+* yield_lp_finite_warm: one probability step at fixed decoys per call.
+  The LP of yield_lp_finite is solved once with a WarmBases; each call then
+  moves both sides' p_mu by a relative 1e-9 more than the last, never seen
+  before, and re-solves from the stored bases; the case checks that each
+  stayed strictly feasible, so that every target was re-priced and no
+  call ran phase 1.
+
 One decoy.yield_bounds case, timed as REPEATS repeats of STACK_CALLS calls,
 times the stacked path of the QBER scan per LP, end to end as above:
 
@@ -45,7 +55,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tfqkd.channel import ChannelScenario  # noqa: E402  (needs src/ on the path)
-from tfqkd.decoy import STACK_SIZE, sigma_multiplier_from_epsilon, yield_bounds, yield_lp  # noqa: E402
+from tfqkd.decoy import (  # noqa: E402
+    STACK_SIZE, TARGET_PAIRS, WarmBases, sigma_multiplier_from_epsilon, yield_bounds, yield_lp)
 from tfqkd.experiments import split_total_loss  # noqa: E402
 from tfqkd.optimizer import EvaluationMode, ProtocolParameters, evaluate_key_rate  # noqa: E402
 
@@ -96,6 +107,22 @@ def _time_lp(scenario: ChannelScenario, mode: EvaluationMode, probabilities) -> 
     return per_call
 
 
+def _time_warm_step() -> list[float]:
+    per_call = []
+    warm = WarmBases()
+    yield_lp(SCENARIO, DECOYS, DECOYS, FINITE, PROBABILITIES, PROBABILITIES, warm=warm)
+    for repeat in range(REPEATS):
+        steps = [(PROBABILITIES[0] * (1.0 + 1e-9 * (repeat * LP_CALLS + k + 1)), *PROBABILITIES[1:])
+                 for k in range(LP_CALLS)]
+        start = time.perf_counter()
+        for probabilities in steps:
+            yield_lp(SCENARIO, DECOYS, DECOYS, FINITE, probabilities, probabilities, warm=warm)
+        per_call.append((time.perf_counter() - start) / LP_CALLS * 1e6)
+    if warm.repriced != len(TARGET_PAIRS) * REPEATS * LP_CALLS:
+        raise RuntimeError(f"the warm case re-priced {warm.repriced} targets, not every target of every step")
+    return per_call
+
+
 def _time_stack() -> list[float]:
     per_lp = []
     yield_bounds(QBER_SCENARIO, QBER_STACK)
@@ -112,6 +139,7 @@ def main() -> int:
              ("finite_changed_signal", lambda: _time_case(FINITE, True), CALLS),
              ("asymptotic", lambda: _time_case(ASYMPTOTIC, True), CALLS),
              ("yield_lp_finite", lambda: _time_lp(SCENARIO, FINITE, PROBABILITIES), LP_CALLS),
+             ("yield_lp_finite_warm", _time_warm_step, LP_CALLS),
              ("yield_lp_qber_exact", lambda: _time_lp(QBER_SCENARIO, ASYMPTOTIC, None), LP_CALLS),
              ("yield_lp_qber_stack", _time_stack, STACK_CALLS))
     for name, run, calls in cases:

@@ -6,15 +6,19 @@ The inputs are the finite sweep of the benchmark's finite_opt workload at
 three total losses: mismatch 0.1, e_d 0.02, p_d 1e-8, 1e12 pulses and
 epsilon 1e-7, at 30, 40 and 50 dB.  For each of the four strategies, each
 loss and each multistart seed 0-7, one start runs as optimize_strategy
-runs it, on a cold LP memo.  Each row reports the objective evaluations,
-the yield LPs solved (misses of the LP memo) and the rate the descent
-reached, in repr so that rows compare bit for bit.  The last line sums
-evaluations and LP solves and counts the descents that ended at rate 0.
+runs it, with the search's own yield-LP source (optimizer._finite_objective).
+Each row reports the objective evaluations, the yield LPs solved, the
+target maxima re-priced from a stored basis rather than solved after
+phase 1 (decoy.WarmBases), and the winner's rate as evaluate_key_rate
+gives it on a cold LP memo, the rate a sweep reports, in repr so that
+rows compare bit for bit.  The last line sums evaluations, LP solves and
+re-priced targets and counts the descents that ended at rate 0.
 
 With --baseline, FILE is an earlier output of this script (say, from the
 parent commit's source); each row then also reports its rate as a ratio
 to the baseline's, and a summary gives the range of the ratios between
-nonzero rates and the cells whose rate is zero on either side.  Only the
+nonzero rates, the cells whose rate is zero on either side, and the cells
+whose evaluation count or rate bits differ from the baseline's.  Only the
 standard library and numpy are used.
 """
 
@@ -25,6 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tfqkd import optimizer  # noqa: E402  (needs src/ on the path)
+from tfqkd.decoy import TARGET_PAIRS  # noqa: E402
 from tfqkd.experiments import SweepConfig  # noqa: E402
 from tfqkd.optimizer import Strategy, add_fibre_transform, evaluate_key_rate, multistart  # noqa: E402
 
@@ -32,29 +37,34 @@ LOSSES_DB = (30.0, 40.0, 50.0)
 SEEDS = range(8)
 CONFIG = SweepConfig(total_loss_db_grid=LOSSES_DB, mismatch_ratio=0.1, mode="finite", n_pulses=1e12,
                      epsilon=1e-7, n_starts=1)
-HEADER = ("strategy", "loss_db", "seed", "evaluations", "lp_solves", "rate")
+HEADER = ("strategy", "loss_db", "seed", "evaluations", "lp_solves", "repriced_targets", "rate")
 
 
-def descent_cost(strategy: Strategy, loss_db: float, seed: int) -> tuple[int, int, float]:
-    """Evaluations, LP solves and rate of one start of the finite search."""
+def descent_cost(strategy: Strategy, loss_db: float, seed: int) -> tuple[int, int, int, float]:
+    """Evaluations, LP solves, re-priced targets and the winner's cold rate of one start of the finite search."""
     scenario = CONFIG.scenario_for(loss_db)
     working = add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario
     mode = CONFIG.evaluation_mode()
+    search, warm = optimizer._finite_objective(working, mode)
     evaluations = 0
 
     def objective(params):
         nonlocal evaluations
         evaluations += 1
-        return evaluate_key_rate(working, params, mode).rate
+        return search(params)
 
+    params, _ = multistart(objective, strategy, 1, seed)
     optimizer._finite_lp.cache_clear()
-    _, rate = multistart(objective, strategy, 1, seed)
-    return evaluations, optimizer._finite_lp.cache_info().misses, rate
+    return evaluations, warm.lp_solves, warm.repriced, evaluate_key_rate(working, params, mode).rate
 
 
 def _read_baseline(path: str) -> dict:
-    rows = [line.split("\t") for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    return {tuple(row[:3]): float(row[5]) for row in rows if len(row) >= 6 and row[0] in CONFIG.strategies}
+    """(strategy, loss_db, seed) -> (evaluations, rate) of each row, by the columns its header names."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split("\t")
+    evaluations, rate = header.index("evaluations"), header.index("rate")
+    rows = [line.split("\t") for line in lines[1:] if not line.startswith("#")]
+    return {tuple(row[:3]): (int(row[evaluations]), row[rate]) for row in rows}
 
 
 def main() -> int:
@@ -63,32 +73,40 @@ def main() -> int:
     args = parser.parse_args()
     baseline = _read_baseline(args.baseline) if args.baseline else None
     print("\t".join(HEADER + (("rate_ratio",) if baseline else ())), flush=True)
-    total_evaluations = total_solves = zero_rates = 0
-    ratios, zero_cells = [], []
+    total_evaluations = total_solves = total_repriced = zero_rates = 0
+    ratios, zero_cells, changed_cells = [], [], []
     for name in CONFIG.strategies:
         for loss_db in LOSSES_DB:
             for seed in SEEDS:
-                evaluations, solves, rate = descent_cost(Strategy(name), loss_db, seed)
+                evaluations, solves, repriced, rate = descent_cost(Strategy(name), loss_db, seed)
                 total_evaluations += evaluations
                 total_solves += solves
+                total_repriced += repriced
                 zero_rates += rate == 0.0
-                row = [name, repr(loss_db), str(seed), str(evaluations), str(solves), repr(rate)]
+                row = [name, repr(loss_db), str(seed), str(evaluations), str(solves), str(repriced), repr(rate)]
                 if baseline:
-                    old = baseline[tuple(row[:3])]
+                    cell = f"{name}/{loss_db:g}dB/seed{seed}"
+                    old_evaluations, old_rate = baseline[tuple(row[:3])]
+                    old = float(old_rate)
                     if rate > 0.0 and old > 0.0:
                         ratios.append(rate / old)
                         row.append(repr(rate / old))
                     else:
                         row.append("-")
                     if rate == 0.0 or old == 0.0:
-                        zero_cells.append(f"{name}/{loss_db:g}dB/seed{seed} ({old!r} -> {rate!r})")
+                        zero_cells.append(f"{cell} ({old!r} -> {rate!r})")
+                    if (old_evaluations, old_rate) != (evaluations, repr(rate)):
+                        changed_cells.append(f"{cell} ({old_evaluations} -> {evaluations} evaluations, "
+                                             f"{old_rate} -> {rate!r})")
                 print("\t".join(row), flush=True)
-    print(f"# total: {total_evaluations} evaluations, {total_solves} LP solves, "
+    print(f"# total: {total_evaluations} evaluations, {total_solves} LP solves, {total_repriced} re-priced "
+          f"targets of {len(TARGET_PAIRS) * total_solves}, "
           f"{zero_rates} of {len(CONFIG.strategies) * len(LOSSES_DB) * len(SEEDS)} descents at rate 0")
     if baseline:
         if ratios:
             print(f"# nonzero rate ratios to the baseline: min {min(ratios)!r}, max {max(ratios)!r}")
         print(f"# cells at rate 0 on either side: {'; '.join(zero_cells) or 'none'}")
+        print(f"# cells whose evaluations or rate bits differ from the baseline: {'; '.join(changed_cells) or 'none'}")
     return 0
 
 
