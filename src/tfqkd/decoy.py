@@ -11,10 +11,11 @@ Poisson weights are channel.poisson_pmf_rows, one 3x10 matrix per side.
 yield_lp is the path from a channel scenario and an EvaluationMode to the
 LP and its bound matrix, which the finite key-rate evaluation memoises.
 A finite search solves its LPs through yield_lp with a WarmBases of its
-own: an LP whose matrix did not change (only selection probabilities
-moved) is re-solved from each target's last optimal basis, skipping
-phase 1 unless every target's basis fails; those bounds may differ from
-the cold ones by a few 1e-11 and only rank points.
+own: each LP is re-solved from each target's last optimal basis, carried
+to the new matrix when a decoy moved, skipping phase 1 unless every
+target's basis fails, and phase 2 where the carried basis is still
+optimal; those bounds may differ from the cold ones by a few 1e-11 and
+only rank points.
 yield_bounds is the QBER scan's path to the bound matrices of many decoy
 settings: it builds their asymptotic LPs a stack at a time and solves each
 stack in lockstep (simplex.maximize_stack), with the bits, and the first
@@ -322,19 +323,19 @@ def _bound_matrix(values) -> np.ndarray:
 class WarmBases:
     """Each target's last optimal basis, kept by one finite search to re-solve its next LP.
 
-    A search that changes only selection probabilities changes only the
-    gain intervals, that is b and the slack boxes of the equality form,
-    and leaves its matrix as it was; the last optimal basis of a target
-    then stays dual feasible and only its primal values move.
-    solve_yield_bounds, given a WarmBases, carries each stored basis to the
-    new data with simplex.rebase and re-prices it in phase 2 from there.
+    A search step moves a selection probability, which changes b and the
+    slack boxes of the equality form, or a decoy, which also changes the
+    matrix.  solve_yield_bounds, given a WarmBases, carries each stored
+    basis to the new data with simplex.rebase (rebuilt on a new matrix)
+    and re-prices it in phase 2, or reads it without phase 2 where rebase
+    finds it still optimal.
     A target whose basis is missing or not strictly feasible starts its
     phase 2 from another target's carried basis, which is feasible for
-    every objective.  Phase 1 runs only when no basis carries over, or
-    when the matrix changed (a decoy moved); the LP is then solved as
-    without a WarmBases.  The stored bases are the final states of the
-    last solve.  The counters report how often each path ran: LPs solved,
-    target maxima re-priced from their own stored basis, and phase-1 runs.
+    every objective.  Phase 1 runs only when no basis carries over; the
+    LP is then solved as without a WarmBases.  The stored bases are the
+    final states of the last solve.  The counters report how often each
+    path ran: LPs solved, target maxima re-priced from their own stored
+    basis (phase 2 skipped or not), and phase-1 runs.
     """
 
     def __init__(self):
@@ -356,19 +357,23 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
     by index, so reruns are bit-identical.
 
     Given a WarmBases, phase 2 starts from the stored bases that stay
-    strictly feasible instead (see WarmBases).  Each maximum passes the
-    same optimality test, but its floats come from other pivots, so they
-    may differ from the cold ones by a few 1e-11, the rounding of an
-    ill-conditioned basis, and depend on the LPs solved before; the warm
-    bases for the next call are kept in warm.
+    strictly feasible on the new matrix and data instead, or is skipped
+    where such a basis is provably still optimal (see WarmBases).  Each
+    maximum passes the same optimality test, but its floats come from
+    other pivots and, after a decoy step, from a basis inverse that LAPACK
+    computed, so they may differ from the cold ones by a few 1e-11, the
+    rounding of an ill-conditioned basis, and depend on the LPs solved
+    before; the warm bases for the next call are kept in warm.
     """
     a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
-    states, rebased = [None] * len(TARGET_PAIRS), []
+    states, rebased, optimal = [None] * len(TARGET_PAIRS), [], [False] * len(TARGET_PAIRS)
     if warm is not None:
-        if warm.matrix is not None and np.array_equal(a, warm.matrix):
-            states = [None if state is None else simplex.rebase(state, b, ub) for state in warm.states]
-        # rebase needs bases whose phase 1 started on a nonnegative b
-        warm.matrix = a if b.min() >= 0.0 else None
+        same = warm.matrix is not None and np.array_equal(a, warm.matrix)
+        carried = [None if state is None else simplex.rebase(state, a, b, ub, new_matrix=not same)
+                   for state in warm.states]
+        states = [None if pair is None else pair[0] for pair in carried]
+        optimal = [pair is not None and pair[1] for pair in carried]
+        warm.matrix = a
         warm.states = states
         rebased = [state for state in states if state is not None]
         warm.lp_solves += 1
@@ -388,9 +393,12 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
             ) from None
     values = []
     for target, ((n, m), objective) in enumerate(zip(TARGET_PAIRS, _objectives(a.shape[-1]))):
-        if states[target] is None:
-            states[target] = basis.copy()
-        _, value = simplex.maximize_prepared(states[target], objective, in_place=True)
+        if optimal[target]:
+            _, value = simplex.optimum(states[target], objective)
+        else:
+            if states[target] is None:
+                states[target] = basis.copy()
+            _, value = simplex.maximize_prepared(states[target], objective, in_place=True)
         if not math.isfinite(value):
             # clamping would turn NaN into the unsound bound 0
             raise DomainError(f"LP maximum of Y[{n}][{m}] is not finite: {value}")

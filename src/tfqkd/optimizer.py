@@ -22,8 +22,8 @@ LINE_EVALUATIONS (30) evaluations; passes repeat until a pass gains no
 more than REL_IMPROVEMENT (1e-4) of the rate.  The yield LP comes from
 decoy.yield_lp through a memo that the signal intensities do not key.
 Each search owns that memo and a decoy.WarmBases behind it, which
-re-solves an LP whose matrix did not change (a probability step) from
-each target's last optimal basis; those bounds may differ from cold ones
+re-solves each LP from each target's last optimal basis, carried to the
+new matrix after a decoy step; those bounds may differ from cold ones
 by a few 1e-11 and only rank points, though a comparison within that
 rounding can pick another winner than cold bounds would.  Multistart
 keeps the best outcome over seeded starts, with ties broken by the

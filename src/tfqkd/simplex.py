@@ -19,10 +19,12 @@ deterministic and no state survives between calls.
 Feasibility is established once by a phase-1 pass with artificial
 variables; the resulting basis can be snapshotted and reused for several
 objectives over the same constraints.  A final state of phase 2 can also
-be carried to a new right-hand side and new upper bounds of the same
-matrix (rebase): the artificial columns hold B^-1, so the basic values
-are recomputed directly, and the basis is kept only when they lie
-strictly inside their boxes, where it is feasible without phase 1.
+be carried to new data (rebase): the artificial columns hold B^-1, so the
+basic values are recomputed directly, and the basis is kept only when
+they lie strictly inside their boxes, where it is feasible without phase
+1.  A new matrix, or a drifted B^-1, gets the tableau rebuilt from one
+inverse of the basis block (LAPACK).  An unchanged tableau with the same
+open boxes is still optimal, and optimum reads it without phase 2.
 
 The tableaux are small (the decoy LP has 9 rows and 118 columns), so an
 iteration costs mostly interpreter overhead, and the loop keeps that low
@@ -80,6 +82,9 @@ _LOWER, _UPPER, _BASIC = 0, 1, 2
 COST_TOLERANCE = 1e-11
 PIVOT_TOLERANCE = 1e-11
 FEASIBILITY_TOLERANCE = 1e-9
+#: Largest first-order error in a basic value that rebase accepts from a
+#: carried or rebuilt tableau.
+REBASE_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 50_000
 
 #: Degenerate phase-2 steps in a row after which pricing falls back to
@@ -446,43 +451,67 @@ def maximize_prepared(state: PreparedBasis, objective: np.ndarray,
     cost[:n] = np.asarray(objective, dtype=float)
     _run_simplex(cost, work, _DANTZIG_DEGENERATE_LIMIT)
     work.refresh_basics()
-    x = _solution(work)
-    return x, float(cost[:n] @ x)
+    return optimum(work, cost[:n])
 
 
-def _basis_inverse_times(state: PreparedBasis, b: np.ndarray) -> np.ndarray:
-    """B^-1 b for the basis of a state whose phase 1 started on a nonnegative right-hand side.
+def optimum(state: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, float]:
+    """The structural variables of a refreshed state and the objective's value there.
 
-    The artificial columns started as the identity and took every pivot,
-    so they hold B^-1.  The one product by B^-1 outside the pivots.
+    This is what maximize_prepared returns once phase 2 finds the state
+    optimal, so a state known to be optimal can be read without phase 2.
     """
-    return state.tableau[:, state.n_structural:] @ b
+    x = _solution(state)
+    return x, float(objective @ x)
 
 
-def rebase(state: PreparedBasis, b: np.ndarray, upper: np.ndarray) -> PreparedBasis | None:
-    """The state's basis under a new b and new upper bounds of the same A, if strictly inside every box.
+def rebase(state: PreparedBasis, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
+           new_matrix: bool = False) -> tuple[PreparedBasis, bool] | None:
+    """The state's basis under new data A x = b, 0 <= x <= upper, if strictly inside every box.
 
-    The state must come from prepare on the same A with a nonnegative b,
-    or from maximize_prepared or rebase after it.  The basic values are
-    recomputed, B^-1 b minus the columns at their new upper bounds, and
-    the copy is returned only when each lies strictly between 0 and its
-    upper bound; otherwise None, as also when b is not finite or upper
-    holds NaN (prepare then raises on the same data).  The nonbasic
-    variables keep their sides.
-    Phase 2 from the copy then needs no phase 1, and with an unchanged
-    objective its first pricing finds the old basis optimal unless a box
-    opened or closed.
+    The state comes from prepare, maximize_prepared or rebase on the
+    matrix a, or on another one when new_matrix is set.  Its artificial
+    columns hold X, the inverse of its basis block B of [a | I] that the
+    pivots built.  The basic values are recomputed, X b minus the columns
+    at their new upper bounds, and kept when X (A x - b), their
+    first-order error at the basis point x, is within REBASE_TOLERANCE.
+    When a is new or the carried X fails that test (pivot drift), the
+    tableau is rebuilt as X [a | I] from a fresh inverse of B; a
+    non-finite a, a singular B, or a fresh X that fails too gives None.
+    So do basic values not strictly inside their boxes, a non-finite b and
+    a NaN upper bound (prepare raises on such data).  Nonbasic variables
+    keep their sides, so phase 2 from the copy needs no phase 1.
+
+    Returns the copy and whether it is optimal as it stands: when the
+    state ended a phase 2 and its tableau and open boxes (upper > 0) are
+    unchanged, so is that phase 2's last pricing, which entered nothing;
+    optimum then gives maximize_prepared's result for that objective.
     """
     if not (np.isfinite(b).all() and not np.isnan(upper).any()):
-        return None  # _finite_data's rule; the matrix is the state's, checked by prepare
+        return None  # _finite_data's rule; a new matrix is checked before its inverse
     work = state.copy()
-    work.upper[:work.n_structural] = upper
-    work.rhs = _basis_inverse_times(work, b)
-    work.refresh_basics()
-    box = work.upper[work.basis]
-    if not ((work.x_basic > 0.0) & (work.x_basic < box)).all():
+    n = work.n_structural
+    work.upper[:n] = upper
+    for rebuilt in (new_matrix, True):
+        if rebuilt:
+            full = np.concatenate((a, np.eye(len(b))), axis=1)
+            if not np.isfinite(full).all():
+                return None
+            try:
+                work.tableau = np.linalg.inv(full[:, work.basis]) @ full
+            except np.linalg.LinAlgError:
+                return None  # a singular basis block
+        inverse = work.tableau[:, n:]
+        work.rhs = inverse @ b
+        work.refresh_basics()
+        x = np.where(work.status == _UPPER, work.upper, 0.0)
+        x[work.basis] = work.x_basic
+        if np.abs(inverse @ (a @ x[:n] + x[n:] - b)).max() <= REBASE_TOLERANCE:
+            break
+        if rebuilt:
+            return None  # a block too close to singular for its inverse to hold
+    if not ((work.x_basic > 0.0) & (work.x_basic < work.upper[work.basis])).all():
         return None
-    return work
+    return work, not rebuilt and np.array_equal(upper > 0.0, state.upper[:n] > 0.0)
 
 
 def _maximize_prepared_stack(stack: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -23,7 +23,9 @@ search-vector descent must evaluate the same points and return the same
 bytes.  The start reference is the random starting point as first written,
 with the ties spelled out per strategy; the package's tie-table draw must
 consume the generator in the same order and return the same bytes.
-lp_contains is the feasibility check the yield LP used to carry.  The
+lp_contains is the feasibility check the yield LP used to carry, and
+basic_point_long_double the point of a given basis, solved in long
+double to check a bound against a point that rounding cannot move.  The
 decoy references are the Poisson vector, the gain widening and the LP
 assembly as first written, one intensity pair at a time; the package's
 poisson_pmf_rows and whole-array build_problem must return the same bytes.
@@ -473,6 +475,32 @@ def lp_contains(problem, yields: np.ndarray, tolerance: float = 1e-9) -> bool:
     mixed = problem.coefficients @ flat
     lower, upper = problem.constraint_bounds()
     return bool(np.all(mixed >= lower - tolerance) and np.all(mixed <= upper + tolerance))
+
+
+def basic_point_long_double(a: np.ndarray, b: np.ndarray, upper: np.ndarray, basis: list[int],
+                            at_upper: list[int]) -> np.ndarray:
+    """The point of A x = b with the given basis, in long double.
+
+    Nonbasic variables sit at 0, or at their upper bound when listed in
+    at_upper; the basic ones solve B x_B = b - A_U u_U by Gaussian
+    elimination with partial pivoting, without LAPACK or BLAS.
+    """
+    a, b, upper = (np.asarray(v, dtype=np.longdouble) for v in (a, b, upper))
+    x = np.zeros(a.shape[1], dtype=np.longdouble)
+    x[at_upper] = upper[at_upper]
+    block = a[:, basis].copy()
+    rhs = b - a[:, at_upper] @ x[at_upper]
+    m = len(basis)
+    for k in range(m):
+        pivot = k + int(np.argmax(np.abs(block[k:, k])))
+        block[[k, pivot]], rhs[[k, pivot]] = block[[pivot, k]], rhs[[pivot, k]]
+        for i in range(k + 1, m):
+            factor = block[i, k] / block[k, k]
+            block[i, k:] -= factor * block[k, k:]
+            rhs[i] -= factor * rhs[k]
+    for k in reversed(range(m)):
+        x[basis[k]] = (rhs[k] - block[k, k + 1:] @ x[basis[k + 1:]]) / block[k, k]
+    return x
 
 
 def poisson_pmf_vector_reference(mu: float, count: int = PHOTON_CUTOFF) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfqkd import decoy, optimizer, security
+from tfqkd import decoy, optimizer, security, simplex
 from tfqkd.channel import ChannelScenario
 from tfqkd.decoy import LpProblem
 from tfqkd.errors import DomainError, InfeasibleProblemError, UnsupportedAmplitudeError
@@ -397,8 +397,34 @@ class TestWarmSearch:
         scenario, strategy, mode, seed = self._golden_point()
         objective, warm = optimizer._finite_objective(scenario, mode)
         params, _ = multistart(objective, strategy, 1, seed)
-        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (1142, 2943, 492)
+        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (1142, 4981, 26)
         assert _param_bits(params) == _param_bits(optimize_strategy(scenario, strategy, mode, 1, seed)[0])
+
+    def test_a_skipped_phase_two_reads_what_phase_two_would_return(self, monkeypatch):
+        # every target read by simplex.optimum outside maximize_prepared skipped its phase 2
+        scenario, strategy, mode, seed = self._golden_point()
+        optimum, maximize_prepared = simplex.optimum, simplex.maximize_prepared
+        in_phase_two, skipped = [False], []
+
+        def phase_two(state, objective, in_place=False):
+            in_phase_two[0] = True
+            try:
+                return maximize_prepared(state, objective, in_place)
+            finally:
+                in_phase_two[0] = False
+
+        def read(state, objective):
+            x, value = optimum(state, objective)
+            if not in_phase_two[0]:
+                again_x, again = phase_two(state, objective)  # from a copy of the same state
+                skipped.append((value.hex(), x.tobytes()) == (again.hex(), again_x.tobytes()))
+            return x, value
+
+        monkeypatch.setattr(simplex, "maximize_prepared", phase_two)
+        monkeypatch.setattr(simplex, "optimum", read)
+        objective, warm = optimizer._finite_objective(scenario, mode)
+        multistart(objective, strategy, 1, seed)
+        assert len(skipped) == 2923 and all(skipped)
 
     def test_the_report_is_the_cold_evaluation_of_the_winner(self):
         scenario, strategy, mode, seed = self._golden_point()

@@ -104,18 +104,72 @@ def test_rebase_keeps_a_basis_only_strictly_inside_its_boxes():
     state = prepare(a, np.array([1.2]), upper)
     _, value = maximize_prepared(state, objective, in_place=True)
     assert value == 0.5
-    moved = simplex.rebase(state, np.array([1.1]), upper)
-    assert moved is not None
+    moved, optimal = simplex.rebase(state, a, np.array([1.1]), upper)
+    assert optimal  # the same tableau and the same open boxes
+    assert simplex.optimum(moved, objective)[1] == maximize_prepared(moved, objective)[1]
     x, value = maximize_prepared(moved, objective)
     assert value == 0.5 and x.sum() == pytest.approx(1.1, abs=1e-15)
     # the basic value would fall to 0, or below, or leave its box: no basis comes back
     for b, box in ((0.5, upper), (0.4, upper), (1.2, np.array([0.5, 0.1, 0.1])), (-0.1, upper)):
-        assert simplex.rebase(state, np.array([b]), box) is None
+        assert simplex.rebase(state, a, np.array([b]), box) is None
     # data that prepare rejects; a NaN box on s, nonbasic at 0, would leave the basic values inside their boxes
     for b, box in ((1.1, np.array([0.5, 1.0, math.nan])), (1.1, np.array([math.nan, 1.0, 1.0])),
                    (math.nan, upper), (math.inf, upper)):
-        assert simplex.rebase(state, np.array([b]), box) is None
-    assert simplex.rebase(state, np.array([1.2]), upper) is not None  # the state itself was not changed
+        assert simplex.rebase(state, a, np.array([b]), box) is None
+    assert simplex.rebase(state, a, np.array([1.2]), upper) is not None  # the state itself was not changed
+
+
+def test_a_box_that_opens_makes_the_carried_basis_price_again():
+    # max s with x0 + x1 + s = 1.2 and s boxed to 0: value 0, x1 basic at 0.2
+    a = np.array([[1.0, 1.0, 1.0]])
+    objective = np.array([0.0, 0.0, 1.0])
+    state = prepare(a, np.array([1.2]), np.array([1.0, 1.0, 0.0]))
+    assert maximize_prepared(state, objective, in_place=True)[1] == 0.0
+    rebased, optimal = simplex.rebase(state, a, np.array([1.2]), np.array([1.0, 1.0, 1.0]))
+    assert not optimal  # s may now enter
+    assert simplex.optimum(rebased, objective)[1] == 0.0
+    assert maximize_prepared(rebased, objective)[1] == 1.0
+
+
+def test_rebase_rebuilds_the_tableau_on_a_new_matrix():
+    # max x0 with x0 + x1 + s = 1.2, x0 <= 0.5, then the coefficient of x1 moves to 2
+    a = np.array([[1.0, 1.0, 1.0]])
+    upper = np.array([0.5, 1.0, 1.0])
+    objective = np.array([1.0, 0.0, 0.0])
+    state = prepare(a, np.array([1.2]), upper)
+    maximize_prepared(state, objective, in_place=True)
+    moved = np.array([[1.0, 2.0, 1.0]])
+    rebased, optimal = simplex.rebase(state, moved, np.array([1.2]), upper, new_matrix=True)
+    assert not optimal  # a rebuilt tableau is priced again
+    cold = maximize_prepared(prepare(moved, np.array([1.2]), upper), objective)
+    warm = maximize_prepared(rebased, objective)
+    assert warm[1] == cold[1] == 0.5 and moved @ warm[0] == pytest.approx([1.2], abs=1e-15)
+    # the artificial columns hold B^-1 of the new matrix, so the tableau is B^-1 [a | I]
+    assert rebased.tableau == pytest.approx(rebased.tableau[:, 3:] @ np.concatenate((moved, np.eye(1)), axis=1))
+    # a singular block (the basic column zeroed) or a non-finite matrix carries nothing over
+    basic = int(rebased.basis[0])
+    singular = moved.copy()
+    singular[0, basic] = 0.0
+    assert simplex.rebase(state, singular, np.array([1.2]), upper, new_matrix=True) is None
+    for bad in (math.nan, math.inf):
+        broken = moved.copy()
+        broken[0, 0] = bad  # x0 is nonbasic at its upper bound
+        assert simplex.rebase(state, broken, np.array([1.2]), upper, new_matrix=True) is None
+        with pytest.raises(DomainError):
+            prepare(broken, np.array([1.2]), upper)
+
+
+def test_rebase_rebuilds_an_inverse_that_drifted():
+    a = np.array([[1.0, 1.0, 1.0]])
+    upper = np.array([0.5, 1.0, 1.0])
+    state = prepare(a, np.array([1.2]), upper)
+    maximize_prepared(state, np.array([1.0, 0.0, 0.0]), in_place=True)
+    drifted = state.copy()
+    drifted.tableau[:, 3:] *= 1.0 + 10.0 * simplex.REBASE_TOLERANCE
+    rebased, optimal = simplex.rebase(drifted, a, np.array([1.1]), upper)
+    assert not optimal
+    fresh, _ = simplex.rebase(state, a, np.array([1.1]), upper, new_matrix=True)
+    assert rebased.tableau.tobytes() == fresh.tableau.tobytes()
 
 
 def test_matches_reference_solver_on_random_instances():

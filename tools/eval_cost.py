@@ -23,7 +23,7 @@ build, both simplex phases):
 * yield_lp_qber_exact: the exact LP of the QBER scan at unit transmittance,
   e_d 0.02 and no dark counts, both sides with decoys (0.1, 0.01, 0).
 
-One more case times the finite search's re-solve path (decoy.WarmBases),
+Two more cases time the finite search's re-solve path (decoy.WarmBases),
 as REPEATS repeats of LP_CALLS calls, next to yield_lp_finite:
 
 * yield_lp_finite_warm: one probability step at fixed decoys per call.
@@ -32,6 +32,13 @@ as REPEATS repeats of LP_CALLS calls, next to yield_lp_finite:
   before, and re-solves from the stored bases; the case checks that each
   stayed strictly feasible, so that every target was re-priced and no
   call ran phase 1.
+
+* yield_lp_finite_decoy_step: one decoy step per call.  The LP of
+  yield_lp_finite is solved once with a WarmBases; each call then moves
+  both sides' mu by a relative 1e-9 more than the last, which changes the
+  LP's matrix, and re-solves from the stored bases, each rebuilt on the
+  new matrix from one inverse of its basis block; the case checks that
+  no call ran phase 1.
 
 One decoy.yield_bounds case, timed as REPEATS repeats of STACK_CALLS calls,
 times the stacked path of the QBER scan per LP, end to end as above:
@@ -123,6 +130,21 @@ def _time_warm_step() -> list[float]:
     return per_call
 
 
+def _time_decoy_step() -> list[float]:
+    per_call = []
+    warm = WarmBases()
+    yield_lp(SCENARIO, DECOYS, DECOYS, FINITE, PROBABILITIES, PROBABILITIES, warm=warm)
+    for repeat in range(REPEATS):
+        steps = [(DECOYS[0] * (1.0 + 1e-9 * (repeat * LP_CALLS + k + 1)), *DECOYS[1:]) for k in range(LP_CALLS)]
+        start = time.perf_counter()
+        for decoys in steps:
+            yield_lp(SCENARIO, decoys, decoys, FINITE, PROBABILITIES, PROBABILITIES, warm=warm)
+        per_call.append((time.perf_counter() - start) / LP_CALLS * 1e6)
+    if warm.phase1_runs != 1:
+        raise RuntimeError(f"the decoy-step case ran phase 1 {warm.phase1_runs} times, not only for its first LP")
+    return per_call
+
+
 def _time_stack() -> list[float]:
     per_lp = []
     yield_bounds(QBER_SCENARIO, QBER_STACK)
@@ -140,12 +162,13 @@ def main() -> int:
              ("asymptotic", lambda: _time_case(ASYMPTOTIC, True), CALLS),
              ("yield_lp_finite", lambda: _time_lp(SCENARIO, FINITE, PROBABILITIES), LP_CALLS),
              ("yield_lp_finite_warm", _time_warm_step, LP_CALLS),
+             ("yield_lp_finite_decoy_step", _time_decoy_step, LP_CALLS),
              ("yield_lp_qber_exact", lambda: _time_lp(QBER_SCENARIO, ASYMPTOTIC, None), LP_CALLS),
              ("yield_lp_qber_stack", _time_stack, STACK_CALLS))
     for name, run, calls in cases:
         times = run()
         unit = "us/LP  " if run is _time_stack else "us/call"
-        print(f"{name:<22} {statistics.median(times):7.1f} {unit}  (fastest repeat {min(times):.1f}; "
+        print(f"{name:<26} {statistics.median(times):7.1f} {unit}  (fastest repeat {min(times):.1f}; "
               f"{REPEATS} x {calls} calls)")
     return 0
 
