@@ -12,10 +12,11 @@ yield_lp is the path from a channel scenario and an EvaluationMode to the
 LP and its bound matrix, which the finite key-rate evaluation memoises.
 A finite search solves its LPs through yield_lp with a WarmBases of its
 own: each LP is re-solved from each target's last optimal basis, carried
-to the new matrix when a decoy moved, skipping phase 1 unless every
-target's basis fails, and phase 2 where the carried basis is still
-optimal; those bounds may differ from the cold ones by a few 1e-11 and
-only rank points.
+to the new matrix when a decoy moved, skipping phase 1 unless no
+target's basis carries over, and phase 2 where the carried basis is
+still optimal or where the dual simplex brings a basis that left its
+boxes back to its optimum; those bounds may differ from the cold ones by
+a few 1e-11 and only rank points.
 yield_bounds is the QBER scan's path to the bound matrices of many decoy
 settings: it builds their asymptotic LPs a stack at a time and solves each
 stack in lockstep (simplex.maximize_stack), with the bits, and the first
@@ -33,6 +34,7 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -304,10 +306,16 @@ def _equality_form(coefficients: np.ndarray, lower: np.ndarray,
     return a, upper, ub
 
 
+@lru_cache(maxsize=None)
 def _objectives(width: int) -> np.ndarray:
-    """One unit objective per TARGET_PAIRS yield over the width columns of an equality form."""
+    """One unit objective per TARGET_PAIRS yield over the width columns of an equality form.
+
+    Built once per width and read-only: the decoy LP always has 109
+    columns, and only hand-built problems with fewer rows take another.
+    """
     objectives = np.zeros((len(TARGET_PAIRS), width))
     objectives[range(len(TARGET_PAIRS)), _TARGET_COLUMNS] = 1.0
+    objectives.setflags(write=False)
     return objectives
 
 
@@ -326,22 +334,48 @@ class WarmBases:
     A search step moves a selection probability, which changes b and the
     slack boxes of the equality form, or a decoy, which also changes the
     matrix.  solve_yield_bounds, given a WarmBases, carries each stored
-    basis to the new data with simplex.rebase (rebuilt on a new matrix)
-    and re-prices it in phase 2, or reads it without phase 2 where rebase
-    finds it still optimal.
-    A target whose basis is missing or not strictly feasible starts its
+    basis to the new data with simplex.rebase (rebuilt on a new matrix).
+    A basis strictly inside every box is re-priced in phase 2, or read
+    without phase 2 where rebase finds it still optimal.  A basis that
+    left a box goes through simplex.dual_simplex, which brings it back
+    to the target's optimum when it starts dual feasible.
+    A target whose basis is missing, or whose dual run fails, starts its
     phase 2 from another target's carried basis, which is feasible for
     every objective.  Phase 1 runs only when no basis carries over; the
     LP is then solved as without a WarmBases.  The stored bases are the
     final states of the last solve.  The counters report how often each
-    path ran: LPs solved, target maxima re-priced from their own stored
-    basis (phase 2 skipped or not), and phase-1 runs.
+    path ran: LPs solved; target maxima taken from their own stored basis
+    (by phase 2, the dual loop, or neither); dual runs and their pivots;
+    targets that borrowed another target's basis; and phase-1 runs.
     """
 
     def __init__(self):
         self.matrix: np.ndarray | None = None
         self.states: list = [None] * len(TARGET_PAIRS)
-        self.lp_solves = self.repriced = self.phase1_runs = 0
+        self.lp_solves = self.repriced = self.dual_runs = self.dual_pivots = self.borrowed = self.phase1_runs = 0
+
+    def carry(self, a: np.ndarray, b: np.ndarray, ub: np.ndarray) -> tuple[list, list]:
+        """Each target's stored basis on the new data, or None, and whether it is optimal as it stands."""
+        same = self.matrix is not None and np.array_equal(a, self.matrix)
+        states, optimal = [None] * len(TARGET_PAIRS), [False] * len(TARGET_PAIRS)
+        carried = simplex.rebase(self.states, a, b, ub, new_matrix=not same)
+        for target, (pair, objective) in enumerate(zip(carried, _objectives(a.shape[-1]))):
+            if pair is None:
+                continue
+            states[target], inside, optimal[target] = pair
+            if not inside:
+                pivots, optimal[target] = simplex.dual_simplex(states[target], objective, a, b)
+                self.dual_runs += 1
+                self.dual_pivots += pivots
+                if not optimal[target]:
+                    states[target] = None  # a part-way state is never read
+        found = sum(state is not None for state in states)
+        self.matrix, self.states = a, states
+        self.lp_solves += 1
+        self.repriced += found
+        self.borrowed += found and len(states) - found
+        self.phase1_runs += not found
+        return states, optimal
 
 
 def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.ndarray:
@@ -358,30 +392,25 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
 
     Given a WarmBases, phase 2 starts from the stored bases that stay
     strictly feasible on the new matrix and data instead, or is skipped
-    where such a basis is provably still optimal (see WarmBases).  Each
-    maximum passes the same optimality test, but its floats come from
-    other pivots and, after a decoy step, from a basis inverse that LAPACK
-    computed, so they may differ from the cold ones by a few 1e-11, the
-    rounding of an ill-conditioned basis, and depend on the LPs solved
-    before; the warm bases for the next call are kept in warm.
+    where such a basis is provably still optimal, or where the dual
+    simplex brought a basis that left its boxes back to its optimum (see
+    WarmBases).  Each maximum passes the same optimality test, but its
+    floats come from other pivots and, after a decoy step, from a basis
+    inverse that LAPACK computed, so they may differ from the cold ones by
+    a few 1e-11, the rounding of an ill-conditioned basis, and depend on
+    the LPs solved before; the warm bases for the next call are kept in
+    warm.
     """
     a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
-    states, rebased, optimal = [None] * len(TARGET_PAIRS), [], [False] * len(TARGET_PAIRS)
+    states, optimal = [None] * len(TARGET_PAIRS), [False] * len(TARGET_PAIRS)
     if warm is not None:
-        same = warm.matrix is not None and np.array_equal(a, warm.matrix)
-        carried = [None if state is None else simplex.rebase(state, a, b, ub, new_matrix=not same)
-                   for state in warm.states]
-        states = [None if pair is None else pair[0] for pair in carried]
-        optimal = [pair is not None and pair[1] for pair in carried]
-        warm.matrix = a
-        warm.states = states
-        rebased = [state for state in states if state is not None]
-        warm.lp_solves += 1
-        warm.repriced += len(rebased)
-        warm.phase1_runs += not rebased
-    if rebased:
-        # feasibility does not depend on the objective: a re-based basis is a start for every target
-        basis = rebased[0].copy()
+        states, optimal = warm.carry(a, b, ub)
+    carried = [state for state in states if state is not None]
+    if len(carried) == len(states):
+        basis = None  # every target starts from its own basis
+    elif carried:
+        # feasibility does not depend on the objective: a carried basis is a start for every target
+        basis = carried[0].copy()
     else:
         try:
             basis = simplex.prepare(a, b, ub)

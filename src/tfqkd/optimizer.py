@@ -189,7 +189,7 @@ _finite_lp = lru_cache(maxsize=64)(yield_lp)
 
 
 def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
-                      mode: EvaluationMode, *, _yield_lp=None) -> KeyRateReport:
+                      mode: EvaluationMode) -> KeyRateReport:
     """Full pipeline: observables, yield bounds, phase error, key rate.
 
     Asymptotic mode treats every photon-number yield as perfectly known
@@ -208,16 +208,23 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
     patterns; in finite mode it additionally carries the probability that
     both parties chose signal states.  The rate without that weight is
     key_rate(report.p_xx, report.e_xx, report.e_zz_upper).
+    """
+    rate, p_xx, e_xx, e_zz, bounds, problem = _evaluate(scenario, params, mode, _finite_lp)
+    return KeyRateReport(p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds, rate=rate, lp_problem=problem)
 
-    The finite search passes its own yield-LP source as _yield_lp (see
-    _finite_objective); without it the LP comes from the cold memo above.
+
+def _evaluate(scenario: ChannelScenario, params: ProtocolParameters, mode: EvaluationMode, lp_source) -> tuple:
+    """evaluate_key_rate's (rate, p_xx, e_xx, e_zz_upper, yield_bounds, lp_problem), the finite LP from lp_source.
+
+    The finite search reads the rate alone from it, with its own
+    lp_source (see _finite_objective), and builds no report.
     """
     gamma = ArrivingIntensities.from_sources(scenario, params.s_a, params.s_b)
     if mode.is_finite:
         if not params.has_probabilities:
             raise DomainError("finite mode requires selection probabilities")
         weight = params.p_s_a * params.p_s_b
-        problem, bounds = (_yield_lp or _finite_lp)(
+        problem, bounds = lp_source(
             scenario, (params.mu_a, params.nu_a, 0.0), (params.mu_b, params.nu_b, 0.0), mode,
             (params.p_mu_a, params.p_nu_a, params.p_omega_a), (params.p_mu_b, params.p_nu_b, params.p_omega_b))
     else:
@@ -225,14 +232,13 @@ def evaluate_key_rate(scenario: ChannelScenario, params: ProtocolParameters,
 
     p_xx = x_basis_gain(scenario, gamma)
     if p_xx <= 0.0:
-        return KeyRateReport(p_xx=p_xx, e_xx=0.0, e_zz_upper=1.0, yield_bounds=None, rate=0.0, lp_problem=problem)
+        return 0.0, p_xx, 0.0, 1.0, None, problem
     e_xx = x_basis_qber(scenario, gamma)
     size = bounds.shape[0]
     gain = phase_error_upper_bound(cat_state(math.sqrt(params.s_a), size), cat_state(math.sqrt(params.s_b), size),
                                    bounds)
     e_zz = min(1.0, float(gain[0, 0]) / p_xx)
-    rate = key_rate(p_xx, e_xx, e_zz, basis_weight=weight)
-    return KeyRateReport(p_xx=p_xx, e_xx=e_xx, e_zz_upper=e_zz, yield_bounds=bounds, rate=rate, lp_problem=problem)
+    return key_rate(p_xx, e_xx, e_zz, basis_weight=weight), p_xx, e_xx, e_zz, bounds, problem
 
 
 def _entropy(x: np.ndarray) -> np.ndarray:
@@ -463,14 +469,15 @@ def multistart(objective, strategy: Strategy, n_starts: int, seed: int) -> tuple
 def _finite_objective(scenario: ChannelScenario, mode: EvaluationMode):
     """The finite search's objective, and the WarmBases its yield LPs are re-solved from.
 
-    The key rate as evaluate_key_rate gives it, with the yield LP from a
-    memo of _finite_lp's size over decoy.yield_lp that keeps each target's
-    last optimal basis (decoy.WarmBases).  Both belong to one search, so
-    nothing carries over between searches; the values only rank points.
+    The key rate as evaluate_key_rate computes it, as a float and with no
+    report, with the yield LP from a memo of _finite_lp's size over
+    decoy.yield_lp that keeps each target's last optimal basis
+    (decoy.WarmBases).  Both belong to one search, so nothing carries over
+    between searches; the values only rank points.
     """
     warm = WarmBases()
     source = lru_cache(maxsize=64)(partial(yield_lp, warm=warm))
-    return lambda params: evaluate_key_rate(scenario, params, mode, _yield_lp=source).rate, warm
+    return lambda params: _evaluate(scenario, params, mode, source)[0], warm
 
 
 def optimize_strategy(scenario: ChannelScenario, strategy: Strategy, mode: EvaluationMode,

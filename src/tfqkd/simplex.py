@@ -20,11 +20,18 @@ Feasibility is established once by a phase-1 pass with artificial
 variables; the resulting basis can be snapshotted and reused for several
 objectives over the same constraints.  A final state of phase 2 can also
 be carried to new data (rebase): the artificial columns hold B^-1, so the
-basic values are recomputed directly, and the basis is kept only when
-they lie strictly inside their boxes, where it is feasible without phase
+basic values are recomputed directly; where they lie strictly inside
+their boxes the basis is feasible, and phase 2 starts there without phase
 1.  A new matrix, or a drifted B^-1, gets the tableau rebuilt from one
 inverse of the basis block (LAPACK).  An unchanged tableau with the same
-open boxes is still optimal, and optimum reads it without phase 2.
+open boxes is still optimal, and optimum reads it without phase 2.  A
+carried basis whose basic values left their boxes goes to the dual
+simplex (dual_simplex): a step in b keeps the reduced costs, so the
+basis still prices no column in, and each dual pivot takes the basic
+value furthest outside its box to the bound it crossed.  It ends where
+every basic value lies in its box, phase 2 would stop at once and the
+inverse still passes rebase's test, or gives the basis up, which is then
+never read.
 
 The tableaux are small (the decoy LP has 9 rows and 118 columns), so an
 iteration costs mostly interpreter overhead, and the loop keeps that low
@@ -90,6 +97,9 @@ _MAX_ITERATIONS = 50_000
 #: Degenerate phase-2 steps in a row after which pricing falls back to
 #: Bland's rule until a step makes progress.
 _DANTZIG_DEGENERATE_LIMIT = 20
+
+#: Pivots after which the dual loop gives up on a carried basis.
+_DUAL_ITERATIONS = 20
 
 _NO_ROW = np.iinfo(np.int64).max  # above every basis index
 
@@ -216,25 +226,42 @@ def _run_simplex(cost: np.ndarray, state: PreparedBasis, degenerate_budget: int)
             continue
 
         entering_value = (0.0 if direction > 0.0 else upper_list[entering]) + direction * step
-        leaving_var = basis_list[leaving_row]
-        hit_upper = column[leaving_row] < 0.0
-        status[leaving_var] = _UPPER if hit_upper else _LOWER
-        if upper_list[leaving_var] > 0.0:
-            sign[leaving_var] = -1.0 if hit_upper else 1.0
-
-        pivot = tableau[leaving_row, entering]
-        tableau[leaving_row] /= pivot
-        state.rhs[leaving_row] /= pivot
-        factors = tableau[:, entering].copy()
-        factors[leaving_row] = 0.0
-        tableau -= factors[:, None] * tableau[leaving_row]
-        state.rhs -= factors * state.rhs[leaving_row]
-
-        status[entering] = _BASIC
-        sign[entering] = 0.0
-        basis[leaving_row] = entering
+        _pivot(state, sign, leaving_row, entering, column[leaving_row] < 0.0)
         basis_list[leaving_row] = entering
         x_basic[leaving_row] = entering_value
+
+
+def _pivot(state: PreparedBasis, sign: np.ndarray, row: int, entering: int, to_upper: bool) -> None:
+    """Exchange row's basic variable, which leaves at its upper bound or at 0, for the entering one."""
+    tableau, rhs = state.tableau, state.rhs
+    leaving = state.basis[row]
+    state.status[leaving] = _UPPER if to_upper else _LOWER
+    if state.upper[leaving] > 0.0:
+        sign[leaving] = -1.0 if to_upper else 1.0
+    pivot = tableau[row, entering]
+    tableau[row] /= pivot
+    rhs[row] /= pivot
+    factors = tableau[:, entering].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row]
+    rhs -= factors * rhs[row]
+    state.status[entering] = _BASIC
+    sign[entering] = 0.0
+    state.basis[row] = entering
+
+
+def _dual_ratio_test(rho: np.ndarray, slack: np.ndarray) -> int:
+    """Entering candidate of a dual pivot by Harris's two passes (Harris, Math. Program. 5:1, 1973).
+
+    Candidate k moves the leaving row's value toward its box at rate
+    rho[k] > 0 and has the dual slack slack[k], its negated signed reduced
+    cost.  Pass 1 takes the longest dual step that keeps every slack above
+    -COST_TOLERANCE; pass 2 takes, among the candidates whose own ratio
+    fits within it, the one with the largest rho (the first of equals), so
+    no tiny pivot is taken where a larger one ties.
+    """
+    longest = ((slack + COST_TOLERANCE) / rho).min()
+    return int(np.where(slack / rho <= longest, rho, 0.0).argmax())
 
 
 def _run_stack(cost: np.ndarray, stack: PreparedBasis,
@@ -464,54 +491,110 @@ def optimum(state: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, fl
     return x, float(objective @ x)
 
 
-def rebase(state: PreparedBasis, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
-           new_matrix: bool = False) -> tuple[PreparedBasis, bool] | None:
-    """The state's basis under new data A x = b, 0 <= x <= upper, if strictly inside every box.
+def rebase(states: list, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
+           new_matrix: bool = False) -> list[tuple[PreparedBasis, bool, bool] | None]:
+    """Each state's basis under new data A x = b, 0 <= x <= upper, or None.
 
-    The state comes from prepare, maximize_prepared or rebase on the
-    matrix a, or on another one when new_matrix is set.  Its artificial
-    columns hold X, the inverse of its basis block B of [a | I] that the
-    pivots built.  The basic values are recomputed, X b minus the columns
-    at their new upper bounds, and kept when X (A x - b), their
+    A state comes from prepare, maximize_prepared, rebase or dual_simplex
+    on the matrix a, or on another one when new_matrix is set.  Its
+    artificial columns hold X, the inverse of its basis block B of [a | I]
+    that the pivots built.  The basic values are recomputed, X b minus the
+    columns at their new upper bounds, and kept when X (A x - b), their
     first-order error at the basis point x, is within REBASE_TOLERANCE.
     When a is new or the carried X fails that test (pivot drift), the
-    tableau is rebuilt as X [a | I] from a fresh inverse of B; a
-    non-finite a, a singular B, or a fresh X that fails too gives None.
-    So do basic values not strictly inside their boxes, a non-finite b and
-    a NaN upper bound (prepare raises on such data).  Nonbasic variables
-    keep their sides, so phase 2 from the copy needs no phase 1.
+    tableau is rebuilt as X [a | I] from a fresh inverse of B; a singular
+    B, or a fresh X that fails too, gives None.  Every state gives None
+    for a non-finite a or b or a NaN upper bound (prepare raises on such
+    data), and a None in states stays None.  Nonbasic variables keep
+    their sides.
 
-    Returns the copy and whether it is optimal as it stands: when the
-    state ended a phase 2 and its tableau and open boxes (upper > 0) are
-    unchanged, so is that phase 2's last pricing, which entered nothing;
-    optimum then gives maximize_prepared's result for that objective.
+    Each entry holds the state's copy, whether every basic value lies
+    strictly inside its box, so that phase 2 can start there without
+    phase 1, and whether the copy is optimal as it stands: when it is
+    strictly inside, the state ended a phase 2 or a dual_simplex, and its
+    tableau and open boxes (upper > 0) are unchanged, so is that run's last
+    pricing, which entered nothing; optimum then gives maximize_prepared's
+    result for that objective.  A copy outside its boxes is a start for
+    dual_simplex.
     """
-    if not (np.isfinite(b).all() and not np.isnan(upper).any()):
-        return None  # _finite_data's rule; a new matrix is checked before its inverse
+    full = np.concatenate((a, np.eye(len(b))), axis=1)
+    if not (np.isfinite(full).all() and np.isfinite(b).all() and not np.isnan(upper).any()):
+        return [None] * len(states)  # _finite_data's rule
+    boxes = upper > 0.0
+    return [None if state is None else _rebase(state, a, full, b, upper, boxes, new_matrix) for state in states]
+
+
+def _first_order_error(state: PreparedBasis, a: np.ndarray, b: np.ndarray) -> float:
+    """max |X (A x - b)| at the state's basis point x: the error that its inverse X leaves in the basic values."""
+    n = state.n_structural
+    x = np.where(state.status == _UPPER, state.upper, 0.0)
+    x[state.basis] = state.x_basic
+    return float(np.abs(state.tableau[:, n:] @ (a @ x[:n] + x[n:] - b)).max())
+
+
+def _rebase(state: PreparedBasis, a: np.ndarray, full: np.ndarray, b: np.ndarray, upper: np.ndarray,
+            boxes: np.ndarray, new_matrix: bool) -> tuple[PreparedBasis, bool, bool] | None:
+    """rebase of one state on checked data, full = [a | I] and boxes = upper > 0."""
     work = state.copy()
     n = work.n_structural
     work.upper[:n] = upper
     for rebuilt in (new_matrix, True):
         if rebuilt:
-            full = np.concatenate((a, np.eye(len(b))), axis=1)
-            if not np.isfinite(full).all():
-                return None
             try:
                 work.tableau = np.linalg.inv(full[:, work.basis]) @ full
             except np.linalg.LinAlgError:
                 return None  # a singular basis block
-        inverse = work.tableau[:, n:]
-        work.rhs = inverse @ b
+        work.rhs = work.tableau[:, n:] @ b
         work.refresh_basics()
-        x = np.where(work.status == _UPPER, work.upper, 0.0)
-        x[work.basis] = work.x_basic
-        if np.abs(inverse @ (a @ x[:n] + x[n:] - b)).max() <= REBASE_TOLERANCE:
+        if _first_order_error(work, a, b) <= REBASE_TOLERANCE:
             break
         if rebuilt:
             return None  # a block too close to singular for its inverse to hold
-    if not ((work.x_basic > 0.0) & (work.x_basic < work.upper[work.basis])).all():
-        return None
-    return work, not rebuilt and np.array_equal(upper > 0.0, state.upper[:n] > 0.0)
+    inside = bool(((work.x_basic > 0.0) & (work.x_basic < work.upper[work.basis])).all())
+    return work, inside, inside and not rebuilt and np.array_equal(boxes, state.upper[:n] > 0.0)
+
+
+def dual_simplex(state: PreparedBasis, objective: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[int, bool]:
+    """Dual simplex, in place, from a state that rebase carried to A x = b and found outside its boxes.
+
+    A probability step changes only b and the boxes, so a basis that was
+    optimal keeps its reduced costs and stays dual feasible (Koberstein,
+    PhD thesis, Paderborn 2005).  Each pivot takes the basic value furthest
+    outside its box to the bound it crossed, and enters the column that
+    Harris's ratio test picks (_dual_ratio_test).  Returns the pivots taken
+    and whether the state ended optimal: every basic value, refreshed, in
+    [0, upper] and no signed reduced cost above COST_TOLERANCE, so that
+    phase 2 would stop at once, and, after any pivot, an inverse that
+    passes rebase's REBASE_TOLERANCE test on a and b; optimum then gives
+    maximize_prepared's result for this state and objective.  It gives up,
+    and leaves the state part-way, not to be read, when the start or a
+    step prices a column in, when no column moves the leaving value toward
+    its box (no feasible point), after _DUAL_ITERATIONS pivots, or when
+    the pivots spoiled the inverse (pivots on elements near
+    PIVOT_TOLERANCE have left first-order errors of 7e-2).
+    """
+    cost = np.zeros(state.upper.size)
+    cost[:state.n_structural] = objective
+    tableau, basis, x_basic, upper = state.tableau, state.basis, state.x_basic, state.upper
+    sign = _signs(state.status, upper)
+    pivots = 0
+    while True:
+        scores = (cost - cost[basis] @ tableau) * sign
+        if (scores > COST_TOLERANCE).any():
+            return pivots, False
+        violation = np.maximum(-x_basic, x_basic - upper[basis])
+        row = int(violation.argmax())
+        if not violation[row] > 0.0:
+            return pivots, not pivots or _first_order_error(state, a, b) <= REBASE_TOLERANCE
+        below = x_basic[row] < 0.0
+        rates = (sign if below else -sign) * tableau[row]  # how fast each column moves x_row away from its box
+        candidates = np.flatnonzero(rates < -PIVOT_TOLERANCE)
+        if pivots == _DUAL_ITERATIONS or not candidates.size:
+            return pivots, False
+        k = _dual_ratio_test(-rates[candidates], -scores[candidates])
+        _pivot(state, sign, row, int(candidates[k]), not below)
+        pivots += 1
+        state.refresh_basics()
 
 
 def _maximize_prepared_stack(stack: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

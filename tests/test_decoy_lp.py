@@ -200,7 +200,7 @@ class TestNanIsRejected:
         coefficients[4, column] = bad
         broken = dataclasses.replace(problem, coefficients=coefficients)
         a, b, ub = _equality_form(coefficients, *broken.constraint_bounds())
-        assert all(simplex.rebase(state, a, b, ub, new_matrix=True) is None for state in warm.states)
+        assert simplex.rebase(warm.states, a, b, ub, new_matrix=True) == [None] * len(TARGET_PAIRS)
         with pytest.raises(DomainError):
             solve_yield_bounds(broken, warm)
 
@@ -564,11 +564,13 @@ FINITE_OPT_MODE = FINITE_OPT.evaluation_mode()
 #: Re-solved bounds agree with the cold ones to the rounding of bases whose
 #: condition number reaches about 1e8: 3.3e-11 at most over 4,500 seeded
 #: random walks that move decoys and shares as search_walks does.  Over the
-#: LPs of the 96 tools/search_cost.py descents the gap reaches 5.9e-11, where
+#: LPs of the 96 tools/search_cost.py descents the gap reaches 6.1e-11, where
 #: the cold solve stops below a feasible basis that the warm path reaches
 #: (test_the_cold_bound_covers_a_carried_basis_above_the_cold_maximum).  A
 #: basis accepted within the phase-1 FEASIBILITY_TOLERANCE misses by 1.5e-5
-#: (test_a_basic_value_just_below_zero_is_not_accepted).
+#: (test_a_basic_value_just_below_zero_is_not_accepted), and a dual run read
+#: from a spoiled inverse by 5.9e-2
+#: (test_optimizer.py, test_a_dual_run_that_spoils_its_inverse_is_given_up).
 WARM_AGREEMENT = 5e-11
 
 
@@ -639,26 +641,92 @@ class TestWarmBases:
         yield_lp(*first, warm=warm)
         return warm, yield_lp(*second, warm=warm)[1], yield_lp(*second)[1]
 
+    @staticmethod
+    def _counts(warm):
+        """LP solves, targets from their own basis, dual runs, dual pivots, borrowed starts, phase-1 runs."""
+        return warm.lp_solves, warm.repriced, warm.dual_runs, warm.dual_pivots, warm.borrowed, warm.phase1_runs
+
     def test_a_step_that_keeps_every_basis_strictly_feasible_skips_phase_one(self):
         # (p_s, p_mu, p_nu) from (0.8, 0.1, 0.05) to (0.7, 0.2, 0.05)
         warm, warm_bounds, cold = self._after_step(self._args(DECOYS, _decoy_probabilities(0.8, 0.1, 0.05)),
                                                    self._args(DECOYS, _decoy_probabilities(0.7, 0.2, 0.05)))
-        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (2, 5, 1)
+        assert self._counts(warm) == (2, 5, 0, 0, 0, 1)
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
 
-    def test_a_step_that_leaves_every_basis_infeasible_takes_the_cold_path(self):
-        # p_s from 0.8 to 0.7 at p_mu 0.1, p_nu 0.05: no stored basis stays primal feasible
-        warm, warm_bounds, cold = self._after_step(self._args(DECOYS, _decoy_probabilities(0.8, 0.1, 0.05)),
-                                                   self._args(DECOYS, _decoy_probabilities(0.7, 0.1, 0.05)))
-        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (2, 0, 2)
+    # p_s from 0.8 to 0.7 at p_mu 0.1, p_nu 0.05: every stored basis leaves a box
+    LEAVING_STEP = (_decoy_probabilities(0.8, 0.1, 0.05), _decoy_probabilities(0.7, 0.1, 0.05))
+
+    def test_bases_that_leave_their_boxes_go_through_the_dual_loop(self):
+        first, second = self.LEAVING_STEP
+        warm, warm_bounds, cold = self._after_step(self._args(DECOYS, first), self._args(DECOYS, second))
+        assert self._counts(warm) == (2, 5, 5, 7, 0, 1)
+        assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
+
+    def test_dual_runs_stopped_by_the_iteration_cap_take_the_cold_path(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_DUAL_ITERATIONS", 0)
+        first, second = self.LEAVING_STEP
+        warm, warm_bounds, cold = self._after_step(self._args(DECOYS, first), self._args(DECOYS, second))
+        assert self._counts(warm) == (2, 0, 5, 0, 0, 2)
         assert warm_bounds.tobytes() == cold.tobytes()
 
+    def test_a_start_that_is_not_dual_feasible_borrows_another_basis(self, monkeypatch):
+        # nu from 0.1 to 0.12 at mu 0.48: one rebuilt basis leaves a box and prices a column above
+        # COST_TOLERANCE, so its dual run ends at once and the target starts from another target's basis
+        probabilities = (0.15, 0.05, 0.008)
+        runs = []
+        dual_simplex = simplex.dual_simplex
+
+        def recording(state, objective, *data):
+            runs.append((state.copy(), objective, dual_simplex(state, objective, *data)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(simplex, "dual_simplex", recording)
+        warm, warm_bounds, cold = self._after_step(self._args((0.48, 0.1, 0.0), probabilities),
+                                                   self._args((0.48, 0.12, 0.0), probabilities))
+        (start, objective, outcome), = runs
+        assert outcome == (0, False)
+        cost = np.zeros(start.upper.size)
+        cost[:start.n_structural] = objective
+        scores = (cost - cost[start.basis] @ start.tableau) * simplex._signs(start.status, start.upper)
+        assert scores.max() > simplex.COST_TOLERANCE
+        assert self._counts(warm) == (2, 4, 1, 0, 1, 1)
+        assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
+
     def test_a_decoy_step_carries_the_bases_to_the_new_matrix(self):
-        # mu from 0.1 to 0.2 changes the matrix; every basis is rebuilt on it, one stays strictly feasible
+        # mu from 0.1 to 0.2 changes the matrix; every basis is rebuilt on it, one stays strictly
+        # feasible, two more come back through the dual loop, and two targets borrow a basis
         probabilities = _decoy_probabilities(0.8, 0.1, 0.05)
         warm, warm_bounds, cold = self._after_step(self._args(DECOYS, probabilities),
                                                    self._args((0.2, 0.01, 0.0), probabilities))
-        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (2, 1, 1)
+        assert self._counts(warm) == (2, 3, 4, 13, 2, 1)
+        assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
+
+    def test_a_dual_run_that_fails_part_way_is_never_read(self, monkeypatch):
+        # the decoy step above: two of its four dual runs lose dual feasibility after some pivots;
+        # their targets start from another target's basis, and no state of theirs is read
+        probabilities = _decoy_probabilities(0.8, 0.1, 0.05)
+        failed = []
+        dual_simplex, optimum, maximize_prepared = simplex.dual_simplex, simplex.optimum, simplex.maximize_prepared
+
+        def recording(state, objective, *data):
+            pivots, optimal = dual_simplex(state, objective, *data)
+            if not optimal:
+                failed.append((state, pivots))
+            return pivots, optimal
+
+        def unread(read):
+            def wrapper(state, *args, **kwargs):
+                assert all(state is not partial for partial, _ in failed)
+                return read(state, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simplex, "dual_simplex", recording)
+        monkeypatch.setattr(simplex, "optimum", unread(optimum))
+        monkeypatch.setattr(simplex, "maximize_prepared", unread(maximize_prepared))
+        warm, warm_bounds, cold = self._after_step(self._args(DECOYS, probabilities),
+                                                   self._args((0.2, 0.01, 0.0), probabilities))
+        assert [pivots for _, pivots in failed] == [6, 3]
+        assert all(state is not partial for partial, _ in failed for state in warm.states)
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
 
     @pytest.mark.parametrize("decoys", [(0.1, 0.1, 0.0), (0.1, 0.01, 0.01)], ids=["mu==nu", "nu==omega"])
@@ -672,20 +740,21 @@ class TestWarmBases:
         for state in warm.states:
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.inv(np.concatenate((a, np.eye(len(b))), axis=1)[:, state.basis])
-            assert simplex.rebase(state, a, b, ub, new_matrix=True) is None
+        assert simplex.rebase(warm.states, a, b, ub, new_matrix=True) == [None] * len(TARGET_PAIRS)
         assert yield_lp(*self._args(decoys, probabilities), warm=warm)[1].tobytes() == cold.tobytes()
-        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (2, 0, 2)
+        assert self._counts(warm) == (2, 0, 0, 0, 0, 2)
 
     def test_a_basic_value_just_below_zero_is_not_accepted(self):
         # A step of the finite_opt search (symmetric, multistart seed 1).  It
         # leaves a basic value of target (2, 2) at -3.4e-10, inside the phase-1
-        # FEASIBILITY_TOLERANCE; re-pricing from there raises that bound by 1.5e-5.
+        # FEASIBILITY_TOLERANCE; re-pricing from there raises that bound by
+        # 1.5e-5.  The dual loop takes it back into its box instead.
         decoys = (0.6231574457862891, 0.0003772579937783819, 0.0)
         warm, warm_bounds, cold = self._after_step(
             self._args(decoys, (0.042327797960310026, 0.6457671253164456, 0.26569053538008236)),
             self._args(decoys, (0.042327797960310026, 0.6457671253164456, 0.2829609533874329)))
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
-        assert (warm.lp_solves, warm.repriced, warm.phase1_runs) == (2, 3, 1)
+        assert self._counts(warm) == (2, 5, 2, 3, 0, 1)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(decoys_a=decoy_sets, decoys_b=decoy_sets, walk=probability_walks())

@@ -104,19 +104,20 @@ def test_rebase_keeps_a_basis_only_strictly_inside_its_boxes():
     state = prepare(a, np.array([1.2]), upper)
     _, value = maximize_prepared(state, objective, in_place=True)
     assert value == 0.5
-    moved, optimal = simplex.rebase(state, a, np.array([1.1]), upper)
-    assert optimal  # the same tableau and the same open boxes
+    (moved, inside, optimal), = simplex.rebase([state], a, np.array([1.1]), upper)
+    assert inside and optimal  # the same tableau and the same open boxes
     assert simplex.optimum(moved, objective)[1] == maximize_prepared(moved, objective)[1]
     x, value = maximize_prepared(moved, objective)
     assert value == 0.5 and x.sum() == pytest.approx(1.1, abs=1e-15)
-    # the basic value would fall to 0, or below, or leave its box: no basis comes back
+    # the basic value falls to 0, or below, or leaves its box: the basis is no start for phase 2
     for b, box in ((0.5, upper), (0.4, upper), (1.2, np.array([0.5, 0.1, 0.1])), (-0.1, upper)):
-        assert simplex.rebase(state, a, np.array([b]), box) is None
+        (_, inside, optimal), = simplex.rebase([state], a, np.array([b]), box)
+        assert not inside and not optimal
     # data that prepare rejects; a NaN box on s, nonbasic at 0, would leave the basic values inside their boxes
     for b, box in ((1.1, np.array([0.5, 1.0, math.nan])), (1.1, np.array([math.nan, 1.0, 1.0])),
                    (math.nan, upper), (math.inf, upper)):
-        assert simplex.rebase(state, a, np.array([b]), box) is None
-    assert simplex.rebase(state, a, np.array([1.2]), upper) is not None  # the state itself was not changed
+        assert simplex.rebase([state, None], a, np.array([b]), box) == [None, None]
+    assert simplex.rebase([state, None], a, np.array([1.2]), upper)[0][1:] == (True, True)  # state was not changed
 
 
 def test_a_box_that_opens_makes_the_carried_basis_price_again():
@@ -125,8 +126,8 @@ def test_a_box_that_opens_makes_the_carried_basis_price_again():
     objective = np.array([0.0, 0.0, 1.0])
     state = prepare(a, np.array([1.2]), np.array([1.0, 1.0, 0.0]))
     assert maximize_prepared(state, objective, in_place=True)[1] == 0.0
-    rebased, optimal = simplex.rebase(state, a, np.array([1.2]), np.array([1.0, 1.0, 1.0]))
-    assert not optimal  # s may now enter
+    (rebased, inside, optimal), = simplex.rebase([state], a, np.array([1.2]), np.array([1.0, 1.0, 1.0]))
+    assert inside and not optimal  # s may now enter
     assert simplex.optimum(rebased, objective)[1] == 0.0
     assert maximize_prepared(rebased, objective)[1] == 1.0
 
@@ -139,8 +140,8 @@ def test_rebase_rebuilds_the_tableau_on_a_new_matrix():
     state = prepare(a, np.array([1.2]), upper)
     maximize_prepared(state, objective, in_place=True)
     moved = np.array([[1.0, 2.0, 1.0]])
-    rebased, optimal = simplex.rebase(state, moved, np.array([1.2]), upper, new_matrix=True)
-    assert not optimal  # a rebuilt tableau is priced again
+    (rebased, inside, optimal), = simplex.rebase([state], moved, np.array([1.2]), upper, new_matrix=True)
+    assert inside and not optimal  # a rebuilt tableau is priced again
     cold = maximize_prepared(prepare(moved, np.array([1.2]), upper), objective)
     warm = maximize_prepared(rebased, objective)
     assert warm[1] == cold[1] == 0.5 and moved @ warm[0] == pytest.approx([1.2], abs=1e-15)
@@ -150,11 +151,11 @@ def test_rebase_rebuilds_the_tableau_on_a_new_matrix():
     basic = int(rebased.basis[0])
     singular = moved.copy()
     singular[0, basic] = 0.0
-    assert simplex.rebase(state, singular, np.array([1.2]), upper, new_matrix=True) is None
+    assert simplex.rebase([state], singular, np.array([1.2]), upper, new_matrix=True) == [None]
     for bad in (math.nan, math.inf):
         broken = moved.copy()
         broken[0, 0] = bad  # x0 is nonbasic at its upper bound
-        assert simplex.rebase(state, broken, np.array([1.2]), upper, new_matrix=True) is None
+        assert simplex.rebase([state], broken, np.array([1.2]), upper, new_matrix=True) == [None]
         with pytest.raises(DomainError):
             prepare(broken, np.array([1.2]), upper)
 
@@ -166,9 +167,9 @@ def test_rebase_rebuilds_an_inverse_that_drifted():
     maximize_prepared(state, np.array([1.0, 0.0, 0.0]), in_place=True)
     drifted = state.copy()
     drifted.tableau[:, 3:] *= 1.0 + 10.0 * simplex.REBASE_TOLERANCE
-    rebased, optimal = simplex.rebase(drifted, a, np.array([1.1]), upper)
+    (rebased, _, optimal), (fresh, _, _) = (simplex.rebase([drifted], a, np.array([1.1]), upper)
+                                             + simplex.rebase([state], a, np.array([1.1]), upper, new_matrix=True))
     assert not optimal
-    fresh, _ = simplex.rebase(state, a, np.array([1.1]), upper, new_matrix=True)
     assert rebased.tableau.tobytes() == fresh.tableau.tobytes()
 
 
@@ -607,3 +608,92 @@ class TestStackRetracesScalarLoop:
                 pivots[1] += sum(call[0] for call in calls[1:])
         assert pivots == [18_006, 21_414]
 
+
+def _pivots_of(solve):
+    """solve()'s result and the pivots that _run_simplex took inside it."""
+    pivots = []
+    loop = simplex._run_simplex
+
+    def counting(cost, state, degenerate_budget):
+        pivots.append(loop(cost, state, degenerate_budget))
+        return pivots[-1]
+
+    with mock.patch.object(simplex, "_run_simplex", counting):
+        return solve(), sum(pivots)
+
+
+class TestDualSimplex:
+    """A carried basis whose basic values left their boxes, brought back by the dual loop."""
+
+    A = np.array([[1.0, 1.0, 1.0]])  # x0 + x1 + s = b
+
+    def _carried(self, objective, box, new_box, b, new_b):
+        """The optimal state at (b, box), carried by rebase to (new_b, new_box)."""
+        state = prepare(self.A, np.array([b]), box)
+        maximize_prepared(state, objective, in_place=True)
+        (carried, inside, optimal), = simplex.rebase([state], self.A, np.array([new_b]), new_box)
+        assert not inside and not optimal
+        return carried
+
+    def test_the_dual_loop_reaches_the_cold_maximum_with_fewer_pivots(self):
+        # max 2 x0 + x1, x0 <= 0.5: at b = 1.2 x1 is basic at 0.7; at b = 1.7 it would be 1.2, above its box
+        objective, box = np.array([2.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.0])
+        carried = self._carried(objective, box, box, 1.2, 1.7)
+        assert carried.x_basic.max() > 1.0
+        dual_pivots, optimal = simplex.dual_simplex(carried, objective, self.A, np.array([1.7]))
+        assert optimal and dual_pivots == 1
+        assert ((carried.x_basic >= 0.0) & (carried.x_basic <= carried.upper[carried.basis])).all()
+        x, value = simplex.optimum(carried, objective)
+        (cold_x, cold_value), cold_pivots = _pivots_of(lambda: maximize(objective, self.A, np.array([1.7]), box))
+        assert value == cold_value == 2.0 and x.tobytes() == cold_x.tobytes()
+        assert dual_pivots < cold_pivots
+        # phase 2 from the restored state enters nothing and returns the same bits
+        (again_x, again), again_pivots = _pivots_of(lambda: maximize_prepared(carried, objective))
+        assert again_pivots == 0 and (again_x.tobytes(), again) == (x.tobytes(), value)
+
+    def test_a_start_that_is_not_dual_feasible_is_given_up(self):
+        # max 2 x0 + x1 + 2 s with s boxed to 0: once its box opens, s prices at +1 and no dual step is taken
+        objective = np.array([2.0, 1.0, 2.0])
+        carried = self._carried(objective, np.array([0.5, 1.0, 0.0]), np.array([0.5, 1.0, 1.0]), 1.2, 1.7)
+        before = carried.copy()
+        assert simplex.dual_simplex(carried, objective, self.A, np.array([1.7])) == (0, False)
+        assert carried.tableau.tobytes() == before.tableau.tobytes()
+
+    def test_the_iteration_cap_gives_up(self, monkeypatch):
+        objective, box = np.array([2.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.0])
+        monkeypatch.setattr(simplex, "_DUAL_ITERATIONS", 0)
+        carried = self._carried(objective, box, box, 1.2, 1.7)
+        assert simplex.dual_simplex(carried, objective, self.A, np.array([1.7])) == (0, False)
+
+    def test_an_infeasible_row_is_given_up(self):
+        # b = -0.1 admits no point in the boxes: one pivot takes x1 up to 0 and x0 below it, and no
+        # column moves x0 back up
+        objective, box = np.array([2.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.0])
+        carried = self._carried(objective, box, box, 1.2, -0.1)
+        assert simplex.dual_simplex(carried, objective, self.A, np.array([-0.1])) == (1, False)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @_random_programs
+    def test_random_steps_in_b_end_in_the_boxes_at_the_cold_maximum(self, **program):
+        a, b, upper, objectives = _random_program(**program)
+        rng = np.random.default_rng(program["seed"])
+        try:
+            state = prepare(a, b, upper)
+        except InfeasibleProblemError:
+            return
+        objective = objectives[0]
+        maximize_prepared(state, objective, in_place=True)
+        step = b + rng.normal(0.0, 0.2, size=b.shape)
+        (carried,) = simplex.rebase([state], a, step, upper)
+        if carried is None or carried[1]:
+            return
+        restored = carried[0]
+        _, optimal = simplex.dual_simplex(restored, objective, a, step)
+        if not optimal:
+            return
+        # the state the loop reports optimal lies in its boxes and is what phase 2 returns from it
+        assert ((restored.x_basic >= 0.0) & (restored.x_basic <= restored.upper[restored.basis])).all()
+        x, value = simplex.optimum(restored, objective)
+        again_x, again = maximize_prepared(restored, objective)
+        assert (again_x.tobytes(), again) == (x.tobytes(), value)
+        assert value == pytest.approx(maximize(objective, a, step, upper)[1], abs=1e-9)

@@ -7,12 +7,13 @@ three total losses: mismatch 0.1, e_d 0.02, p_d 1e-8, 1e12 pulses and
 epsilon 1e-7, at 30, 40 and 50 dB.  For each of the four strategies, each
 loss and each multistart seed 0-7, one start runs as optimize_strategy
 runs it, with the search's own yield-LP source (optimizer._finite_objective).
-Each row reports the objective evaluations, the yield LPs solved, the
-target maxima re-priced from a stored basis rather than solved after
-phase 1 (decoy.WarmBases), and the winner's rate as evaluate_key_rate
-gives it on a cold LP memo, the rate a sweep reports, in repr so that
-rows compare bit for bit.  The last line sums evaluations, LP solves and
-re-priced targets and counts the descents that ended at rate 0.
+Each row reports the objective evaluations, the yield LPs solved, and
+from the search's decoy.WarmBases the target maxima taken from their own
+stored basis rather than solved after phase 1, the dual-simplex runs and
+their pivots, and the targets that started from another target's basis;
+then the winner's rate as evaluate_key_rate gives it on a cold LP memo,
+the rate a sweep reports, in repr so that rows compare bit for bit.  The
+last line sums every count and counts the descents that ended at rate 0.
 
 With --baseline, FILE is an earlier output of this script (say, from the
 parent commit's source); each row then also reports its rate as a ratio
@@ -37,11 +38,14 @@ LOSSES_DB = (30.0, 40.0, 50.0)
 SEEDS = range(8)
 CONFIG = SweepConfig(total_loss_db_grid=LOSSES_DB, mismatch_ratio=0.1, mode="finite", n_pulses=1e12,
                      epsilon=1e-7, n_starts=1)
-HEADER = ("strategy", "loss_db", "seed", "evaluations", "lp_solves", "repriced_targets", "rate")
+#: WarmBases counters of each row, by column.
+COUNTERS = {"lp_solves": "lp_solves", "repriced_targets": "repriced", "dual_runs": "dual_runs",
+            "dual_pivots": "dual_pivots", "borrowed_starts": "borrowed"}
+HEADER = ("strategy", "loss_db", "seed", "evaluations", *COUNTERS, "rate")
 
 
-def descent_cost(strategy: Strategy, loss_db: float, seed: int) -> tuple[int, int, int, float]:
-    """Evaluations, LP solves, re-priced targets and the winner's cold rate of one start of the finite search."""
+def descent_cost(strategy: Strategy, loss_db: float, seed: int) -> tuple[int, list[int], float]:
+    """Evaluations, the COUNTERS and the winner's cold rate of one start of the finite search."""
     scenario = CONFIG.scenario_for(loss_db)
     working = add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario
     mode = CONFIG.evaluation_mode()
@@ -55,7 +59,7 @@ def descent_cost(strategy: Strategy, loss_db: float, seed: int) -> tuple[int, in
 
     params, _ = multistart(objective, strategy, 1, seed)
     optimizer._finite_lp.cache_clear()
-    return evaluations, warm.lp_solves, warm.repriced, evaluate_key_rate(working, params, mode).rate
+    return evaluations, [getattr(warm, name) for name in COUNTERS.values()], evaluate_key_rate(working, params, mode).rate
 
 
 def _read_baseline(path: str) -> dict:
@@ -73,17 +77,17 @@ def main() -> int:
     args = parser.parse_args()
     baseline = _read_baseline(args.baseline) if args.baseline else None
     print("\t".join(HEADER + (("rate_ratio",) if baseline else ())), flush=True)
-    total_evaluations = total_solves = total_repriced = zero_rates = 0
+    total_evaluations = zero_rates = 0
+    totals = [0] * len(COUNTERS)
     ratios, zero_cells, changed_cells = [], [], []
     for name in CONFIG.strategies:
         for loss_db in LOSSES_DB:
             for seed in SEEDS:
-                evaluations, solves, repriced, rate = descent_cost(Strategy(name), loss_db, seed)
+                evaluations, counts, rate = descent_cost(Strategy(name), loss_db, seed)
                 total_evaluations += evaluations
-                total_solves += solves
-                total_repriced += repriced
+                totals = [total + count for total, count in zip(totals, counts)]
                 zero_rates += rate == 0.0
-                row = [name, repr(loss_db), str(seed), str(evaluations), str(solves), str(repriced), repr(rate)]
+                row = [name, repr(loss_db), str(seed), str(evaluations), *map(str, counts), repr(rate)]
                 if baseline:
                     cell = f"{name}/{loss_db:g}dB/seed{seed}"
                     old_evaluations, old_rate = baseline[tuple(row[:3])]
@@ -99,9 +103,10 @@ def main() -> int:
                         changed_cells.append(f"{cell} ({old_evaluations} -> {evaluations} evaluations, "
                                              f"{old_rate} -> {rate!r})")
                 print("\t".join(row), flush=True)
-    print(f"# total: {total_evaluations} evaluations, {total_solves} LP solves, {total_repriced} re-priced "
-          f"targets of {len(TARGET_PAIRS) * total_solves}, "
-          f"{zero_rates} of {len(CONFIG.strategies) * len(LOSSES_DB) * len(SEEDS)} descents at rate 0")
+    solves, repriced, dual_runs, dual_pivots, borrowed = totals
+    print(f"# total: {total_evaluations} evaluations, {solves} LP solves, {repriced} targets from their own basis "
+          f"of {len(TARGET_PAIRS) * solves}, {dual_runs} dual runs with {dual_pivots} pivots, {borrowed} borrowed "
+          f"starts, {zero_rates} of {len(CONFIG.strategies) * len(LOSSES_DB) * len(SEEDS)} descents at rate 0")
     if baseline:
         if ratios:
             print(f"# nonzero rate ratios to the baseline: min {min(ratios)!r}, max {max(ratios)!r}")
