@@ -14,9 +14,9 @@ A finite search solves its LPs through yield_lp with a WarmBases of its
 own: each LP is re-solved from each target's last optimal basis, carried
 to the new matrix when a decoy moved, skipping phase 1 unless no
 target's basis carries over, and phase 2 where the carried basis is
-still optimal or where the dual simplex brings a basis that left its
-boxes back to its optimum; those bounds may differ from the cold ones by
-a few 1e-11 and only rank points.
+still optimal; simplex.reoptimize re-solves every other carried basis.
+Those bounds may differ from the cold ones by a few 1e-11 and only rank
+points.
 yield_bounds is the QBER scan's path to the bound matrices of many decoy
 settings: it builds their asymptotic LPs a stack at a time and solves each
 stack in lockstep (simplex.maximize_stack), with the bits, and the first
@@ -335,47 +335,24 @@ class WarmBases:
     slack boxes of the equality form, or a decoy, which also changes the
     matrix.  solve_yield_bounds, given a WarmBases, carries each stored
     basis to the new data with simplex.rebase (rebuilt on a new matrix).
-    A basis strictly inside every box is re-priced in phase 2, or read
-    without phase 2 where rebase finds it still optimal.  A basis that
-    left a box goes through simplex.dual_simplex, which brings it back
-    to the target's optimum when it starts dual feasible.
-    A target whose basis is missing, or whose dual run fails, starts its
-    phase 2 from another target's carried basis, which is feasible for
-    every objective.  Phase 1 runs only when no basis carries over; the
-    LP is then solved as without a WarmBases.  The stored bases are the
-    final states of the last solve.  The counters report how often each
-    path ran: LPs solved; target maxima taken from their own stored basis
-    (by phase 2, the dual loop, or neither); dual runs and their pivots;
-    targets that borrowed another target's basis; and phase-1 runs.
+    A basis that rebase finds still optimal, by its one box rule
+    0 <= x_B <= upper, is read without phase 2; every other one goes
+    through simplex.reoptimize, which re-solves it by phase 2 in its boxes
+    or by dual pivots out of them.  A target whose basis is missing, or
+    whose reoptimize run gives up, starts its phase 2 from another target's
+    carried basis, which is feasible for every objective.  Phase 1 runs
+    only when no basis carries over; the LP is then solved as without a
+    WarmBases.  The stored bases are the final states of the last solve.
+    The counters report how often each path ran: LPs solved; target maxima
+    taken from their own stored basis; reoptimize runs (zero-pivot
+    re-prices and phase 2 included) and their dual pivots; targets that
+    borrowed another target's basis; and phase-1 runs.
     """
 
     def __init__(self):
         self.matrix: np.ndarray | None = None
         self.states: list = [None] * len(TARGET_PAIRS)
         self.lp_solves = self.repriced = self.dual_runs = self.dual_pivots = self.borrowed = self.phase1_runs = 0
-
-    def carry(self, a: np.ndarray, b: np.ndarray, ub: np.ndarray) -> tuple[list, list]:
-        """Each target's stored basis on the new data, or None, and whether it is optimal as it stands."""
-        same = self.matrix is not None and np.array_equal(a, self.matrix)
-        states, optimal = [None] * len(TARGET_PAIRS), [False] * len(TARGET_PAIRS)
-        carried = simplex.rebase(self.states, a, b, ub, new_matrix=not same)
-        for target, (pair, objective) in enumerate(zip(carried, _objectives(a.shape[-1]))):
-            if pair is None:
-                continue
-            states[target], inside, optimal[target] = pair
-            if not inside:
-                pivots, optimal[target] = simplex.dual_simplex(states[target], objective, a, b)
-                self.dual_runs += 1
-                self.dual_pivots += pivots
-                if not optimal[target]:
-                    states[target] = None  # a part-way state is never read
-        found = sum(state is not None for state in states)
-        self.matrix, self.states = a, states
-        self.lp_solves += 1
-        self.repriced += found
-        self.borrowed += found and len(states) - found
-        self.phase1_runs += not found
-        return states, optimal
 
 
 def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.ndarray:
@@ -390,10 +367,9 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
     with a Bland fallback in phase 2, Bland's rule in phase 1) breaks ties
     by index, so reruns are bit-identical.
 
-    Given a WarmBases, phase 2 starts from the stored bases that stay
-    strictly feasible on the new matrix and data instead, or is skipped
-    where such a basis is provably still optimal, or where the dual
-    simplex brought a basis that left its boxes back to its optimum (see
+    Given a WarmBases, each target is instead read with simplex.optimum
+    from its stored basis, carried to the new matrix and data, where rebase
+    finds it optimal or reoptimize brings it to its optimum (see
     WarmBases).  Each maximum passes the same optimality test, but its
     floats come from other pivots and, after a decoy step, from a basis
     inverse that LAPACK computed, so they may differ from the cold ones by
@@ -402,9 +378,26 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
     warm.
     """
     a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
-    states, optimal = [None] * len(TARGET_PAIRS), [False] * len(TARGET_PAIRS)
+    objectives = _objectives(a.shape[-1])
+    states = [None] * len(TARGET_PAIRS)
     if warm is not None:
-        states, optimal = warm.carry(a, b, ub)
+        same = warm.matrix is not None and np.array_equal(a, warm.matrix)
+        for target, rebased in enumerate(simplex.rebase(warm.states, a, b, ub, new_matrix=not same)):
+            if rebased is None:
+                continue
+            state, optimal = rebased
+            if not optimal:
+                pivots, optimal = simplex.reoptimize(state, objectives[target], a, b)
+                warm.dual_runs += 1
+                warm.dual_pivots += pivots
+            if optimal:  # a part-way state is never read
+                states[target] = state
+        found = sum(state is not None for state in states)
+        warm.matrix, warm.states = a, states
+        warm.lp_solves += 1
+        warm.repriced += found
+        warm.borrowed += found and len(states) - found
+        warm.phase1_runs += not found
     carried = [state for state in states if state is not None]
     if len(carried) == len(states):
         basis = None  # every target starts from its own basis
@@ -421,13 +414,12 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
                 constraint=pair,
             ) from None
     values = []
-    for target, ((n, m), objective) in enumerate(zip(TARGET_PAIRS, _objectives(a.shape[-1]))):
-        if optimal[target]:
-            _, value = simplex.optimum(states[target], objective)
+    for target, ((n, m), objective) in enumerate(zip(TARGET_PAIRS, objectives)):
+        if states[target] is None:
+            states[target] = basis.copy()
+            _, value = simplex.maximize_prepared(states[target], objective)
         else:
-            if states[target] is None:
-                states[target] = basis.copy()
-            _, value = simplex.maximize_prepared(states[target], objective, in_place=True)
+            _, value = simplex.optimum(states[target], objective)
         if not math.isfinite(value):
             # clamping would turn NaN into the unsound bound 0
             raise DomainError(f"LP maximum of Y[{n}][{m}] is not finite: {value}")

@@ -17,21 +17,22 @@ Bland's smallest basis index among tied ratios.  The iteration is fully
 deterministic and no state survives between calls.
 
 Feasibility is established once by a phase-1 pass with artificial
-variables; the resulting basis can be snapshotted and reused for several
-objectives over the same constraints.  A final state of phase 2 can also
-be carried to new data (rebase): the artificial columns hold B^-1, so the
-basic values are recomputed directly; where they lie strictly inside
-their boxes the basis is feasible, and phase 2 starts there without phase
-1.  A new matrix, or a drifted B^-1, gets the tableau rebuilt from one
-inverse of the basis block (LAPACK).  An unchanged tableau with the same
-open boxes is still optimal, and optimum reads it without phase 2.  A
-carried basis whose basic values left their boxes goes to the dual
-simplex (dual_simplex): a step in b keeps the reduced costs, so the
-basis still prices no column in, and each dual pivot takes the basic
-value furthest outside its box to the bound it crossed.  It ends where
-every basic value lies in its box, phase 2 would stop at once and the
-inverse still passes rebase's test, or gives the basis up, which is then
-never read.
+variables; copies of the resulting basis start phase 2, which runs in
+place, for several objectives over the same constraints.  A final state
+of phase 2 can also be carried to new data (rebase): the artificial
+columns hold B^-1, so the basic values are recomputed directly.  A new
+matrix, or a drifted B^-1, gets the tableau rebuilt from one inverse of
+the basis block (LAPACK).  One box rule, 0 <= x_B <= upper, decides what
+a carried basis needs: an unchanged tableau with the same open boxes
+whose basic values lie in their boxes is still optimal, and optimum
+reads it without phase 2.  Every other carried basis goes to reoptimize.
+In its boxes it is feasible, and phase 2 starts there, without phase 1,
+where a column prices in.  Out of its boxes it takes dual pivots: a step
+in b keeps the reduced costs, so the basis still prices no column in,
+and each dual pivot takes the basic value furthest outside its box to
+the bound it crossed.  reoptimize ends where the basis is optimal, with
+an inverse that still passes rebase's test, or gives the basis up, which
+is then never read.
 
 The tableaux are small (the decoy LP has 9 rows and 118 columns), so an
 iteration costs mostly interpreter overhead, and the loop keeps that low
@@ -465,20 +466,14 @@ def prepare(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> PreparedBasis:
     return state
 
 
-def maximize_prepared(state: PreparedBasis, objective: np.ndarray,
-                      in_place: bool = False) -> tuple[np.ndarray, float]:
-    """Phase 2 from a feasible snapshot.
-
-    The snapshot is left as it was, or with in_place it ends as the
-    optimal state, which rebase can carry over to new data.
-    """
-    work = state if in_place else state.copy()
-    n = work.n_structural
-    cost = np.zeros(work.upper.size)
+def maximize_prepared(state: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, float]:
+    """Phase 2 from a feasible state, in place: the state ends optimal, and rebase can carry it over to new data."""
+    n = state.n_structural
+    cost = np.zeros(state.upper.size)
     cost[:n] = np.asarray(objective, dtype=float)
-    _run_simplex(cost, work, _DANTZIG_DEGENERATE_LIMIT)
-    work.refresh_basics()
-    return optimum(work, cost[:n])
+    _run_simplex(cost, state, _DANTZIG_DEGENERATE_LIMIT)
+    state.refresh_basics()
+    return optimum(state, cost[:n])
 
 
 def optimum(state: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, float]:
@@ -492,10 +487,10 @@ def optimum(state: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, fl
 
 
 def rebase(states: list, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
-           new_matrix: bool = False) -> list[tuple[PreparedBasis, bool, bool] | None]:
+           new_matrix: bool = False) -> list[tuple[PreparedBasis, bool] | None]:
     """Each state's basis under new data A x = b, 0 <= x <= upper, or None.
 
-    A state comes from prepare, maximize_prepared, rebase or dual_simplex
+    A state comes from prepare, maximize_prepared, rebase or reoptimize
     on the matrix a, or on another one when new_matrix is set.  Its
     artificial columns hold X, the inverse of its basis block B of [a | I]
     that the pivots built.  The basic values are recomputed, X b minus the
@@ -508,14 +503,12 @@ def rebase(states: list, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
     data), and a None in states stays None.  Nonbasic variables keep
     their sides.
 
-    Each entry holds the state's copy, whether every basic value lies
-    strictly inside its box, so that phase 2 can start there without
-    phase 1, and whether the copy is optimal as it stands: when it is
-    strictly inside, the state ended a phase 2 or a dual_simplex, and its
-    tableau and open boxes (upper > 0) are unchanged, so is that run's last
-    pricing, which entered nothing; optimum then gives maximize_prepared's
-    result for that objective.  A copy outside its boxes is a start for
-    dual_simplex.
+    Each entry holds the state's copy and whether the copy is optimal as
+    it stands: the state ended optimal (a phase 2 or a reoptimize), its
+    tableau and open boxes (upper > 0) are unchanged, so is that run's
+    last pricing, which entered nothing, and every basic value lies in
+    [0, upper]; optimum then gives maximize_prepared's result for that
+    objective.  Any other copy is a start for reoptimize.
     """
     full = np.concatenate((a, np.eye(len(b))), axis=1)
     if not (np.isfinite(full).all() and np.isfinite(b).all() and not np.isnan(upper).any()):
@@ -533,7 +526,7 @@ def _first_order_error(state: PreparedBasis, a: np.ndarray, b: np.ndarray) -> fl
 
 
 def _rebase(state: PreparedBasis, a: np.ndarray, full: np.ndarray, b: np.ndarray, upper: np.ndarray,
-            boxes: np.ndarray, new_matrix: bool) -> tuple[PreparedBasis, bool, bool] | None:
+            boxes: np.ndarray, new_matrix: bool) -> tuple[PreparedBasis, bool] | None:
     """rebase of one state on checked data, full = [a | I] and boxes = upper > 0."""
     work = state.copy()
     n = work.n_structural
@@ -550,28 +543,31 @@ def _rebase(state: PreparedBasis, a: np.ndarray, full: np.ndarray, b: np.ndarray
             break
         if rebuilt:
             return None  # a block too close to singular for its inverse to hold
-    inside = bool(((work.x_basic > 0.0) & (work.x_basic < work.upper[work.basis])).all())
-    return work, inside, inside and not rebuilt and np.array_equal(boxes, state.upper[:n] > 0.0)
+    inside = bool(((work.x_basic >= 0.0) & (work.x_basic <= work.upper[work.basis])).all())
+    return work, inside and not rebuilt and np.array_equal(boxes, state.upper[:n] > 0.0)
 
 
-def dual_simplex(state: PreparedBasis, objective: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[int, bool]:
-    """Dual simplex, in place, from a state that rebase carried to A x = b and found outside its boxes.
+def reoptimize(state: PreparedBasis, objective: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[int, bool]:
+    """Re-solve, in place, a state that rebase carried to A x = b and did not find optimal.
 
-    A probability step changes only b and the boxes, so a basis that was
-    optimal keeps its reduced costs and stays dual feasible (Koberstein,
-    PhD thesis, Paderborn 2005).  Each pivot takes the basic value furthest
-    outside its box to the bound it crossed, and enters the column that
-    Harris's ratio test picks (_dual_ratio_test).  Returns the pivots taken
-    and whether the state ended optimal: every basic value, refreshed, in
-    [0, upper] and no signed reduced cost above COST_TOLERANCE, so that
-    phase 2 would stop at once, and, after any pivot, an inverse that
-    passes rebase's REBASE_TOLERANCE test on a and b; optimum then gives
-    maximize_prepared's result for this state and objective.  It gives up,
-    and leaves the state part-way, not to be read, when the start or a
-    step prices a column in, when no column moves the leaving value toward
-    its box (no feasible point), after _DUAL_ITERATIONS pivots, or when
-    the pivots spoiled the inverse (pivots on elements near
-    PIVOT_TOLERANCE have left first-order errors of 7e-2).
+    A basis in its boxes [0, upper] that prices a column in is feasible,
+    and phase 2 (maximize_prepared) runs from it.  A basis out of its boxes
+    takes dual pivots: a probability step changes only b and the boxes, so
+    a basis that was optimal keeps its reduced costs and stays dual
+    feasible (Koberstein, PhD thesis, Paderborn 2005).  Each pivot takes
+    the basic value furthest outside its box to the bound it crossed, and
+    enters the column that Harris's ratio test picks (_dual_ratio_test).
+    Returns the dual pivots taken and whether the state ended optimal:
+    phase 2 ran, or every basic value, refreshed, lies in its box, no
+    signed reduced cost is above COST_TOLERANCE, and, after any dual pivot,
+    the inverse passes rebase's REBASE_TOLERANCE test on a and b; optimum
+    then gives maximize_prepared's result for this state and objective.
+    It gives up, and leaves the state part-way, not to be read, when a
+    column prices in at a start out of its boxes or after a dual pivot,
+    when no column moves the leaving value toward its box (no feasible
+    point), after _DUAL_ITERATIONS pivots, or when the pivots spoiled the
+    inverse (pivots on elements near PIVOT_TOLERANCE have left first-order
+    errors of 7e-2).
     """
     cost = np.zeros(state.upper.size)
     cost[:state.n_structural] = objective
@@ -580,10 +576,13 @@ def dual_simplex(state: PreparedBasis, objective: np.ndarray, a: np.ndarray, b: 
     pivots = 0
     while True:
         scores = (cost - cost[basis] @ tableau) * sign
-        if (scores > COST_TOLERANCE).any():
-            return pivots, False
         violation = np.maximum(-x_basic, x_basic - upper[basis])
         row = int(violation.argmax())
+        if (scores > COST_TOLERANCE).any():
+            if pivots or violation[row] > 0.0:
+                return pivots, False
+            maximize_prepared(state, objective)
+            return 0, True
         if not violation[row] > 0.0:
             return pivots, not pivots or _first_order_error(state, a, b) <= REBASE_TOLERANCE
         below = x_basic[row] < 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ class TestNanIsRejected:
             build_problem(obs, sigma_multiplier=math.nan)
 
     def test_solve_raises_on_a_non_finite_maximum(self, monkeypatch):
-        monkeypatch.setattr(simplex, "maximize_prepared", lambda basis, objective, in_place=False: (None, math.nan))
+        monkeypatch.setattr(simplex, "maximize_prepared", lambda basis, objective: (None, math.nan))
         with pytest.raises(DomainError, match="not finite"):
             solve_yield_bounds(nominal_problem())
 
@@ -627,6 +628,13 @@ def search_walks(draw):
     return walk
 
 
+def _scores(state, objective):
+    """The signed reduced costs of a state for an objective: a column above COST_TOLERANCE prices in."""
+    cost = np.zeros(state.upper.size)
+    cost[:state.n_structural] = objective
+    return (cost - cost[state.basis] @ state.tableau) * simplex._signs(state.status, state.upper)
+
+
 class TestWarmBases:
     """Each target re-solved from its last optimal basis, against the cold solve."""
 
@@ -670,35 +678,35 @@ class TestWarmBases:
         assert warm_bounds.tobytes() == cold.tobytes()
 
     def test_a_start_that_is_not_dual_feasible_borrows_another_basis(self, monkeypatch):
-        # nu from 0.1 to 0.12 at mu 0.48: one rebuilt basis leaves a box and prices a column above
-        # COST_TOLERANCE, so its dual run ends at once and the target starts from another target's basis
+        # nu from 0.1 to 0.12 at mu 0.48: every basis is rebuilt and goes through reoptimize; one leaves
+        # a box and prices a column above COST_TOLERANCE, so its run ends at once and the target starts
+        # from another target's basis
         probabilities = (0.15, 0.05, 0.008)
         runs = []
-        dual_simplex = simplex.dual_simplex
+        reoptimize = simplex.reoptimize
 
         def recording(state, objective, *data):
-            runs.append((state.copy(), objective, dual_simplex(state, objective, *data)))
+            runs.append((state.copy(), objective, reoptimize(state, objective, *data)))
             return runs[-1][2]
 
-        monkeypatch.setattr(simplex, "dual_simplex", recording)
+        monkeypatch.setattr(simplex, "reoptimize", recording)
         warm, warm_bounds, cold = self._after_step(self._args((0.48, 0.1, 0.0), probabilities),
                                                    self._args((0.48, 0.12, 0.0), probabilities))
-        (start, objective, outcome), = runs
-        assert outcome == (0, False)
-        cost = np.zeros(start.upper.size)
-        cost[:start.n_structural] = objective
-        scores = (cost - cost[start.basis] @ start.tableau) * simplex._signs(start.status, start.upper)
-        assert scores.max() > simplex.COST_TOLERANCE
-        assert self._counts(warm) == (2, 4, 1, 0, 1, 1)
+        (start, objective, outcome), = [run for run in runs if not run[2][1]]
+        assert outcome == (0, False) and len(runs) == len(TARGET_PAIRS)
+        assert not ((start.x_basic >= 0.0) & (start.x_basic <= start.upper[start.basis])).all()
+        assert _scores(start, objective).max() > simplex.COST_TOLERANCE
+        assert self._counts(warm) == (2, 4, 5, 0, 1, 1)
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
 
     def test_a_decoy_step_carries_the_bases_to_the_new_matrix(self):
-        # mu from 0.1 to 0.2 changes the matrix; every basis is rebuilt on it, one stays strictly
-        # feasible, two more come back through the dual loop, and two targets borrow a basis
+        # mu from 0.1 to 0.2 changes the matrix; every basis is rebuilt on it and goes through
+        # reoptimize: one stays in its boxes, two more come back through dual pivots, and two give
+        # up, so their targets borrow a basis
         probabilities = _decoy_probabilities(0.8, 0.1, 0.05)
         warm, warm_bounds, cold = self._after_step(self._args(DECOYS, probabilities),
                                                    self._args((0.2, 0.01, 0.0), probabilities))
-        assert self._counts(warm) == (2, 3, 4, 13, 2, 1)
+        assert self._counts(warm) == (2, 3, 5, 13, 2, 1)
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
 
     def test_a_dual_run_that_fails_part_way_is_never_read(self, monkeypatch):
@@ -706,10 +714,10 @@ class TestWarmBases:
         # their targets start from another target's basis, and no state of theirs is read
         probabilities = _decoy_probabilities(0.8, 0.1, 0.05)
         failed = []
-        dual_simplex, optimum, maximize_prepared = simplex.dual_simplex, simplex.optimum, simplex.maximize_prepared
+        reoptimize, optimum, maximize_prepared = simplex.reoptimize, simplex.optimum, simplex.maximize_prepared
 
         def recording(state, objective, *data):
-            pivots, optimal = dual_simplex(state, objective, *data)
+            pivots, optimal = reoptimize(state, objective, *data)
             if not optimal:
                 failed.append((state, pivots))
             return pivots, optimal
@@ -720,7 +728,7 @@ class TestWarmBases:
                 return read(state, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(simplex, "dual_simplex", recording)
+        monkeypatch.setattr(simplex, "reoptimize", recording)
         monkeypatch.setattr(simplex, "optimum", unread(optimum))
         monkeypatch.setattr(simplex, "maximize_prepared", unread(maximize_prepared))
         warm, warm_bounds, cold = self._after_step(self._args(DECOYS, probabilities),
@@ -770,13 +778,33 @@ class TestWarmBases:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(walk=search_walks())
     def test_bounds_re_solved_across_decoy_steps_agree_with_the_cold_solve(self, walk):
+        # every state that the warm path reads with simplex.optimum, outside phase 2, is optimal:
+        # it lies in its boxes [0, upper] and prices no column in
+        optimum, maximize_prepared = simplex.optimum, simplex.maximize_prepared
+        in_phase_two, reads = [False], [0]
+
+        def phase_two(state, objective):
+            in_phase_two[0] = True
+            try:
+                return maximize_prepared(state, objective)
+            finally:
+                in_phase_two[0] = False
+
+        def read(state, objective):
+            if not in_phase_two[0]:
+                assert ((state.x_basic >= 0.0) & (state.x_basic <= state.upper[state.basis])).all()
+                assert _scores(state, objective).max() <= simplex.COST_TOLERANCE
+                reads[0] += 1
+            return optimum(state, objective)
+
         warm = WarmBases()
-        for decoys_a, decoys_b, side_a, side_b in walk:
-            args = (FINITE_OPT_SCENARIO, decoys_a, decoys_b, FINITE_OPT_MODE,
-                    _decoy_probabilities(*side_a), _decoy_probabilities(*side_b))
-            warm_bounds = yield_lp(*args, warm=warm)[1]
-            assert np.abs(warm_bounds - yield_lp(*args)[1]).max() <= WARM_AGREEMENT
-        assert warm.lp_solves == len(walk)
+        with mock.patch.object(simplex, "maximize_prepared", phase_two), mock.patch.object(simplex, "optimum", read):
+            for decoys_a, decoys_b, side_a, side_b in walk:
+                args = (FINITE_OPT_SCENARIO, decoys_a, decoys_b, FINITE_OPT_MODE,
+                        _decoy_probabilities(*side_a), _decoy_probabilities(*side_b))
+                warm_bounds = yield_lp(*args, warm=warm)[1]
+                assert np.abs(warm_bounds - yield_lp(*args)[1]).max() <= WARM_AGREEMENT
+        assert warm.lp_solves == len(walk) and reads[0] == warm.repriced
 
     def test_the_cold_bound_covers_a_carried_basis_above_the_cold_maximum(self):
         # The worst warm-vs-cold gap over 8 descents of the finite search (4

@@ -399,21 +399,21 @@ class TestWarmSearch:
         objective, warm = optimizer._finite_objective(scenario, mode)
         params, _ = multistart(objective, strategy, 1, seed)
         assert (warm.lp_solves, warm.repriced, warm.dual_runs, warm.dual_pivots, warm.borrowed,
-                warm.phase1_runs) == (1142, 5591, 1750, 2438, 114, 1)
+                warm.phase1_runs) == (1142, 5591, 2948, 2438, 114, 1)
         assert _param_bits(params) == _param_bits(optimize_strategy(scenario, strategy, mode, 1, seed)[0])
 
     def test_a_skipped_phase_two_reads_what_phase_two_would_return(self, monkeypatch):
-        # every target read by simplex.optimum outside maximize_prepared skipped its phase 2: a carried
-        # basis still optimal, or one that the dual loop brought back into its boxes; none is read
-        # with a basic value outside [0, upper]
+        # every target read by simplex.optimum outside maximize_prepared is one taken from its own
+        # carried basis: still optimal, or re-solved by reoptimize (phase 2, dual pivots or neither);
+        # phase 2 from a copy returns the same bits, and none is read with a basic value outside [0, upper]
         scenario, strategy, mode, seed = self._golden_point()
         optimum, maximize_prepared = simplex.optimum, simplex.maximize_prepared
         in_phase_two, skipped = [False], []
 
-        def phase_two(state, objective, in_place=False):
+        def phase_two(state, objective):
             in_phase_two[0] = True
             try:
-                return maximize_prepared(state, objective, in_place)
+                return maximize_prepared(state, objective)
             finally:
                 in_phase_two[0] = False
 
@@ -421,7 +421,7 @@ class TestWarmSearch:
             x, value = optimum(state, objective)
             if not in_phase_two[0]:
                 assert ((state.x_basic >= 0.0) & (state.x_basic <= state.upper[state.basis])).all()
-                again_x, again = phase_two(state, objective)  # from a copy of the same state
+                again_x, again = phase_two(state.copy(), objective)  # from a copy of the same state
                 skipped.append((value.hex(), x.tobytes()) == (again.hex(), again_x.tobytes()))
             return x, value
 
@@ -429,7 +429,7 @@ class TestWarmSearch:
         monkeypatch.setattr(simplex, "optimum", read)
         objective, warm = optimizer._finite_objective(scenario, mode)
         multistart(objective, strategy, 1, seed)
-        assert len(skipped) == 4007 and all(skipped)
+        assert len(skipped) == warm.repriced == 5591 and all(skipped)
 
     def test_a_dual_run_that_spoils_its_inverse_is_given_up(self, monkeypatch):
         # A descent of tools/search_cost.py: add_fibre at 30 dB, multistart seed 3.  Some dual runs end
@@ -439,12 +439,12 @@ class TestWarmSearch:
         config = SweepConfig(total_loss_db_grid=(30.0,), mismatch_ratio=0.1, mode="finite", n_pulses=1e12,
                              epsilon=1e-7, n_starts=1)
         scenario = add_fibre_transform(config.scenario_for(30.0))
-        dual_simplex, first_order_error, solve = simplex.dual_simplex, simplex._first_order_error, decoy.solve_yield_bounds
+        reoptimize, first_order_error, solve = simplex.reoptimize, simplex._first_order_error, decoy.solve_yield_bounds
         checked, runs, lowest = [], [], [0.0]  # runs: (first-order error at the end of a dual run, its outcome)
 
         def dual(state, objective, a, b):
             checked.clear()
-            pivots, optimal = dual_simplex(state, objective, a, b)
+            pivots, optimal = reoptimize(state, objective, a, b)
             runs.extend((value, optimal) for value in checked)
             return pivots, optimal
 
@@ -458,7 +458,7 @@ class TestWarmSearch:
                 lowest[0] = min(lowest[0], float((bounds - solve(problem)).min()))
             return bounds
 
-        monkeypatch.setattr(simplex, "dual_simplex", dual)
+        monkeypatch.setattr(simplex, "reoptimize", dual)
         monkeypatch.setattr(simplex, "_first_order_error", error)
         monkeypatch.setattr(decoy, "solve_yield_bounds", compared)
         objective, _ = optimizer._finite_objective(scenario, config.evaluation_mode())

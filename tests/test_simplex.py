@@ -91,33 +91,36 @@ def test_prepared_basis_is_reusable():
     upper = np.array([1.0, 1.0, 1.0, 1.0])
     basis = prepare(a, b, upper)
     for cost in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]):
-        mine = maximize_prepared(basis, np.array(cost))[1]
-        again = maximize_prepared(basis, np.array(cost))[1]
-        assert mine == again  # snapshot is not consumed
+        mine = maximize_prepared(basis.copy(), np.array(cost))[1]
+        again = maximize_prepared(basis.copy(), np.array(cost))[1]
+        assert mine == again  # a copy of the snapshot is a start for every objective
 
 
-def test_rebase_keeps_a_basis_only_strictly_inside_its_boxes():
+def test_rebase_finds_a_basis_optimal_only_in_its_boxes():
     # max x0 with x0 + x1 + s = b, x0 <= 0.5: the optimum has x0 at its bound and x1 or s basic
     a = np.array([[1.0, 1.0, 1.0]])
     upper = np.array([0.5, 1.0, 1.0])
     objective = np.array([1.0, 0.0, 0.0])
     state = prepare(a, np.array([1.2]), upper)
-    _, value = maximize_prepared(state, objective, in_place=True)
+    _, value = maximize_prepared(state, objective)
     assert value == 0.5
-    (moved, inside, optimal), = simplex.rebase([state], a, np.array([1.1]), upper)
-    assert inside and optimal  # the same tableau and the same open boxes
-    assert simplex.optimum(moved, objective)[1] == maximize_prepared(moved, objective)[1]
-    x, value = maximize_prepared(moved, objective)
-    assert value == 0.5 and x.sum() == pytest.approx(1.1, abs=1e-15)
-    # the basic value falls to 0, or below, or leaves its box: the basis is no start for phase 2
-    for b, box in ((0.5, upper), (0.4, upper), (1.2, np.array([0.5, 0.1, 0.1])), (-0.1, upper)):
-        (_, inside, optimal), = simplex.rebase([state], a, np.array([b]), box)
-        assert not inside and not optimal
+    # the same tableau and the same open boxes, with the basic value inside its box or on its bound 0
+    for b in (1.1, 0.5):
+        (moved, optimal), = simplex.rebase([state], a, np.array([b]), upper)
+        assert optimal and moved.x_basic.tolist() == [b - 0.5]  # x1, exactly 0 at b = 0.5
+        read_x, read = simplex.optimum(moved, objective)
+        (x, value), pivots = _pivots_of(lambda: maximize_prepared(moved, objective))
+        assert pivots == 0 and (read_x.tobytes(), read) == (x.tobytes(), value)
+        assert value == 0.5 and x.sum() == pytest.approx(b, abs=1e-15)
+    # the basic value falls below 0 or leaves its box: the basis is not optimal as it stands
+    for b, box in ((0.4, upper), (1.2, np.array([0.5, 0.1, 0.1])), (-0.1, upper)):
+        (_, optimal), = simplex.rebase([state], a, np.array([b]), box)
+        assert not optimal
     # data that prepare rejects; a NaN box on s, nonbasic at 0, would leave the basic values inside their boxes
     for b, box in ((1.1, np.array([0.5, 1.0, math.nan])), (1.1, np.array([math.nan, 1.0, 1.0])),
                    (math.nan, upper), (math.inf, upper)):
         assert simplex.rebase([state, None], a, np.array([b]), box) == [None, None]
-    assert simplex.rebase([state, None], a, np.array([1.2]), upper)[0][1:] == (True, True)  # state was not changed
+    assert simplex.rebase([state, None], a, np.array([1.2]), upper)[0][1]  # state was not changed
 
 
 def test_a_box_that_opens_makes_the_carried_basis_price_again():
@@ -125,9 +128,9 @@ def test_a_box_that_opens_makes_the_carried_basis_price_again():
     a = np.array([[1.0, 1.0, 1.0]])
     objective = np.array([0.0, 0.0, 1.0])
     state = prepare(a, np.array([1.2]), np.array([1.0, 1.0, 0.0]))
-    assert maximize_prepared(state, objective, in_place=True)[1] == 0.0
-    (rebased, inside, optimal), = simplex.rebase([state], a, np.array([1.2]), np.array([1.0, 1.0, 1.0]))
-    assert inside and not optimal  # s may now enter
+    assert maximize_prepared(state, objective)[1] == 0.0
+    (rebased, optimal), = simplex.rebase([state], a, np.array([1.2]), np.array([1.0, 1.0, 1.0]))
+    assert not optimal  # s may now enter
     assert simplex.optimum(rebased, objective)[1] == 0.0
     assert maximize_prepared(rebased, objective)[1] == 1.0
 
@@ -138,12 +141,12 @@ def test_rebase_rebuilds_the_tableau_on_a_new_matrix():
     upper = np.array([0.5, 1.0, 1.0])
     objective = np.array([1.0, 0.0, 0.0])
     state = prepare(a, np.array([1.2]), upper)
-    maximize_prepared(state, objective, in_place=True)
+    maximize_prepared(state, objective)
     moved = np.array([[1.0, 2.0, 1.0]])
-    (rebased, inside, optimal), = simplex.rebase([state], moved, np.array([1.2]), upper, new_matrix=True)
-    assert inside and not optimal  # a rebuilt tableau is priced again
+    (rebased, optimal), = simplex.rebase([state], moved, np.array([1.2]), upper, new_matrix=True)
+    assert not optimal  # a rebuilt tableau is priced again
     cold = maximize_prepared(prepare(moved, np.array([1.2]), upper), objective)
-    warm = maximize_prepared(rebased, objective)
+    warm = maximize_prepared(rebased.copy(), objective)
     assert warm[1] == cold[1] == 0.5 and moved @ warm[0] == pytest.approx([1.2], abs=1e-15)
     # the artificial columns hold B^-1 of the new matrix, so the tableau is B^-1 [a | I]
     assert rebased.tableau == pytest.approx(rebased.tableau[:, 3:] @ np.concatenate((moved, np.eye(1)), axis=1))
@@ -164,11 +167,11 @@ def test_rebase_rebuilds_an_inverse_that_drifted():
     a = np.array([[1.0, 1.0, 1.0]])
     upper = np.array([0.5, 1.0, 1.0])
     state = prepare(a, np.array([1.2]), upper)
-    maximize_prepared(state, np.array([1.0, 0.0, 0.0]), in_place=True)
+    maximize_prepared(state, np.array([1.0, 0.0, 0.0]))
     drifted = state.copy()
     drifted.tableau[:, 3:] *= 1.0 + 10.0 * simplex.REBASE_TOLERANCE
-    (rebased, _, optimal), (fresh, _, _) = (simplex.rebase([drifted], a, np.array([1.1]), upper)
-                                             + simplex.rebase([state], a, np.array([1.1]), upper, new_matrix=True))
+    (rebased, optimal), (fresh, _) = (simplex.rebase([drifted], a, np.array([1.1]), upper)
+                                       + simplex.rebase([state], a, np.array([1.1]), upper, new_matrix=True))
     assert not optimal
     assert rebased.tableau.tobytes() == fresh.tableau.tobytes()
 
@@ -241,7 +244,7 @@ def _trace_solves(loop, a, b, upper, objectives):
             basis = prepare(a, b, upper)
             results = []
             for objective in objectives:
-                x, value = maximize_prepared(basis, objective)
+                x, value = maximize_prepared(basis.copy(), objective)
                 results.append((x.tobytes(), np.float64(value).tobytes()))
         except (InfeasibleProblemError, UnboundedProblemError, RuntimeError) as error:
             results = repr(error)
@@ -623,16 +626,16 @@ def _pivots_of(solve):
 
 
 class TestDualSimplex:
-    """A carried basis whose basic values left their boxes, brought back by the dual loop."""
+    """A carried basis that rebase did not find optimal, re-solved by reoptimize."""
 
     A = np.array([[1.0, 1.0, 1.0]])  # x0 + x1 + s = b
 
     def _carried(self, objective, box, new_box, b, new_b):
         """The optimal state at (b, box), carried by rebase to (new_b, new_box)."""
         state = prepare(self.A, np.array([b]), box)
-        maximize_prepared(state, objective, in_place=True)
-        (carried, inside, optimal), = simplex.rebase([state], self.A, np.array([new_b]), new_box)
-        assert not inside and not optimal
+        maximize_prepared(state, objective)
+        (carried, optimal), = simplex.rebase([state], self.A, np.array([new_b]), new_box)
+        assert not optimal
         return carried
 
     def test_the_dual_loop_reaches_the_cold_maximum_with_fewer_pivots(self):
@@ -640,8 +643,9 @@ class TestDualSimplex:
         objective, box = np.array([2.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.0])
         carried = self._carried(objective, box, box, 1.2, 1.7)
         assert carried.x_basic.max() > 1.0
-        dual_pivots, optimal = simplex.dual_simplex(carried, objective, self.A, np.array([1.7]))
-        assert optimal and dual_pivots == 1
+        (dual_pivots, optimal), phase_two_pivots = _pivots_of(
+            lambda: simplex.reoptimize(carried, objective, self.A, np.array([1.7])))
+        assert optimal and dual_pivots == 1 and phase_two_pivots == 0
         assert ((carried.x_basic >= 0.0) & (carried.x_basic <= carried.upper[carried.basis])).all()
         x, value = simplex.optimum(carried, objective)
         (cold_x, cold_value), cold_pivots = _pivots_of(lambda: maximize(objective, self.A, np.array([1.7]), box))
@@ -656,21 +660,37 @@ class TestDualSimplex:
         objective = np.array([2.0, 1.0, 2.0])
         carried = self._carried(objective, np.array([0.5, 1.0, 0.0]), np.array([0.5, 1.0, 1.0]), 1.2, 1.7)
         before = carried.copy()
-        assert simplex.dual_simplex(carried, objective, self.A, np.array([1.7])) == (0, False)
+        assert simplex.reoptimize(carried, objective, self.A, np.array([1.7])) == (0, False)
         assert carried.tableau.tobytes() == before.tableau.tobytes()
+
+    def test_a_start_in_its_boxes_that_prices_a_column_in_runs_phase_two_from_its_own_basis(self):
+        # max s with s boxed to 0 at b = 1: x0 sits at its upper bound 1 and x1 is basic at exactly 0.
+        # Once the box of s opens, the carried basis still lies in its boxes, on a bound, and s prices
+        # in at +1: phase 2 runs from that basis, so the target needs no other target's basis
+        objective = np.array([0.0, 0.0, 1.0])
+        carried = self._carried(objective, np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]), 1.0, 1.0)
+        assert carried.x_basic.tolist() == [0.0] and carried.basis.tolist() == [1]
+        cost = np.concatenate((objective, [0.0]))
+        scores = (cost - cost[carried.basis] @ carried.tableau) * simplex._signs(carried.status, carried.upper)
+        assert scores.max() > simplex.COST_TOLERANCE
+        outcome, phase_two_pivots = _pivots_of(lambda: simplex.reoptimize(carried, objective, self.A, np.array([1.0])))
+        assert outcome == (0, True) and phase_two_pivots == 2
+        x, value = simplex.optimum(carried, objective)
+        cold_x, cold_value = maximize(objective, self.A, np.array([1.0]), np.array([1.0, 1.0, 1.0]))
+        assert value == cold_value == 1.0 and x.tobytes() == cold_x.tobytes()
 
     def test_the_iteration_cap_gives_up(self, monkeypatch):
         objective, box = np.array([2.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.0])
         monkeypatch.setattr(simplex, "_DUAL_ITERATIONS", 0)
         carried = self._carried(objective, box, box, 1.2, 1.7)
-        assert simplex.dual_simplex(carried, objective, self.A, np.array([1.7])) == (0, False)
+        assert simplex.reoptimize(carried, objective, self.A, np.array([1.7])) == (0, False)
 
     def test_an_infeasible_row_is_given_up(self):
         # b = -0.1 admits no point in the boxes: one pivot takes x1 up to 0 and x0 below it, and no
         # column moves x0 back up
         objective, box = np.array([2.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.0])
         carried = self._carried(objective, box, box, 1.2, -0.1)
-        assert simplex.dual_simplex(carried, objective, self.A, np.array([-0.1])) == (1, False)
+        assert simplex.reoptimize(carried, objective, self.A, np.array([-0.1])) == (1, False)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @_random_programs
@@ -682,13 +702,13 @@ class TestDualSimplex:
         except InfeasibleProblemError:
             return
         objective = objectives[0]
-        maximize_prepared(state, objective, in_place=True)
+        maximize_prepared(state, objective)
         step = b + rng.normal(0.0, 0.2, size=b.shape)
         (carried,) = simplex.rebase([state], a, step, upper)
         if carried is None or carried[1]:
             return
         restored = carried[0]
-        _, optimal = simplex.dual_simplex(restored, objective, a, step)
+        _, optimal = simplex.reoptimize(restored, objective, a, step)
         if not optimal:
             return
         # the state the loop reports optimal lies in its boxes and is what phase 2 returns from it

@@ -29,17 +29,18 @@ as REPEATS repeats of LP_CALLS calls, next to yield_lp_finite:
 * yield_lp_finite_warm: one probability step at fixed decoys per call.
   The LP of yield_lp_finite is solved once with a WarmBases; each call then
   moves both sides' p_mu by a relative 1e-9 more than the last, never seen
-  before, and re-solves from the stored bases; the case checks that each
-  stayed strictly inside its boxes, so that every target was re-priced
-  from its own basis and no call ran the dual loop or phase 1.
+  before, and re-solves from the stored bases; the case checks that rebase
+  found each still optimal, in its boxes, so that every target was read
+  from its own basis and no call ran reoptimize or phase 1.
 
 * yield_lp_finite_decoy_step: one decoy step per call.  The LP of
   yield_lp_finite is solved once with a WarmBases; each call then moves
   both sides' mu by a relative 1e-9 more than the last, which changes the
   LP's matrix, and re-solves from the stored bases, each rebuilt on the
   new matrix from one inverse of its basis block; the case checks that
-  every target was solved from its own basis (by phase 2 or the dual
-  loop), so that no call borrowed another target's basis or ran phase 1.
+  every target was re-solved from its own basis by reoptimize (a
+  zero-pivot re-price, phase 2 or dual pivots), so that no call borrowed
+  another target's basis or ran phase 1.
 
 One decoy.yield_bounds case, timed as REPEATS repeats of STACK_CALLS calls,
 times the stacked path of the QBER scan per LP, end to end as above:
@@ -127,8 +128,8 @@ def _time_warm_step() -> list[float]:
             yield_lp(SCENARIO, DECOYS, DECOYS, FINITE, probabilities, probabilities, warm=warm)
         per_call.append((time.perf_counter() - start) / LP_CALLS * 1e6)
     if warm.repriced != len(TARGET_PAIRS) * REPEATS * LP_CALLS or warm.dual_runs:
-        raise RuntimeError(f"the warm case re-priced {warm.repriced} targets and ran the dual loop {warm.dual_runs} "
-                           "times, not every target of every step from a basis strictly inside its boxes")
+        raise RuntimeError(f"the warm case read {warm.repriced} targets from their own basis and ran reoptimize "
+                           f"{warm.dual_runs} times, not every target of every step from a basis still optimal")
     return per_call
 
 
@@ -142,9 +143,10 @@ def _time_decoy_step() -> list[float]:
         for decoys in steps:
             yield_lp(SCENARIO, decoys, decoys, FINITE, PROBABILITIES, PROBABILITIES, warm=warm)
         per_call.append((time.perf_counter() - start) / LP_CALLS * 1e6)
-    if warm.phase1_runs != 1 or warm.borrowed:
+    if warm.phase1_runs != 1 or warm.borrowed or warm.dual_runs != len(TARGET_PAIRS) * REPEATS * LP_CALLS:
         raise RuntimeError(f"the decoy-step case ran phase 1 {warm.phase1_runs} times, not only for its first LP, "
-                           f"and borrowed {warm.borrowed} starts")
+                           f"borrowed {warm.borrowed} starts and ran reoptimize {warm.dual_runs} times, "
+                           "not once per target of every step")
     return per_call
 
 

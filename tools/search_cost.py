@@ -9,8 +9,10 @@ loss and each multistart seed 0-7, one start runs as optimize_strategy
 runs it, with the search's own yield-LP source (optimizer._finite_objective).
 Each row reports the objective evaluations, the yield LPs solved, and
 from the search's decoy.WarmBases the target maxima taken from their own
-stored basis rather than solved after phase 1, the dual-simplex runs and
-their pivots, and the targets that started from another target's basis;
+stored basis rather than solved after phase 1; the simplex.reoptimize
+runs, one per carried basis that rebase did not find optimal (zero-pivot
+re-prices and phase-2 re-solves included), and their dual pivots; and the
+targets that started from another target's basis;
 then the winner's rate as evaluate_key_rate gives it on a cold LP memo,
 the rate a sweep reports, in repr so that rows compare bit for bit.  The
 last line sums every count and counts the descents that ended at rate 0.
@@ -19,8 +21,9 @@ With --baseline, FILE is an earlier output of this script (say, from the
 parent commit's source); each row then also reports its rate as a ratio
 to the baseline's, and a summary gives the range of the ratios between
 nonzero rates, the cells whose rate is zero on either side, and the cells
-whose evaluation count or rate bits differ from the baseline's.  Only the
-standard library and numpy are used.
+whose evaluation count or rate bits differ from the baseline's; the script
+then exits with status 1 when any cell differs, so that one run checks a
+change for bit identity.  Only the standard library and numpy are used.
 """
 
 import argparse
@@ -39,7 +42,7 @@ SEEDS = range(8)
 CONFIG = SweepConfig(total_loss_db_grid=LOSSES_DB, mismatch_ratio=0.1, mode="finite", n_pulses=1e12,
                      epsilon=1e-7, n_starts=1)
 #: WarmBases counters of each row, by column.
-COUNTERS = {"lp_solves": "lp_solves", "repriced_targets": "repriced", "dual_runs": "dual_runs",
+COUNTERS = {"lp_solves": "lp_solves", "repriced_targets": "repriced", "reoptimize_runs": "dual_runs",
             "dual_pivots": "dual_pivots", "borrowed_starts": "borrowed"}
 HEADER = ("strategy", "loss_db", "seed", "evaluations", *COUNTERS, "rate")
 
@@ -103,16 +106,17 @@ def main() -> int:
                         changed_cells.append(f"{cell} ({old_evaluations} -> {evaluations} evaluations, "
                                              f"{old_rate} -> {rate!r})")
                 print("\t".join(row), flush=True)
-    solves, repriced, dual_runs, dual_pivots, borrowed = totals
+    solves, repriced, reoptimize_runs, dual_pivots, borrowed = totals
     print(f"# total: {total_evaluations} evaluations, {solves} LP solves, {repriced} targets from their own basis "
-          f"of {len(TARGET_PAIRS) * solves}, {dual_runs} dual runs with {dual_pivots} pivots, {borrowed} borrowed "
-          f"starts, {zero_rates} of {len(CONFIG.strategies) * len(LOSSES_DB) * len(SEEDS)} descents at rate 0")
+          f"of {len(TARGET_PAIRS) * solves}, {reoptimize_runs} reoptimize runs with {dual_pivots} dual pivots, "
+          f"{borrowed} borrowed starts, {zero_rates} of {len(CONFIG.strategies) * len(LOSSES_DB) * len(SEEDS)} "
+          "descents at rate 0")
     if baseline:
         if ratios:
             print(f"# nonzero rate ratios to the baseline: min {min(ratios)!r}, max {max(ratios)!r}")
         print(f"# cells at rate 0 on either side: {'; '.join(zero_cells) or 'none'}")
         print(f"# cells whose evaluations or rate bits differ from the baseline: {'; '.join(changed_cells) or 'none'}")
-    return 0
+    return 1 if changed_cells else 0
 
 
 if __name__ == "__main__":
