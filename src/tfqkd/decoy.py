@@ -11,12 +11,11 @@ Poisson weights are channel.poisson_pmf_rows, one 3x10 matrix per side.
 yield_lp is the path from a channel scenario and an EvaluationMode to the
 LP and its bound matrix, which the finite key-rate evaluation memoises.
 A finite search solves its LPs through yield_lp with a WarmBases of its
-own: each LP is re-solved from each target's last optimal basis, carried
-to the new matrix when a decoy moved, skipping phase 1 unless no
-target's basis carries over, and phase 2 where the carried basis is
-still optimal; simplex.reoptimize re-solves every other carried basis.
-Those bounds may differ from the cold ones by a few 1e-11 and only rank
-points.
+own: the five targets' last optimal bases are carried to each new LP as
+one stack (rebuilt on the new matrix when a decoy moved), a basis still
+optimal is read as it stands, simplex.reoptimize re-solves every other
+one, and a probability step reuses the last LP's gains and arrays.  Those
+bounds may differ from the cold ones by a few 1e-11 and only rank points.
 yield_bounds is the QBER scan's path to the bound matrices of many decoy
 settings: it builds their asymptotic LPs a stack at a time and solves each
 stack in lockstep (simplex.maximize_stack), with the bits, and the first
@@ -30,6 +29,7 @@ confidence width, and the collision is worth avoiding in code.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections.abc import Iterable
@@ -178,19 +178,21 @@ def observations_from_scenario(
         )
         for ia in intensities_a
     )
-    pulse_counts = None
-    if n_pulses is not None:
-        if probabilities_a is None or probabilities_b is None:
-            raise DomainError("finite observations need selection probabilities for both sides")
-        pulse_counts = tuple(
-            tuple(n_pulses * pa * pb for pb in probabilities_b) for pa in probabilities_a
-        )
     return DecoyObservations(
         intensities_a=tuple(intensities_a),
         intensities_b=tuple(intensities_b),
         gains=gains,
-        pulse_counts=pulse_counts,
+        pulse_counts=_pulse_counts(n_pulses, probabilities_a, probabilities_b),
     )
+
+
+def _pulse_counts(n_pulses, probabilities_a, probabilities_b) -> tuple[tuple[float, ...], ...] | None:
+    """N * P_{mu_i} * P_{mu_j} per pair of intensities, or None without a pulse count."""
+    if n_pulses is None:
+        return None
+    if probabilities_a is None or probabilities_b is None:
+        raise DomainError("finite observations need selection probabilities for both sides")
+    return tuple(tuple(n_pulses * pa * pb for pb in probabilities_b) for pa in probabilities_a)
 
 
 @dataclass(frozen=True)
@@ -264,12 +266,7 @@ def build_problem(obs: DecoyObservations, sigma_multiplier: float | None = None)
     )
     pmf_a = poisson_pmf_rows(obs.intensities_a, PHOTON_CUTOFF)
     pmf_b = poisson_pmf_rows(obs.intensities_b, PHOTON_CUTOFF)
-    gains = np.array(obs.gains, dtype=float).reshape(9)
-    if sigma_multiplier is None:
-        gain_lower, gain_upper = gains, gains.copy()
-    else:
-        delta = sigma_multiplier * np.sqrt(gains / np.array(obs.pulse_counts, dtype=float).reshape(9))
-        gain_lower, gain_upper = np.maximum(0.0, gains - delta), gains + delta
+    gain_lower, gain_upper = _widened_gains(obs, sigma_multiplier)
     return LpProblem(
         coefficients=(pmf_a[:, None, :, None] * pmf_b[None, :, None, :]).reshape(9, _N_VARS),
         gain_lower=gain_lower,
@@ -279,6 +276,15 @@ def build_problem(obs: DecoyObservations, sigma_multiplier: float | None = None)
                           for i, a in enumerate(obs.intensities_a) for j, b in enumerate(obs.intensities_b)),
         warnings=warnings,
     )
+
+
+def _widened_gains(obs: DecoyObservations, sigma_multiplier: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """build_problem's (gain_lower, gain_upper): the gains, widened given a sigma multiplier."""
+    gains = np.array(obs.gains, dtype=float).reshape(9)
+    if sigma_multiplier is None:
+        return gains, gains.copy()
+    delta = sigma_multiplier * np.sqrt(gains / np.array(obs.pulse_counts, dtype=float).reshape(9))
+    return np.maximum(0.0, gains - delta), gains + delta
 
 
 def _checked_bounds(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -294,13 +300,15 @@ def _checked_bounds(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _equality_form(coefficients: np.ndarray, lower: np.ndarray,
-                   upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Range rows as equalities with box-bounded slack variables; leading axes stack problems."""
+def _equality_form(coefficients: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                   a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Range rows as equalities with box-bounded slack variables; leading axes stack problems; a given a is the
+    matrix that an earlier call built from the same coefficients."""
     n_rows = coefficients.shape[-2]
-    a = np.zeros(coefficients.shape[:-1] + (_N_VARS + n_rows,))
-    a[..., :_N_VARS] = coefficients
-    a[..., range(n_rows), range(_N_VARS, _N_VARS + n_rows)] = 1.0
+    if a is None:
+        a = np.zeros(coefficients.shape[:-1] + (_N_VARS + n_rows,))
+        a[..., :_N_VARS] = coefficients
+        a[..., range(n_rows), range(_N_VARS, _N_VARS + n_rows)] = 1.0
     ub = np.ones(a.shape[:-2] + a.shape[-1:])
     ub[..., _N_VARS:] = np.maximum(upper - lower, 0.0)
     return a, upper, ub
@@ -329,29 +337,28 @@ def _bound_matrix(values) -> np.ndarray:
 
 
 class WarmBases:
-    """Each target's last optimal basis, kept by one finite search to re-solve its next LP.
+    """The last LP that one finite search solved, kept to re-solve its next LP.
 
     A search step moves a selection probability, which changes b and the
     slack boxes of the equality form, or a decoy, which also changes the
-    matrix.  solve_yield_bounds, given a WarmBases, carries each stored
-    basis to the new data with simplex.rebase (rebuilt on a new matrix).
-    A basis that rebase finds still optimal, by its one box rule
-    0 <= x_B <= upper, is read without phase 2; every other one goes
-    through simplex.reoptimize, which re-solves it by phase 2 in its boxes
-    or by dual pivots out of them.  A target whose basis is missing, or
-    whose reoptimize run gives up, starts its phase 2 from another target's
-    carried basis, which is feasible for every objective.  Phase 1 runs
-    only when no basis carries over; the LP is then solved as without a
-    WarmBases.  The stored bases are the final states of the last solve.
-    The counters report how often each path ran: LPs solved; target maxima
-    taken from their own stored basis; reoptimize runs (zero-pivot
-    re-prices and phase 2 included) and their dual pivots; targets that
-    borrowed another target's basis; and phase-1 runs.
+    matrix.  stack holds the five targets' final states, in TARGET_PAIRS
+    order, on matrix, built from the problem array coefficients.
+    solve_yield_bounds carries it to the new data with one simplex.rebase
+    (rebuilt on a new matrix), reads each basis that rebase proves optimal
+    as it stands, and re-solves every other carried one with
+    simplex.reoptimize.  A target whose basis is lost, or whose reoptimize
+    run gives up, starts its phase 2 from another target's carried basis,
+    which is feasible for every objective.  Phase 1 runs only when no basis
+    carries over.  key (scenario, mode and both decoy triples), gains and
+    problem are yield_lp's: the last LP it built, whose gains and arrays a
+    probability step reuses.  The counters report how often each path ran:
+    LPs solved; targets taken from their own basis; reoptimize runs and
+    their dual pivots; targets that borrowed a basis; and phase-1 runs.
     """
 
     def __init__(self):
-        self.matrix: np.ndarray | None = None
-        self.states: list = [None] * len(TARGET_PAIRS)
+        self.stack: simplex.PreparedBasis | None = None
+        self.matrix = self.coefficients = self.key = self.gains = self.problem = None
         self.lp_solves = self.repriced = self.dual_runs = self.dual_pivots = self.borrowed = self.phase1_runs = 0
 
 
@@ -367,63 +374,53 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
     with a Bland fallback in phase 2, Bland's rule in phase 1) breaks ties
     by index, so reruns are bit-identical.
 
-    Given a WarmBases, each target is instead read with simplex.optimum
-    from its stored basis, carried to the new matrix and data, where rebase
-    finds it optimal or reoptimize brings it to its optimum (see
-    WarmBases).  Each maximum passes the same optimality test, but its
-    floats come from other pivots and, after a decoy step, from a basis
-    inverse that LAPACK computed, so they may differ from the cold ones by
-    a few 1e-11, the rounding of an ill-conditioned basis, and depend on
-    the LPs solved before; the warm bases for the next call are kept in
-    warm.
+    Given a WarmBases, each target is instead taken from its carried
+    basis where rebase proves it optimal or reoptimize brings it to its
+    optimum (see WarmBases); the matrix counts as unchanged when the
+    problem shares the read-only coefficients array of the last solve.
+    Each maximum passes the same optimality test, but its floats come from
+    other pivots and, after a decoy step, from a basis inverse that LAPACK
+    computed, so they may differ from the cold ones by a few 1e-11 and
+    depend on the LPs solved before.
     """
-    a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
+    lower, upper = _checked_bounds(problem)
+    coefficients = problem.coefficients
+    same = warm is not None and coefficients is warm.coefficients and not coefficients.flags.writeable
+    a, b, ub = _equality_form(coefficients, lower, upper, warm.matrix if same else None)
     objectives = _objectives(a.shape[-1])
-    states = [None] * len(TARGET_PAIRS)
+    own = np.zeros(len(TARGET_PAIRS), dtype=bool)  # targets solved from their own carried basis
     if warm is not None:
-        same = warm.matrix is not None and np.array_equal(a, warm.matrix)
-        for target, rebased in enumerate(simplex.rebase(warm.states, a, b, ub, new_matrix=not same)):
-            if rebased is None:
-                continue
-            state, optimal = rebased
-            if not optimal:
-                pivots, optimal = simplex.reoptimize(state, objectives[target], a, b)
+        if warm.stack is not None:
+            stack, carried, own = simplex.rebase(warm.stack, objectives, a, b, ub, new_matrix=not same)
+            for target in np.flatnonzero(carried & ~own):
+                pivots, own[target] = simplex.reoptimize(stack[target], objectives[target], a, b)
                 warm.dual_runs += 1
                 warm.dual_pivots += pivots
-            if optimal:  # a part-way state is never read
-                states[target] = state
-        found = sum(state is not None for state in states)
-        warm.matrix, warm.states = a, states
+        found = int(own.sum())
         warm.lp_solves += 1
         warm.repriced += found
-        warm.borrowed += found and len(states) - found
+        warm.borrowed += found and len(own) - found
         warm.phase1_runs += not found
-    carried = [state for state in states if state is not None]
-    if len(carried) == len(states):
-        basis = None  # every target starts from its own basis
-    elif carried:
-        # feasibility does not depend on the objective: a carried basis is a start for every target
-        basis = carried[0].copy()
-    else:
+    if not own.any():
         try:
-            basis = simplex.prepare(a, b, ub)
+            stack = simplex.PreparedBasis.stacked([simplex.prepare(a, b, ub)] * len(own))
         except InfeasibleProblemError as error:
             pair = problem.pair_labels[error.constraint]
             raise InfeasibleProblemError(
                 f"observations are contradictory beyond their widening at pair {pair}",
                 constraint=pair,
             ) from None
-    values = []
-    for target, ((n, m), objective) in enumerate(zip(TARGET_PAIRS, objectives)):
-        if states[target] is None:
-            states[target] = basis.copy()
-            _, value = simplex.maximize_prepared(states[target], objective)
-        else:
-            _, value = simplex.optimum(states[target], objective)
+    for target in np.flatnonzero(~own):
+        if own.any():  # feasibility does not depend on the objective: a carried basis is a start for every target
+            stack[target] = stack[int(own.argmax())]
+        simplex.maximize_prepared(stack[target], objectives[target])
+    values = simplex.column_values(stack, _TARGET_COLUMNS)  # every target's state is now optimal
+    for (n, m), value in zip(TARGET_PAIRS, values):
         if not math.isfinite(value):
             # clamping would turn NaN into the unsound bound 0
             raise DomainError(f"LP maximum of Y[{n}][{m}] is not finite: {value}")
-        values.append(value)
+    if warm is not None:
+        warm.stack, warm.matrix, warm.coefficients = stack, a, coefficients
     return _bound_matrix(values)
 
 
@@ -452,14 +449,25 @@ def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float
     selection probabilities give each gain's pulse count, and the sigma
     multiplier widens the gains; the asymptotic mode (the default) keeps
     them exact and needs no probabilities.  A WarmBases is handed to
-    solve_yield_bounds.
+    solve_yield_bounds; when its key is this LP's (a probability step), the
+    gains are not simulated again, and the problem shares the last one's
+    arrays but the widened gains, with the bytes that a new build gives.
     """
-    obs = observations_from_scenario(scenario, intensities_a, intensities_b, mode.n_pulses,
-                                     probabilities_a, probabilities_b)
-    problem = build_problem(obs, mode.sigma_multiplier)
+    key = (scenario, mode, tuple(intensities_a), tuple(intensities_b))
+    if warm is not None and warm.key == key:
+        obs = DecoyObservations(key[2], key[3], warm.gains,
+                                _pulse_counts(mode.n_pulses, probabilities_a, probabilities_b))
+        gain_lower, gain_upper = _widened_gains(obs, mode.sigma_multiplier)
+        problem = dataclasses.replace(warm.problem, gain_lower=gain_lower, gain_upper=gain_upper)
+    else:
+        obs = observations_from_scenario(scenario, intensities_a, intensities_b, mode.n_pulses,
+                                         probabilities_a, probabilities_b)
+        problem = build_problem(obs, mode.sigma_multiplier)
     bounds = solve_yield_bounds(problem, warm)
     for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass, bounds):
         array.setflags(write=False)
+    if warm is not None:
+        warm.key, warm.gains, warm.problem = key, obs.gains, problem
     return problem, bounds
 
 

@@ -22,12 +22,14 @@ LINE_EVALUATIONS (30) evaluations; passes repeat until a pass gains no
 more than REL_IMPROVEMENT (1e-4) of the rate.  The yield LP comes from
 decoy.yield_lp through a memo that the signal intensities do not key.
 Each search owns that memo and a decoy.WarmBases behind it, which
-re-solves each LP from each target's last optimal basis, carried to the
-new matrix after a decoy step, read as it stands where simplex.rebase
-finds it still optimal (every basic value in [0, upper]) and otherwise
-re-solved by simplex.reoptimize; those bounds may differ from cold ones
-by a few 1e-11 and only rank points, though a comparison within that
-rounding can pick another winner than cold bounds would.  Multistart
+re-solves each LP from the five targets' last optimal bases, carried as
+one stack to the new data (rebuilt on the new matrix after a decoy step),
+read as they stand where simplex.rebase proves them optimal (every basic
+value in [0, upper], no column priced in) and otherwise re-solved by
+simplex.reoptimize; a probability step reuses the last LP's gains and
+arrays.  Those bounds may differ from cold ones by a few 1e-11 and only
+rank points, though a comparison within that rounding can pick another
+winner than cold bounds would.  Multistart
 keeps the best outcome over seeded starts, with ties broken by the
 lowest start index, bit for bit.
 

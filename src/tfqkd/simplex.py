@@ -18,21 +18,18 @@ deterministic and no state survives between calls.
 
 Feasibility is established once by a phase-1 pass with artificial
 variables; copies of the resulting basis start phase 2, which runs in
-place, for several objectives over the same constraints.  A final state
-of phase 2 can also be carried to new data (rebase): the artificial
-columns hold B^-1, so the basic values are recomputed directly.  A new
-matrix, or a drifted B^-1, gets the tableau rebuilt from one inverse of
-the basis block (LAPACK).  One box rule, 0 <= x_B <= upper, decides what
-a carried basis needs: an unchanged tableau with the same open boxes
-whose basic values lie in their boxes is still optimal, and optimum
-reads it without phase 2.  Every other carried basis goes to reoptimize.
-In its boxes it is feasible, and phase 2 starts there, without phase 1,
-where a column prices in.  Out of its boxes it takes dual pivots: a step
-in b keeps the reduced costs, so the basis still prices no column in,
-and each dual pivot takes the basic value furthest outside its box to
-the bound it crossed.  reoptimize ends where the basis is optimal, with
-an inverse that still passes rebase's test, or gives the basis up, which
-is then never read.
+place, for several objectives over the same constraints.  Final states,
+stacked one per objective, can be carried to new data (rebase): the
+artificial columns hold B^-1, so the basic values are recomputed
+directly, and a new matrix, or a drifted B^-1, gets the tableaux rebuilt
+from inverses of the basis blocks (LAPACK).  A state in its boxes,
+0 <= x_B <= upper, that prices no column in is optimal, and its value is
+read as it stands (column_values).  reoptimize takes every other one:
+phase 2 in its boxes, dual pivots out of them (a step in b keeps the
+reduced costs, so the basis still prices no column in; Koberstein, PhD
+thesis, Paderborn 2005).  It ends where the basis is optimal, with an
+inverse that still passes rebase's test, or gives the basis up, which is
+then never read.
 
 The tableaux are small (the decoy LP has 9 rows and 118 columns), so an
 iteration costs mostly interpreter overhead, and the loop keeps that low
@@ -70,14 +67,14 @@ scalar path LP by LP and meet the first error in order.
 
 A stack of one LP costs about five times the scalar loop (152 against
 32 us per pivot on the decoy LP, setup included, on a shared 2-core
-Xeon), and the stack pays off only across many LPs, so one LP stays on
-the scalar loop: the finite search, which solves one LP per evaluation,
-keeps it, and the scalar loop is also the reference that the stack is
-tested against.
+Xeon), so the finite search runs the scalar loop per target, on views
+into its stack of bases; the scalar loop is also the reference that the
+stack is tested against.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -119,12 +116,28 @@ class PreparedBasis:
     x_basic: np.ndarray   # current values of the basic variables
     upper: np.ndarray     # per-variable upper bounds (artificials pinned to 0)
     n_structural: int
+    _ARRAYS = ("tableau", "rhs", "basis", "status", "x_basic", "upper")  # the fields with one entry per LP
 
     def copy(self) -> "PreparedBasis":
         return PreparedBasis(
             self.tableau.copy(), self.rhs.copy(), self.basis.copy(), self.status.copy(),
             self.x_basic.copy(), self.upper.copy(), self.n_structural,
         )
+
+    def __getitem__(self, lp) -> "PreparedBasis":
+        """LP lp of a stack, whose arrays are views into the stack's for an integer lp."""
+        return PreparedBasis(self.tableau[lp], self.rhs[lp], self.basis[lp], self.status[lp], self.x_basic[lp],
+                             self.upper[lp], self.n_structural)
+
+    def __setitem__(self, lp: int, state: "PreparedBasis") -> None:
+        for name in self._ARRAYS:  # a copy of state in LP lp of the stack
+            getattr(self, name)[lp] = getattr(state, name)
+
+    @classmethod
+    def stacked(cls, states: list) -> "PreparedBasis":
+        """One stack of copies of states of one shape, in order."""
+        return cls(*(np.array([getattr(state, name) for state in states]) for name in cls._ARRAYS),
+                   states[0].n_structural)
 
     def refresh_basics(self) -> None:
         """Recompute basic values from the pivoted system, removing drift.
@@ -138,11 +151,12 @@ class PreparedBasis:
 
 
 def _refresh_stack(stack: PreparedBasis) -> None:
-    """refresh_basics for every LP of a stack."""
+    """refresh_basics for every LP of a stack, with its products and bits."""
     np.copyto(stack.x_basic, stack.rhs)
-    for lp in np.flatnonzero((stack.status == _UPPER).any(axis=1)):
-        PreparedBasis(stack.tableau[lp], stack.rhs[lp], stack.basis[lp], stack.status[lp],
-                      stack.x_basic[lp], stack.upper[lp], stack.n_structural).refresh_basics()
+    at_upper = stack.status == _UPPER
+    for lp in at_upper.any(axis=1).nonzero()[0]:
+        columns = at_upper[lp].nonzero()[0]
+        stack.x_basic[lp] -= stack.tableau[lp][:, columns] @ stack.upper[lp, columns]
 
 
 def _ratio_test(column: list, x_basic: list, basis: list, upper: list, step: float) -> tuple[float, int]:
@@ -174,11 +188,12 @@ def _ratio_test(column: list, x_basic: list, basis: list, upper: list, step: flo
     return step, leaving_row
 
 
+_SIGN_OF_STATUS = np.array([1.0, -1.0, 0.0])  # by _LOWER, _UPPER, _BASIC
+
+
 def _signs(status: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """+1 at lower, -1 at upper, 0 when basic or when the box is empty."""
-    sign = np.where(upper > 0.0, np.where(status == _UPPER, -1.0, 1.0), 0.0)
-    sign[status == _BASIC] = 0.0
-    return sign
+    return np.where(upper > 0.0, _SIGN_OF_STATUS.take(status), 0.0)
 
 
 def _run_simplex(cost: np.ndarray, state: PreparedBasis, degenerate_budget: int) -> int:
@@ -486,88 +501,91 @@ def optimum(state: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, fl
     return x, float(objective @ x)
 
 
-def rebase(states: list, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
-           new_matrix: bool = False) -> list[tuple[PreparedBasis, bool] | None]:
-    """Each state's basis under new data A x = b, 0 <= x <= upper, or None.
+def rebase(stack: PreparedBasis, objectives: np.ndarray, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
+           new_matrix: bool = False) -> tuple[PreparedBasis, np.ndarray, np.ndarray]:
+    """Each state of a stack under new data A x = b, 0 <= x <= upper: (copy, carried, optimal).
 
-    A state comes from prepare, maximize_prepared, rebase or reoptimize
-    on the matrix a, or on another one when new_matrix is set.  Its
-    artificial columns hold X, the inverse of its basis block B of [a | I]
-    that the pivots built.  The basic values are recomputed, X b minus the
-    columns at their new upper bounds, and kept when X (A x - b), their
-    first-order error at the basis point x, is within REBASE_TOLERANCE.
-    When a is new or the carried X fails that test (pivot drift), the
-    tableau is rebuilt as X [a | I] from a fresh inverse of B; a singular
-    B, or a fresh X that fails too, gives None.  Every state gives None
-    for a non-finite a or b or a NaN upper bound (prepare raises on such
-    data), and a None in states stays None.  Nonbasic variables keep
-    their sides.
-
-    Each entry holds the state's copy and whether the copy is optimal as
-    it stands: the state ended optimal (a phase 2 or a reoptimize), its
-    tableau and open boxes (upper > 0) are unchanged, so is that run's
-    last pricing, which entered nothing, and every basic value lies in
-    [0, upper]; optimum then gives maximize_prepared's result for that
-    objective.  Any other copy is a start for reoptimize.
+    State i ended prepare, maximize_prepared or reoptimize on the matrix a,
+    or on another one when new_matrix is set.  Its artificial columns hold
+    X, the inverse of its basis block B of [a | I]; the basic values are
+    recomputed, X b minus the columns at their new upper bounds, and kept
+    when X (A x - b), their first-order error at the basis point x, is
+    within REBASE_TOLERANCE.  On a new matrix every tableau is rebuilt as
+    X [a | I] from a fresh X, and a second pass of the same steps rebuilds
+    those whose carried X fails (pivot drift).  carried[i] is False for a
+    singular B, a fresh X that fails too, or data that prepare rejects.
+    optimal[i]: carried state i lies in its boxes and prices no column in
+    for objectives[i] (the test on which phase 2 stops), so optimum gives
+    maximize_prepared's result.  Each product is taken per state, with the
+    bits of the same steps on that state alone.
     """
-    full = np.concatenate((a, np.eye(len(b))), axis=1)
-    if not (np.isfinite(full).all() and np.isfinite(b).all() and not np.isnan(upper).any()):
-        return [None] * len(states)  # _finite_data's rule
-    boxes = upper > 0.0
-    return [None if state is None else _rebase(state, a, full, b, upper, boxes, new_matrix) for state in states]
+    work, n = stack.copy(), stack.n_structural
+    rebuilt = np.zeros(len(work.basis), dtype=bool)
+    if not _finite_data(a, b, upper):
+        return work, rebuilt, rebuilt.copy()
+    work.upper[:, :n] = upper
+    rebuild = np.full(rebuilt.shape, new_matrix)
+    while True:
+        if rebuild.any():
+            full = np.concatenate((a, np.eye(len(b))), axis=1)
+            work.tableau[rebuild] = _inverses(full[:, work.basis[rebuild]].swapaxes(0, 1)) @ full
+        rebuilt |= rebuild
+        np.matmul(work.tableau[:, :, n:], b, out=work.rhs)
+        _refresh_stack(work)
+        failed = ~(_first_order_error(work, a, b) <= REBASE_TOLERANCE)
+        rebuild = failed & ~rebuilt
+        if not rebuild.any():
+            break
+    lps, x = np.arange(len(work.basis))[:, None], work.x_basic
+    cost = np.zeros(work.upper.shape)
+    cost[:, :n] = objectives
+    reduced = cost - np.matmul(cost[lps, work.basis][:, None], work.tableau)[:, 0]
+    priced_in = (reduced * _signs(work.status, work.upper) > COST_TOLERANCE).any(axis=1)
+    inside = ((x >= 0.0) & (x <= work.upper[lps, work.basis])).all(axis=1)
+    return work, ~failed, ~failed & inside & ~priced_in
 
 
-def _first_order_error(state: PreparedBasis, a: np.ndarray, b: np.ndarray) -> float:
-    """max |X (A x - b)| at the state's basis point x: the error that its inverse X leaves in the basic values."""
+def _inverses(blocks: np.ndarray) -> np.ndarray:
+    """The inverse of each block of a stack; NaN, which fails every first-order test, for a singular one."""
+    try:
+        return np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:  # one block at a time, to find the singular ones
+        inverses = np.full(blocks.shape, np.nan)
+        for lp, block in enumerate(blocks):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inverses[lp] = np.linalg.inv(block)
+        return inverses
+
+
+def _first_order_error(state: PreparedBasis, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max |X (A x - b)| at the basis point x of each LP: the error that its inverse X leaves in the basic values."""
     n = state.n_structural
     x = np.where(state.status == _UPPER, state.upper, 0.0)
-    x[state.basis] = state.x_basic
-    return float(np.abs(state.tableau[:, n:] @ (a @ x[:n] + x[n:] - b)).max())
+    np.put_along_axis(x, state.basis, state.x_basic, axis=-1)
+    residual = np.matmul(a, x[..., :n, None])[..., 0] + x[..., n:] - b
+    return np.abs(np.matmul(state.tableau[..., n:], residual[..., None])[..., 0]).max(axis=-1)
 
 
-def _rebase(state: PreparedBasis, a: np.ndarray, full: np.ndarray, b: np.ndarray, upper: np.ndarray,
-            boxes: np.ndarray, new_matrix: bool) -> tuple[PreparedBasis, bool] | None:
-    """rebase of one state on checked data, full = [a | I] and boxes = upper > 0."""
-    work = state.copy()
-    n = work.n_structural
-    work.upper[:n] = upper
-    for rebuilt in (new_matrix, True):
-        if rebuilt:
-            try:
-                work.tableau = np.linalg.inv(full[:, work.basis]) @ full
-            except np.linalg.LinAlgError:
-                return None  # a singular basis block
-        work.rhs = work.tableau[:, n:] @ b
-        work.refresh_basics()
-        if _first_order_error(work, a, b) <= REBASE_TOLERANCE:
-            break
-        if rebuilt:
-            return None  # a block too close to singular for its inverse to hold
-    inside = bool(((work.x_basic >= 0.0) & (work.x_basic <= work.upper[work.basis])).all())
-    return work, inside and not rebuilt and np.array_equal(boxes, state.upper[:n] > 0.0)
+def column_values(stack: PreparedBasis, columns) -> np.ndarray:
+    """Variable columns[i] at refreshed LP i of a stack: for the unit objective on that column, optimum's float."""
+    return _solution(stack)[range(len(columns)), columns]
 
 
 def reoptimize(state: PreparedBasis, objective: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[int, bool]:
-    """Re-solve, in place, a state that rebase carried to A x = b and did not find optimal.
+    """Re-solve, in place, a state that rebase carried to A x = b and did not prove optimal.
 
-    A basis in its boxes [0, upper] that prices a column in is feasible,
-    and phase 2 (maximize_prepared) runs from it.  A basis out of its boxes
-    takes dual pivots: a probability step changes only b and the boxes, so
-    a basis that was optimal keeps its reduced costs and stays dual
-    feasible (Koberstein, PhD thesis, Paderborn 2005).  Each pivot takes
-    the basic value furthest outside its box to the bound it crossed, and
-    enters the column that Harris's ratio test picks (_dual_ratio_test).
-    Returns the dual pivots taken and whether the state ended optimal:
-    phase 2 ran, or every basic value, refreshed, lies in its box, no
-    signed reduced cost is above COST_TOLERANCE, and, after any dual pivot,
-    the inverse passes rebase's REBASE_TOLERANCE test on a and b; optimum
-    then gives maximize_prepared's result for this state and objective.
-    It gives up, and leaves the state part-way, not to be read, when a
-    column prices in at a start out of its boxes or after a dual pivot,
-    when no column moves the leaving value toward its box (no feasible
-    point), after _DUAL_ITERATIONS pivots, or when the pivots spoiled the
-    inverse (pivots on elements near PIVOT_TOLERANCE have left first-order
-    errors of 7e-2).
+    In its boxes [0, upper] the basis is feasible, and phase 2
+    (maximize_prepared) runs from it.  Out of them it takes dual pivots:
+    each takes the basic value furthest outside its box to the bound it
+    crossed and enters the column of Harris's ratio test (_dual_ratio_test).
+    Returns the dual pivots and whether the state ended optimal: in its
+    boxes, no signed reduced cost above COST_TOLERANCE and, after any dual
+    pivot, an inverse that passes rebase's first-order test on a and b.  It
+    gives up, and leaves the state part-way, not to be read, when a column
+    prices in out of the boxes or after a dual pivot, when no column moves
+    the leaving value toward its box (no feasible point), after
+    _DUAL_ITERATIONS pivots, or when the pivots spoiled the inverse (pivots
+    near PIVOT_TOLERANCE have left first-order errors of 7e-2).
     """
     cost = np.zeros(state.upper.size)
     cost[:state.n_structural] = objective

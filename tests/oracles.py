@@ -34,7 +34,11 @@ The QBER reference is x_basis_qber with the negative-margin branch and
 returns, the package must return the same bits.  The QBER-scan reference is
 run_qber_scan as first written, one yield_lp per grid point; the package's
 scan, which solves the grid's LPs in stacks, must return the same rows and
-raise the same first error.
+raise the same first error.  The rebase reference is simplex.rebase as
+first written, one carried state at a time, with the zero-pivot test that
+reoptimize then made; the package's rebase, which carries the finite
+search's five bases as one stack, must give each the same verdict and the
+same bytes.
 """
 
 import itertools
@@ -74,6 +78,7 @@ from tfqkd.simplex import (
     _UPPER,
     COST_TOLERANCE,
     PIVOT_TOLERANCE,
+    REBASE_TOLERANCE,
 )
 
 _LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(200)
@@ -508,6 +513,51 @@ def basic_point_long_double(a: np.ndarray, b: np.ndarray, upper: np.ndarray, bas
     for k in reversed(range(m)):
         x[basis[k]] = (rhs[k] - block[k, k + 1:] @ x[basis[k + 1:]]) / block[k, k]
     return x
+
+
+def rebase_reference(state, objective: np.ndarray, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
+                     new_matrix: bool = False):
+    """simplex.rebase's rule on one state, as first written: None, or (copy, verdict).
+
+    The basic values are recomputed from the carried inverse, or from
+    np.linalg.inv of the basis block on a new matrix, and again from a
+    fresh inverse when the carried one fails the first-order test; a
+    singular block, a fresh inverse that fails too, or non-finite data
+    gives None.  verdict is "optimal" where the copy needs no re-solve: an
+    unchanged tableau with the same open boxes whose basic values lie in
+    their boxes (what the per-state rebase read as it stood), or a basis in
+    its boxes that prices no column in (where reoptimize returned at once
+    with no pivot); it is "reoptimize" otherwise.
+    """
+    full = np.concatenate((a, np.eye(len(b))), axis=1)
+    if not (np.isfinite(full).all() and np.isfinite(b).all() and not np.isnan(upper).any()):
+        return None
+    work = state.copy()
+    n = work.n_structural
+    work.upper[:n] = upper
+    for rebuilt in (new_matrix, True):
+        if rebuilt:
+            try:
+                work.tableau = np.linalg.inv(full[:, work.basis]) @ full
+            except np.linalg.LinAlgError:
+                return None
+        work.rhs = work.tableau[:, n:] @ b
+        work.refresh_basics()
+        x = np.where(work.status == _UPPER, work.upper, 0.0)
+        x[work.basis] = work.x_basic
+        if np.abs(work.tableau[:, n:] @ (a @ x[:n] + x[n:] - b)).max() <= REBASE_TOLERANCE:
+            break
+        if rebuilt:
+            return None
+    inside = bool(((work.x_basic >= 0.0) & (work.x_basic <= work.upper[work.basis])).all())
+    if inside and not rebuilt and np.array_equal(upper > 0.0, state.upper[:n] > 0.0):
+        return work, "optimal"
+    cost = np.zeros(work.upper.size)
+    cost[:n] = objective
+    sign = np.where(work.upper > 0.0, np.where(work.status == _UPPER, -1.0, 1.0), 0.0)
+    sign[work.status == _BASIC] = 0.0
+    priced_in = ((cost - cost[work.basis] @ work.tableau) * sign > COST_TOLERANCE).any()
+    return work, "optimal" if inside and not priced_in else "reoptimize"
 
 
 def poisson_pmf_vector_reference(mu: float, count: int = PHOTON_CUTOFF) -> np.ndarray:

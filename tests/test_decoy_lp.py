@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfqkd import simplex
+from tfqkd import decoy, simplex
 from tfqkd.channel import ChannelScenario, poisson_pmf_rows, yield_grid
 from tfqkd.decoy import (
     PHOTON_CUTOFF,
@@ -21,6 +21,7 @@ from tfqkd.decoy import (
     observations_from_scenario,
     sigma_multiplier_from_epsilon,
     _equality_form,
+    _objectives,
     _solve_in_stacks,
     solve_yield_bounds,
     yield_lp,
@@ -33,6 +34,7 @@ from oracles import (
     build_problem_reference,
     lp_contains,
     poisson_pmf_vector_reference,
+    rebase_reference,
     scipy_yield_upper_bound,
 )
 
@@ -174,7 +176,7 @@ class TestNanIsRejected:
             build_problem(obs, sigma_multiplier=math.nan)
 
     def test_solve_raises_on_a_non_finite_maximum(self, monkeypatch):
-        monkeypatch.setattr(simplex, "maximize_prepared", lambda basis, objective: (None, math.nan))
+        monkeypatch.setattr(simplex, "column_values", lambda stack, columns: np.full(len(columns), math.nan))
         with pytest.raises(DomainError, match="not finite"):
             solve_yield_bounds(nominal_problem())
 
@@ -201,7 +203,7 @@ class TestNanIsRejected:
         coefficients[4, column] = bad
         broken = dataclasses.replace(problem, coefficients=coefficients)
         a, b, ub = _equality_form(coefficients, *broken.constraint_bounds())
-        assert simplex.rebase(warm.states, a, b, ub, new_matrix=True) == [None] * len(TARGET_PAIRS)
+        assert not simplex.rebase(warm.stack, _objectives(a.shape[-1]), a, b, ub, new_matrix=True)[1].any()
         with pytest.raises(DomainError):
             solve_yield_bounds(broken, warm)
 
@@ -678,9 +680,9 @@ class TestWarmBases:
         assert warm_bounds.tobytes() == cold.tobytes()
 
     def test_a_start_that_is_not_dual_feasible_borrows_another_basis(self, monkeypatch):
-        # nu from 0.1 to 0.12 at mu 0.48: every basis is rebuilt and goes through reoptimize; one leaves
-        # a box and prices a column above COST_TOLERANCE, so its run ends at once and the target starts
-        # from another target's basis
+        # nu from 0.1 to 0.12 at mu 0.48: every basis is rebuilt, and rebase proves four optimal as they
+        # stand; the fifth leaves a box and prices a column above COST_TOLERANCE, so its reoptimize run
+        # ends at once and the target starts from another target's basis
         probabilities = (0.15, 0.05, 0.008)
         runs = []
         reoptimize = simplex.reoptimize
@@ -692,49 +694,83 @@ class TestWarmBases:
         monkeypatch.setattr(simplex, "reoptimize", recording)
         warm, warm_bounds, cold = self._after_step(self._args((0.48, 0.1, 0.0), probabilities),
                                                    self._args((0.48, 0.12, 0.0), probabilities))
-        (start, objective, outcome), = [run for run in runs if not run[2][1]]
-        assert outcome == (0, False) and len(runs) == len(TARGET_PAIRS)
+        (start, objective, outcome), = runs
+        assert outcome == (0, False)
         assert not ((start.x_basic >= 0.0) & (start.x_basic <= start.upper[start.basis])).all()
         assert _scores(start, objective).max() > simplex.COST_TOLERANCE
-        assert self._counts(warm) == (2, 4, 5, 0, 1, 1)
+        assert self._counts(warm) == (2, 4, 1, 0, 1, 1)
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
+
+    # mu from 0.1 to 0.2 changes the matrix: every basis is rebuilt on it
+    DECOY_STEP = ((DECOYS, _decoy_probabilities(0.8, 0.1, 0.05)),
+                  ((0.2, 0.01, 0.0), _decoy_probabilities(0.8, 0.1, 0.05)))
 
     def test_a_decoy_step_carries_the_bases_to_the_new_matrix(self):
-        # mu from 0.1 to 0.2 changes the matrix; every basis is rebuilt on it and goes through
-        # reoptimize: one stays in its boxes, two more come back through dual pivots, and two give
-        # up, so their targets borrow a basis
-        probabilities = _decoy_probabilities(0.8, 0.1, 0.05)
-        warm, warm_bounds, cold = self._after_step(self._args(DECOYS, probabilities),
-                                                   self._args((0.2, 0.01, 0.0), probabilities))
-        assert self._counts(warm) == (2, 3, 5, 13, 2, 1)
+        # one rebuilt basis lies in its boxes and prices nothing in, so rebase proves it optimal; the
+        # other four go through reoptimize: two come back through dual pivots, and two give up, so their
+        # targets borrow a basis
+        warm, warm_bounds, cold = self._after_step(*(self._args(*step) for step in self.DECOY_STEP))
+        assert self._counts(warm) == (2, 3, 4, 13, 2, 1)
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
 
+    def test_a_rebuilt_basis_proven_optimal_is_read_as_it_stands(self, monkeypatch):
+        # the decoy step above: the per-state rule sent target (2, 0) through a reoptimize run that
+        # took no pivot; rebase now proves it optimal, no reoptimize run sees it, and its bound has
+        # the bits of that run's
+        first, second = (self._args(*step) for step in self.DECOY_STEP)
+        warm = WarmBases()
+        yield_lp(*first, warm=warm)
+        problem = yield_lp(*second)[0]
+        a, b, ub = _equality_form(problem.coefficients, *problem.constraint_bounds())
+        objectives = _objectives(a.shape[-1])
+        verdicts = [rebase_reference(warm.stack[lp], objectives[lp], a, b, ub, new_matrix=True)
+                    for lp in range(len(TARGET_PAIRS))]
+        assert [verdict for _, verdict in verdicts] == ["reoptimize", "optimal"] + ["reoptimize"] * 3
+        state, _ = verdicts[1]
+        assert simplex.reoptimize(state.copy(), objectives[1], a, b) == (0, True)  # the run the per-state rule took
+        expected = min(1.0, simplex.optimum(state, objectives[1])[1] + decoy.SAFETY_MARGIN)
+        targets = []
+        reoptimize = simplex.reoptimize
+
+        def recording(state, objective, *data):
+            targets.append(TARGET_PAIRS[int(np.flatnonzero((objectives == objective).all(axis=1))[0])])
+            return reoptimize(state, objective, *data)
+
+        monkeypatch.setattr(simplex, "reoptimize", recording)
+        bounds = yield_lp(*second, warm=warm)[1]
+        assert targets == [(0, 0), (0, 2), (1, 1), (2, 2)]
+        assert bounds[2, 0].hex() == expected.hex() == "0x1.099d854dc37b5p-8"  # the per-state rule's bits
+
     def test_a_dual_run_that_fails_part_way_is_never_read(self, monkeypatch):
-        # the decoy step above: two of its four dual runs lose dual feasibility after some pivots;
-        # their targets start from another target's basis, and no state of theirs is read
-        probabilities = _decoy_probabilities(0.8, 0.1, 0.05)
+        # the decoy step above: two of its four reoptimize runs lose dual feasibility after some pivots;
+        # their targets start from another target's basis, and no state of theirs is read or kept
         failed = []
-        reoptimize, optimum, maximize_prepared = simplex.reoptimize, simplex.optimum, simplex.maximize_prepared
+        reoptimize, column_values = simplex.reoptimize, simplex.column_values
+        maximize_prepared = simplex.maximize_prepared
 
         def recording(state, objective, *data):
             pivots, optimal = reoptimize(state, objective, *data)
             if not optimal:
-                failed.append((state, pivots))
+                failed.append((state.copy(), pivots))
             return pivots, optimal
 
-        def unread(read):
-            def wrapper(state, *args, **kwargs):
-                assert all(state is not partial for partial, _ in failed)
-                return read(state, *args, **kwargs)
-            return wrapper
+        def partial(state):
+            return any(state.tableau.tobytes() == gone.tableau.tobytes() for gone, _ in failed)
+
+        def read(stack, columns):
+            assert not any(partial(stack[lp]) for lp in range(len(columns)))
+            return column_values(stack, columns)
+
+        def phase_two(state, objective):
+            assert not partial(state)
+            return maximize_prepared(state, objective)
 
         monkeypatch.setattr(simplex, "reoptimize", recording)
-        monkeypatch.setattr(simplex, "optimum", unread(optimum))
-        monkeypatch.setattr(simplex, "maximize_prepared", unread(maximize_prepared))
-        warm, warm_bounds, cold = self._after_step(self._args(DECOYS, probabilities),
-                                                   self._args((0.2, 0.01, 0.0), probabilities))
+        monkeypatch.setattr(simplex, "column_values", read)
+        monkeypatch.setattr(simplex, "maximize_prepared", phase_two)
+        warm, warm_bounds, cold = self._after_step(*(self._args(*step) for step in self.DECOY_STEP))
         assert [pivots for _, pivots in failed] == [6, 3]
-        assert all(state is not partial for partial, _ in failed for state in warm.states)
+        assert not any(partial(warm.stack[lp]) for lp in range(len(TARGET_PAIRS)))
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
 
     @pytest.mark.parametrize("decoys", [(0.1, 0.1, 0.0), (0.1, 0.01, 0.01)], ids=["mu==nu", "nu==omega"])
@@ -745,12 +781,32 @@ class TestWarmBases:
         yield_lp(*self._args(DECOYS, probabilities), warm=warm)
         problem, cold = yield_lp(*self._args(decoys, probabilities))
         a, b, ub = _equality_form(problem.coefficients, *problem.constraint_bounds())
-        for state in warm.states:
+        for lp in range(len(TARGET_PAIRS)):
             with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.inv(np.concatenate((a, np.eye(len(b))), axis=1)[:, state.basis])
-        assert simplex.rebase(warm.states, a, b, ub, new_matrix=True) == [None] * len(TARGET_PAIRS)
+                np.linalg.inv(np.concatenate((a, np.eye(len(b))), axis=1)[:, warm.stack.basis[lp]])
+        assert not simplex.rebase(warm.stack, _objectives(a.shape[-1]), a, b, ub, new_matrix=True)[1].any()
         assert yield_lp(*self._args(decoys, probabilities), warm=warm)[1].tobytes() == cold.tobytes()
         assert self._counts(warm) == (2, 0, 0, 0, 0, 2)
+
+    def test_one_singular_basis_block_loses_only_its_target(self):
+        # Y22 is basic only in target (2, 2)'s basis; with its coefficients zeroed that basis block is
+        # singular (one LAPACK call over the stack raises, and the blocks are then inverted one by one),
+        # while the four other bases carry over, optimal as they stand; (2, 2) starts from one of them
+        warm = WarmBases()
+        problem = yield_lp(*self._args((0.2, 0.01, 0.0), _decoy_probabilities(0.8, 0.1, 0.05)), warm=warm)[0]
+        column = 2 * PHOTON_CUTOFF + 2
+        assert (warm.stack.basis == column).any(axis=1).tolist() == [False] * 4 + [True]
+        coefficients = problem.coefficients.copy()
+        coefficients[:, column] = 0.0
+        broken = dataclasses.replace(problem, coefficients=coefficients)
+        a, b, ub = _equality_form(coefficients, *broken.constraint_bounds())
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.concatenate((a, np.eye(len(b))), axis=1)[:, warm.stack.basis[4]])
+        _, carried, optimal = simplex.rebase(warm.stack, _objectives(a.shape[-1]), a, b, ub, new_matrix=True)
+        assert carried.tolist() == optimal.tolist() == [True] * 4 + [False]
+        warm_bounds = solve_yield_bounds(broken, warm)
+        assert self._counts(warm) == (2, 4, 0, 0, 1, 1)
+        assert np.abs(warm_bounds - solve_yield_bounds(broken)).max() <= WARM_AGREEMENT
 
     def test_a_basic_value_just_below_zero_is_not_accepted(self):
         # A step of the finite_opt search (symmetric, multistart seed 1).  It
@@ -763,6 +819,43 @@ class TestWarmBases:
             self._args(decoys, (0.042327797960310026, 0.6457671253164456, 0.2829609533874329)))
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
         assert self._counts(warm) == (2, 5, 2, 3, 0, 1)
+
+    def test_a_probability_step_reuses_the_last_decoy_data(self, monkeypatch):
+        # the gains and every array that the decoys set come from the scenario, the mode and the decoys
+        # alone: a probability step simulates no gain and shares the last LP's arrays, and rebase keeps
+        # its tableaux; a decoy step, another scenario and another mode each build their LP again, and
+        # rebase rebuilds the tableaux.  Every problem has the bytes of a cold yield_lp.
+        gains, new_matrix = [0], []
+        z_basis_gain, rebase = decoy.z_basis_gain, simplex.rebase
+
+        def counting(*args):
+            gains[0] += 1
+            return z_basis_gain(*args)
+
+        def recording(*args, **kwargs):
+            new_matrix.append(kwargs["new_matrix"])
+            return rebase(*args, **kwargs)
+
+        monkeypatch.setattr(decoy, "z_basis_gain", counting)
+        monkeypatch.setattr(simplex, "rebase", recording)
+        probabilities = _decoy_probabilities(0.7, 0.2, 0.05)
+        step = self._args(DECOYS, probabilities)
+        steps = [(step, 0, False),
+                 (self._args((0.2, 0.01, 0.0), probabilities), 9, True),
+                 ((dataclasses.replace(FINITE_OPT_SCENARIO, e_d=0.03), *step[1:]), 9, True),
+                 ((*step[:3], EvaluationMode.finite(1e11, FINITE_OPT_MODE.sigma_multiplier), *step[4:]), 9, True)]
+        for args, simulated, rebuilt in steps:
+            warm = WarmBases()
+            last = yield_lp(*self._args(DECOYS, _decoy_probabilities(0.8, 0.1, 0.05)), warm=warm)[0]
+            gains[0] = 0
+            new_matrix.clear()
+            problem = yield_lp(*args, warm=warm)[0]
+            assert gains[0] == simulated and new_matrix == [rebuilt]
+            assert (problem.coefficients is last.coefficients) == (not rebuilt)
+            cold = yield_lp(*args)[0]
+            for name in ("coefficients", "gain_lower", "gain_upper", "slack_mass"):
+                assert getattr(problem, name).tobytes() == getattr(cold, name).tobytes()
+            assert (problem.pair_labels, problem.warnings) == (cold.pair_labels, cold.warnings)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(decoys_a=decoy_sets, decoys_b=decoy_sets, walk=probability_walks())
@@ -778,33 +871,43 @@ class TestWarmBases:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(walk=search_walks())
     def test_bounds_re_solved_across_decoy_steps_agree_with_the_cold_solve(self, walk):
-        # every state that the warm path reads with simplex.optimum, outside phase 2, is optimal:
-        # it lies in its boxes [0, upper] and prices no column in
-        optimum, maximize_prepared = simplex.optimum, simplex.maximize_prepared
-        in_phase_two, reads = [False], [0]
+        # rebase gives each target the verdict and the bytes of the per-state rule (rebase_reference),
+        # and every state whose value the warm path reads is optimal: it lies in its boxes [0, upper] and
+        # prices no column in, and the value read lies in its column's box
+        rebase, column_values = simplex.rebase, simplex.column_values
+        verdicts, reads = [], [0]
 
-        def phase_two(state, objective):
-            in_phase_two[0] = True
-            try:
-                return maximize_prepared(state, objective)
-            finally:
-                in_phase_two[0] = False
+        def batched(stack, objectives, a, b, upper, new_matrix=False):
+            work, carried, optimal = rebase(stack, objectives, a, b, upper, new_matrix)
+            for lp in range(len(stack.basis)):
+                reference = rebase_reference(stack[lp], objectives[lp], a, b, upper, new_matrix)
+                verdicts.append(None if reference is None else reference[1])
+                assert carried[lp] == (reference is not None)
+                if carried[lp]:
+                    assert optimal[lp] == (reference[1] == "optimal")
+                    assert work[lp].tableau.tobytes() == reference[0].tableau.tobytes()
+                    assert work[lp].x_basic.tobytes() == reference[0].x_basic.tobytes()
+            return work, carried, optimal
 
-        def read(state, objective):
-            if not in_phase_two[0]:
+        def read(stack, columns):
+            values = column_values(stack, columns)
+            for lp, (column, value) in enumerate(zip(columns, values)):
+                state = stack[lp]
                 assert ((state.x_basic >= 0.0) & (state.x_basic <= state.upper[state.basis])).all()
-                assert _scores(state, objective).max() <= simplex.COST_TOLERANCE
+                assert _scores(state, np.eye(state.n_structural)[column]).max() <= simplex.COST_TOLERANCE
+                assert 0.0 <= value <= state.upper[column]
                 reads[0] += 1
-            return optimum(state, objective)
+            return values
 
         warm = WarmBases()
-        with mock.patch.object(simplex, "maximize_prepared", phase_two), mock.patch.object(simplex, "optimum", read):
+        with mock.patch.object(simplex, "rebase", batched), mock.patch.object(simplex, "column_values", read):
             for decoys_a, decoys_b, side_a, side_b in walk:
                 args = (FINITE_OPT_SCENARIO, decoys_a, decoys_b, FINITE_OPT_MODE,
                         _decoy_probabilities(*side_a), _decoy_probabilities(*side_b))
                 warm_bounds = yield_lp(*args, warm=warm)[1]
                 assert np.abs(warm_bounds - yield_lp(*args)[1]).max() <= WARM_AGREEMENT
-        assert warm.lp_solves == len(walk) and reads[0] == warm.repriced
+        assert warm.lp_solves == len(walk) and reads[0] == 2 * len(TARGET_PAIRS) * len(walk)
+        assert len(verdicts) == len(TARGET_PAIRS) * (len(walk) - 1)
 
     def test_the_cold_bound_covers_a_carried_basis_above_the_cold_maximum(self):
         # The worst warm-vs-cold gap over 8 descents of the finite search (4

@@ -399,37 +399,48 @@ class TestWarmSearch:
         objective, warm = optimizer._finite_objective(scenario, mode)
         params, _ = multistart(objective, strategy, 1, seed)
         assert (warm.lp_solves, warm.repriced, warm.dual_runs, warm.dual_pivots, warm.borrowed,
-                warm.phase1_runs) == (1142, 5591, 2948, 2438, 114, 1)
+                warm.phase1_runs) == (1142, 5591, 1160, 2438, 114, 1)
         assert _param_bits(params) == _param_bits(optimize_strategy(scenario, strategy, mode, 1, seed)[0])
 
     def test_a_skipped_phase_two_reads_what_phase_two_would_return(self, monkeypatch):
-        # every target read by simplex.optimum outside maximize_prepared is one taken from its own
-        # carried basis: still optimal, or re-solved by reoptimize (phase 2, dual pivots or neither);
-        # phase 2 from a copy returns the same bits, and none is read with a basic value outside [0, upper]
+        # every target is read by simplex.column_values once its state is optimal: phase 2 from a copy of
+        # that state returns the bits read, and none is read with a basic value outside [0, upper].  Those
+        # not solved by phase 2 in the same solve (from a borrowed or phase-1 start) are the targets taken
+        # from their own carried basis: proven optimal by rebase, or re-solved by reoptimize
         scenario, strategy, mode, seed = self._golden_point()
-        optimum, maximize_prepared = simplex.optimum, simplex.maximize_prepared
-        in_phase_two, skipped = [False], []
+        column_values, reoptimize = simplex.column_values, simplex.reoptimize
+        maximize_prepared = simplex.maximize_prepared
+        in_reoptimize, skipped, starts = [False], [], [0]
 
-        def phase_two(state, objective):
-            in_phase_two[0] = True
+        def re_solved(state, objective, *data):
+            in_reoptimize[0] = True
             try:
-                return maximize_prepared(state, objective)
+                return reoptimize(state, objective, *data)
             finally:
-                in_phase_two[0] = False
+                in_reoptimize[0] = False
 
-        def read(state, objective):
-            x, value = optimum(state, objective)
-            if not in_phase_two[0]:
+        def solved_from_a_start(state, objective):
+            starts[0] += not in_reoptimize[0]  # a phase 2 that reoptimize runs is not a start
+            return maximize_prepared(state, objective)
+
+        def read(stack, columns):
+            values = column_values(stack, columns)
+            for lp, (column, value) in enumerate(zip(columns, values)):
+                state = stack[lp]
                 assert ((state.x_basic >= 0.0) & (state.x_basic <= state.upper[state.basis])).all()
-                again_x, again = phase_two(state.copy(), objective)  # from a copy of the same state
+                objective = np.eye(state.n_structural)[column]
+                x, _ = simplex.optimum(state, objective)
+                again_x, again = maximize_prepared(state.copy(), objective)  # from a copy of the same state
                 skipped.append((value.hex(), x.tobytes()) == (again.hex(), again_x.tobytes()))
-            return x, value
+            return values
 
-        monkeypatch.setattr(simplex, "maximize_prepared", phase_two)
-        monkeypatch.setattr(simplex, "optimum", read)
+        monkeypatch.setattr(simplex, "maximize_prepared", solved_from_a_start)
+        monkeypatch.setattr(simplex, "reoptimize", re_solved)
+        monkeypatch.setattr(simplex, "column_values", read)
         objective, warm = optimizer._finite_objective(scenario, mode)
         multistart(objective, strategy, 1, seed)
-        assert len(skipped) == warm.repriced == 5591 and all(skipped)
+        assert len(skipped) == 5 * warm.lp_solves and all(skipped)
+        assert len(skipped) - starts[0] == warm.repriced == 5591
 
     def test_a_dual_run_that_spoils_its_inverse_is_given_up(self, monkeypatch):
         # A descent of tools/search_cost.py: add_fibre at 30 dB, multistart seed 3.  Some dual runs end

@@ -24,7 +24,7 @@ from tfqkd.decoy import (
 )
 from tfqkd.errors import DomainError, InfeasibleProblemError, UnboundedProblemError
 from tfqkd.experiments import QberScanConfig, SweepConfig
-from tfqkd.simplex import maximize_prepared, prepare
+from tfqkd.simplex import PreparedBasis, maximize_prepared, prepare
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,6 +96,13 @@ def test_prepared_basis_is_reusable():
         assert mine == again  # a copy of the snapshot is a start for every objective
 
 
+def _rebase_one(state, objective, a, b, upper, new_matrix=False):
+    """rebase of a stack of the one state: (its copy, carried, optimal for objective)."""
+    work, carried, optimal = simplex.rebase(PreparedBasis.stacked([state]), np.array([objective]), a, b, upper,
+                                            new_matrix)
+    return work[0], carried[0], optimal[0]
+
+
 def test_rebase_finds_a_basis_optimal_only_in_its_boxes():
     # max x0 with x0 + x1 + s = b, x0 <= 0.5: the optimum has x0 at its bound and x1 or s basic
     a = np.array([[1.0, 1.0, 1.0]])
@@ -106,21 +113,24 @@ def test_rebase_finds_a_basis_optimal_only_in_its_boxes():
     assert value == 0.5
     # the same tableau and the same open boxes, with the basic value inside its box or on its bound 0
     for b in (1.1, 0.5):
-        (moved, optimal), = simplex.rebase([state], a, np.array([b]), upper)
-        assert optimal and moved.x_basic.tolist() == [b - 0.5]  # x1, exactly 0 at b = 0.5
+        moved, carried, optimal = _rebase_one(state, objective, a, np.array([b]), upper)
+        assert carried and optimal and moved.x_basic.tolist() == [b - 0.5]  # x1, exactly 0 at b = 0.5
         read_x, read = simplex.optimum(moved, objective)
+        assert simplex.column_values(PreparedBasis.stacked([moved]), [0]).tolist() == [read]
         (x, value), pivots = _pivots_of(lambda: maximize_prepared(moved, objective))
         assert pivots == 0 and (read_x.tobytes(), read) == (x.tobytes(), value)
         assert value == 0.5 and x.sum() == pytest.approx(b, abs=1e-15)
     # the basic value falls below 0 or leaves its box: the basis is not optimal as it stands
     for b, box in ((0.4, upper), (1.2, np.array([0.5, 0.1, 0.1])), (-0.1, upper)):
-        (_, optimal), = simplex.rebase([state], a, np.array([b]), box)
-        assert not optimal
+        _, carried, optimal = _rebase_one(state, objective, a, np.array([b]), box)
+        assert carried and not optimal
     # data that prepare rejects; a NaN box on s, nonbasic at 0, would leave the basic values inside their boxes
     for b, box in ((1.1, np.array([0.5, 1.0, math.nan])), (1.1, np.array([math.nan, 1.0, 1.0])),
                    (math.nan, upper), (math.inf, upper)):
-        assert simplex.rebase([state, None], a, np.array([b]), box) == [None, None]
-    assert simplex.rebase([state, None], a, np.array([1.2]), upper)[0][1]  # state was not changed
+        _, carried, optimal = simplex.rebase(PreparedBasis.stacked([state, state]), np.array([objective] * 2), a,
+                                             np.array([b]), box)
+        assert not carried.any() and not optimal.any()
+    assert _rebase_one(state, objective, a, np.array([1.2]), upper)[2]  # state was not changed
 
 
 def test_a_box_that_opens_makes_the_carried_basis_price_again():
@@ -129,8 +139,8 @@ def test_a_box_that_opens_makes_the_carried_basis_price_again():
     objective = np.array([0.0, 0.0, 1.0])
     state = prepare(a, np.array([1.2]), np.array([1.0, 1.0, 0.0]))
     assert maximize_prepared(state, objective)[1] == 0.0
-    (rebased, optimal), = simplex.rebase([state], a, np.array([1.2]), np.array([1.0, 1.0, 1.0]))
-    assert not optimal  # s may now enter
+    rebased, carried, optimal = _rebase_one(state, objective, a, np.array([1.2]), np.array([1.0, 1.0, 1.0]))
+    assert carried and not optimal  # s may now enter
     assert simplex.optimum(rebased, objective)[1] == 0.0
     assert maximize_prepared(rebased, objective)[1] == 1.0
 
@@ -143,10 +153,12 @@ def test_rebase_rebuilds_the_tableau_on_a_new_matrix():
     state = prepare(a, np.array([1.2]), upper)
     maximize_prepared(state, objective)
     moved = np.array([[1.0, 2.0, 1.0]])
-    (rebased, optimal), = simplex.rebase([state], moved, np.array([1.2]), upper, new_matrix=True)
-    assert not optimal  # a rebuilt tableau is priced again
+    rebased, carried, optimal = _rebase_one(state, objective, moved, np.array([1.2]), upper, new_matrix=True)
+    # the rebuilt tableau is priced: x1 is basic at 0.35, in its box, and no column enters
+    assert carried and optimal and rebased.x_basic.tolist() == [0.35]
     cold = maximize_prepared(prepare(moved, np.array([1.2]), upper), objective)
-    warm = maximize_prepared(rebased.copy(), objective)
+    (warm, pivots) = _pivots_of(lambda: maximize_prepared(rebased.copy(), objective))
+    assert pivots == 0 and simplex.optimum(rebased, objective)[1] == warm[1]
     assert warm[1] == cold[1] == 0.5 and moved @ warm[0] == pytest.approx([1.2], abs=1e-15)
     # the artificial columns hold B^-1 of the new matrix, so the tableau is B^-1 [a | I]
     assert rebased.tableau == pytest.approx(rebased.tableau[:, 3:] @ np.concatenate((moved, np.eye(1)), axis=1))
@@ -154,11 +166,11 @@ def test_rebase_rebuilds_the_tableau_on_a_new_matrix():
     basic = int(rebased.basis[0])
     singular = moved.copy()
     singular[0, basic] = 0.0
-    assert simplex.rebase([state], singular, np.array([1.2]), upper, new_matrix=True) == [None]
+    assert not _rebase_one(state, objective, singular, np.array([1.2]), upper, new_matrix=True)[1]
     for bad in (math.nan, math.inf):
         broken = moved.copy()
         broken[0, 0] = bad  # x0 is nonbasic at its upper bound
-        assert simplex.rebase([state], broken, np.array([1.2]), upper, new_matrix=True) == [None]
+        assert not _rebase_one(state, objective, broken, np.array([1.2]), upper, new_matrix=True)[1]
         with pytest.raises(DomainError):
             prepare(broken, np.array([1.2]), upper)
 
@@ -166,14 +178,35 @@ def test_rebase_rebuilds_the_tableau_on_a_new_matrix():
 def test_rebase_rebuilds_an_inverse_that_drifted():
     a = np.array([[1.0, 1.0, 1.0]])
     upper = np.array([0.5, 1.0, 1.0])
+    objective = np.array([1.0, 0.0, 0.0])
     state = prepare(a, np.array([1.2]), upper)
-    maximize_prepared(state, np.array([1.0, 0.0, 0.0]))
+    maximize_prepared(state, objective)
     drifted = state.copy()
     drifted.tableau[:, 3:] *= 1.0 + 10.0 * simplex.REBASE_TOLERANCE
-    (rebased, optimal), (fresh, _) = (simplex.rebase([drifted], a, np.array([1.1]), upper)
-                                       + simplex.rebase([state], a, np.array([1.1]), upper, new_matrix=True))
-    assert not optimal
+    rebased, carried, optimal = _rebase_one(drifted, objective, a, np.array([1.1]), upper)
+    fresh, _, _ = _rebase_one(state, objective, a, np.array([1.1]), upper, new_matrix=True)
+    assert carried and optimal  # rebuilt, and priced as it stands
     assert rebased.tableau.tobytes() == fresh.tableau.tobytes()
+
+
+def test_a_stack_with_one_singular_block_carries_the_others():
+    # max x0 over x0 + x1 + s = 1.2 with x0 boxed to 0.5 (x1 basic) and to 2 (x0 basic): zeroing x1's
+    # coefficient makes the first basis block singular and leaves the second one as it was
+    a = np.array([[1.0, 1.0, 1.0]])
+    objective = np.array([1.0, 0.0, 0.0])
+    states = [prepare(a, np.array([1.2]), box) for box in (np.array([0.5, 1.0, 1.0]), np.array([2.0, 1.0, 1.0]))]
+    for state in states:
+        maximize_prepared(state, objective)
+    assert [state.basis.tolist() for state in states] == [[1], [0]]
+    singular = np.array([[1.0, 0.0, 1.0]])
+    upper = np.array([2.0, 1.0, 1.0])
+    stack = PreparedBasis.stacked(states)
+    work, carried, optimal = simplex.rebase(stack, np.array([objective] * 2), singular, np.array([1.2]), upper,
+                                            new_matrix=True)
+    assert carried.tolist() == [False, True] and optimal.tolist() == [False, True]
+    single, _, _ = _rebase_one(states[1], objective, singular, np.array([1.2]), upper, new_matrix=True)
+    assert work[1].tableau.tobytes() == single.tableau.tobytes()
+    assert work[1].x_basic.tobytes() == single.x_basic.tobytes()
 
 
 def test_matches_reference_solver_on_random_instances():
@@ -634,8 +667,8 @@ class TestDualSimplex:
         """The optimal state at (b, box), carried by rebase to (new_b, new_box)."""
         state = prepare(self.A, np.array([b]), box)
         maximize_prepared(state, objective)
-        (carried, optimal), = simplex.rebase([state], self.A, np.array([new_b]), new_box)
-        assert not optimal
+        carried, kept, optimal = _rebase_one(state, objective, self.A, np.array([new_b]), new_box)
+        assert kept and not optimal
         return carried
 
     def test_the_dual_loop_reaches_the_cold_maximum_with_fewer_pivots(self):
@@ -704,10 +737,9 @@ class TestDualSimplex:
         objective = objectives[0]
         maximize_prepared(state, objective)
         step = b + rng.normal(0.0, 0.2, size=b.shape)
-        (carried,) = simplex.rebase([state], a, step, upper)
-        if carried is None or carried[1]:
+        restored, carried, optimal = _rebase_one(state, objective, a, step, upper)
+        if not carried or optimal:
             return
-        restored = carried[0]
         _, optimal = simplex.reoptimize(restored, objective, a, step)
         if not optimal:
             return

@@ -29,18 +29,19 @@ as REPEATS repeats of LP_CALLS calls, next to yield_lp_finite:
 * yield_lp_finite_warm: one probability step at fixed decoys per call.
   The LP of yield_lp_finite is solved once with a WarmBases; each call then
   moves both sides' p_mu by a relative 1e-9 more than the last, never seen
-  before, and re-solves from the stored bases; the case checks that rebase
-  found each still optimal, in its boxes, so that every target was read
-  from its own basis and no call ran reoptimize or phase 1.
+  before, and re-solves from the stored bases, with the last LP's gains
+  and coefficients; the case checks that rebase proved each still optimal
+  (in its boxes, no column priced in), so that every target was read from
+  its own basis and no call ran reoptimize or phase 1.
 
 * yield_lp_finite_decoy_step: one decoy step per call.  The LP of
   yield_lp_finite is solved once with a WarmBases; each call then moves
   both sides' mu by a relative 1e-9 more than the last, which changes the
-  LP's matrix, and re-solves from the stored bases, each rebuilt on the
-  new matrix from one inverse of its basis block; the case checks that
-  every target was re-solved from its own basis by reoptimize (a
-  zero-pivot re-price, phase 2 or dual pivots), so that no call borrowed
-  another target's basis or ran phase 1.
+  LP's matrix, and re-solves from the stored bases, rebuilt on the new
+  matrix from one inverse of each basis block; the case checks that every
+  target was taken from its own basis, either proven optimal by rebase or
+  re-solved by reoptimize (phase 2 or dual pivots), so that no call
+  borrowed another target's basis or ran phase 1.
 
 One decoy.yield_bounds case, timed as REPEATS repeats of STACK_CALLS calls,
 times the stacked path of the QBER scan per LP, end to end as above:
@@ -143,10 +144,11 @@ def _time_decoy_step() -> list[float]:
         for decoys in steps:
             yield_lp(SCENARIO, decoys, decoys, FINITE, PROBABILITIES, PROBABILITIES, warm=warm)
         per_call.append((time.perf_counter() - start) / LP_CALLS * 1e6)
-    if warm.phase1_runs != 1 or warm.borrowed or warm.dual_runs != len(TARGET_PAIRS) * REPEATS * LP_CALLS:
+    if warm.phase1_runs != 1 or warm.borrowed or warm.repriced != len(TARGET_PAIRS) * REPEATS * LP_CALLS:
         raise RuntimeError(f"the decoy-step case ran phase 1 {warm.phase1_runs} times, not only for its first LP, "
-                           f"borrowed {warm.borrowed} starts and ran reoptimize {warm.dual_runs} times, "
-                           "not once per target of every step")
+                           f"borrowed {warm.borrowed} starts and took {warm.repriced} targets from their own "
+                           "basis, not every target of every step, proven optimal by rebase or re-solved by "
+                           "reoptimize")
     return per_call
 
 

@@ -10,9 +10,10 @@ runs it, with the search's own yield-LP source (optimizer._finite_objective).
 Each row reports the objective evaluations, the yield LPs solved, and
 from the search's decoy.WarmBases the target maxima taken from their own
 stored basis rather than solved after phase 1; the simplex.reoptimize
-runs, one per carried basis that rebase did not find optimal (zero-pivot
-re-prices and phase-2 re-solves included), and their dual pivots; and the
-targets that started from another target's basis;
+runs, one per carried basis that rebase did not prove optimal (out of its
+boxes, or pricing a column in; a basis that rebase proves optimal, its
+tableau rebuilt after a decoy step included, runs none), and their dual
+pivots; and the targets that started from another target's basis;
 then the winner's rate as evaluate_key_rate gives it on a cold LP memo,
 the rate a sweep reports, in repr so that rows compare bit for bit.  The
 last line sums every count and counts the descents that ended at rate 0.
