@@ -5,6 +5,8 @@ Two subcommands, both reading a JSON configuration and writing CSV:
     tfqkd sweep --config cfg.json --out rates.csv [--workers N] [--dump-lp]
     tfqkd qber-scan --config cfg.json --out qber.csv
 
+--workers N deals a sweep's rows round-robin to up to N processes; each
+process optimizes its rows in one batch (asymptotic rows in lockstep).
 Exit codes: 0 on success, 2 on configuration errors, 3 on runtime errors.
 All behaviour is controlled by explicit configuration; no environment
 variables are consulted.
@@ -55,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="optimize strategies over a total-loss grid")
     sweep.add_argument("--config", required=True, help="JSON sweep configuration")
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.add_argument("--workers", type=int, default=1, help="parallel sweep-point workers")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="processes to deal the sweep rows to (each optimizes its rows as one batch)")
     sweep.add_argument(
         "--dump-lp", action="store_true",
         help="finite mode: also write the yield LPs at the optimized parameters to <out>.lp.txt",

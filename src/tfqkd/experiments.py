@@ -41,7 +41,7 @@ from .channel import (
 )
 from .decoy import EvaluationMode, LpProblem, sigma_multiplier_from_epsilon, yield_bounds
 from .errors import ConfigError, DomainError
-from .optimizer import PARAMETER_NAMES, Strategy, optimize_strategy
+from .optimizer import PARAMETER_NAMES, Strategy, optimize_strategies
 from .security import cat_state, key_rate, phase_error_upper_bound
 
 
@@ -207,46 +207,46 @@ SWEEP_COLUMNS = ("loss_db", "strategy", "key_rate", "key_rate_raw", *PARAMETER_N
 SweepRow = namedtuple("SweepRow", SWEEP_COLUMNS, module=__name__)
 
 
-def _sweep_job(config: SweepConfig, loss_db: float, strategy_name: str) -> tuple[SweepRow, LpProblem | None]:
-    strategy = Strategy(strategy_name)
-    scenario = config.scenario_for(loss_db)
+def _sweep_rows(config: SweepConfig, jobs: list[tuple[float, str]]) -> list[tuple[SweepRow, LpProblem | None]]:
+    """The row and the yield LP of each (loss, strategy) job, from one optimize_strategies call."""
     mode = config.evaluation_mode()
-    params, report = optimize_strategy(scenario, strategy, mode, n_starts=config.n_starts, seed=config.seed)
-    values = {name: getattr(params, name) for name in PARAMETER_NAMES}
-    if not mode.is_finite:  # blank the zero decoys asymptotic rates do not use; the probabilities are None
-        values.update(mu_a=None, nu_a=None, mu_b=None, nu_b=None)
-    return SweepRow(
-        loss_db=loss_db,
-        strategy=strategy.value,
-        key_rate=report.rate,
-        key_rate_raw=key_rate(report.p_xx, report.e_xx, report.e_zz_upper),
-        **values,
-        e_xx=report.e_xx,
-        e_zz_upper=report.e_zz_upper,
-        p_xx=report.p_xx,
-    ), report.lp_problem
+    points = [(config.scenario_for(loss), Strategy(name)) for loss, name in jobs]
+    outcomes = []
+    for (loss_db, strategy), (params, report) in zip(
+            jobs, optimize_strategies(points, mode, n_starts=config.n_starts, seed=config.seed)):
+        values = {name: getattr(params, name) for name in PARAMETER_NAMES}
+        if not mode.is_finite:  # blank the zero decoys asymptotic rates do not use; the probabilities are None
+            values.update(mu_a=None, nu_a=None, mu_b=None, nu_b=None)
+        row = SweepRow(loss_db=loss_db, strategy=strategy, key_rate=report.rate,
+                       key_rate_raw=key_rate(report.p_xx, report.e_xx, report.e_zz_upper), **values,
+                       e_xx=report.e_xx, e_zz_upper=report.e_zz_upper, p_xx=report.p_xx)
+        outcomes.append((row, report.lp_problem))
+    return outcomes
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> tuple[list[SweepRow], list[LpProblem | None]]:
     """One optimized row per (loss, strategy), in configuration order.
 
-    Sweep points are independent jobs; with workers > 1 they run on a
-    process pool of at most one process per job and are reassembled in
-    order, so the result (and any CSV written from it) does not depend on
-    scheduling.  Returns (rows, problems): problems[i] is the yield LP
-    solved at row i's optimized parameters, None for asymptotic rows.
+    Jobs are dealt round-robin into min(workers, jobs) shares, each one
+    _sweep_rows call (asymptotic rows search in lockstep), several shares on
+    a process pool.  Rows are reassembled in order and none depends on its
+    share, so the result does not depend on workers.  Returns (rows,
+    problems): problems[i] is row i's yield LP, None for asymptotic rows.
     """
     jobs = [
         (loss, strategy.value)
         for loss in config.total_loss_db_grid
         for strategy in config.ordered_strategies()
     ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            outcomes = list(pool.map(_sweep_job, [config] * len(jobs),
-                                     [j[0] for j in jobs], [j[1] for j in jobs]))
+    shares = min(workers, len(jobs))
+    if shares > 1:
+        outcomes = [None] * len(jobs)
+        with ProcessPoolExecutor(max_workers=shares) as pool:
+            dealt = [jobs[k::shares] for k in range(shares)]
+            for k, rows in enumerate(pool.map(_sweep_rows, [config] * shares, dealt)):
+                outcomes[k::shares] = rows
     else:
-        outcomes = [_sweep_job(config, loss, name) for loss, name in jobs]
+        outcomes = _sweep_rows(config, jobs)
     return [row for row, _ in outcomes], [problem for _, problem in outcomes]
 
 

@@ -9,10 +9,12 @@ asymmetric signal intensities only, and fully asymmetric.  A strategy is
 one row of the tie table TIED_SLOTS.
 
 In asymptotic mode the rate depends on the two signal intensities alone,
-so the search is one- or two-dimensional: asymptotic_rate_grid evaluates a
-log-spaced grid over the intensity box at once (tied strategies read its
-diagonal), and grids shrunk around the best point refine it until the
-log step reaches float-level precision.  No seed enters.
+so the search is one- or two-dimensional: a log-spaced grid over the
+intensity box (tied strategies read its diagonal), then grids shrunk
+around the best point until the log step reaches float-level precision.
+asymptotic_searches refines many scenarios' searches in lockstep, one
+asymptotic_rate_grid call per round, each with the bits it has alone.
+No seed enters.
 
 In finite mode the strategy's coordinates (each the tuple of slots it sets
 to one value) and its random starts follow from its row of the tie table.
@@ -67,6 +69,7 @@ LINE_EVALUATIONS = 30  # objective evaluations at most per golden-section line s
 COARSE_POINTS = 41  # asymptotic search: points per side of the first log grid (0.1-decade steps)
 REFINE_POINTS = 11  # points per side of each shrunk grid; a round divides the step by 5
 FINAL_LOG_STEP = 1e-12  # log10 step that ends the refinement, about 2e-12 relative in s
+_LOG_BOX = np.log10([[[INTENSITY_MIN] * 2], [[INTENSITY_MAX] * 2]])  # low and high log10 (s_a, s_b), each (1, 2)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -250,66 +253,84 @@ def _entropy(x: np.ndarray) -> np.ndarray:
     return -x * np.log2(np.where(x > 0.0, x, 1.0)) - (1.0 - x) * np.log2(1.0 - x)
 
 
-def asymptotic_rate_grid(scenario: ChannelScenario, s_a_values, s_b_values) -> np.ndarray:
-    """Asymptotic key rates on the mesh s_a_values x s_b_values, shape (len(s_a), len(s_b)).
+def asymptotic_rate_grid(scenarios, s_a_values, s_b_values, grids=None) -> np.ndarray:
+    """Asymptotic key rates of scenarios[k] on the mesh s_a_values[k] x s_b_values[k], shape (S, N_a, N_b).
 
-    The array form of evaluate_key_rate(...).rate in asymptotic mode.  The
-    phase-error bound is the one evaluate_key_rate uses:
-    phase_error_upper_bound on one cat state per intensity of each side and
-    the cached true-yield grid.  Only the X-basis and entropy arithmetic
-    differs: p_xx and e_xx in numpy's forms of x_basis_gain and
-    x_basis_qber, then e_zz, h2 and key_rate.  numpy rounds exp, expm1 and
-    longer matrix sums differently, so values agree with evaluate_key_rate to
-    rounding, not bit for bit; the rate is 0 wherever no X-basis click can
-    occur.  Intensities must be nonnegative; an amplitude above
-    MAX_AMPLITUDE raises UnsupportedAmplitudeError.
+    The array form of evaluate_key_rate(...).rate in asymptotic mode, with
+    its phase-error bound: phase_error_upper_bound on one cat state per
+    intensity (one cat_amplitude_rows call for the stack) and the true-yield
+    grids (S, size, size), looked up when None.  p_xx, e_xx and the
+    entropies are numpy's, which rounds exp, expm1 and longer matrix sums
+    differently, so values agree with evaluate_key_rate to rounding, not bit
+    for bit; the rate is 0 wherever no X-basis click can occur.  Scenario
+    values enter as (S, 1, 1) columns in the scalar order of operations, so
+    a slice has the bits of a stack of one.  Intensities must be
+    nonnegative; an amplitude above MAX_AMPLITUDE raises UnsupportedAmplitudeError.
     """
     s_a = np.asarray(s_a_values, dtype=float)
     s_b = np.asarray(s_b_values, dtype=float)
-    gamma_a = (s_a * scenario.eta_a)[:, None]
-    gamma_b = (s_b * scenario.eta_b)[None, :]
+    eta_a, eta_b, p_d, cos_phi, cos_theta = np.array(
+        [(sc.eta_a, sc.eta_b, sc.p_d, math.cos(sc.phi), math.cos(sc.theta)) for sc in scenarios]).T[:, :, None, None]
+    gamma_a = s_a[:, :, None] * eta_a
+    gamma_b = s_b[:, None, :] * eta_b
     total = gamma_a + gamma_b
-    g = np.sqrt(gamma_a * gamma_b) * math.cos(scenario.phi) * math.cos(scenario.theta)
+    g = np.sqrt(gamma_a * gamma_b) * cos_phi * cos_theta
     minus = np.expm1(0.5 * total - g)
     plus = np.expm1(0.5 * total + g)
-    p_xx = np.clip((1.0 - scenario.p_d) * np.exp(-total) * (0.5 * (minus + plus) + scenario.p_d), 0.0, 1.0)
+    p_xx = np.clip((1.0 - p_d) * np.exp(-total) * (0.5 * (minus + plus) + p_d), 0.0, 1.0)
     clicks = p_xx > 0.0
-    e_xx = np.divide(minus + scenario.p_d, minus + plus + 2.0 * scenario.p_d, out=np.zeros_like(p_xx), where=clicks)
+    e_xx = np.divide(minus + p_d, minus + plus + 2.0 * p_d, out=np.zeros_like(p_xx), where=clicks)
 
-    grid = _true_yield_grid(scenario)
-    size = grid.shape[0]
-    gain = phase_error_upper_bound(cat_amplitude_rows(np.sqrt(s_a), size), cat_amplitude_rows(np.sqrt(s_b), size), grid)
+    if grids is None:
+        grids = np.stack([_true_yield_grid(sc) for sc in scenarios])
+    size, count = grids.shape[1], s_a.shape[1]
+    rows, sums = cat_amplitude_rows(np.sqrt(np.concatenate([s_a, s_b], axis=1)).ravel(), size)
+    rows, sums = rows.reshape(2, len(s_a), -1, size), sums.reshape(2, len(s_a), -1)
+    gain = phase_error_upper_bound((rows[:, :, :count], sums[:, :, :count]),
+                                   (rows[:, :, count:], sums[:, :, count:]), grids)
     # where no click occurs e_zz stays 1, so the entropy penalty alone zeroes the rate
     e_zz = np.minimum(np.divide(gain, p_xx, out=np.ones_like(p_xx), where=clicks), 1.0)
     net = 1.0 - _entropy(np.clip(e_xx, 0.0, 0.5)) - _entropy(np.minimum(e_zz, 0.5))
     return PATTERN_COUNT * p_xx * np.maximum(net, 0.0)
 
 
-def _asymptotic_search(scenario: ChannelScenario, tied: bool) -> tuple[float, float]:
-    """Signal intensities (s_a, s_b) of the best asymptotic rate, by shrinking log grids.
+def asymptotic_searches(scenarios, tied) -> list[tuple[float, float]]:
+    """Signal intensities (s_a, s_b) of the best asymptotic rate per scenario, by shrinking log grids.
 
     The first grid has COARSE_POINTS log-spaced intensities per side over
-    [INTENSITY_MIN, INTENSITY_MAX]; tied sides read the diagonal of the
-    rate mesh.  Each later grid has REFINE_POINTS per side over the cell of
-    one step either side of the best point, clipped to the box, until the
-    log10 step is at most FINAL_LOG_STEP.  The first best point in the
-    mesh wins ties, so a grid without key keeps the lowest intensities.
+    [INTENSITY_MIN, INTENSITY_MAX]; a search with tied[k] set reads the
+    diagonal of its rate mesh.  Each later grid has REFINE_POINTS per side
+    over the cell of one step either side of the best point, clipped to the
+    box, until the log10 step is at most FINAL_LOG_STEP.  The first best
+    point in the mesh wins ties, so a grid without key keeps the lowest
+    intensities.  The later grids run in lockstep, one asymptotic_rate_grid
+    call per round, each search until its own step is small enough; no
+    result depends on the searches stacked with it.
     """
-    box = (math.log10(INTENSITY_MIN), math.log10(INTENSITY_MAX))
-    cells, points = (box, box), COARSE_POINTS
-    while True:
-        logs = [np.linspace(low, high, points) for low, high in cells]
-        values = [10.0 ** u for u in logs]
-        rates = asymptotic_rate_grid(scenario, *values)
-        if tied:
-            best = (int(np.argmax(np.diagonal(rates))),) * 2
-        else:
-            best = np.unravel_index(int(np.argmax(rates)), rates.shape)
-        steps = [(high - low) / (points - 1) for low, high in cells]
-        if max(steps) <= FINAL_LOG_STEP:
-            return float(values[0][best[0]]), float(values[1][best[1]])
-        cells = tuple((max(box[0], u[k] - step), min(box[1], u[k] + step)) for u, k, step in zip(logs, best, steps))
-        points = REFINE_POINTS
+    tied, grids = np.array(tied, dtype=bool), np.stack([_true_yield_grid(sc) for sc in scenarios])
+    found, lo, hi = np.empty((3, len(scenarios), 2))
+    for k, scenario in enumerate(scenarios):  # a stack of first grids would hold every 41 x 41 mesh at once
+        found[k], lo[k], hi[k], _ = _grid_round([scenario], grids[k:k + 1], *_LOG_BOX, COARSE_POINTS, tied[k:k + 1])
+    active = np.arange(len(scenarios))
+    while active.size:
+        best, lo, hi, done = _grid_round([scenarios[k] for k in active], grids, lo, hi, REFINE_POINTS, tied)
+        found[active[done]] = best[done]
+        active, grids, tied, lo, hi = active[~done], grids[~done], tied[~done], lo[~done], hi[~done]
+    return [tuple(point) for point in found.tolist()]
+
+
+def _grid_round(scenarios, grids: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: int, tied: np.ndarray):
+    """One grid per search over its log10 cell [lo, hi], shape (S, 2): best (s_a, s_b), next lo and hi, done."""
+    logs = np.linspace(lo, hi, points, axis=-1)
+    values = 10.0 ** logs
+    rates = asymptotic_rate_grid(scenarios, values[:, 0], values[:, 1], grids)
+    flat = rates.reshape(len(rates), -1).argmax(axis=1)
+    diagonal = rates.diagonal(axis1=1, axis2=2).argmax(axis=1)
+    # (search, side, grid index) of each search's first best point, the diagonal's for a tied search
+    best = np.arange(len(rates))[:, None], (0, 1), np.where(tied, diagonal, np.divmod(flat, points)).T
+    steps = (hi - lo) / (points - 1)
+    return (values[best], np.maximum(_LOG_BOX[0], logs[best] - steps), np.minimum(_LOG_BOX[1], logs[best] + steps),
+            steps.max(axis=1) <= FINAL_LOG_STEP)
 
 
 def strategy_coordinates(strategy: Strategy) -> tuple[tuple[int, ...], ...]:
@@ -484,21 +505,28 @@ def _finite_objective(scenario: ChannelScenario, mode: EvaluationMode):
     return lambda params: _evaluate(scenario, params, mode, source)[0], warm
 
 
+def optimize_strategies(points, mode: EvaluationMode, n_starts: int,
+                        seed: int) -> list[tuple[ProtocolParameters, KeyRateReport]]:
+    """Optimize each (scenario, strategy) point; returns each winner and its evaluation, in order.
+
+    Finite mode runs the seeded multistart point by point; asymptotic mode
+    searches every point in one asymptotic_searches call and takes no seed.
+    The padding strategy optimizes the symmetric protocol on the transformed
+    (equal-loss) scenario; the extra loss is part of the strategy, so its
+    reported rate refers to the padded channel.
+    """
+    working = [(add_fibre_transform(sc) if strategy is Strategy.ADD_FIBRE else sc, strategy) for sc, strategy in points]
+    if mode.is_finite:
+        winners = [multistart(_finite_objective(sc, mode)[0], strategy, n_starts, seed)[0] for sc, strategy in working]
+    else:
+        searches = asymptotic_searches([sc for sc, _ in working], [0 in TIED_SLOTS[s] for _, s in working])
+        # asymptotic rates take no decoys
+        winners = [ProtocolParameters(s_a, s_b, mu_a=0.0, nu_a=0.0, mu_b=0.0, nu_b=0.0) for s_a, s_b in searches]
+    return [(params, evaluate_key_rate(sc, params, mode)) for (sc, _), params in zip(working, winners)]
+
+
 def optimize_strategy(scenario: ChannelScenario, strategy: Strategy, mode: EvaluationMode,
                       n_starts: int, seed: int) -> tuple[ProtocolParameters, KeyRateReport]:
-    """Optimize one strategy on a scenario; returns the winner and its evaluation.
-
-    Finite mode runs the seeded multistart; asymptotic mode runs the grid
-    search, which takes no seed, so n_starts and seed steer finite mode
-    only.  The padding strategy optimizes the symmetric protocol on the
-    transformed (equal-loss) scenario; the extra loss is part of the
-    strategy, so its reported rate refers to the padded channel.
-    """
-    working = add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario
-    if mode.is_finite:
-        params, _ = multistart(_finite_objective(working, mode)[0], strategy, n_starts, seed)
-    else:
-        s_a, s_b = _asymptotic_search(working, tied=0 in TIED_SLOTS[strategy])
-        # asymptotic rates take no decoys
-        params = ProtocolParameters(s_a=s_a, s_b=s_b, mu_a=0.0, nu_a=0.0, mu_b=0.0, nu_b=0.0)
-    return params, evaluate_key_rate(working, params, mode)
+    """optimize_strategies of the one point (scenario, strategy)."""
+    (outcome,) = optimize_strategies([(scenario, strategy)], mode, n_starts, seed)
+    return outcome

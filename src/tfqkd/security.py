@@ -18,7 +18,7 @@ one row per amplitude and parity, with the full even and odd amplitude
 sums; the squared amplitudes are channel.poisson_pmf_rows of alpha^2,
 the distribution the decoy LP mixes yields with.  phase_error_upper_bound
 bounds every pair of a side-a and a side-b cat state at once: the point
-evaluation passes one per side, the asymptotic grid one per intensity.
+evaluation passes one per side, the stacked asymptotic grids one per intensity.
 cat_state memoises the rows of one amplitude (a bounded functools cache on
 alpha and the row length): line searches over one signal intensity, and
 tied sides, ask for the same cat state over and over.  Its arrays are
@@ -98,7 +98,7 @@ def phase_error_upper_bound(cats_a: tuple, cats_b: tuple, bound_matrix: np.ndarr
 
     cats_a and cats_b are stacks as cat_amplitude_rows returns them, with
     rows as long as the square bound_matrix is wide; the result has shape
-    (len(alphas_a), len(alphas_b)).  bound_matrix[n, m] bounds the yield of
+    (N_a, N_b) for rows (2, N, size).  bound_matrix[n, m] bounds the yield of
     pair (n, m); pairs beyond the matrix edge take the trivial bound 1.
     The matrix is the decoy LP's 3x3 bound matrix in finite mode and the
     true-yield grid when yields are perfectly known.  With
@@ -111,13 +111,15 @@ def phase_error_upper_bound(cats_a: tuple, cats_b: tuple, bound_matrix: np.ndarr
     amplitude sums.  The result, B_even^2 + B_odd^2, bounds the gain of
     phase errors, so the phase-error rate is at most min(1, result / p_xx)
     at a positive X-basis gain p_xx; at zero gain no key can be distilled.
+    A leading stack axis (rows (2, S, N, size), sums (2, S, N), bounds
+    (S, size, size)) gives shape (S, N_a, N_b), each slice a stack of one's.
     """
     bounds = np.asarray(bound_matrix, dtype=float)
     # both comparisons are false for NaN, so NaN is rejected too
     if bounds.size and not (bounds.min() >= 0.0 and bounds.max() <= 1.0):
         raise DomainError("yield bounds must lie in [0, 1]")
     (rows_a, sums_a), (rows_b, sums_b) = cats_a, cats_b
-    brackets = sums_a[:, :, None] * sums_b[:, None, :] + rows_a @ (np.sqrt(bounds) - 1.0) @ rows_b.transpose(0, 2, 1)
+    brackets = sums_a[..., :, None] * sums_b[..., None, :] + rows_a @ (np.sqrt(bounds) - 1.0) @ rows_b.swapaxes(-1, -2)
     np.maximum(brackets, 0.0, out=brackets)
     brackets *= brackets
     return brackets[0] + brackets[1]

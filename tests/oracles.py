@@ -38,7 +38,10 @@ raise the same first error.  The rebase reference is simplex.rebase as
 first written, one carried state at a time, with the zero-pivot test that
 reoptimize then made; the package's rebase, which carries the finite
 search's five bases as one stack, must give each the same verdict and the
-same bytes.
+same bytes.  The asymptotic-search references are the rate grid of one
+scenario and the grid search of one scenario as first written, one
+kernel call per round; the package's searches, run in lockstep over many
+scenarios, must return the same intensity bits.
 """
 
 import itertools
@@ -55,22 +58,35 @@ from tfqkd.channel import (
     first_order_diagnostics,
     x_basis_gain,
     x_basis_qber,
+    yield_grid,
 )
 from tfqkd.decoy import _N_VARS, PHOTON_CUTOFF, DecoyObservations, LpProblem, yield_lp
 from tfqkd.experiments import QberScanRow
 from tfqkd.errors import DomainError, UnboundedProblemError, UnsupportedAmplitudeError, ZeroGainError
 from tfqkd.optimizer import (
+    COARSE_POINTS,
     DECOY_GAP,
+    FINAL_LOG_STEP,
     INTENSITY_MAX,
     INTENSITY_MIN,
     OMEGA_SHARE_MIN,
     PROBABILITY_MAX,
     PROBABILITY_MIN,
+    REFINE_POINTS,
     EvaluationMode,
     ProtocolParameters,
     Strategy,
+    _entropy,
 )
-from tfqkd.security import DEFAULT_TAIL_TOLERANCE, MAX_AMPLITUDE, binary_entropy, cat_state, phase_error_upper_bound
+from tfqkd.security import (
+    DEFAULT_TAIL_TOLERANCE,
+    MAX_AMPLITUDE,
+    PATTERN_COUNT,
+    binary_entropy,
+    cat_amplitude_rows,
+    cat_state,
+    phase_error_upper_bound,
+)
 from tfqkd.simplex import (
     _BASIC,
     _LOWER,
@@ -873,3 +889,61 @@ def qber_scan_reference(config) -> list:
         rows.append(QberScanRow(ratio=value / config.s_b, e_xx_full=e_full, e_xx_first_order=e_first,
                                 e_zz_upper=e_zz))
     return rows
+
+
+def asymptotic_rate_grid_reference(scenario, s_a_values, s_b_values) -> np.ndarray:
+    """optimizer.asymptotic_rate_grid of one scenario as first written, shape (len(s_a), len(s_b)).
+
+    Scenario values enter as Python floats, the cat rows of each side come
+    from their own cat_amplitude_rows call, and the phase-error bound is
+    phase_error_upper_bound's arithmetic on one (2, N, size) stack per side.
+    """
+    s_a = np.asarray(s_a_values, dtype=float)
+    s_b = np.asarray(s_b_values, dtype=float)
+    gamma_a = (s_a * scenario.eta_a)[:, None]
+    gamma_b = (s_b * scenario.eta_b)[None, :]
+    total = gamma_a + gamma_b
+    g = np.sqrt(gamma_a * gamma_b) * math.cos(scenario.phi) * math.cos(scenario.theta)
+    minus = np.expm1(0.5 * total - g)
+    plus = np.expm1(0.5 * total + g)
+    p_xx = np.clip((1.0 - scenario.p_d) * np.exp(-total) * (0.5 * (minus + plus) + scenario.p_d), 0.0, 1.0)
+    clicks = p_xx > 0.0
+    e_xx = np.divide(minus + scenario.p_d, minus + plus + 2.0 * scenario.p_d, out=np.zeros_like(p_xx), where=clicks)
+
+    grid = yield_grid(scenario)
+    size = grid.shape[0]
+    (rows_a, sums_a), (rows_b, sums_b) = cat_amplitude_rows(np.sqrt(s_a), size), cat_amplitude_rows(np.sqrt(s_b), size)
+    brackets = sums_a[:, :, None] * sums_b[:, None, :] + rows_a @ (np.sqrt(grid) - 1.0) @ rows_b.transpose(0, 2, 1)
+    np.maximum(brackets, 0.0, out=brackets)
+    brackets *= brackets
+    gain = brackets[0] + brackets[1]
+    e_zz = np.minimum(np.divide(gain, p_xx, out=np.ones_like(p_xx), where=clicks), 1.0)
+    net = 1.0 - _entropy(np.clip(e_xx, 0.0, 0.5)) - _entropy(np.minimum(e_zz, 0.5))
+    return PATTERN_COUNT * p_xx * np.maximum(net, 0.0)
+
+
+def asymptotic_search_reference(scenario, tied: bool) -> tuple[tuple[float, float], int]:
+    """The asymptotic grid search of one scenario as first written: ((s_a, s_b), rounds).
+
+    The first grid has COARSE_POINTS log-spaced intensities per side over
+    [INTENSITY_MIN, INTENSITY_MAX]; tied sides read the diagonal of the
+    rate mesh.  Each later grid has REFINE_POINTS per side over the cell of
+    one step either side of the best point, clipped to the box, until the
+    log10 step is at most FINAL_LOG_STEP.  rounds counts the grids.
+    """
+    box = (math.log10(INTENSITY_MIN), math.log10(INTENSITY_MAX))
+    cells, points, rounds = (box, box), COARSE_POINTS, 0
+    while True:
+        logs = [np.linspace(low, high, points) for low, high in cells]
+        values = [10.0 ** u for u in logs]
+        rates = asymptotic_rate_grid_reference(scenario, *values)
+        rounds += 1
+        if tied:
+            best = (int(np.argmax(np.diagonal(rates))),) * 2
+        else:
+            best = np.unravel_index(int(np.argmax(rates)), rates.shape)
+        steps = [(high - low) / (points - 1) for low, high in cells]
+        if max(steps) <= FINAL_LOG_STEP:
+            return (float(values[0][best[0]]), float(values[1][best[1]])), rounds
+        cells = tuple((max(box[0], u[k] - step), min(box[1], u[k] + step)) for u, k, step in zip(logs, best, steps))
+        points = REFINE_POINTS

@@ -254,12 +254,12 @@ class TestSweep:
             assert rows == serial_rows
             assert [p and p.to_text() for p in problems] == [p and p.to_text() for p in serial_problems]
 
-    def test_worker_pool_is_capped_at_the_job_count(self, monkeypatch):
+    @staticmethod
+    def _serial_pool(monkeypatch) -> list:
+        """Stand in a pool that records its size and runs jobs in this process; returns the sizes."""
         pools = []
 
         class SerialPool:
-            """Stands in for the process pool: records its size, runs jobs in this process."""
-
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
@@ -273,14 +273,45 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(experiments, "_sweep_job", lambda config, loss, name: ((loss, name), None))
-        config = SweepConfig.from_dict(dict(TINY_SWEEP))  # two jobs
+        return pools
+
+    def test_worker_pool_is_capped_at_the_job_count(self, monkeypatch):
+        pools = self._serial_pool(monkeypatch)
+        monkeypatch.setattr(experiments, "_sweep_rows", lambda config, jobs: [(job, None) for job in jobs])
+        config = SweepConfig.from_dict(dict(FINITE_SWEEP))  # two finite jobs, one per share
         rows, problems = run_sweep(config, workers=64)
         assert pools == [2]
-        assert rows == [(30.0, "symmetric"), (30.0, "fully_asymmetric")]
+        assert rows == [(20.0, "symmetric"), (20.0, "signal_only")]
         assert problems == [None, None]
         run_sweep(config, workers=2)
         assert pools == [2, 2]
+
+    def test_jobs_are_dealt_round_robin_into_one_share_per_worker(self, monkeypatch):
+        pools, shares = self._serial_pool(monkeypatch), []
+        monkeypatch.setattr(experiments, "_sweep_rows",
+                            lambda config, jobs: shares.append(jobs) or [(job, None) for job in jobs])
+        config = SweepConfig.from_dict(dict(TINY_SWEEP, total_loss_db_grid=[30.0, 40.0, 50.0]))
+        jobs = [(loss, name) for loss in (30.0, 40.0, 50.0) for name in ("symmetric", "fully_asymmetric")]
+        rows, _ = run_sweep(config, workers=4)
+        assert pools == [4]
+        assert shares == [jobs[0::4], jobs[1::4], jobs[2::4], jobs[3::4]]
+        assert rows == jobs
+        shares.clear()
+        assert run_sweep(config)[0] == jobs
+        assert pools == [4] and shares == [jobs]  # one worker: one share, no pool
+
+    def test_dealt_asymptotic_shares_write_the_bytes_of_one_share(self, monkeypatch, tmp_path):
+        # each share searches its rows in lockstep; no search depends on the others in its stack
+        pools = self._serial_pool(monkeypatch)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(dict(TINY_SWEEP, total_loss_db_grid=[30.0, 40.0, 50.0])))
+        outputs = []
+        for workers in ("4", "1"):
+            out = tmp_path / f"workers{workers}.csv"
+            assert main(["sweep", "--config", str(config), "--out", str(out), "--workers", workers]) == 0
+            outputs.append(out.read_bytes())
+        assert pools == [4]
+        assert outputs[0] == outputs[1]
 
     def test_finite_rows_carry_probabilities(self, finite_run):
         _, out, _ = finite_run

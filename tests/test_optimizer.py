@@ -12,26 +12,35 @@ from tfqkd import decoy, optimizer, security, simplex
 from tfqkd.channel import ChannelScenario
 from tfqkd.decoy import LpProblem
 from tfqkd.errors import DomainError, InfeasibleProblemError, UnsupportedAmplitudeError
-from tfqkd.experiments import SweepConfig
+from tfqkd.experiments import SweepConfig, split_total_loss
 from tfqkd.optimizer import (
     LINE_EVALUATIONS,
     LINE_TOLERANCE,
     EvaluationMode,
     ProtocolParameters,
     Strategy,
+    TIED_SLOTS,
     add_fibre_transform,
     asymptotic_rate_grid,
+    asymptotic_searches,
     coordinate_descent,
     draw_start,
     evaluate_key_rate,
     golden_section_max,
     multistart,
+    optimize_strategies,
     optimize_strategy,
     strategy_coordinates,
 )
 from tfqkd.security import key_rate
 
-from oracles import coordinate_descent_reference, draw_start_reference, strategy_coordinates_reference
+from oracles import (
+    asymptotic_rate_grid_reference,
+    asymptotic_search_reference,
+    coordinate_descent_reference,
+    draw_start_reference,
+    strategy_coordinates_reference,
+)
 from test_decoy_lp import WARM_AGREEMENT
 
 ASYMPTOTIC = EvaluationMode.asymptotic()
@@ -579,6 +588,12 @@ class TestEvaluate:
         assert report.lp_problem is None
 
 
+#: Asymptotic scenarios over the sweeps' range and beyond: loss, mismatch, dark counts, misalignment and phase.
+asymptotic_scenarios = st.builds(
+    lambda loss, mismatch, p_d, e_d, phi: ChannelScenario(*split_total_loss(loss, mismatch), p_d=p_d, e_d=e_d, phi=phi),
+    st.floats(0.0, 70.0), log_uniform(-3.0, 0.0), log_uniform(-10.0, -5.0), st.floats(0.0, 0.05), st.floats(-0.2, 0.2))
+
+
 class TestAsymptoticRateGrid:
     """The batched kernel is the array form of the scalar asymptotic evaluation."""
 
@@ -589,19 +604,35 @@ class TestAsymptoticRateGrid:
            e_d=st.floats(0.0, 0.05), p_d=st.floats(0.0, 1e-6), phi=st.floats(-0.1, 0.1),
            s_a=intensities, s_b=intensities)
     def test_matches_scalar_evaluation(self, loss_db, mismatch, e_d, p_d, phi, s_a, s_b):
-        from tfqkd.experiments import split_total_loss
-
         eta_a, eta_b = split_total_loss(loss_db, mismatch)
         scenario = ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=p_d, e_d=e_d, phi=phi)
         edges = [optimizer.INTENSITY_MIN, optimizer.INTENSITY_MAX]
         s_a, s_b = edges + s_a, edges + s_b
-        grid = asymptotic_rate_grid(scenario, s_a, s_b)
-        assert grid.shape == (len(s_a), len(s_b))
+        grid = asymptotic_rate_grid([scenario], [s_a], [s_b])
+        assert grid.shape == (1, len(s_a), len(s_b))
         for i, a in enumerate(s_a):
             for j, b in enumerate(s_b):
                 scalar = evaluate_key_rate(scenario, ProtocolParameters(a, b, 0.0, 0.0, 0.0, 0.0), ASYMPTOTIC).rate
-                assert (grid[i, j] == 0.0) == (scalar == 0.0)
-                assert grid[i, j] == pytest.approx(scalar, rel=1e-9, abs=0.0)
+                assert (grid[0, i, j] == 0.0) == (scalar == 0.0)
+                assert grid[0, i, j] == pytest.approx(scalar, rel=1e-9, abs=0.0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data(), stack=st.lists(asymptotic_scenarios, min_size=1, max_size=5),
+           n_a=st.integers(1, 4), n_b=st.integers(1, 4))
+    def test_a_stack_is_its_scenarios_in_bits(self, data, stack, n_a, n_b):
+        # one call over the stack, whose cat sums run as many terms as its largest amplitude needs, against
+        # a stack of one per scenario and the one-scenario kernel as first written
+        def draw(count):
+            values = data.draw(st.lists(st.floats(0.0, optimizer.INTENSITY_MAX), min_size=count, max_size=count))
+            return np.array(values).reshape(len(stack), -1)
+
+        s_a, s_b = draw(len(stack) * n_a), draw(len(stack) * n_b)
+        stacked = asymptotic_rate_grid(stack, s_a, s_b)
+        assert stacked.shape == (len(stack), n_a, n_b)
+        for k, scenario in enumerate(stack):
+            alone = asymptotic_rate_grid([scenario], s_a[k:k + 1], s_b[k:k + 1])
+            assert stacked[k].tobytes() == alone[0].tobytes()
+            assert stacked[k].tobytes() == asymptotic_rate_grid_reference(scenario, s_a[k], s_b[k]).tobytes()
 
     def test_amplitudes_above_the_regime_are_unsupported(self):
         # s = 150 is an amplitude of 12.2, above MAX_AMPLITUDE = 10, for the point and the mesh alike
@@ -609,7 +640,68 @@ class TestAsymptoticRateGrid:
         with pytest.raises(UnsupportedAmplitudeError):
             evaluate_key_rate(scenario, ProtocolParameters(150.0, 0.01, 0.0, 0.0, 0.0, 0.0), ASYMPTOTIC)
         with pytest.raises(UnsupportedAmplitudeError):
-            asymptotic_rate_grid(scenario, [150.0], [0.01])
+            asymptotic_rate_grid([scenario], [[150.0]], [[0.01]])
+
+
+class TestAsymptoticSearches:
+    """The lockstep search gives every search the bits of the per-search loop as first written."""
+
+    #: 60 dB at mismatch 1e-3 holds no key: a tied search keeps the lowest intensities, clipped at the box edge,
+    #: and its cells shrink tenfold per round instead of fivefold, so it ends after 13 grids instead of 17
+    CLIPPED = ChannelScenario(*split_total_loss(60.0, 1e-3), p_d=1e-8, e_d=0.02)
+
+    @staticmethod
+    def _traced(scenarios, tied):
+        """asymptotic_searches' result, as bits, and the stack size of each of its kernel calls."""
+        sizes, kernel = [], optimizer.asymptotic_rate_grid
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "asymptotic_rate_grid",
+                          lambda stack, *values: sizes.append(len(stack)) or kernel(stack, *values))
+            found = asymptotic_searches(scenarios, tied)
+        return [tuple(map(_bits, point)) for point in found], sizes
+
+    def test_the_clipped_search_ends_after_13_grids(self):
+        (point, rounds), (untied, untied_rounds) = (asymptotic_search_reference(self.CLIPPED, tied) for tied in (1, 0))
+        assert (point, rounds, untied_rounds) == ((optimizer.INTENSITY_MIN,) * 2, 13, 17)
+        found, sizes = self._traced([self.CLIPPED, self.CLIPPED], [True, False])
+        assert found == [tuple(map(_bits, point)), tuple(map(_bits, untied))]
+        # one first grid per search, then the stack of both until the clipped search leaves it
+        assert sizes == [1, 1] + [2] * 12 + [1] * 4
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(stack=st.lists(st.tuples(asymptotic_scenarios, st.sampled_from(list(Strategy))), max_size=5),
+           positions=st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    def test_each_search_has_the_bits_of_the_per_search_loop(self, stack, positions):
+        # the clipped search, tied, and a search with untied sides join every drawn stack
+        stack.insert(positions[0], (self.CLIPPED, Strategy.SYMMETRIC))
+        stack.insert(positions[1], (self.CLIPPED, Strategy.FULLY_ASYMMETRIC))
+        scenarios = [add_fibre_transform(sc) if s is Strategy.ADD_FIBRE else sc for sc, s in stack]
+        tied = [0 in TIED_SLOTS[s] for _, s in stack]
+        expected = [asymptotic_search_reference(sc, t) for sc, t in zip(scenarios, tied)]
+        found, sizes = self._traced(scenarios, tied)
+        assert found == [tuple(map(_bits, point)) for point, _ in expected]
+        rounds = [count for _, count in expected]
+        assert sizes == [1] * len(stack) + [sum(count > k for count in rounds) for k in range(1, max(rounds))]
+        for k, scenario in enumerate(scenarios):
+            assert self._traced([scenario], tied[k:k + 1])[0] == found[k:k + 1]
+
+    def test_each_true_yield_grid_is_looked_up_once(self):
+        # 70 scenarios cycle through the 64-entry grid cache: a lookup per round would miss it every time
+        scenarios = [ChannelScenario(*split_total_loss(float(loss), 0.1), p_d=1e-8, e_d=0.02) for loss in range(70)]
+        optimizer._true_yield_grid.cache_clear()
+        asymptotic_searches(scenarios, [True] * len(scenarios))
+        info = optimizer._true_yield_grid.cache_info()
+        assert (info.hits, info.misses) == (0, 70)
+
+    def test_a_batch_is_its_points(self):
+        # optimize_strategy is optimize_strategies of one point
+        points = [(ChannelScenario(*split_total_loss(loss, 0.1), p_d=1e-8, e_d=0.02), strategy)
+                  for loss in (30.0, 50.0) for strategy in Strategy]
+        batch = optimize_strategies(points, ASYMPTOTIC, n_starts=4, seed=1)
+        for (scenario, strategy), (params, report) in zip(points, batch):
+            alone_params, alone_report = optimize_strategy(scenario, strategy, ASYMPTOTIC, n_starts=4, seed=1)
+            assert _param_bits(params) == _param_bits(alone_params)
+            assert _report_bits(report) == _report_bits(alone_report)
 
 
 def _swapped(params):

@@ -307,7 +307,7 @@ class TestPhaseErrorBound:
         # the trivial bound: h2(1/2) = 1 consumes the whole key, and the grid reports no key where nothing clicks
         assert key_rate(0.0, 0.0, 1.0) == 0.0
         dark = ChannelScenario(eta_a=0.01, eta_b=0.1, p_d=0.0, e_d=0.02)
-        rates = optimizer.asymptotic_rate_grid(dark, [0.0, 0.1], [0.0, 0.01])  # 0.1 and 0.01 arrive balanced
+        (rates,) = optimizer.asymptotic_rate_grid([dark], [[0.0, 0.1]], [[0.0, 0.01]])  # 0.1 and 0.01 arrive balanced
         assert rates[0, 0] == 0.0 and rates[1, 1] > 0.0
 
     def test_bound_rejects_invalid_yields(self):
@@ -328,6 +328,24 @@ class TestPhaseErrorBound:
             for j, alpha_b in enumerate(alphas[:4]):
                 pair = phase_error_upper_bound(cat_state(alpha_a, 21), cat_state(alpha_b, 21), grid)
                 assert mesh[i, j] == pytest.approx(pair[0, 0], rel=1e-12)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data(), stack=st.integers(1, 4), n_a=st.integers(1, 4), n_b=st.integers(1, 4),
+           size=st.sampled_from([3, 21]))
+    def test_a_stack_is_its_slices_in_bits(self, data, stack, n_a, n_b, size):
+        # the grid's stacked call, rows (2, S, N, size) against bounds (S, size, size), is one call per slice
+        def draw(count, high):
+            return np.array(data.draw(st.lists(st.floats(0.0, high), min_size=count, max_size=count)))
+
+        rows, sums = cat_amplitude_rows(draw(stack * (n_a + n_b), 1.5), size)
+        rows, sums = rows.reshape(2, stack, n_a + n_b, size), sums.reshape(2, stack, n_a + n_b)
+        bounds = draw(stack * size * size, 1.0).reshape(stack, size, size)
+        sides = (slice(n_a), slice(n_a, None))
+        mesh = phase_error_upper_bound(*((rows[:, :, side], sums[:, :, side]) for side in sides), bounds)
+        assert mesh.shape == (stack, n_a, n_b)
+        for k in range(stack):
+            cats_a, cats_b = ((rows[:, k, side].copy(), sums[:, k, side].copy()) for side in sides)
+            assert mesh[k].tobytes() == phase_error_upper_bound(cats_a, cats_b, bounds[k].copy()).tobytes()
 
     def test_positive_key_at_symmetric_short_distance(self):
         # true yields at unit transmittance support a positive rate

@@ -52,9 +52,23 @@ times the stacked path of the QBER scan per LP, end to end as above:
   scenario of yield_lp_qber_exact.  It reports microseconds per LP, to
   compare with the one-LP calls of yield_lp_qber_exact.
 
+Three cases time the asymptotic grid search (optimizer.asymptotic_searches)
+per search.  The first two run REPEATS repeats of SWEEP_CALLS passes over
+the twelve rows of the benchmark's mismatch-0.1 asymptotic sweep (30, 40
+and 50 dB, e_d 0.02, p_d 1e-8, all four strategies, add_fibre on its
+padded channel):
+
+* asymptotic_search_alone: each row's search as a stack of one;
+* asymptotic_search_lockstep: the twelve searches as one stack, in
+  lockstep, as an asymptotic sweep runs them;
+* asymptotic_search_long: the 280 searches of a 70-point loss curve (0 to
+  69 dB, the same channel) as one stack, once per repeat.  Its 139
+  distinct scenarios are more than the true-yield-grid cache holds (64),
+  so each search builds its grid once.
+
 Every case is warmed up once before timing.  Each line reports the median
-over the repeats of the mean time per call (per LP for the stack), and the
-fastest repeat.  Only the standard library and numpy are used.
+over the repeats of the mean time per call (per LP for the stack, per
+search for the searches), and the fastest repeat.  Only the standard library and numpy are used.
 """
 
 import statistics
@@ -68,7 +82,9 @@ from tfqkd.channel import ChannelScenario  # noqa: E402  (needs src/ on the path
 from tfqkd.decoy import (  # noqa: E402
     STACK_SIZE, TARGET_PAIRS, WarmBases, sigma_multiplier_from_epsilon, yield_bounds, yield_lp)
 from tfqkd.experiments import split_total_loss  # noqa: E402
-from tfqkd.optimizer import EvaluationMode, ProtocolParameters, evaluate_key_rate  # noqa: E402
+from tfqkd.optimizer import (  # noqa: E402
+    TIED_SLOTS, EvaluationMode, ProtocolParameters, Strategy, add_fibre_transform, asymptotic_searches,
+    evaluate_key_rate)
 
 ETA_A, ETA_B = split_total_loss(40.0, 0.1)
 SCENARIO = ChannelScenario(eta_a=ETA_A, eta_b=ETA_B, p_d=1e-8, e_d=0.02)
@@ -82,9 +98,19 @@ PROBABILITIES = (PARAMS.p_mu_a, PARAMS.p_nu_a, PARAMS.p_omega_a)
 QBER_SCENARIO = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
 QBER_STACK = [((max(v, 0.01), min(v, 0.01), 0.0), DECOYS)
               for v in (10.0 ** (-3.0 + 3.0 * i / (STACK_SIZE - 1)) for i in range(STACK_SIZE))]
+SWEEP = [(add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario, 0 in TIED_SLOTS[strategy])
+         for loss in (30.0, 40.0, 50.0)
+         for scenario in (ChannelScenario(*split_total_loss(loss, 0.1), p_d=1e-8, e_d=0.02),)
+         for strategy in Strategy]
+LONG_SWEEP = [(add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario,
+               0 in TIED_SLOTS[strategy])
+              for loss in range(70)
+              for scenario in (ChannelScenario(*split_total_loss(float(loss), 0.1), p_d=1e-8, e_d=0.02),)
+              for strategy in Strategy]
 CALLS = 2000  # evaluate_key_rate calls per timed repeat
 LP_CALLS = 200  # yield_lp calls per timed repeat
 STACK_CALLS = 10  # yield_bounds calls per timed repeat
+SWEEP_CALLS = 5  # passes over the sweep's searches per timed repeat
 REPEATS = 9  # timed repeats per case
 
 
@@ -163,19 +189,34 @@ def _time_stack() -> list[float]:
     return per_lp
 
 
+def _time_searches(stacks: list, passes: int = SWEEP_CALLS) -> list[float]:
+    per_search = []
+    for stack in stacks:
+        asymptotic_searches(*zip(*stack))
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(passes):
+            for stack in stacks:
+                asymptotic_searches(*zip(*stack))
+        per_search.append((time.perf_counter() - start) / (passes * sum(map(len, stacks))) * 1e6)
+    return per_search
+
+
 def main() -> int:
-    cases = (("finite_fixed_signals", lambda: _time_case(FINITE, False), CALLS),
-             ("finite_changed_signal", lambda: _time_case(FINITE, True), CALLS),
-             ("asymptotic", lambda: _time_case(ASYMPTOTIC, True), CALLS),
-             ("yield_lp_finite", lambda: _time_lp(SCENARIO, FINITE, PROBABILITIES), LP_CALLS),
-             ("yield_lp_finite_warm", _time_warm_step, LP_CALLS),
-             ("yield_lp_finite_decoy_step", _time_decoy_step, LP_CALLS),
-             ("yield_lp_qber_exact", lambda: _time_lp(QBER_SCENARIO, ASYMPTOTIC, None), LP_CALLS),
-             ("yield_lp_qber_stack", _time_stack, STACK_CALLS))
-    for name, run, calls in cases:
+    cases = (("finite_fixed_signals", lambda: _time_case(FINITE, False), CALLS, "us/call"),
+             ("finite_changed_signal", lambda: _time_case(FINITE, True), CALLS, "us/call"),
+             ("asymptotic", lambda: _time_case(ASYMPTOTIC, True), CALLS, "us/call"),
+             ("yield_lp_finite", lambda: _time_lp(SCENARIO, FINITE, PROBABILITIES), LP_CALLS, "us/call"),
+             ("yield_lp_finite_warm", _time_warm_step, LP_CALLS, "us/call"),
+             ("yield_lp_finite_decoy_step", _time_decoy_step, LP_CALLS, "us/call"),
+             ("yield_lp_qber_exact", lambda: _time_lp(QBER_SCENARIO, ASYMPTOTIC, None), LP_CALLS, "us/call"),
+             ("yield_lp_qber_stack", _time_stack, STACK_CALLS, "us/LP"),
+             ("asymptotic_search_alone", lambda: _time_searches([[row] for row in SWEEP]), SWEEP_CALLS, "us/search"),
+             ("asymptotic_search_lockstep", lambda: _time_searches([SWEEP]), SWEEP_CALLS, "us/search"),
+             ("asymptotic_search_long", lambda: _time_searches([LONG_SWEEP], 1), 1, "us/search"))
+    for name, run, calls, unit in cases:
         times = run()
-        unit = "us/LP  " if run is _time_stack else "us/call"
-        print(f"{name:<26} {statistics.median(times):7.1f} {unit}  (fastest repeat {min(times):.1f}; "
+        print(f"{name:<26} {statistics.median(times):7.1f} {unit:<9}  (fastest repeat {min(times):.1f}; "
               f"{REPEATS} x {calls} calls)")
     return 0
 
