@@ -19,8 +19,11 @@ Misalignment is parametrized by a per-arm error fraction ``e_d``; the two
 arms are rotated in opposite directions so the relative polarization angle
 between the incoming modes is ``2*arcsin(sqrt(e_d))``.
 
-The gains and the QBER share one clamp rule, ``_clamp_probability``.
-All functions are pure and safe to call concurrently.
+z_basis_gains and poisson_pmf_rows take whole arrays, one call per stack
+of settings.  They map i0m1, expm1 and exp over the values on math, as
+numpy's may round otherwise (or per CPU), while its +, -, *, / and sqrt
+round as Python's floats do, so each value has its scalar bits.  Gains and
+QBER share one clamp rule; all functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ NEGATIVE_CLAMP = 1e-12
 
 RELATIVE_TRUNCATION = 1e-16  # i0m1 stops at a term this small relative to 1 plus its sum
 _MAX_TERMS = 400  # and after this many terms whatever their size
+_LOG_FLOAT_MAX = 709.782712893384  # math.log of the largest float: math.expm1 overflows above it
 
 
 @dataclass(frozen=True)
@@ -179,45 +183,51 @@ def i0m1(x: float) -> float:
     return total
 
 
-def z_basis_gain(scenario: ChannelScenario, gamma_decoy: ArrivingIntensities) -> float:
-    """Probability of one successful click pattern for a decoy intensity pair.
+def z_basis_gains(scenario: ChannelScenario, gamma_a, gamma_b) -> np.ndarray:
+    """Probability of one successful click pattern for each decoy pair of arriving intensities (broadcast).
 
-    The relative phase of phase-randomized pulses is uniform, and averaging
-    the no-click exponential over it produces the Bessel function:
+    Averaging the no-click exponential over the uniform relative phase gives
 
-        p = (1-p_d)[e^(-S/2) I0(sqrt(g'_a g'_b) cos theta) - e^-S]
-            + p_d (1-p_d) e^-S
+        p = (1-p_d)[e^(-S/2) I0(sqrt(g'_a g'_b) cos theta) - e^-S] + p_d (1-p_d) e^-S
 
-    Raises DomainError, naming the arriving intensities, once the light
-    term passes the float range.
+    The first pair in C order with an intensity outside [0, inf), or whose
+    light term passes the float range, raises DomainError naming it.
     """
-    total = gamma_decoy.gamma_a + gamma_decoy.gamma_b
-    x = math.sqrt(gamma_decoy.gamma_a * gamma_decoy.gamma_b) * math.cos(scenario.theta)
-    one_minus_pd = 1.0 - scenario.p_d
-    series = i0m1(x)  # I0(x) is 1.0 + series
-    try:
-        light = math.expm1(0.5 * total) * (1.0 + series) + series
-        if light == math.inf:  # the product overflowed, and inf * e^-S would be NaN
-            raise OverflowError
-    except OverflowError:
-        raise DomainError(f"decoy arriving intensities {gamma_decoy.gamma_a}, {gamma_decoy.gamma_b} "
-                          "overflow the Z-basis gain") from None
-    return _clamp_probability(one_minus_pd * math.exp(-total) * (light + scenario.p_d))
+    gamma_a, gamma_b = np.asarray(gamma_a, dtype=float), np.asarray(gamma_b, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a pair out of range or past the float range raises below
+        total = gamma_a + gamma_b
+        series = np.array(list(map(i0m1, (np.sqrt(gamma_a * gamma_b) * math.cos(scenario.theta)).ravel().tolist())))
+        growth = [math.expm1(v) if v <= _LOG_FLOAT_MAX else math.inf for v in (0.5 * total).ravel().tolist()]
+        light = (np.array(growth) * (1.0 + series) + series).reshape(total.shape)  # I0(x) is 1.0 + series
+    # 0 <= x < inf also rejects NaN, and holds for every light term that did not overflow
+    if not all(0.0 <= v < math.inf for x in (gamma_a, gamma_b, light) for v in x.ravel().tolist()):
+        for ga, gb, value in zip(*(x.ravel().tolist() for x in np.broadcast_arrays(gamma_a, gamma_b, light))):
+            ArrivingIntensities(ga, gb)  # raises for an intensity outside [0, inf)
+            if value == math.inf:
+                raise DomainError(f"decoy arriving intensities {ga}, {gb} overflow the Z-basis gain")
+    decay = np.array([math.exp(-v) for v in total.ravel().tolist()]).reshape(total.shape)
+    # the light term and p_d are nonnegative, so of the clamp rule only the cap at 1 can apply
+    return np.minimum((1.0 - scenario.p_d) * decay * (light + scenario.p_d), 1.0)
+
+
+def z_basis_gain(scenario: ChannelScenario, gamma_decoy: ArrivingIntensities) -> float:
+    """z_basis_gains of one pair of arriving intensities, as a float."""
+    return float(z_basis_gains(scenario, gamma_decoy.gamma_a, gamma_decoy.gamma_b))
 
 
 def poisson_pmf_rows(intensities, count: int) -> np.ndarray:
     """P_n = e^-mu mu^n / n! for n = 0..count-1, one row per intensity mu (a vacuum source gives e_0).
 
-    w_0 = math.exp(-mu) and w_n = w_(n-1) * (mu / n), the products taken in
-    order of n.  A negative, NaN or infinite intensity raises DomainError.
+    Intensities (..., N) give rows (..., N, count).  w_0 = math.exp(-mu), one value at a time on purpose (see
+    above), and w_n = w_(n-1) * (mu / n) in order of n.  A negative, NaN or infinite intensity raises DomainError.
     """
     mu = np.asarray(intensities, dtype=float)
-    values = mu.tolist()
+    values = mu.ravel().tolist()
     # 0 <= x < inf also rejects NaN; a Python loop costs less than numpy reductions on the few values a call has
     if not all(0.0 <= m < math.inf for m in values):
-        raise DomainError(f"intensities must be finite and nonnegative, got {values}")
-    first = np.array([math.exp(-m) for m in values])
-    return np.concatenate([first[:, None], mu[:, None] / np.arange(1, count)], axis=1)[:, :count].cumprod(axis=1)
+        raise DomainError(f"intensities must be finite and nonnegative, got {mu.tolist()}")
+    first = np.array([math.exp(-m) for m in values]).reshape(mu.shape + (1,))
+    return np.concatenate([first, mu[..., None] / np.arange(1, count)], axis=-1)[..., :count].cumprod(axis=-1)
 
 
 @lru_cache(maxsize=64)

@@ -8,6 +8,8 @@ variables; maximizing a single Y_nm over that polytope gives the upper
 bound fed to the phase-error estimate.  Finite data widens each gain to a
 standard-error confidence interval before the program is built.  The
 Poisson weights are channel.poisson_pmf_rows, one 3x10 matrix per side.
+Every step takes a leading stack axis: build_stack builds many settings' LPs
+at once, and build_problem one, with the labels and warnings of its dump.
 yield_lp is the path from a channel scenario and an EvaluationMode to the
 LP and its bound matrix, which the finite key-rate evaluation memoises.
 A finite search solves its LPs through yield_lp with a WarmBases of its
@@ -17,10 +19,10 @@ optimal is read as it stands, simplex.reoptimize re-solves every other
 one, and a probability step reuses the last LP's gains and arrays.  Those
 bounds may differ from the cold ones by a few 1e-11 and only rank points.
 yield_bounds is the QBER scan's path to the bound matrices of many decoy
-settings: it builds their asymptotic LPs a stack at a time and solves each
-stack in lockstep (simplex.maximize_stack), with the bits, and the first
-error, that one yield_lp per setting would give.  No module outside this
-one runs the chain from gains to problem to bounds.
+settings: it builds their asymptotic LPs with one build_stack call per
+stack and solves each stack in lockstep (simplex.maximize_stack), with the
+bits, and the first error, that one yield_lp per setting would give.  No
+module outside this one runs the chain from gains to problem to bounds.
 
 The statistical z-score is named ``sigma_multiplier`` throughout: the
 literature reuses the same symbol for arriving intensities and for the
@@ -39,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import simplex
-from .channel import ArrivingIntensities, ChannelScenario, poisson_pmf_rows, z_basis_gain
+from .channel import ChannelScenario, poisson_pmf_rows, z_basis_gains
 from .errors import DomainError, InfeasibleProblemError
 
 #: Photon-number cutoff: yield variables cover 0 <= n, m < PHOTON_CUTOFF.
@@ -171,19 +173,10 @@ def observations_from_scenario(
     with per-intensity selection probabilities adds the effective pulse
     counts needed for finite-size widening.
     """
-    gains = tuple(
-        tuple(
-            z_basis_gain(scenario, ArrivingIntensities.from_sources(scenario, ia, ib))
-            for ib in intensities_b
-        )
-        for ia in intensities_a
-    )
-    return DecoyObservations(
-        intensities_a=tuple(intensities_a),
-        intensities_b=tuple(intensities_b),
-        gains=gains,
-        pulse_counts=_pulse_counts(n_pulses, probabilities_a, probabilities_b),
-    )
+    gains = z_basis_gains(scenario, np.asarray(intensities_a, dtype=float)[:, None] * scenario.eta_a,
+                          np.asarray(intensities_b, dtype=float) * scenario.eta_b)
+    return DecoyObservations(tuple(intensities_a), tuple(intensities_b), tuple(map(tuple, gains.tolist())),
+                             _pulse_counts(n_pulses, probabilities_a, probabilities_b))
 
 
 def _pulse_counts(n_pulses, probabilities_a, probabilities_b) -> tuple[tuple[float, ...], ...] | None:
@@ -206,7 +199,8 @@ class LpProblem:
         0 <= Y_nm <= 1
 
     where slack_mass[r] is the exact Poisson mass outside the cutoff grid.
-    Counting both sides, the problem carries 18 gain inequalities.
+    Counting both sides, the problem carries 18 gain inequalities.  A
+    build_stack problem has a leading stack axis and no labels or warnings.
     """
 
     coefficients: np.ndarray
@@ -264,39 +258,55 @@ def build_problem(obs: DecoyObservations, sigma_multiplier: float | None = None)
         for side, values in (("A", obs.intensities_a), ("B", obs.intensities_b))
         for k, names in enumerate(("mu == nu", "nu == omega")) if values[k] == values[k + 1]
     )
-    pmf_a = poisson_pmf_rows(obs.intensities_a, PHOTON_CUTOFF)
-    pmf_b = poisson_pmf_rows(obs.intensities_b, PHOTON_CUTOFF)
-    gain_lower, gain_upper = _widened_gains(obs, sigma_multiplier)
-    return LpProblem(
-        coefficients=(pmf_a[:, None, :, None] * pmf_b[None, :, None, :]).reshape(9, _N_VARS),
-        gain_lower=gain_lower,
-        gain_upper=gain_upper,
-        slack_mass=1.0 - np.outer(pmf_a.sum(axis=1), pmf_b.sum(axis=1)).reshape(9),
-        pair_labels=tuple(f"(mu_a[{i}]={a:g}, mu_b[{j}]={b:g})"
-                          for i, a in enumerate(obs.intensities_a) for j, b in enumerate(obs.intensities_b)),
-        warnings=warnings,
-    )
+    return _problem(obs.intensities_a, obs.intensities_b, obs.gains, obs.pulse_counts, sigma_multiplier,
+                    pair_labels=tuple(f"(mu_a[{i}]={a:g}, mu_b[{j}]={b:g})" for i, a in enumerate(obs.intensities_a)
+                                      for j, b in enumerate(obs.intensities_b)),
+                    warnings=warnings)
 
 
-def _widened_gains(obs: DecoyObservations, sigma_multiplier: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """build_problem's (gain_lower, gain_upper): the gains, widened given a sigma multiplier."""
-    gains = np.array(obs.gains, dtype=float).reshape(9)
+def build_stack(scenario: ChannelScenario, intensities_a, intensities_b) -> LpProblem:
+    """The asymptotic yield LPs of many decoy settings, one (mu, nu, omega) row per setting and side.
+
+    Slice k holds the bytes of build_problem(observations_from_scenario(...)) for setting k.  A setting that
+    those reject raises DomainError here without being named: built alone, it is.
+    """
+    intensities_a, intensities_b = np.asarray(intensities_a, dtype=float), np.asarray(intensities_b, dtype=float)
+    for side in (intensities_a, intensities_b):
+        if side.shape[-1:] != (3,) or not ((side[..., 2] >= 0.0).all() and (side[..., :2] >= side[..., 1:]).all()):
+            raise DomainError("decoy intensities must be non-increasing nonnegative triples")
+    gains = z_basis_gains(scenario, intensities_a[..., None] * scenario.eta_a,
+                          intensities_b[..., None, :] * scenario.eta_b)
+    return _problem(intensities_a, intensities_b, gains, None, None, pair_labels=())
+
+
+def _problem(intensities_a, intensities_b, gains, pulse_counts, sigma_multiplier, **labels) -> LpProblem:
+    """The LpProblem of (..., 3) intensities per side and (..., 3, 3) gains and pulse counts; rows are n-major."""
+    pmf_a, pmf_b = poisson_pmf_rows(np.array([intensities_a, intensities_b], dtype=float), PHOTON_CUTOFF)
+    rows = pmf_a.shape[:-2] + (9,)
+    return LpProblem((pmf_a[..., :, None, :, None] * pmf_b[..., None, :, None, :]).reshape(rows + (_N_VARS,)),
+                     *_widened(gains, pulse_counts, sigma_multiplier),
+                     1.0 - (pmf_a.sum(axis=-1)[..., :, None] * pmf_b.sum(axis=-1)[..., None, :]).reshape(rows),
+                     **labels)
+
+
+def _widened(gains, pulse_counts, sigma_multiplier: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(gain_lower, gain_upper) of (..., 3, 3) gains, flattened to (..., 9), widened given a sigma multiplier."""
+    gains = np.array(gains, dtype=float)
+    gains = gains.reshape(gains.shape[:-2] + (9,))
     if sigma_multiplier is None:
         return gains, gains.copy()
-    delta = sigma_multiplier * np.sqrt(gains / np.array(obs.pulse_counts, dtype=float).reshape(9))
+    delta = sigma_multiplier * np.sqrt(gains / np.array(pulse_counts, dtype=float).reshape(gains.shape))
     return np.maximum(0.0, gains - delta), gains + delta
 
 
 def _checked_bounds(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """constraint_bounds, or InfeasibleProblemError naming the pair whose upper bound lies below its lower bound."""
+    """constraint_bounds, or InfeasibleProblemError naming the first pair whose upper bound lies below its lower."""
     lower, upper = problem.constraint_bounds()
     bad = upper - lower < -1e-12
     if np.any(bad):
         index = int(np.argmax(bad))
-        raise InfeasibleProblemError(
-            f"constraint pair {problem.pair_labels[index]} has upper bound below lower bound",
-            constraint=problem.pair_labels[index],
-        )
+        pair = problem.pair_labels[index] if problem.pair_labels else f"#{index} of the stack"
+        raise InfeasibleProblemError(f"constraint pair {pair} has upper bound below lower bound", constraint=pair)
     return lower, upper
 
 
@@ -424,19 +434,6 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
     return _bound_matrix(values)
 
 
-def _solve_stack(problems: list[LpProblem]) -> list[np.ndarray]:
-    """solve_yield_bounds of every problem, through one lockstep stack when there are several."""
-    if len(problems) > 1:
-        lower, upper = zip(*(problem.constraint_bounds() for problem in problems))
-        a, b, ub = _equality_form(np.array([problem.coefficients for problem in problems]),
-                                  np.array(lower), np.array(upper))
-        values = simplex.maximize_stack(a, b, ub, _objectives(a.shape[-1]))
-        if values is not None and np.isfinite(values).all():
-            return [_bound_matrix(row) for row in values.tolist()]
-    # one LP, or a stack in which some LP fails: LP by LP, so that the first failure raises
-    return [solve_yield_bounds(problem) for problem in problems]
-
-
 def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float],
              intensities_b: tuple[float, float, float], mode: EvaluationMode = EvaluationMode(),
              probabilities_a: tuple[float, float, float] | None = None,
@@ -457,7 +454,7 @@ def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float
     if warm is not None and warm.key == key:
         obs = DecoyObservations(key[2], key[3], warm.gains,
                                 _pulse_counts(mode.n_pulses, probabilities_a, probabilities_b))
-        gain_lower, gain_upper = _widened_gains(obs, mode.sigma_multiplier)
+        gain_lower, gain_upper = _widened(obs.gains, obs.pulse_counts, mode.sigma_multiplier)
         problem = dataclasses.replace(warm.problem, gain_lower=gain_lower, gain_upper=gain_upper)
     else:
         obs = observations_from_scenario(scenario, intensities_a, intensities_b, mode.n_pulses,
@@ -471,39 +468,38 @@ def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float
     return problem, bounds
 
 
-def _solve_in_stacks(problems: Iterable[LpProblem]) -> list[np.ndarray]:
-    """solve_yield_bounds of every problem, in order, drawn and solved STACK_SIZE at a time.
-
-    Errors surface as solving the problems one by one would raise them:
-    when drawing or checking problem i raises, the problems before it in
-    its stack are solved first, and an error of theirs comes first.
-    """
-    problems = iter(problems)
-    bounds = []
-    while True:
-        stack = []
-        try:
-            for problem in itertools.islice(problems, STACK_SIZE):
-                _checked_bounds(problem)
-                stack.append(problem)
-        except Exception:
-            _solve_stack(stack)
-            raise
-        if not stack:
-            return bounds
-        bounds.extend(_solve_stack(stack))
-
-
 def yield_bounds(scenario: ChannelScenario,
                  decoy_sets: Iterable[tuple[tuple[float, ...], tuple[float, ...]]]) -> list[np.ndarray]:
     """Asymptotic bound matrices of many decoy settings of one scenario, in order.
 
     decoy_sets yields (intensities_a, intensities_b) pairs; each matrix is
-    the one yield_lp returns for its pair in the asymptotic mode, bit for
-    bit.  The pairs are drawn as their problems are built, STACK_SIZE
-    problems at a time, and each such stack is solved in lockstep before
-    the next pairs are drawn.  Errors surface in the order of the pairs, as
-    one yield_lp call per pair would raise them.
+    yield_lp's for its pair in the asymptotic mode, bit for bit.  Pairs are
+    drawn, built and solved STACK_SIZE at a time.  Errors surface in the
+    order of the pairs, as one yield_lp call per pair would raise them.
     """
-    return _solve_in_stacks(build_problem(observations_from_scenario(scenario, intensities_a, intensities_b))
-                            for intensities_a, intensities_b in decoy_sets)
+    decoy_sets, bounds = iter(decoy_sets), []
+    while True:
+        stack = []
+        try:
+            for pair in itertools.islice(decoy_sets, STACK_SIZE):
+                stack.append(pair)
+        except Exception:
+            _stack_bounds(scenario, stack)
+            raise
+        if not stack:
+            return bounds
+        bounds.extend(_stack_bounds(scenario, stack))
+
+
+def _stack_bounds(scenario: ChannelScenario, stack: list) -> list[np.ndarray]:
+    """yield_bounds of one stack, built and solved at once, or setting by setting if it holds one or any fails."""
+    if len(stack) > 1:
+        try:
+            problem = build_stack(scenario, *zip(*stack))
+            a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
+        except (ValueError, TypeError, InfeasibleProblemError):  # the failing setting is found one by one below
+            a = None
+        values = None if a is None else simplex.maximize_stack(a, b, ub, _objectives(a.shape[-1]))
+        if values is not None and np.isfinite(values).all():
+            return [_bound_matrix(row) for row in values.tolist()]
+    return [solve_yield_bounds(build_problem(observations_from_scenario(scenario, *pair))) for pair in stack]

@@ -264,8 +264,7 @@ def run_qber_scan(config: QberScanConfig):
     decoy.yield_bounds, which solves them in stacks.
     """
     scenario = config.scenario()
-    gamma_signal = ArrivingIntensities.from_sources(scenario, config.s_b, config.s_b)
-    p_xx_signal = x_basis_gain(scenario, gamma_signal)
+    p_xx_signal = x_basis_gain(scenario, ArrivingIntensities.from_sources(scenario, config.s_b, config.s_b))
     x_columns = []
 
     def decoy_sets():
@@ -279,17 +278,12 @@ def run_qber_scan(config: QberScanConfig):
             yield (strong, weak, 0.0), (config.mu_b, config.nu, 0.0)
 
     bound_matrices = yield_bounds(scenario, decoy_sets())
-    rows = []
-    for value, (e_full, e_first), bounds in zip(config.s_a_grid, x_columns, bound_matrices):
-        cat = cat_state(math.sqrt(config.s_b), bounds.shape[0])
-        e_zz = min(1.0, float(phase_error_upper_bound(cat, cat, bounds)[0, 0]) / p_xx_signal)
-        rows.append(QberScanRow(
-            ratio=value / config.s_b,
-            e_xx_full=e_full,
-            e_xx_first_order=e_first,
-            e_zz_upper=e_zz,
-        ))
-    return rows
+    # the signal's cat rows, broadcast as one stack slice per bound matrix: one bound call for the whole grid
+    cat = tuple(part[:, None] for part in cat_state(math.sqrt(config.s_b), bound_matrices[0].shape[0]))
+    phase_errors = phase_error_upper_bound(cat, cat, bound_matrices)[:, 0, 0].tolist()
+    return [QberScanRow(ratio=value / config.s_b, e_xx_full=e_full, e_xx_first_order=e_first,
+                        e_zz_upper=min(1.0, phase_error / p_xx_signal))
+            for value, (e_full, e_first), phase_error in zip(config.s_a_grid, x_columns, phase_errors)]
 
 
 def config_digest(document: dict) -> str:

@@ -29,7 +29,10 @@ double to check a bound against a point that rounding cannot move.  The
 decoy references are the Poisson vector, the gain widening and the LP
 assembly as first written, one intensity pair at a time; the package's
 poisson_pmf_rows and whole-array build_problem must return the same bytes.
-The QBER reference is x_basis_qber with the negative-margin branch and
+The Z-basis gain reference is z_basis_gain as first written, one pair of
+arriving intensities at a time; the package's z_basis_gains, which maps
+the transcendental calls over whole arrays, must return the same bytes
+and raise the same first error.  The QBER reference is x_basis_qber with the negative-margin branch and
 [0, 1] check it carried before it shared the gains' clamp rule; wherever it
 returns, the package must return the same bits.  The QBER-scan reference is
 run_qber_scan as first written, one yield_lp per grid point; the package's
@@ -53,9 +56,11 @@ import numpy as np
 from tfqkd.channel import (
     NEGATIVE_CLAMP,
     ArrivingIntensities,
+    _clamp_probability,
     _port_bunching_table,
     _x_basis_terms,
     first_order_diagnostics,
+    i0m1,
     x_basis_gain,
     x_basis_qber,
     yield_grid,
@@ -871,6 +876,22 @@ def x_basis_qber_reference(scenario, gamma) -> float:
     if not (0.0 <= ratio <= 1.0):
         raise DomainError(f"QBER evaluated to {ratio}, outside [0, 1]")
     return ratio
+
+
+def z_basis_gain_reference(scenario, gamma_decoy) -> float:
+    """z_basis_gain as first written: one pair of arriving intensities, scalar math throughout."""
+    total = gamma_decoy.gamma_a + gamma_decoy.gamma_b
+    x = math.sqrt(gamma_decoy.gamma_a * gamma_decoy.gamma_b) * math.cos(scenario.theta)
+    one_minus_pd = 1.0 - scenario.p_d
+    series = i0m1(x)  # I0(x) is 1.0 + series
+    try:
+        light = math.expm1(0.5 * total) * (1.0 + series) + series
+        if light == math.inf:  # the product overflowed, and inf * e^-S would be NaN
+            raise OverflowError
+    except OverflowError:
+        raise DomainError(f"decoy arriving intensities {gamma_decoy.gamma_a}, {gamma_decoy.gamma_b} "
+                          "overflow the Z-basis gain") from None
+    return _clamp_probability(one_minus_pd * math.exp(-total) * (light + scenario.p_d))
 
 
 def qber_scan_reference(config) -> list:

@@ -16,10 +16,11 @@ from tfqkd.channel import (
     x_basis_qber,
     yield_grid,
     z_basis_gain,
+    z_basis_gains,
 )
 from tfqkd.errors import DomainError, ZeroGainError
 
-from oracles import photon_path_yield, x_basis_qber_reference, yield_nm_asymptotic
+from oracles import photon_path_yield, x_basis_qber_reference, yield_nm_asymptotic, z_basis_gain_reference
 
 # A near-balanced pair at phi = pi whose QBER ratio rounds to 1 + 2^-52
 BALANCED_AT_PI = (2.2620865017496965e-06, 2.262086501749698e-06)
@@ -231,6 +232,35 @@ class TestZBasis:
         for gamma_b in (1400.0, 2000.0):
             with pytest.raises(DomainError, match=rf"decoy arriving intensities 0\.5, {gamma_b} overflow"):
                 z_basis_gain(sc, ArrivingIntensities(0.5, gamma_b))
+
+    #: Arriving intensities: log-uniform ones, zeros, ones past the overflow near 1419.6 and, rarely, invalid ones.
+    GAMMAS = st.one_of(st.just(0.0), st.floats(-12.0, 1.0).map(lambda e: 10.0**e), st.floats(0.0, 3000.0),
+                       st.sampled_from([1400.0, 1e308, -0.5, math.nan, math.inf]))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(p_d=st.one_of(st.just(0.0), st.floats(0.0, 0.01)), e_d=st.floats(0.0, 0.5),
+           gammas_a=st.lists(GAMMAS, min_size=1, max_size=4), gammas_b=st.lists(GAMMAS, min_size=1, max_size=4))
+    def test_array_gains_are_the_scalar_gains_in_bytes(self, p_d, e_d, gammas_a, gammas_b):
+        # every pair of a broadcast grid has the bytes of the scalar routine as first written, and the
+        # first pair in C order that the scalar routine rejects raises its error
+        sc = scenario(p_d=p_d, e_d=e_d)
+        expected, first_error = [], None
+        for ga in gammas_a:
+            for gb in gammas_b:
+                try:
+                    expected.append(z_basis_gain_reference(sc, ArrivingIntensities(ga, gb)))
+                except DomainError as error:
+                    first_error = first_error or str(error)
+        if first_error is not None:
+            with pytest.raises(DomainError) as excinfo:
+                z_basis_gains(sc, np.array(gammas_a)[:, None], np.array(gammas_b))
+            assert str(excinfo.value) == first_error
+            return
+        gains = z_basis_gains(sc, np.array(gammas_a)[:, None], np.array(gammas_b))
+        assert gains.shape == (len(gammas_a), len(gammas_b))
+        assert [value.hex() for value in gains.ravel().tolist()] == [value.hex() for value in expected]
+        scalar = [z_basis_gain(sc, ArrivingIntensities(ga, gb)) for ga in gammas_a for gb in gammas_b]
+        assert [value.hex() for value in scalar] == [value.hex() for value in expected]
 
 
 class TestYields:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfqkd import decoy, simplex
-from tfqkd.channel import ChannelScenario, poisson_pmf_rows, yield_grid
+from tfqkd.channel import ArrivingIntensities, ChannelScenario, poisson_pmf_rows, yield_grid
 from tfqkd.decoy import (
     PHOTON_CUTOFF,
     STACK_SIZE,
@@ -18,12 +18,13 @@ from tfqkd.decoy import (
     EvaluationMode,
     LpProblem,
     build_problem,
+    build_stack,
     observations_from_scenario,
     sigma_multiplier_from_epsilon,
     _equality_form,
     _objectives,
-    _solve_in_stacks,
     solve_yield_bounds,
+    yield_bounds,
     yield_lp,
 )
 from tfqkd.errors import DomainError, InfeasibleProblemError
@@ -36,6 +37,7 @@ from oracles import (
     poisson_pmf_vector_reference,
     rebase_reference,
     scipy_yield_upper_bound,
+    z_basis_gain_reference,
 )
 
 NOMINAL = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
@@ -216,66 +218,114 @@ class TestNanIsRejected:
 
 
 class TestSolveInStacks:
-    """Errors of a stacked solve surface as one solve_yield_bounds per problem, in order, raises them."""
+    """Errors of yield_bounds surface as one yield_lp per setting, in order, raises them."""
 
     @staticmethod
-    def problems(count=6):
-        return [build_problem(observations_from_scenario(NOMINAL, (0.1 + 0.01 * i, 0.01, 0.0), DECOYS))
-                for i in range(count)]
+    def settings(count=6):
+        # strong decoys that no other intensity of the stack shares, so that a failure can be keyed on them
+        return [((0.2 + 0.01 * i, 0.01, 0.0), DECOYS) for i in range(count)]
 
     @staticmethod
-    def contradictory(problem, row):
-        # a gain of 2 is above any mixture of yields in [0, 1]: phase 1 fails, the spans stay valid
-        gains = problem.gain_upper.copy()
-        gains[row] = 2.0
-        return dataclasses.replace(problem, gain_lower=gains, gain_upper=gains.copy())
+    def break_settings(monkeypatch, settings, broken):
+        """Make settings[index] fail as broken[index] says, for a stacked build and a build alone alike.
+
+        ("contradictory", row): the gain of that row is 1.0, which no mixture
+        of yields matches next to the vacuum pair's gain of 0, so phase 1
+        fails; ("crossed", None): the Poisson row of the strong decoy is
+        inflated by 1e-3, so its tail mass is negative and the upper bounds
+        of its pairs lie below their lower bounds; ("overflow", None): the
+        strong decoy is so large that its Z-basis gain overflows;
+        ("unsorted", None): the strong decoy lies below the weak one, which
+        DecoyObservations rejects.
+        """
+        gains_of, rows_of = decoy.z_basis_gains, decoy.poisson_pmf_rows
+        contradicted = {settings[i][0][0]: row for i, (kind, row) in broken.items() if kind == "contradictory"}
+        inflated = [settings[i][0][0] for i, (kind, _) in broken.items() if kind == "crossed"]
+
+        def gains(scenario, gamma_a, gamma_b):
+            values = gains_of(scenario, gamma_a, gamma_b)
+            flat = values.reshape(-1, 9)
+            strong = np.broadcast_to(gamma_a, values.shape).reshape(-1, 9)[:, 0]  # eta is 1: gamma is the intensity
+            for value, row in contradicted.items():
+                flat[strong == value, row] = 1.0
+            return values
+
+        def rows(intensities, count):
+            values = rows_of(intensities, count)
+            values[np.isin(intensities, inflated)] *= 1.001
+            return values
+
+        monkeypatch.setattr(decoy, "z_basis_gains", gains)
+        monkeypatch.setattr(decoy, "poisson_pmf_rows", rows)
+        for index, (kind, _) in broken.items():
+            if kind in ("overflow", "unsorted"):
+                settings[index] = ((3000.0 if kind == "overflow" else 0.005, 0.01, 0.0), DECOYS)
 
     @staticmethod
-    def crossed(problem, row):
-        gain_upper = problem.gain_upper.copy()
-        gain_upper[row] = problem.constraint_bounds()[0][row] - 1e-3
-        return dataclasses.replace(problem, gain_upper=gain_upper)
-
-    @staticmethod
-    def first_error(problems):
-        for problem in problems:
+    def first_error(settings):
+        """Index and (type, text, constraint) of the first error of one yield_lp per setting."""
+        for index, setting in enumerate(settings):
             try:
-                solve_yield_bounds(problem)
-            except InfeasibleProblemError as error:
-                return str(error), error.constraint
-        raise AssertionError("no problem fails")
+                yield_lp(NOMINAL, *setting)
+            except (DomainError, InfeasibleProblemError) as error:
+                return index, (type(error), str(error), getattr(error, "constraint", None))
+        raise AssertionError("no setting fails")
+
+    @staticmethod
+    def solved(monkeypatch):
+        """The bound matrices that solve_yield_bounds returns from now on."""
+        solve, matrices = decoy.solve_yield_bounds, []
+
+        def recording(problem, warm=None):
+            matrices.append(solve(problem, warm))
+            return matrices[-1]
+
+        monkeypatch.setattr(decoy, "solve_yield_bounds", recording)
+        return matrices
 
     @pytest.mark.parametrize("broken", [
-        {3: (contradictory, 4), 5: (contradictory, 1)},
-        {1: (contradictory, 7), 4: (crossed, 2)},
-        {1: (crossed, 0), 4: (contradictory, 3)},
-        {2: (contradictory, 2), 3: (crossed, 8), 5: (contradictory, 0)},
+        {3: ("contradictory", 4), 5: ("contradictory", 1)},
+        {1: ("contradictory", 7), 4: ("crossed", None)},
+        {1: ("crossed", None), 4: ("contradictory", 3)},
+        {2: ("contradictory", 2), 3: ("crossed", None), 5: ("contradictory", 0)},
+        {3: ("overflow", None)},
+        {2: ("overflow", None), 4: ("crossed", None)},
+        {4: ("crossed", None)},
+        {1: ("contradictory", 8), 2: ("overflow", None)},
+        {2: ("unsorted", None)},
+        {3: ("unsorted", None), 4: ("overflow", None)},
     ])
-    def test_the_first_failing_problem_raises(self, broken):
-        problems = self.problems()
-        for index, (make, row) in broken.items():
-            problems[index] = make(problems[index], row)
-        with pytest.raises(InfeasibleProblemError) as excinfo:
-            _solve_in_stacks(problems)
-        assert (str(excinfo.value), excinfo.value.constraint) == self.first_error(problems)
+    def test_the_first_failing_problem_raises(self, monkeypatch, broken):
+        # the stack of six fails as a whole and runs setting by setting: the settings before the
+        # first failing one are solved, and its own error, as yield_lp raises it, is raised
+        settings = self.settings()
+        self.break_settings(monkeypatch, settings, broken)
+        first, expected = self.first_error(settings)
+        matrices = self.solved(monkeypatch)
+        with pytest.raises((DomainError, InfeasibleProblemError)) as excinfo:
+            yield_bounds(NOMINAL, settings)
+        error = excinfo.value
+        assert (type(error), str(error), getattr(error, "constraint", None)) == expected
+        assert [m.tobytes() for m in matrices] == [yield_lp(NOMINAL, *s)[1].tobytes() for s in settings[:first]]
 
-    def test_a_problem_that_cannot_be_drawn_raises_after_the_ones_before_it(self):
-        def drawn(problems):
-            yield from problems
-            raise DomainError("the next problem cannot be built")
+    def test_a_problem_that_cannot_be_drawn_raises_after_the_ones_before_it(self, monkeypatch):
+        def drawn(settings):
+            yield from settings
+            raise DomainError("the next setting cannot be drawn")
 
-        with pytest.raises(DomainError, match="cannot be built"):
-            _solve_in_stacks(drawn(self.problems(3)))
-        problems = self.problems(3)
-        problems[1] = self.contradictory(problems[1], 5)
+        with pytest.raises(DomainError, match="cannot be drawn"):
+            yield_bounds(NOMINAL, drawn(self.settings(3)))
+        settings = self.settings(3)
+        self.break_settings(monkeypatch, settings, {1: ("contradictory", 5)})
+        _, expected = self.first_error(settings)
         with pytest.raises(InfeasibleProblemError) as excinfo:
-            _solve_in_stacks(drawn(problems))
-        assert (str(excinfo.value), excinfo.value.constraint) == self.first_error(problems)
+            yield_bounds(NOMINAL, drawn(settings))
+        assert (type(excinfo.value), str(excinfo.value), excinfo.value.constraint) == expected
 
     @pytest.mark.parametrize("count, stacks", [(STACK_SIZE + 5, [STACK_SIZE, 5]),
                                                (2 * STACK_SIZE + 1, [STACK_SIZE, STACK_SIZE])])
     def test_stacked_bounds_match_one_solve_per_problem(self, monkeypatch, count, stacks):
-        problems = self.problems(count)
+        settings = self.settings(count)
         sizes = []
         stacked = simplex.maximize_stack
 
@@ -284,9 +334,9 @@ class TestSolveInStacks:
             return stacked(a, *args)
 
         monkeypatch.setattr(simplex, "maximize_stack", counting)
-        bounds = _solve_in_stacks(problems)
-        assert sizes == stacks  # a last stack of one problem takes the scalar loop
-        assert [matrix.tobytes() for matrix in bounds] == [solve_yield_bounds(p).tobytes() for p in problems]
+        bounds = yield_bounds(NOMINAL, settings)
+        assert sizes == stacks  # a last stack of one setting takes the scalar loop
+        assert [matrix.tobytes() for matrix in bounds] == [yield_lp(NOMINAL, *s)[1].tobytes() for s in settings]
 
 
 class TestBuildProblem:
@@ -377,6 +427,49 @@ class TestBuildProblemMatchesReference:
         assert problem.pair_labels == reference.pair_labels
         assert problem.warnings == reference.warnings
         assert problem.to_text() == reference.to_text()
+
+
+
+#: A QBER-scan side: (v, nu, 0) with the roles of v and nu swapped when v < nu, as the scan draws them.
+scan_triples = st.tuples(st.floats(1e-3, 1.0) | st.just(0.01), st.just(0.01) | st.floats(1e-3, 0.1)).map(
+    lambda pair: (max(pair), min(pair), 0.0))
+#: Selection probabilities of (mu, nu, omega), each in (0, 1).
+probability_triples = st.tuples(*[st.floats(0.01, 0.99)] * 3)
+
+
+class TestBuildStack:
+    """A stacked build holds, setting by setting, the bytes of the one-pair-at-a-time assembly."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(etas=st.tuples(*[st.just(1.0) | st.floats(-4.0, 0.0).map(lambda e: 10.0**e)] * 2),
+           p_d=st.just(0.0) | st.floats(0.0, 1e-3), e_d=st.floats(0.0, 0.5), phi=st.floats(-math.pi, math.pi),
+           settings=st.lists(st.tuples(decoy_triples | scan_triples, decoy_triples,
+                                       probability_triples, probability_triples), min_size=1, max_size=6),
+           finite=st.tuples(st.floats(1e6, 1e13), st.floats(0.5, 8.0)))
+    def test_each_setting_is_the_reference_build(self, etas, p_d, e_d, phi, settings, finite):
+        # build_stack (asymptotic) and its core with stacked pulse counts (finite widening) against the
+        # reference assembly of each setting's gains, and the batch of one, build_problem, against both
+        scenario = ChannelScenario(*etas, p_d=p_d, e_d=e_d, phi=phi)
+        intensities_a, intensities_b, probabilities_a, probabilities_b = zip(*settings)
+        stack = build_stack(scenario, intensities_a, intensities_b)
+        assert (stack.pair_labels, stack.warnings) == ((), ())
+        gains = [tuple(tuple(z_basis_gain_reference(scenario, ArrivingIntensities.from_sources(scenario, a, b))
+                             for b in decoys_b) for a in decoys_a) for decoys_a, decoys_b, _, _ in settings]
+        counts = [tuple(tuple(finite[0] * x * y for y in pb) for x in pa) for _, _, pa, pb in settings]
+        widened = decoy._problem(np.array(intensities_a), np.array(intensities_b), np.array(gains),
+                                 np.array(counts), finite[1], pair_labels=())
+        for k, (decoys_a, decoys_b, pa, pb) in enumerate(settings):
+            for mode, batched, count in ((EvaluationMode(), stack, None),
+                                         (EvaluationMode.finite(*finite), widened, counts[k])):
+                reference = build_problem_reference(DecoyObservations(decoys_a, decoys_b, gains[k], count),
+                                                    mode.sigma_multiplier)
+                alone = build_problem(observations_from_scenario(scenario, decoys_a, decoys_b, mode.n_pulses,
+                                                                 pa, pb), mode.sigma_multiplier)
+                for name in ("coefficients", "gain_lower", "gain_upper", "slack_mass"):
+                    theirs = getattr(reference, name)
+                    for mine in (getattr(batched, name)[k], getattr(alone, name)):
+                        assert (mine.shape, mine.tobytes()) == (theirs.shape, theirs.tobytes()), name
+                assert (alone.pair_labels, alone.warnings) == (reference.pair_labels, reference.warnings)
 
 
 class TestSolve:
@@ -826,17 +919,17 @@ class TestWarmBases:
         # its tableaux; a decoy step, another scenario and another mode each build their LP again, and
         # rebase rebuilds the tableaux.  Every problem has the bytes of a cold yield_lp.
         gains, new_matrix = [0], []
-        z_basis_gain, rebase = decoy.z_basis_gain, simplex.rebase
+        z_basis_gains, rebase = decoy.z_basis_gains, simplex.rebase
 
-        def counting(*args):
-            gains[0] += 1
-            return z_basis_gain(*args)
+        def counting(scenario, gamma_a, gamma_b):
+            gains[0] += np.broadcast(gamma_a, gamma_b).size
+            return z_basis_gains(scenario, gamma_a, gamma_b)
 
         def recording(*args, **kwargs):
             new_matrix.append(kwargs["new_matrix"])
             return rebase(*args, **kwargs)
 
-        monkeypatch.setattr(decoy, "z_basis_gain", counting)
+        monkeypatch.setattr(decoy, "z_basis_gains", counting)
         monkeypatch.setattr(simplex, "rebase", recording)
         probabilities = _decoy_probabilities(0.7, 0.2, 0.05)
         step = self._args(DECOYS, probabilities)

@@ -52,6 +52,13 @@ times the stacked path of the QBER scan per LP, end to end as above:
   scenario of yield_lp_qber_exact.  It reports microseconds per LP, to
   compare with the one-LP calls of yield_lp_qber_exact.
 
+One decoy.build_stack case, timed as REPEATS repeats of LP_CALLS calls,
+times the build alone of that stack, without the solve:
+
+* problem_build_qber_stack: the LP arrays of the STACK_SIZE settings of
+  yield_lp_qber_stack from one build_stack call (gains, Poisson rows,
+  coefficients, tail masses), in microseconds per LP.
+
 Three cases time the asymptotic grid search (optimizer.asymptotic_searches)
 per search.  The first two run REPEATS repeats of SWEEP_CALLS passes over
 the twelve rows of the benchmark's mismatch-0.1 asymptotic sweep (30, 40
@@ -80,7 +87,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tfqkd.channel import ChannelScenario  # noqa: E402  (needs src/ on the path)
 from tfqkd.decoy import (  # noqa: E402
-    STACK_SIZE, TARGET_PAIRS, WarmBases, sigma_multiplier_from_epsilon, yield_bounds, yield_lp)
+    STACK_SIZE, TARGET_PAIRS, WarmBases, build_stack, sigma_multiplier_from_epsilon, yield_bounds, yield_lp)
 from tfqkd.experiments import split_total_loss  # noqa: E402
 from tfqkd.optimizer import (  # noqa: E402
     TIED_SLOTS, EvaluationMode, ProtocolParameters, Strategy, add_fibre_transform, asymptotic_searches,
@@ -189,6 +196,18 @@ def _time_stack() -> list[float]:
     return per_lp
 
 
+def _time_build() -> list[float]:
+    per_lp = []
+    sides = list(zip(*QBER_STACK))
+    build_stack(QBER_SCENARIO, *sides)
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(LP_CALLS):
+            build_stack(QBER_SCENARIO, *sides)
+        per_lp.append((time.perf_counter() - start) / (LP_CALLS * len(QBER_STACK)) * 1e6)
+    return per_lp
+
+
 def _time_searches(stacks: list, passes: int = SWEEP_CALLS) -> list[float]:
     per_search = []
     for stack in stacks:
@@ -211,6 +230,7 @@ def main() -> int:
              ("yield_lp_finite_decoy_step", _time_decoy_step, LP_CALLS, "us/call"),
              ("yield_lp_qber_exact", lambda: _time_lp(QBER_SCENARIO, ASYMPTOTIC, None), LP_CALLS, "us/call"),
              ("yield_lp_qber_stack", _time_stack, STACK_CALLS, "us/LP"),
+             ("problem_build_qber_stack", _time_build, LP_CALLS, "us/LP"),
              ("asymptotic_search_alone", lambda: _time_searches([[row] for row in SWEEP]), SWEEP_CALLS, "us/search"),
              ("asymptotic_search_lockstep", lambda: _time_searches([SWEEP]), SWEEP_CALLS, "us/search"),
              ("asymptotic_search_long", lambda: _time_searches([LONG_SWEEP], 1), 1, "us/search"))
