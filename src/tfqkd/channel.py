@@ -196,7 +196,10 @@ def z_basis_gains(scenario: ChannelScenario, gamma_a, gamma_b) -> np.ndarray:
     gamma_a, gamma_b = np.asarray(gamma_a, dtype=float), np.asarray(gamma_b, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # a pair out of range or past the float range raises below
         total = gamma_a + gamma_b
-        series = np.array(list(map(i0m1, (np.sqrt(gamma_a * gamma_b) * math.cos(scenario.theta)).ravel().tolist())))
+        arguments = (np.sqrt(gamma_a * gamma_b) * math.cos(scenario.theta)).ravel().tolist()
+        # i0m1 once per distinct argument (a stack repeats most); a NaN, unequal to itself, is found by identity
+        memo = {x: i0m1(x) for x in set(arguments)}
+        series = np.array([memo[x] for x in arguments])
         growth = [math.expm1(v) if v <= _LOG_FLOAT_MAX else math.inf for v in (0.5 * total).ravel().tolist()]
         light = (np.array(growth) * (1.0 + series) + series).reshape(total.shape)  # I0(x) is 1.0 + series
     # 0 <= x < inf also rejects NaN, and holds for every light term that did not overflow

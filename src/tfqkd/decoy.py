@@ -55,10 +55,13 @@ TARGET_PAIRS = ((0, 0), (2, 0), (0, 2), (1, 1), (2, 2))
 #: under-reports a bound.
 SAFETY_MARGIN = 1e-9
 
-#: LPs that yield_bounds solves as one stack.  Memory grows with the stack
-#: (about 40 kB per LP: two tableaux, the stacked problem data and the
-#: problems), and the per-LP cost falls only slowly past a few dozen LPs.
-STACK_SIZE = 32
+#: LPs that yield_bounds solves as one stack.  A lockstep step costs mostly
+#: numpy's fixed cost per call, which the stack shares, and the traced peak
+#: is about 32 kB per LP (the matrix and two tableaux).  On QBER-scan
+#: settings (tools/eval_cost.py, shared 2-core Xeon), us and peak kB per LP:
+#: 184 and 32 at 32 LPs, 148 and 32 at 64, 124 and 32 at 96, 113 and 32 at 128.
+#: 128 would raise the benchmark scan's peak RSS by about 7 %, 96 by under 5 %.
+STACK_SIZE = 96
 
 _N_VARS = PHOTON_CUTOFF * PHOTON_CUTOFF
 _BOUND_SIZE = 1 + max(max(pair) for pair in TARGET_PAIRS)
@@ -474,8 +477,10 @@ def yield_bounds(scenario: ChannelScenario,
 
     decoy_sets yields (intensities_a, intensities_b) pairs; each matrix is
     yield_lp's for its pair in the asymptotic mode, bit for bit.  Pairs are
-    drawn, built and solved STACK_SIZE at a time.  Errors surface in the
-    order of the pairs, as one yield_lp call per pair would raise them.
+    drawn, built and solved STACK_SIZE at a time; a stack keeps only its
+    equality form once built, so its memory is STACK_SIZE times about 32 kB.
+    Errors surface in the order of the pairs, as one yield_lp call per pair
+    would raise them.
     """
     decoy_sets, bounds = iter(decoy_sets), []
     while True:
@@ -497,6 +502,7 @@ def _stack_bounds(scenario: ChannelScenario, stack: list) -> list[np.ndarray]:
         try:
             problem = build_stack(scenario, *zip(*stack))
             a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
+            del problem  # its arrays are not needed past the equality form
         except (ValueError, TypeError, InfeasibleProblemError):  # the failing setting is found one by one below
             a = None
         values = None if a is None else simplex.maximize_stack(a, b, ub, _objectives(a.shape[-1]))

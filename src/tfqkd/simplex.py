@@ -298,14 +298,17 @@ def _run_stack(cost: np.ndarray, stack: PreparedBasis,
     order = np.arange(size)  # LP held in each slot
     iterations = np.zeros(size, dtype=np.int64)
     degenerate_run = np.zeros(size, dtype=np.int64)
-    per_lp = [tableau, rhs, basis, status, x_basic, upper, sign, order, iterations, degenerate_run]
+    # the tableau row by row, so that swapping LPs makes no (LPs, m, n) copies
+    per_lp = [*tableau.swapaxes(0, 1), rhs, basis, status, x_basic, upper, sign, order, iterations, degenerate_run]
     running = size  # LPs in slots [0, running) still iterate
     while running:
         iterations[:running] += 1
         if iterations[0] > _MAX_ITERATIONS:  # every running LP has taken the same number of steps
             return None
         live = np.s_[:running]
-        scores = (cost - np.matmul(cost[basis[live]][:, None, :], tableau[live])[:, 0]) * sign[live]
+        scores = np.matmul(cost[basis[live]][:, None, :], tableau[live])[:, 0]
+        np.subtract(cost, scores, out=scores)  # in place, so that a step makes one (LPs, n) array, not three
+        scores *= sign[live]
         lps = np.arange(running)
         if degenerate_budget:
             entering = scores.argmax(axis=1)  # Dantzig: largest signed reduced cost
@@ -424,7 +427,8 @@ def _phase_one_start(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> tuple[P
     flip = b < 0.0
     artificials = np.arange(n, n + m)
     tableau = np.zeros(a.shape[:-1] + (n + m,))
-    tableau[..., :n] = np.where(flip[..., None], -a, a)
+    tableau[..., :n] = a
+    np.negative(tableau[..., :n], out=tableau[..., :n], where=flip[..., None])
     tableau[..., artificials - n, artificials] = 1.0
     b = np.abs(b)
     upper_full = np.concatenate([upper, np.full(upper.shape[:-1] + (m,), np.inf)], axis=-1)
@@ -561,7 +565,7 @@ def _first_order_error(state: PreparedBasis, a: np.ndarray, b: np.ndarray) -> np
     """max |X (A x - b)| at the basis point x of each LP: the error that its inverse X leaves in the basic values."""
     n = state.n_structural
     x = np.where(state.status == _UPPER, state.upper, 0.0)
-    np.put_along_axis(x, state.basis, state.x_basic, axis=-1)
+    x[(*np.indices(state.basis.shape, sparse=True)[:-1], state.basis)] = state.x_basic
     residual = np.matmul(a, x[..., :n, None])[..., 0] + x[..., n:] - b
     return np.abs(np.matmul(state.tableau[..., n:], residual[..., None])[..., 0]).max(axis=-1)
 

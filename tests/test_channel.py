@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,6 +241,8 @@ class TestZBasis:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(p_d=st.one_of(st.just(0.0), st.floats(0.0, 0.01)), e_d=st.floats(0.0, 0.5),
            gammas_a=st.lists(GAMMAS, min_size=1, max_size=4), gammas_b=st.lists(GAMMAS, min_size=1, max_size=4))
+    # repeated NaN arguments, each unequal to itself, behind a valid pair: the first NaN pair raises
+    @example(p_d=0.0, e_d=0.02, gammas_a=[0.1, math.nan, math.nan], gammas_b=[0.1, 0.1])
     def test_array_gains_are_the_scalar_gains_in_bytes(self, p_d, e_d, gammas_a, gammas_b):
         # every pair of a broadcast grid has the bytes of the scalar routine as first written, and the
         # first pair in C order that the scalar routine rejects raises its error
@@ -261,6 +264,18 @@ class TestZBasis:
         assert [value.hex() for value in gains.ravel().tolist()] == [value.hex() for value in expected]
         scalar = [z_basis_gain(sc, ArrivingIntensities(ga, gb)) for ga in gammas_a for gb in gammas_b]
         assert [value.hex() for value in scalar] == [value.hex() for value in expected]
+
+    def test_the_bessel_series_runs_once_per_distinct_argument(self, monkeypatch):
+        # a stack repeats most arguments sqrt(g_a g_b) cos(theta); each is summed once, with the same bits
+        sc = scenario()
+        gammas_a, gammas_b = np.array([0.1, 0.01, 0.0, 0.1, 0.01])[:, None], np.array([0.1, 0.01, 0.0])
+        distinct = len(set((np.sqrt(gammas_a * gammas_b) * math.cos(sc.theta)).ravel().tolist()))
+        series = mock.Mock(wraps=channel.i0m1)
+        monkeypatch.setattr(channel, "i0m1", series)
+        gains = z_basis_gains(sc, gammas_a, gammas_b)
+        assert series.call_count == distinct == 4 < gains.size
+        expected = [z_basis_gain_reference(sc, ArrivingIntensities(ga, gb)) for ga in gammas_a[:, 0] for gb in gammas_b]
+        assert [value.hex() for value in gains.ravel().tolist()] == [value.hex() for value in expected]
 
 
 class TestYields:

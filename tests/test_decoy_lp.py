@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -323,7 +324,8 @@ class TestSolveInStacks:
         assert (type(excinfo.value), str(excinfo.value), excinfo.value.constraint) == expected
 
     @pytest.mark.parametrize("count, stacks", [(STACK_SIZE + 5, [STACK_SIZE, 5]),
-                                               (2 * STACK_SIZE + 1, [STACK_SIZE, STACK_SIZE])])
+                                               (2 * STACK_SIZE + 1, [STACK_SIZE, STACK_SIZE])],
+                             ids=["a_stack_and_five", "two_stacks_and_one"])  # ids that do not move with STACK_SIZE
     def test_stacked_bounds_match_one_solve_per_problem(self, monkeypatch, count, stacks):
         settings = self.settings(count)
         sizes = []
@@ -337,6 +339,26 @@ class TestSolveInStacks:
         bounds = yield_bounds(NOMINAL, settings)
         assert sizes == stacks  # a last stack of one setting takes the scalar loop
         assert [matrix.tobytes() for matrix in bounds] == [yield_lp(NOMINAL, *s)[1].tobytes() for s in settings]
+
+    def test_the_stack_path_holds_at_most_35_kb_per_lp(self):
+        # the traced peak of yield_bounds over two full stacks of scan settings and one alone, per stacked LP:
+        # 31.9 kB (the equality-form matrix and two tableaux); 44.9 kB while the stacked problem lived on
+        # through the solve and phase 1 started from two temporary copies of the matrix
+        grid = [10.0 ** (-3.0 + 3.0 * i / (2 * STACK_SIZE)) for i in range(2 * STACK_SIZE + 1)]
+        settings = [((max(v, 0.01), min(v, 0.01), 0.0), DECOYS) for v in grid]
+        yield_bounds(NOMINAL, settings)  # fills the caches that a first call fills
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield_bounds(NOMINAL, settings)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / STACK_SIZE <= 35_000
 
 
 class TestBuildProblem:

@@ -637,12 +637,27 @@ class TestStackRetracesScalarLoop:
     def test_seed_one_scan_grid_in_stacks(self):
         config = QberScanConfig(s_a_grid=tuple(_seed_one_scan_grid()))
         problems = _scan_problems(config)
+        # the stacks that yield_bounds draws: ceil(2001 / STACK_SIZE) of them, the last holding the rest
+        stacks = [problems[start:start + STACK_SIZE] for start in range(0, len(problems), STACK_SIZE)]
         pivots = [0, 0]
-        for start in range(0, len(problems), STACK_SIZE):  # 63 stacks, the last of 17 LPs
-            for calls in _assert_stack_retraces_scalar_loop(*_decoy_stack(problems[start:start + STACK_SIZE])):
+        for stack in stacks:
+            for calls in _assert_stack_retraces_scalar_loop(*_decoy_stack(stack)):
                 pivots[0] += calls[0][0]
                 pivots[1] += sum(call[0] for call in calls[1:])
         assert pivots == [18_006, 21_414]
+
+
+def test_phase_one_start_negates_the_rows_of_negative_right_hand_sides():
+    # each row with b < 0 holds -a, zeros as -0.0, next to the identity of the artificials; b becomes |b|
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-1.0, 1.0, size=(3, 4, 6))
+    a[rng.uniform(size=a.shape) < 0.3] = 0.0
+    b = rng.uniform(-1.0, 1.0, size=(3, 4))
+    b[0] = [-0.0, 0.0, -1.0, 1.0]
+    state, cost = simplex._phase_one_start(a, b, np.ones((3, 6)))
+    expected = np.concatenate([np.where(b[..., None] < 0.0, -a, a), np.broadcast_to(np.eye(4), (3, 4, 4))], axis=-1)
+    assert state.tableau.tobytes() == expected.tobytes()
+    assert state.rhs.tobytes() == np.abs(b).tobytes() and cost.tolist() == [0.0] * 6 + [-1.0] * 4
 
 
 def _pivots_of(solve):

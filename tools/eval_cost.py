@@ -59,6 +59,12 @@ times the build alone of that stack, without the solve:
   yield_lp_qber_stack from one build_stack call (gains, Poisson rows,
   coefficients, tail masses), in microseconds per LP.
 
+A table after the cases gives the cost of the stack size behind
+decoy.STACK_SIZE: for stacks of STACK_SIZES settings, made as
+yield_lp_qber_stack's are, the microseconds per LP of one yield_bounds call
+that solves them as one stack (median and fastest of REPEATS repeats of
+STACK_CALLS calls) and the tracemalloc peak of one such call in kB per LP.
+
 Three cases time the asymptotic grid search (optimizer.asymptotic_searches)
 per search.  The first two run REPEATS repeats of SWEEP_CALLS passes over
 the twelve rows of the benchmark's mismatch-0.1 asymptotic sweep (30, 40
@@ -81,11 +87,13 @@ search for the searches), and the fastest repeat.  Only the standard library and
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tfqkd.channel import ChannelScenario  # noqa: E402  (needs src/ on the path)
+from tfqkd import decoy  # noqa: E402  (needs src/ on the path)
+from tfqkd.channel import ChannelScenario  # noqa: E402
 from tfqkd.decoy import (  # noqa: E402
     STACK_SIZE, TARGET_PAIRS, WarmBases, build_stack, sigma_multiplier_from_epsilon, yield_bounds, yield_lp)
 from tfqkd.experiments import split_total_loss  # noqa: E402
@@ -103,8 +111,16 @@ PARAMS = ProtocolParameters(**POINT)
 DECOYS = (PARAMS.mu_a, PARAMS.nu_a, 0.0)
 PROBABILITIES = (PARAMS.p_mu_a, PARAMS.p_nu_a, PARAMS.p_omega_a)
 QBER_SCENARIO = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
-QBER_STACK = [((max(v, 0.01), min(v, 0.01), 0.0), DECOYS)
-              for v in (10.0 ** (-3.0 + 3.0 * i / (STACK_SIZE - 1)) for i in range(STACK_SIZE))]
+STACK_SIZES = (32, 64, 96, 128, 256)  # stack sizes of the table
+
+
+def _qber_stack(size: int) -> list:
+    """size QBER-scan settings: side a's strong decoy log-spaced over [1e-3, 1] against side b's DECOYS."""
+    return [((max(v, 0.01), min(v, 0.01), 0.0), DECOYS)
+            for v in (10.0 ** (-3.0 + 3.0 * i / (size - 1)) for i in range(size))]
+
+
+QBER_STACK = _qber_stack(STACK_SIZE)
 SWEEP = [(add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario, 0 in TIED_SLOTS[strategy])
          for loss in (30.0, 40.0, 50.0)
          for scenario in (ChannelScenario(*split_total_loss(loss, 0.1), p_d=1e-8, e_d=0.02),)
@@ -185,15 +201,30 @@ def _time_decoy_step() -> list[float]:
     return per_call
 
 
-def _time_stack() -> list[float]:
+def _time_stack(stack: list = QBER_STACK) -> list[float]:
     per_lp = []
-    yield_bounds(QBER_SCENARIO, QBER_STACK)
+    yield_bounds(QBER_SCENARIO, stack)
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(STACK_CALLS):
-            yield_bounds(QBER_SCENARIO, QBER_STACK)
-        per_lp.append((time.perf_counter() - start) / (STACK_CALLS * len(QBER_STACK)) * 1e6)
+            yield_bounds(QBER_SCENARIO, stack)
+        per_lp.append((time.perf_counter() - start) / (STACK_CALLS * len(stack)) * 1e6)
     return per_lp
+
+
+def _stack_size_row(size: int) -> tuple[list[float], float]:
+    """_time_stack on size settings solved as one stack, and the tracemalloc peak of one call in kB per LP."""
+    stack, kept = _qber_stack(size), decoy.STACK_SIZE
+    decoy.STACK_SIZE = size
+    try:
+        per_lp = _time_stack(stack)
+        tracemalloc.start()
+        yield_bounds(QBER_SCENARIO, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    finally:
+        decoy.STACK_SIZE = kept
+    return per_lp, peak / size / 1e3
 
 
 def _time_build() -> list[float]:
@@ -238,6 +269,10 @@ def main() -> int:
         times = run()
         print(f"{name:<26} {statistics.median(times):7.1f} {unit:<9}  (fastest repeat {min(times):.1f}; "
               f"{REPEATS} x {calls} calls)")
+    print(f"\nstack size (STACK_SIZE is {STACK_SIZE})   us/LP  fastest  peak kB/LP")
+    for size in STACK_SIZES:
+        times, peak = _stack_size_row(size)
+        print(f"{size:<26} {statistics.median(times):7.1f}  {min(times):7.1f}  {peak:10.1f}")
     return 0
 
 
