@@ -243,29 +243,40 @@ def _port_bunching_table(cos_theta: float) -> tuple[tuple[float, ...], ...]:
         P(k, l) = sum_p C(l,p)^2 c^(2(l-p)) s^(2p) (k+l-p)! p! / (2^(k+l) k! l!)
 
     with c = cos(theta), s = sin(theta); exact integer factorials keep the
-    evaluation overflow-free through the photon-number cap.
+    evaluation overflow-free through the photon-number cap.  The integers
+    come from tables of factorials and C(l,p)^2 p!, and the powers from lists
+    of c2 ** j and s2 ** j, built once per call: each float is the one that
+    the term-by-term formula computes, by the same operations in the same order.
     """
     c2 = cos_theta * cos_theta
     s2 = max(0.0, 1.0 - c2)
+    size = PHOTON_NUMBER_CAP + 1
+    factorial = [math.factorial(n) for n in range(2 * size - 1)]
+    weight = [[math.comb(l, p) ** 2 * factorial[p] for p in range(l + 1)] for l in range(size)]
+    c2_powers, s2_powers = [c2**j for j in range(size)], [s2**j for j in range(size)]
     table = []
-    for k in range(PHOTON_NUMBER_CAP + 1):
+    for k in range(size):
         row = []
-        for l in range(PHOTON_NUMBER_CAP + 1):
+        for l in range(size):
             acc = 0.0
-            for p in range(l + 1):
-                coeff = math.comb(l, p) ** 2 * math.factorial(k + l - p) * math.factorial(p)
-                acc += coeff * c2 ** (l - p) * s2**p
-            row.append(acc / (2 ** (k + l) * math.factorial(k) * math.factorial(l)))
+            for p, w in enumerate(weight[l]):
+                acc += w * factorial[k + l - p] * c2_powers[l - p] * s2_powers[p]
+            row.append(acc / (2 ** (k + l) * factorial[k] * factorial[l]))
         table.append(tuple(row))
     return tuple(table)
 
 
 def _binomial_pmf_matrix(n_max: int, eta: float) -> np.ndarray:
-    """Rows n = 0..n_max of the survival pmf Bin(k; n, eta), zero-padded."""
+    """Rows n = 0..n_max of the survival pmf Bin(k; n, eta), zero-padded.
+
+    The powers come from lists of eta ** k and (1 - eta) ** k, so each entry
+    is C(n, k) * eta**k * (1 - eta)**(n - k) evaluated in that order.
+    """
+    eta_powers = [eta**k for k in range(n_max + 1)]
+    lost_powers = [(1.0 - eta) ** k for k in range(n_max + 1)]
     out = np.zeros((n_max + 1, n_max + 1))
     for n in range(n_max + 1):
-        for k in range(n + 1):
-            out[n, k] = math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
+        out[n, : n + 1] = [math.comb(n, k) * eta_powers[k] * lost_powers[n - k] for k in range(n + 1)]
     return out
 
 

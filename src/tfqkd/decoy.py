@@ -365,14 +365,18 @@ class WarmBases:
     carries over.  key (scenario, mode and both decoy triples), gains and
     problem are yield_lp's: the last LP it built, whose gains and arrays a
     probability step reuses.  The counters report how often each path ran:
-    LPs solved; targets taken from their own basis; reoptimize runs and
-    their dual pivots; targets that borrowed a basis; and phase-1 runs.
+    LPs solved (lp_solves); targets taken from their own basis (repriced);
+    reoptimize runs (dual_runs) and their dual pivots (dual_pivots);
+    targets that borrowed a basis (borrowed); and phase-1 runs
+    (phase1_runs).  give_ups counts the reoptimize runs that gave up, by
+    reason (simplex.GIVE_UPS); their targets start as a lost basis's do.
     """
 
     def __init__(self):
         self.stack: simplex.PreparedBasis | None = None
         self.matrix = self.coefficients = self.key = self.gains = self.problem = None
         self.lp_solves = self.repriced = self.dual_runs = self.dual_pivots = self.borrowed = self.phase1_runs = 0
+        self.give_ups = dict.fromkeys(simplex.GIVE_UPS, 0)
 
 
 def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.ndarray:
@@ -404,11 +408,14 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
     own = np.zeros(len(TARGET_PAIRS), dtype=bool)  # targets solved from their own carried basis
     if warm is not None:
         if warm.stack is not None:
-            stack, carried, own = simplex.rebase(warm.stack, objectives, a, b, ub, new_matrix=not same)
-            for target in np.flatnonzero(carried & ~own):
-                pivots, own[target] = simplex.reoptimize(stack[target], objectives[target], a, b)
+            stack, carried, own, pricing = simplex.rebase(warm.stack, objectives, a, b, ub, new_matrix=not same)
+            for target in (carried & ~own).nonzero()[0]:
+                pivots, verdict = simplex.reoptimize(stack[target], *(rows[target] for rows in pricing), a, b)
+                own[target] = verdict == "optimal"
                 warm.dual_runs += 1
                 warm.dual_pivots += pivots
+                if not own[target]:
+                    warm.give_ups[verdict] += 1
         found = int(own.sum())
         warm.lp_solves += 1
         warm.repriced += found
@@ -423,7 +430,7 @@ def solve_yield_bounds(problem: LpProblem, warm: WarmBases | None = None) -> np.
                 f"observations are contradictory beyond their widening at pair {pair}",
                 constraint=pair,
             ) from None
-    for target in np.flatnonzero(~own):
+    for target in (~own).nonzero()[0]:
         if own.any():  # feasibility does not depend on the objective: a carried basis is a start for every target
             stack[target] = stack[int(own.argmax())]
         simplex.maximize_prepared(stack[target], objectives[target])

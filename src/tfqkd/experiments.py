@@ -28,7 +28,6 @@ import json
 import math
 import os
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
 from . import __version__
@@ -224,6 +223,13 @@ def _sweep_rows(config: SweepConfig, jobs: list[tuple[float, str]]) -> list[tupl
     return outcomes
 
 
+def _process_pool(workers: int):
+    """A pool of worker processes; concurrent.futures is imported only when a sweep deals several shares."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_sweep(config: SweepConfig, workers: int = 1) -> tuple[list[SweepRow], list[LpProblem | None]]:
     """One optimized row per (loss, strategy), in configuration order.
 
@@ -241,7 +247,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> tuple[list[SweepRow], li
     shares = min(workers, len(jobs))
     if shares > 1:
         outcomes = [None] * len(jobs)
-        with ProcessPoolExecutor(max_workers=shares) as pool:
+        with _process_pool(shares) as pool:
             dealt = [jobs[k::shares] for k in range(shares)]
             for k, rows in enumerate(pool.map(_sweep_rows, [config] * shares, dealt)):
                 outcomes[k::shares] = rows

@@ -24,12 +24,15 @@ artificial columns hold B^-1, so the basic values are recomputed
 directly, and a new matrix, or a drifted B^-1, gets the tableaux rebuilt
 from inverses of the basis blocks (LAPACK).  A state in its boxes,
 0 <= x_B <= upper, that prices no column in is optimal, and its value is
-read as it stands (column_values).  reoptimize takes every other one:
-phase 2 in its boxes, dual pivots out of them (a step in b keeps the
-reduced costs, so the basis still prices no column in; Koberstein, PhD
-thesis, Paderborn 2005).  It ends where the basis is optimal, with an
-inverse that still passes rebase's test, or gives the basis up, which is
-then never read.
+read as it stands (column_values).  reoptimize takes every other one,
+with rebase's pricing: phase 2 in its boxes, bound flips and dual pivots
+out of them.  Every column is boxed, so moving each nonbasic column that
+prices in to its other bound makes a basis dual feasible with no dual
+phase 1 (Koberstein, PhD thesis, Paderborn 2005, ch. 4).  A dual pivot
+element must reach _DUAL_PIVOT_RATIO of the largest in its row: elements
+just above an absolute 1e-11 left first-order errors up to 7e-2.  It ends
+where the basis is optimal, with an inverse that still passes rebase's
+test, or gives the basis up (GIVE_UPS), which is then never read.
 
 The tableaux are small (the decoy LP has 9 rows and 118 columns), so an
 iteration costs mostly interpreter overhead, and the loop keeps that low
@@ -99,6 +102,14 @@ _DANTZIG_DEGENERATE_LIMIT = 20
 #: Pivots after which the dual loop gives up on a carried basis.
 _DUAL_ITERATIONS = 20
 
+#: Smallest dual pivot element, as a fraction of the largest |entry| of its tableau row.
+_DUAL_PIVOT_RATIO = 1e-7
+
+#: Why reoptimize gives a carried basis up: a column without an upper bound
+#: prices in at the start or after pivots, the pivot cap, no column moves
+#: the leaving value toward its box, or the pivots spoiled the inverse.
+GIVE_UPS = ("dual_infeasible_start", "priced_in_part_way", "pivot_cap", "no_column", "spoiled_inverse")
+
 _NO_ROW = np.iinfo(np.int64).max  # above every basis index
 
 
@@ -145,7 +156,7 @@ class PreparedBasis:
         x_B = B^-1 b - sum over nonbasic-at-upper columns of B^-1 A_j ub_j.
         """
         np.copyto(self.x_basic, self.rhs)
-        at_upper = np.flatnonzero(self.status == _UPPER)
+        at_upper = (self.status == _UPPER).nonzero()[0]
         if at_upper.size:
             self.x_basic -= self.tableau[:, at_upper] @ self.upper[at_upper]
 
@@ -506,8 +517,8 @@ def optimum(state: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, fl
 
 
 def rebase(stack: PreparedBasis, objectives: np.ndarray, a: np.ndarray, b: np.ndarray, upper: np.ndarray,
-           new_matrix: bool = False) -> tuple[PreparedBasis, np.ndarray, np.ndarray]:
-    """Each state of a stack under new data A x = b, 0 <= x <= upper: (copy, carried, optimal).
+           new_matrix: bool = False) -> tuple[PreparedBasis, np.ndarray, np.ndarray, tuple | None]:
+    """Each state of a stack under new data A x = b, 0 <= x <= upper: (copy, carried, optimal, pricing).
 
     State i ended prepare, maximize_prepared or reoptimize on the matrix a,
     or on another one when new_matrix is set.  Its artificial columns hold
@@ -520,13 +531,15 @@ def rebase(stack: PreparedBasis, objectives: np.ndarray, a: np.ndarray, b: np.nd
     singular B, a fresh X that fails too, or data that prepare rejects.
     optimal[i]: carried state i lies in its boxes and prices no column in
     for objectives[i] (the test on which phase 2 stops), so optimum gives
-    maximize_prepared's result.  Each product is taken per state, with the
-    bits of the same steps on that state alone.
+    maximize_prepared's result.  pricing holds the (LPs, n) cost rows, signs
+    and signed reduced costs of that test, which reoptimize takes over (None
+    for data that prepare rejects).  Each product is taken per state, with
+    the bits of the same steps on that state alone.
     """
     work, n = stack.copy(), stack.n_structural
     rebuilt = np.zeros(len(work.basis), dtype=bool)
     if not _finite_data(a, b, upper):
-        return work, rebuilt, rebuilt.copy()
+        return work, rebuilt, rebuilt.copy(), None
     work.upper[:, :n] = upper
     rebuild = np.full(rebuilt.shape, new_matrix)
     while True:
@@ -543,10 +556,10 @@ def rebase(stack: PreparedBasis, objectives: np.ndarray, a: np.ndarray, b: np.nd
     lps, x = np.arange(len(work.basis))[:, None], work.x_basic
     cost = np.zeros(work.upper.shape)
     cost[:, :n] = objectives
-    reduced = cost - np.matmul(cost[lps, work.basis][:, None], work.tableau)[:, 0]
-    priced_in = (reduced * _signs(work.status, work.upper) > COST_TOLERANCE).any(axis=1)
+    sign = _signs(work.status, work.upper)
+    scores = (cost - np.matmul(cost[lps, work.basis][:, None], work.tableau)[:, 0]) * sign
     inside = ((x >= 0.0) & (x <= work.upper[lps, work.basis])).all(axis=1)
-    return work, ~failed, ~failed & inside & ~priced_in
+    return work, ~failed, ~failed & inside & ~(scores > COST_TOLERANCE).any(axis=1), (cost, sign, scores)
 
 
 def _inverses(blocks: np.ndarray) -> np.ndarray:
@@ -575,47 +588,54 @@ def column_values(stack: PreparedBasis, columns) -> np.ndarray:
     return _solution(stack)[range(len(columns)), columns]
 
 
-def reoptimize(state: PreparedBasis, objective: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[int, bool]:
+def reoptimize(state: PreparedBasis, cost: np.ndarray, sign: np.ndarray, scores: np.ndarray, a: np.ndarray,
+               b: np.ndarray) -> tuple[int, str]:
     """Re-solve, in place, a state that rebase carried to A x = b and did not prove optimal.
 
-    In its boxes [0, upper] the basis is feasible, and phase 2
-    (maximize_prepared) runs from it.  Out of them it takes dual pivots:
-    each takes the basic value furthest outside its box to the bound it
-    crossed and enters the column of Harris's ratio test (_dual_ratio_test).
-    Returns the dual pivots and whether the state ended optimal: in its
-    boxes, no signed reduced cost above COST_TOLERANCE and, after any dual
-    pivot, an inverse that passes rebase's first-order test on a and b.  It
-    gives up, and leaves the state part-way, not to be read, when a column
-    prices in out of the boxes or after a dual pivot, when no column moves
-    the leaving value toward its box (no feasible point), after
-    _DUAL_ITERATIONS pivots, or when the pivots spoiled the inverse (pivots
-    near PIVOT_TOLERANCE have left first-order errors of 7e-2).
+    cost, sign and scores are the state's row of rebase's pricing.  Out of
+    its boxes [0, upper] every nonbasic column that prices in first moves
+    to its other bound (a bound flip), which makes the basis dual
+    feasible; then a dual pivot takes the basic value furthest outside its
+    box to the bound it crossed and enters the column of Harris's ratio
+    test (_dual_ratio_test) among those whose element is at least
+    _DUAL_PIVOT_RATIO of the largest in the row.  In its boxes it ends:
+    after any pivot or flip only if the inverse still passes rebase's
+    first-order test on a and b, and where a column prices in, phase 2
+    (maximize_prepared) runs from its own basis.  Returns the dual pivots
+    and "optimal", or the reason it gave up (GIVE_UPS), leaving the state
+    part-way, not to be read.
     """
-    cost = np.zeros(state.upper.size)
-    cost[:state.n_structural] = objective
-    tableau, basis, x_basic, upper = state.tableau, state.basis, state.x_basic, state.upper
-    sign = _signs(state.status, upper)
-    pivots = 0
+    tableau, basis, status, x_basic, upper = state.tableau, state.basis, state.status, state.x_basic, state.upper
+    pivots, flipped = 0, False
     while True:
-        scores = (cost - cost[basis] @ tableau) * sign
         violation = np.maximum(-x_basic, x_basic - upper[basis])
         row = int(violation.argmax())
-        if (scores > COST_TOLERANCE).any():
-            if pivots or violation[row] > 0.0:
-                return pivots, False
-            maximize_prepared(state, objective)
-            return 0, True
+        priced = (scores > COST_TOLERANCE).nonzero()[0]
+        if violation[row] > 0.0 and priced.size:
+            if not np.isfinite(upper[priced]).all():  # a column without an upper bound cannot flip
+                return pivots, "priced_in_part_way" if pivots else "dual_infeasible_start"
+            status[priced] = np.where(status[priced] == _LOWER, _UPPER, _LOWER)
+            sign[priced] = -sign[priced]
+            scores[priced] = -scores[priced]
+            flipped = True
+            state.refresh_basics()
+            continue
         if not violation[row] > 0.0:
-            return pivots, not pivots or _first_order_error(state, a, b) <= REBASE_TOLERANCE
+            if (pivots or flipped) and not _first_order_error(state, a, b) <= REBASE_TOLERANCE:
+                return pivots, "spoiled_inverse"
+            if priced.size:
+                maximize_prepared(state, cost[:state.n_structural])
+            return pivots, "optimal"
         below = x_basic[row] < 0.0
         rates = (sign if below else -sign) * tableau[row]  # how fast each column moves x_row away from its box
-        candidates = np.flatnonzero(rates < -PIVOT_TOLERANCE)
+        candidates = (rates < -_DUAL_PIVOT_RATIO * np.abs(tableau[row]).max()).nonzero()[0]
         if pivots == _DUAL_ITERATIONS or not candidates.size:
-            return pivots, False
+            return pivots, "pivot_cap" if candidates.size else "no_column"
         k = _dual_ratio_test(-rates[candidates], -scores[candidates])
         _pivot(state, sign, row, int(candidates[k]), not below)
         pivots += 1
         state.refresh_basics()
+        scores = (cost - cost[basis] @ tableau) * sign
 
 
 def _maximize_prepared_stack(stack: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

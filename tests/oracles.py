@@ -10,7 +10,10 @@ throughout; the Dantzig reference is the same loop with the pricing of
 the package's phase 2 (largest reduced cost, Bland's rule after a run of
 degenerate steps).  The package's leaner loop must retrace the Dantzig
 reference bit for bit, and the Bland one with a degenerate budget of 0.  The
-cat-state and phase-error references are the scalar routines as first
+bunching-table and binomial references are the yield grid's two tables as
+first written, every integer and power computed term by term; the
+package's tables, which take them from lists built once per call, must
+hold the same bytes.  The cat-state and phase-error references are the scalar routines as first
 written, one cat state at a time; the package's batched cat rows must
 hold the same amplitude bytes, and its sums and bounds must agree within
 the relative tolerances that test_security states.  The key-rate
@@ -55,6 +58,7 @@ import numpy as np
 
 from tfqkd.channel import (
     NEGATIVE_CLAMP,
+    PHOTON_NUMBER_CAP,
     ArrivingIntensities,
     _clamp_probability,
     _port_bunching_table,
@@ -146,6 +150,32 @@ def _prob_all_photons_in_one_port(k: int, l: int, theta_a: float, theta_b: float
         if c_h == 0 and c_v == 0:
             total += coefficient * coefficient * math.factorial(d_h) * math.factorial(d_v)
     return total / (math.factorial(k) * math.factorial(l))
+
+
+def port_bunching_table_reference(cos_theta: float) -> tuple[tuple[float, ...], ...]:
+    """channel._port_bunching_table as first written: every integer and power computed term by term."""
+    c2 = cos_theta * cos_theta
+    s2 = max(0.0, 1.0 - c2)
+    table = []
+    for k in range(PHOTON_NUMBER_CAP + 1):
+        row = []
+        for l in range(PHOTON_NUMBER_CAP + 1):
+            acc = 0.0
+            for p in range(l + 1):
+                coeff = math.comb(l, p) ** 2 * math.factorial(k + l - p) * math.factorial(p)
+                acc += coeff * c2 ** (l - p) * s2**p
+            row.append(acc / (2 ** (k + l) * math.factorial(k) * math.factorial(l)))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def binomial_pmf_matrix_reference(n_max: int, eta: float) -> np.ndarray:
+    """channel._binomial_pmf_matrix as first written: math.comb and both powers per entry."""
+    out = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            out[n, k] = math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
+    return out
 
 
 def photon_path_yield(eta_a: float, eta_b: float, theta_a: float, theta_b: float,

@@ -21,7 +21,14 @@ from tfqkd.channel import (
 )
 from tfqkd.errors import DomainError, ZeroGainError
 
-from oracles import photon_path_yield, x_basis_qber_reference, yield_nm_asymptotic, z_basis_gain_reference
+from oracles import (
+    binomial_pmf_matrix_reference,
+    photon_path_yield,
+    port_bunching_table_reference,
+    x_basis_qber_reference,
+    yield_nm_asymptotic,
+    z_basis_gain_reference,
+)
 
 # A near-balanced pair at phi = pi whose QBER ratio rounds to 1 + 2^-52
 BALANCED_AT_PI = (2.2620865017496965e-06, 2.262086501749698e-06)
@@ -329,6 +336,20 @@ class TestYields:
         for k in range(70):
             yield_grid(scenario(e_d=0.001 * (k + 1)))
         assert table.cache_info().currsize == table.cache_info().maxsize == 64
+
+    def test_yield_grid_tables_hold_the_bytes_of_the_term_by_term_formulas(self):
+        # the tables take their integers and powers from lists built once per call, with the operations
+        # and the order of the direct formulas, so every entry keeps its bits
+        rng = np.random.default_rng(28)
+        cosines = [1.0, 0.0, 0.5, math.cos(2.0 * math.asin(math.sqrt(0.02))), *rng.uniform(0.0, 1.0, size=20)]
+        for cos_theta in cosines:
+            table = np.array(channel._port_bunching_table.__wrapped__(cos_theta))
+            assert table.tobytes() == np.array(port_bunching_table_reference(cos_theta)).tobytes()
+        etas = [0.0, 1.0, 1e-8, 0.5, 1.0 - 1e-12, *10.0 ** rng.uniform(-7.0, 0.0, size=51)]
+        for eta in etas:
+            for n_max in (PHOTON_NUMBER_CAP, 3):
+                table = channel._binomial_pmf_matrix(n_max, eta)
+                assert table.tobytes() == binomial_pmf_matrix_reference(n_max, eta).tobytes()
 
     def test_poisson_mixture_reproduces_decoy_gain(self):
         # the Fock-state yields and the Bessel-form gain describe the same

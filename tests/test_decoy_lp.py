@@ -745,11 +745,17 @@ def search_walks(draw):
     return walk
 
 
-def _scores(state, objective):
-    """The signed reduced costs of a state for an objective: a column above COST_TOLERANCE prices in."""
+def _pricing(state, objective):
+    """A state's cost row, signs and signed reduced costs for an objective, as rebase prices each state."""
     cost = np.zeros(state.upper.size)
     cost[:state.n_structural] = objective
-    return (cost - cost[state.basis] @ state.tableau) * simplex._signs(state.status, state.upper)
+    sign = simplex._signs(state.status, state.upper)
+    return cost, sign, (cost - cost[state.basis] @ state.tableau) * sign
+
+
+def _scores(state, objective):
+    """The signed reduced costs of a state for an objective: a column above COST_TOLERANCE prices in."""
+    return _pricing(state, objective)[2]
 
 
 class TestWarmBases:
@@ -794,26 +800,28 @@ class TestWarmBases:
         assert self._counts(warm) == (2, 0, 5, 0, 0, 2)
         assert warm_bounds.tobytes() == cold.tobytes()
 
-    def test_a_start_that_is_not_dual_feasible_borrows_another_basis(self, monkeypatch):
+    def test_a_start_that_is_not_dual_feasible_flips_and_keeps_its_basis(self, monkeypatch):
         # nu from 0.1 to 0.12 at mu 0.48: every basis is rebuilt, and rebase proves four optimal as they
-        # stand; the fifth leaves a box and prices a column above COST_TOLERANCE, so its reoptimize run
-        # ends at once and the target starts from another target's basis
+        # stand; the fifth leaves a box and prices a column above COST_TOLERANCE.  Its reoptimize run moves
+        # that column to its other bound and comes back with one dual pivot, so no target borrows a basis
         probabilities = (0.15, 0.05, 0.008)
         runs = []
         reoptimize = simplex.reoptimize
 
-        def recording(state, objective, *data):
-            runs.append((state.copy(), objective, reoptimize(state, objective, *data)))
+        def recording(state, cost, *data):
+            objective = cost[:state.n_structural].copy()
+            runs.append((state.copy(), objective, reoptimize(state, cost, *data)))
             return runs[-1][2]
 
         monkeypatch.setattr(simplex, "reoptimize", recording)
         warm, warm_bounds, cold = self._after_step(self._args((0.48, 0.1, 0.0), probabilities),
                                                    self._args((0.48, 0.12, 0.0), probabilities))
         (start, objective, outcome), = runs
-        assert outcome == (0, False)
+        assert outcome == (1, "optimal")
         assert not ((start.x_basic >= 0.0) & (start.x_basic <= start.upper[start.basis])).all()
         assert _scores(start, objective).max() > simplex.COST_TOLERANCE
-        assert self._counts(warm) == (2, 4, 1, 0, 1, 1)
+        assert self._counts(warm) == (2, 5, 1, 1, 0, 1)
+        assert warm.give_ups == dict.fromkeys(simplex.GIVE_UPS, 0)
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
 
     # mu from 0.1 to 0.2 changes the matrix: every basis is rebuilt on it
@@ -822,10 +830,10 @@ class TestWarmBases:
 
     def test_a_decoy_step_carries_the_bases_to_the_new_matrix(self):
         # one rebuilt basis lies in its boxes and prices nothing in, so rebase proves it optimal; the
-        # other four go through reoptimize: two come back through dual pivots, and two give up, so their
-        # targets borrow a basis
+        # other four go through reoptimize and come back through 1, 3, 7 and 7 dual pivots, with bound
+        # flips where a column prices in, so no target borrows a basis
         warm, warm_bounds, cold = self._after_step(*(self._args(*step) for step in self.DECOY_STEP))
-        assert self._counts(warm) == (2, 3, 4, 13, 2, 1)
+        assert self._counts(warm) == (2, 5, 4, 18, 0, 1)
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
 
     def test_a_rebuilt_basis_proven_optimal_is_read_as_it_stands(self, monkeypatch):
@@ -842,14 +850,15 @@ class TestWarmBases:
                     for lp in range(len(TARGET_PAIRS))]
         assert [verdict for _, verdict in verdicts] == ["reoptimize", "optimal"] + ["reoptimize"] * 3
         state, _ = verdicts[1]
-        assert simplex.reoptimize(state.copy(), objectives[1], a, b) == (0, True)  # the run the per-state rule took
+        # the run the per-state rule took
+        assert simplex.reoptimize(state.copy(), *_pricing(state, objectives[1]), a, b) == (0, "optimal")
         expected = min(1.0, simplex.optimum(state, objectives[1])[1] + decoy.SAFETY_MARGIN)
         targets = []
         reoptimize = simplex.reoptimize
 
-        def recording(state, objective, *data):
-            targets.append(TARGET_PAIRS[int(np.flatnonzero((objectives == objective).all(axis=1))[0])])
-            return reoptimize(state, objective, *data)
+        def recording(state, cost, *data):
+            targets.append(TARGET_PAIRS[int(np.flatnonzero((objectives == cost[:a.shape[-1]]).all(axis=1))[0])])
+            return reoptimize(state, cost, *data)
 
         monkeypatch.setattr(simplex, "reoptimize", recording)
         bounds = yield_lp(*second, warm=warm)[1]
@@ -857,17 +866,18 @@ class TestWarmBases:
         assert bounds[2, 0].hex() == expected.hex() == "0x1.099d854dc37b5p-8"  # the per-state rule's bits
 
     def test_a_dual_run_that_fails_part_way_is_never_read(self, monkeypatch):
-        # the decoy step above: two of its four reoptimize runs lose dual feasibility after some pivots;
-        # their targets start from another target's basis, and no state of theirs is read or kept
+        # the decoy step above with the dual loop capped at 2 pivots: three of its four reoptimize runs stop
+        # part-way; their targets start from another target's basis, and no state of theirs is read or kept
+        monkeypatch.setattr(simplex, "_DUAL_ITERATIONS", 2)
         failed = []
         reoptimize, column_values = simplex.reoptimize, simplex.column_values
         maximize_prepared = simplex.maximize_prepared
 
-        def recording(state, objective, *data):
-            pivots, optimal = reoptimize(state, objective, *data)
-            if not optimal:
+        def recording(state, *pricing_and_data):
+            pivots, verdict = reoptimize(state, *pricing_and_data)
+            if verdict != "optimal":
                 failed.append((state.copy(), pivots))
-            return pivots, optimal
+            return pivots, verdict
 
         def partial(state):
             return any(state.tableau.tobytes() == gone.tableau.tobytes() for gone, _ in failed)
@@ -884,7 +894,8 @@ class TestWarmBases:
         monkeypatch.setattr(simplex, "column_values", read)
         monkeypatch.setattr(simplex, "maximize_prepared", phase_two)
         warm, warm_bounds, cold = self._after_step(*(self._args(*step) for step in self.DECOY_STEP))
-        assert [pivots for _, pivots in failed] == [6, 3]
+        assert [pivots for _, pivots in failed] == [2, 2, 2]
+        assert warm.give_ups["pivot_cap"] == warm.borrowed == 3
         assert not any(partial(warm.stack[lp]) for lp in range(len(TARGET_PAIRS)))
         assert np.abs(warm_bounds - cold).max() <= WARM_AGREEMENT
 
@@ -917,7 +928,7 @@ class TestWarmBases:
         a, b, ub = _equality_form(coefficients, *broken.constraint_bounds())
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(np.concatenate((a, np.eye(len(b))), axis=1)[:, warm.stack.basis[4]])
-        _, carried, optimal = simplex.rebase(warm.stack, _objectives(a.shape[-1]), a, b, ub, new_matrix=True)
+        _, carried, optimal, _ = simplex.rebase(warm.stack, _objectives(a.shape[-1]), a, b, ub, new_matrix=True)
         assert carried.tolist() == optimal.tolist() == [True] * 4 + [False]
         warm_bounds = solve_yield_bounds(broken, warm)
         assert self._counts(warm) == (2, 4, 0, 0, 1, 1)
@@ -986,14 +997,15 @@ class TestWarmBases:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(walk=search_walks())
     def test_bounds_re_solved_across_decoy_steps_agree_with_the_cold_solve(self, walk):
-        # rebase gives each target the verdict and the bytes of the per-state rule (rebase_reference),
-        # and every state whose value the warm path reads is optimal: it lies in its boxes [0, upper] and
-        # prices no column in, and the value read lies in its column's box
+        # rebase gives each target the verdict and the bytes of the per-state rule (rebase_reference), and
+        # the pricing that it hands to reoptimize has the bytes of that state's own; every state whose value
+        # the warm path reads is optimal: it lies in its boxes [0, upper] and prices no column in, and the
+        # value read lies in its column's box
         rebase, column_values = simplex.rebase, simplex.column_values
         verdicts, reads = [], [0]
 
         def batched(stack, objectives, a, b, upper, new_matrix=False):
-            work, carried, optimal = rebase(stack, objectives, a, b, upper, new_matrix)
+            work, carried, optimal, pricing = rebase(stack, objectives, a, b, upper, new_matrix)
             for lp in range(len(stack.basis)):
                 reference = rebase_reference(stack[lp], objectives[lp], a, b, upper, new_matrix)
                 verdicts.append(None if reference is None else reference[1])
@@ -1002,7 +1014,9 @@ class TestWarmBases:
                     assert optimal[lp] == (reference[1] == "optimal")
                     assert work[lp].tableau.tobytes() == reference[0].tableau.tobytes()
                     assert work[lp].x_basic.tobytes() == reference[0].x_basic.tobytes()
-            return work, carried, optimal
+                    own = _pricing(work[lp], objectives[lp])
+                    assert [rows[lp].tobytes() for rows in pricing] == [row.tobytes() for row in own]
+            return work, carried, optimal, pricing
 
         def read(stack, columns):
             values = column_values(stack, columns)

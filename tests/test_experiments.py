@@ -272,7 +272,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "_process_pool", SerialPool)
         return pools
 
     def test_worker_pool_is_capped_at_the_job_count(self, monkeypatch):

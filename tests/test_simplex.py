@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from oracles import bland_run_simplex, dantzig_run_simplex
+from test_decoy_lp import WARM_AGREEMENT
 from tfqkd import simplex
 from tfqkd.channel import ChannelScenario
 from tfqkd.decoy import (
@@ -97,10 +98,10 @@ def test_prepared_basis_is_reusable():
 
 
 def _rebase_one(state, objective, a, b, upper, new_matrix=False):
-    """rebase of a stack of the one state: (its copy, carried, optimal for objective)."""
-    work, carried, optimal = simplex.rebase(PreparedBasis.stacked([state]), np.array([objective]), a, b, upper,
-                                            new_matrix)
-    return work[0], carried[0], optimal[0]
+    """rebase of a stack of the one state: (its copy, carried, optimal for objective, its pricing row)."""
+    work, carried, optimal, pricing = simplex.rebase(PreparedBasis.stacked([state]), np.array([objective]), a, b,
+                                                     upper, new_matrix)
+    return work[0], carried[0], optimal[0], pricing and [rows[0] for rows in pricing]
 
 
 def test_rebase_finds_a_basis_optimal_only_in_its_boxes():
@@ -113,7 +114,7 @@ def test_rebase_finds_a_basis_optimal_only_in_its_boxes():
     assert value == 0.5
     # the same tableau and the same open boxes, with the basic value inside its box or on its bound 0
     for b in (1.1, 0.5):
-        moved, carried, optimal = _rebase_one(state, objective, a, np.array([b]), upper)
+        moved, carried, optimal, _ = _rebase_one(state, objective, a, np.array([b]), upper)
         assert carried and optimal and moved.x_basic.tolist() == [b - 0.5]  # x1, exactly 0 at b = 0.5
         read_x, read = simplex.optimum(moved, objective)
         assert simplex.column_values(PreparedBasis.stacked([moved]), [0]).tolist() == [read]
@@ -122,13 +123,13 @@ def test_rebase_finds_a_basis_optimal_only_in_its_boxes():
         assert value == 0.5 and x.sum() == pytest.approx(b, abs=1e-15)
     # the basic value falls below 0 or leaves its box: the basis is not optimal as it stands
     for b, box in ((0.4, upper), (1.2, np.array([0.5, 0.1, 0.1])), (-0.1, upper)):
-        _, carried, optimal = _rebase_one(state, objective, a, np.array([b]), box)
+        _, carried, optimal, _ = _rebase_one(state, objective, a, np.array([b]), box)
         assert carried and not optimal
     # data that prepare rejects; a NaN box on s, nonbasic at 0, would leave the basic values inside their boxes
     for b, box in ((1.1, np.array([0.5, 1.0, math.nan])), (1.1, np.array([math.nan, 1.0, 1.0])),
                    (math.nan, upper), (math.inf, upper)):
-        _, carried, optimal = simplex.rebase(PreparedBasis.stacked([state, state]), np.array([objective] * 2), a,
-                                             np.array([b]), box)
+        _, carried, optimal, _ = simplex.rebase(PreparedBasis.stacked([state, state]), np.array([objective] * 2),
+                                                a, np.array([b]), box)
         assert not carried.any() and not optimal.any()
     assert _rebase_one(state, objective, a, np.array([1.2]), upper)[2]  # state was not changed
 
@@ -139,7 +140,7 @@ def test_a_box_that_opens_makes_the_carried_basis_price_again():
     objective = np.array([0.0, 0.0, 1.0])
     state = prepare(a, np.array([1.2]), np.array([1.0, 1.0, 0.0]))
     assert maximize_prepared(state, objective)[1] == 0.0
-    rebased, carried, optimal = _rebase_one(state, objective, a, np.array([1.2]), np.array([1.0, 1.0, 1.0]))
+    rebased, carried, optimal, _ = _rebase_one(state, objective, a, np.array([1.2]), np.array([1.0, 1.0, 1.0]))
     assert carried and not optimal  # s may now enter
     assert simplex.optimum(rebased, objective)[1] == 0.0
     assert maximize_prepared(rebased, objective)[1] == 1.0
@@ -153,7 +154,7 @@ def test_rebase_rebuilds_the_tableau_on_a_new_matrix():
     state = prepare(a, np.array([1.2]), upper)
     maximize_prepared(state, objective)
     moved = np.array([[1.0, 2.0, 1.0]])
-    rebased, carried, optimal = _rebase_one(state, objective, moved, np.array([1.2]), upper, new_matrix=True)
+    rebased, carried, optimal, _ = _rebase_one(state, objective, moved, np.array([1.2]), upper, new_matrix=True)
     # the rebuilt tableau is priced: x1 is basic at 0.35, in its box, and no column enters
     assert carried and optimal and rebased.x_basic.tolist() == [0.35]
     cold = maximize_prepared(prepare(moved, np.array([1.2]), upper), objective)
@@ -183,8 +184,8 @@ def test_rebase_rebuilds_an_inverse_that_drifted():
     maximize_prepared(state, objective)
     drifted = state.copy()
     drifted.tableau[:, 3:] *= 1.0 + 10.0 * simplex.REBASE_TOLERANCE
-    rebased, carried, optimal = _rebase_one(drifted, objective, a, np.array([1.1]), upper)
-    fresh, _, _ = _rebase_one(state, objective, a, np.array([1.1]), upper, new_matrix=True)
+    rebased, carried, optimal, _ = _rebase_one(drifted, objective, a, np.array([1.1]), upper)
+    fresh, *_ = _rebase_one(state, objective, a, np.array([1.1]), upper, new_matrix=True)
     assert carried and optimal  # rebuilt, and priced as it stands
     assert rebased.tableau.tobytes() == fresh.tableau.tobytes()
 
@@ -201,10 +202,10 @@ def test_a_stack_with_one_singular_block_carries_the_others():
     singular = np.array([[1.0, 0.0, 1.0]])
     upper = np.array([2.0, 1.0, 1.0])
     stack = PreparedBasis.stacked(states)
-    work, carried, optimal = simplex.rebase(stack, np.array([objective] * 2), singular, np.array([1.2]), upper,
-                                            new_matrix=True)
+    work, carried, optimal, _ = simplex.rebase(stack, np.array([objective] * 2), singular, np.array([1.2]), upper,
+                                               new_matrix=True)
     assert carried.tolist() == [False, True] and optimal.tolist() == [False, True]
-    single, _, _ = _rebase_one(states[1], objective, singular, np.array([1.2]), upper, new_matrix=True)
+    single, *_ = _rebase_one(states[1], objective, singular, np.array([1.2]), upper, new_matrix=True)
     assert work[1].tableau.tobytes() == single.tableau.tobytes()
     assert work[1].x_basic.tobytes() == single.x_basic.tobytes()
 
@@ -679,21 +680,21 @@ class TestDualSimplex:
     A = np.array([[1.0, 1.0, 1.0]])  # x0 + x1 + s = b
 
     def _carried(self, objective, box, new_box, b, new_b):
-        """The optimal state at (b, box), carried by rebase to (new_b, new_box)."""
+        """The optimal state at (b, box), carried by rebase to (new_b, new_box), and its pricing row."""
         state = prepare(self.A, np.array([b]), box)
         maximize_prepared(state, objective)
-        carried, kept, optimal = _rebase_one(state, objective, self.A, np.array([new_b]), new_box)
+        carried, kept, optimal, pricing = _rebase_one(state, objective, self.A, np.array([new_b]), new_box)
         assert kept and not optimal
-        return carried
+        return carried, pricing
 
     def test_the_dual_loop_reaches_the_cold_maximum_with_fewer_pivots(self):
         # max 2 x0 + x1, x0 <= 0.5: at b = 1.2 x1 is basic at 0.7; at b = 1.7 it would be 1.2, above its box
         objective, box = np.array([2.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.0])
-        carried = self._carried(objective, box, box, 1.2, 1.7)
+        carried, pricing = self._carried(objective, box, box, 1.2, 1.7)
         assert carried.x_basic.max() > 1.0
-        (dual_pivots, optimal), phase_two_pivots = _pivots_of(
-            lambda: simplex.reoptimize(carried, objective, self.A, np.array([1.7])))
-        assert optimal and dual_pivots == 1 and phase_two_pivots == 0
+        (dual_pivots, verdict), phase_two_pivots = _pivots_of(
+            lambda: simplex.reoptimize(carried, *pricing, self.A, np.array([1.7])))
+        assert verdict == "optimal" and dual_pivots == 1 and phase_two_pivots == 0
         assert ((carried.x_basic >= 0.0) & (carried.x_basic <= carried.upper[carried.basis])).all()
         x, value = simplex.optimum(carried, objective)
         (cold_x, cold_value), cold_pivots = _pivots_of(lambda: maximize(objective, self.A, np.array([1.7]), box))
@@ -703,12 +704,30 @@ class TestDualSimplex:
         (again_x, again), again_pivots = _pivots_of(lambda: maximize_prepared(carried, objective))
         assert again_pivots == 0 and (again_x.tobytes(), again) == (x.tobytes(), value)
 
-    def test_a_start_that_is_not_dual_feasible_is_given_up(self):
-        # max 2 x0 + x1 + 2 s with s boxed to 0: once its box opens, s prices at +1 and no dual step is taken
+    def test_a_start_that_is_not_dual_feasible_flips_to_the_cold_maximum(self):
+        # max 2 x0 + x1 + 2 s with s boxed to 0: once its box opens, s prices at +1 while x1 lies above its
+        # box.  s moves to its upper bound, which takes x1 back into its box: optimal with no pivot, in place
+        objective, new_box = np.array([2.0, 1.0, 2.0]), np.array([0.5, 1.0, 1.0])
+        carried, pricing = self._carried(objective, np.array([0.5, 1.0, 0.0]), new_box, 1.2, 1.7)
+        assert carried.x_basic.tolist() == [1.2] and pricing[2].max() > simplex.COST_TOLERANCE
+        (dual_pivots, verdict), phase_two_pivots = _pivots_of(
+            lambda: simplex.reoptimize(carried, *pricing, self.A, np.array([1.7])))
+        assert (dual_pivots, verdict, phase_two_pivots) == (0, "optimal", 0)
+        assert ((carried.x_basic >= 0.0) & (carried.x_basic <= carried.upper[carried.basis])).all()
+        assert carried.status[2] == simplex._UPPER
+        x, value = simplex.optimum(carried, objective)
+        cold_x, cold_value = maximize(objective, self.A, np.array([1.7]), new_box)
+        assert value == pytest.approx(cold_value, abs=WARM_AGREEMENT)
+        assert x == pytest.approx(cold_x, abs=WARM_AGREEMENT)
+        assert value == pytest.approx(3.2, abs=1e-15)
+
+    def test_a_column_without_an_upper_bound_that_prices_in_is_given_up(self):
+        # the start above with the box of s opened to infinity: s cannot move to its other bound
         objective = np.array([2.0, 1.0, 2.0])
-        carried = self._carried(objective, np.array([0.5, 1.0, 0.0]), np.array([0.5, 1.0, 1.0]), 1.2, 1.7)
+        carried, pricing = self._carried(objective, np.array([0.5, 1.0, 0.0]), np.array([0.5, 1.0, math.inf]),
+                                         1.2, 1.7)
         before = carried.copy()
-        assert simplex.reoptimize(carried, objective, self.A, np.array([1.7])) == (0, False)
+        assert simplex.reoptimize(carried, *pricing, self.A, np.array([1.7])) == (0, "dual_infeasible_start")
         assert carried.tableau.tobytes() == before.tableau.tobytes()
 
     def test_a_start_in_its_boxes_that_prices_a_column_in_runs_phase_two_from_its_own_basis(self):
@@ -716,13 +735,12 @@ class TestDualSimplex:
         # Once the box of s opens, the carried basis still lies in its boxes, on a bound, and s prices
         # in at +1: phase 2 runs from that basis, so the target needs no other target's basis
         objective = np.array([0.0, 0.0, 1.0])
-        carried = self._carried(objective, np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]), 1.0, 1.0)
+        carried, pricing = self._carried(objective, np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]), 1.0, 1.0)
         assert carried.x_basic.tolist() == [0.0] and carried.basis.tolist() == [1]
-        cost = np.concatenate((objective, [0.0]))
-        scores = (cost - cost[carried.basis] @ carried.tableau) * simplex._signs(carried.status, carried.upper)
-        assert scores.max() > simplex.COST_TOLERANCE
-        outcome, phase_two_pivots = _pivots_of(lambda: simplex.reoptimize(carried, objective, self.A, np.array([1.0])))
-        assert outcome == (0, True) and phase_two_pivots == 2
+        assert pricing[2].max() > simplex.COST_TOLERANCE
+        outcome, phase_two_pivots = _pivots_of(
+            lambda: simplex.reoptimize(carried, *pricing, self.A, np.array([1.0])))
+        assert outcome == (0, "optimal") and phase_two_pivots == 2
         x, value = simplex.optimum(carried, objective)
         cold_x, cold_value = maximize(objective, self.A, np.array([1.0]), np.array([1.0, 1.0, 1.0]))
         assert value == cold_value == 1.0 and x.tobytes() == cold_x.tobytes()
@@ -730,15 +748,40 @@ class TestDualSimplex:
     def test_the_iteration_cap_gives_up(self, monkeypatch):
         objective, box = np.array([2.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.0])
         monkeypatch.setattr(simplex, "_DUAL_ITERATIONS", 0)
-        carried = self._carried(objective, box, box, 1.2, 1.7)
-        assert simplex.reoptimize(carried, objective, self.A, np.array([1.7])) == (0, False)
+        carried, pricing = self._carried(objective, box, box, 1.2, 1.7)
+        assert simplex.reoptimize(carried, *pricing, self.A, np.array([1.7])) == (0, "pivot_cap")
 
     def test_an_infeasible_row_is_given_up(self):
         # b = -0.1 admits no point in the boxes: one pivot takes x1 up to 0 and x0 below it, and no
         # column moves x0 back up
         objective, box = np.array([2.0, 1.0, 0.0]), np.array([0.5, 1.0, 1.0])
-        carried = self._carried(objective, box, box, 1.2, -0.1)
-        assert simplex.reoptimize(carried, objective, self.A, np.array([-0.1])) == (1, False)
+        carried, pricing = self._carried(objective, box, box, 1.2, -0.1)
+        assert simplex.reoptimize(carried, *pricing, self.A, np.array([-0.1])) == (1, "no_column")
+
+    def test_a_pivot_element_small_against_its_row_is_not_taken(self):
+        # x0 + 1e-9 x1 + s = b with s pinned to 0: x0 is basic, and at b = 1.5 it lies above its box.  Only
+        # x1 moves it back, through the element 1e-9, which passes the absolute PIVOT_TOLERANCE but not
+        # _DUAL_PIVOT_RATIO of the largest entry of the row (1): the loop takes no pivot on it
+        a, box, objective = np.array([[1.0, 1e-9, 1.0]]), np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        state = prepare(a, np.array([0.5]), box)
+        maximize_prepared(state, objective)
+        carried, kept, optimal, pricing = _rebase_one(state, objective, a, np.array([1.5]), box)
+        assert kept and not optimal and carried.basis.tolist() == [0] and carried.x_basic.tolist() == [1.5]
+        row = carried.tableau[0]
+        assert simplex.PIVOT_TOLERANCE < row[1] < simplex._DUAL_PIVOT_RATIO * np.abs(row).max()
+        assert simplex.reoptimize(carried, *pricing, a, np.array([1.5])) == (0, "no_column")
+
+    @staticmethod
+    def _assert_optimal_at_the_cold_maximum(state, verdict, objective, a, b, upper):
+        """A state that reoptimize reports optimal lies in its boxes and is what phase 2 returns from it."""
+        if verdict != "optimal":
+            assert verdict in simplex.GIVE_UPS
+            return
+        assert ((state.x_basic >= 0.0) & (state.x_basic <= state.upper[state.basis])).all()
+        x, value = simplex.optimum(state, objective)
+        again_x, again = maximize_prepared(state, objective)
+        assert (again_x.tobytes(), again) == (x.tobytes(), value)
+        assert value == pytest.approx(maximize(objective, a, b, upper)[1], abs=1e-9)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @_random_programs
@@ -752,15 +795,33 @@ class TestDualSimplex:
         objective = objectives[0]
         maximize_prepared(state, objective)
         step = b + rng.normal(0.0, 0.2, size=b.shape)
-        restored, carried, optimal = _rebase_one(state, objective, a, step, upper)
+        restored, carried, optimal, pricing = _rebase_one(state, objective, a, step, upper)
         if not carried or optimal:
             return
-        _, optimal = simplex.reoptimize(restored, objective, a, step)
-        if not optimal:
+        _, verdict = simplex.reoptimize(restored, *pricing, a, step)
+        self._assert_optimal_at_the_cold_maximum(restored, verdict, objective, a, step, upper)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @_random_programs
+    def test_random_steps_in_the_matrix_end_in_the_boxes_at_the_cold_maximum(self, **program):
+        # a step of the structural coefficients and of b, as a decoy step moves the decoy LP
+        a, b, upper, objectives = _random_program(**program)
+        rng = np.random.default_rng(program["seed"])
+        try:
+            state = prepare(a, b, upper)
+        except InfeasibleProblemError:
             return
-        # the state the loop reports optimal lies in its boxes and is what phase 2 returns from it
-        assert ((restored.x_basic >= 0.0) & (restored.x_basic <= restored.upper[restored.basis])).all()
-        x, value = simplex.optimum(restored, objective)
-        again_x, again = maximize_prepared(restored, objective)
-        assert (again_x.tobytes(), again) == (x.tobytes(), value)
-        assert value == pytest.approx(maximize(objective, a, step, upper)[1], abs=1e-9)
+        objective = objectives[0]
+        maximize_prepared(state, objective)
+        moved = a.copy()
+        columns = a.shape[1] - a.shape[0]
+        moved[:, :columns] *= 1.0 + rng.normal(0.0, 0.1, size=(a.shape[0], columns))
+        step = b + rng.normal(0.0, 0.05, size=b.shape)
+        restored, carried, optimal, pricing = _rebase_one(state, objective, moved, step, upper, new_matrix=True)
+        if not carried or optimal:
+            return
+        _, verdict = simplex.reoptimize(restored, *pricing, moved, step)
+        try:
+            self._assert_optimal_at_the_cold_maximum(restored, verdict, objective, moved, step, upper)
+        except InfeasibleProblemError:
+            assert verdict != "optimal"  # a point in the boxes would be feasible

@@ -13,7 +13,9 @@ stored basis rather than solved after phase 1; the simplex.reoptimize
 runs, one per carried basis that rebase did not prove optimal (out of its
 boxes, or pricing a column in; a basis that rebase proves optimal, its
 tableau rebuilt after a decoy step included, runs none), and their dual
-pivots; and the targets that started from another target's basis;
+pivots; and the targets that started from another target's basis; the
+reoptimize runs that gave up, by reason (a column of each of
+simplex.GIVE_UPS), whose targets start from another target's basis too;
 then the winner's rate as evaluate_key_rate gives it on a cold LP memo,
 the rate a sweep reports, in repr so that rows compare bit for bit.  The
 last line sums every count and counts the descents that ended at rate 0.
@@ -35,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tfqkd import optimizer  # noqa: E402  (needs src/ on the path)
 from tfqkd.decoy import TARGET_PAIRS  # noqa: E402
+from tfqkd.simplex import GIVE_UPS  # noqa: E402
 from tfqkd.experiments import SweepConfig  # noqa: E402
 from tfqkd.optimizer import Strategy, add_fibre_transform, evaluate_key_rate, multistart  # noqa: E402
 
@@ -45,11 +48,11 @@ CONFIG = SweepConfig(total_loss_db_grid=LOSSES_DB, mismatch_ratio=0.1, mode="fin
 #: WarmBases counters of each row, by column.
 COUNTERS = {"lp_solves": "lp_solves", "repriced_targets": "repriced", "reoptimize_runs": "dual_runs",
             "dual_pivots": "dual_pivots", "borrowed_starts": "borrowed"}
-HEADER = ("strategy", "loss_db", "seed", "evaluations", *COUNTERS, "rate")
+HEADER = ("strategy", "loss_db", "seed", "evaluations", *COUNTERS, *GIVE_UPS, "rate")
 
 
 def descent_cost(strategy: Strategy, loss_db: float, seed: int) -> tuple[int, list[int], float]:
-    """Evaluations, the COUNTERS and the winner's cold rate of one start of the finite search."""
+    """Evaluations, the COUNTERS and give-ups by reason, and the winner's cold rate of one start of the finite search."""
     scenario = CONFIG.scenario_for(loss_db)
     working = add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario
     mode = CONFIG.evaluation_mode()
@@ -63,7 +66,8 @@ def descent_cost(strategy: Strategy, loss_db: float, seed: int) -> tuple[int, li
 
     params, _ = multistart(objective, strategy, 1, seed)
     optimizer._finite_lp.cache_clear()
-    return evaluations, [getattr(warm, name) for name in COUNTERS.values()], evaluate_key_rate(working, params, mode).rate
+    counts = [getattr(warm, name) for name in COUNTERS.values()] + [warm.give_ups[reason] for reason in GIVE_UPS]
+    return evaluations, counts, evaluate_key_rate(working, params, mode).rate
 
 
 def _read_baseline(path: str) -> dict:
@@ -82,7 +86,7 @@ def main() -> int:
     baseline = _read_baseline(args.baseline) if args.baseline else None
     print("\t".join(HEADER + (("rate_ratio",) if baseline else ())), flush=True)
     total_evaluations = zero_rates = 0
-    totals = [0] * len(COUNTERS)
+    totals = [0] * (len(COUNTERS) + len(GIVE_UPS))
     ratios, zero_cells, changed_cells = [], [], []
     for name in CONFIG.strategies:
         for loss_db in LOSSES_DB:
@@ -107,11 +111,12 @@ def main() -> int:
                         changed_cells.append(f"{cell} ({old_evaluations} -> {evaluations} evaluations, "
                                              f"{old_rate} -> {rate!r})")
                 print("\t".join(row), flush=True)
-    solves, repriced, reoptimize_runs, dual_pivots, borrowed = totals
+    solves, repriced, reoptimize_runs, dual_pivots, borrowed = totals[:len(COUNTERS)]
+    give_ups = ", ".join(f"{count} {reason}" for reason, count in zip(GIVE_UPS, totals[len(COUNTERS):]))
     print(f"# total: {total_evaluations} evaluations, {solves} LP solves, {repriced} targets from their own basis "
           f"of {len(TARGET_PAIRS) * solves}, {reoptimize_runs} reoptimize runs with {dual_pivots} dual pivots, "
           f"{borrowed} borrowed starts, {zero_rates} of {len(CONFIG.strategies) * len(LOSSES_DB) * len(SEEDS)} "
-          "descents at rate 0")
+          f"descents at rate 0; reoptimize gave up {sum(totals[len(COUNTERS):])} times: {give_ups}")
     if baseline:
         if ratios:
             print(f"# nonzero rate ratios to the baseline: min {min(ratios)!r}, max {max(ratios)!r}")
