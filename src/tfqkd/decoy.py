@@ -8,8 +8,10 @@ variables; maximizing a single Y_nm over that polytope gives the upper
 bound fed to the phase-error estimate.  Finite data widens each gain to a
 standard-error confidence interval before the program is built.  The
 Poisson weights are channel.poisson_pmf_rows, one 3x10 matrix per side.
-Every step takes a leading stack axis: build_stack builds many settings' LPs
-at once, and build_problem one, with the labels and warnings of its dump.
+Every step takes a leading stack axis: observations_from_scenario simulates
+the gains of one decoy setting or of a stack of them, and build_problem, the
+one constructor of LpProblem, checks and builds their LPs at once; a problem
+keeps its decoy triples, which name its rows and its warnings on demand.
 yield_lp is the path from a channel scenario and an EvaluationMode to the
 LP and its bound matrix, which the finite key-rate evaluation memoises.
 A finite search solves its LPs through yield_lp with a WarmBases of its
@@ -19,7 +21,7 @@ optimal is read as it stands, simplex.reoptimize re-solves every other
 one, and a probability step reuses the last LP's gains and arrays.  Those
 bounds may differ from the cold ones by a few 1e-11 and only rank points.
 yield_bounds is the QBER scan's path to the bound matrices of many decoy
-settings: it builds their asymptotic LPs with one build_stack call per
+settings: it builds their asymptotic LPs with one build_problem call per
 stack and solves each stack in lockstep (simplex.maximize_stack), with the
 bits, and the first error, that one yield_lp per setting would give.  No
 module outside this one runs the chain from gains to problem to bounds.
@@ -35,7 +37,7 @@ import dataclasses
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,6 +68,7 @@ STACK_SIZE = 96
 _N_VARS = PHOTON_CUTOFF * PHOTON_CUTOFF
 _BOUND_SIZE = 1 + max(max(pair) for pair in TARGET_PAIRS)
 _TARGET_COLUMNS = [n * PHOTON_CUTOFF + m for n, m in TARGET_PAIRS]
+_TARGET_CELLS = [n * _BOUND_SIZE + m for n, m in TARGET_PAIRS]  # in a flattened bound matrix
 
 
 def sigma_multiplier_from_epsilon(epsilon: float) -> float:
@@ -120,75 +123,15 @@ class EvaluationMode:
         return self.n_pulses is not None
 
 
-@dataclass(frozen=True)
-class DecoyObservations:
-    """Z-basis gains for every pairing of the two decoy intensity sets.
+def observations_from_scenario(scenario: ChannelScenario, intensities_a, intensities_b) -> np.ndarray:
+    """Simulated Z-basis gains of a channel scenario: gains[..., i, j] when side A sent intensity i and B j.
 
-    intensities hold (mu, nu, omega) per side, non-increasing with
-    omega = 0 by default; equal neighbours are legal but degenerate (the
-    duplicated rows add no information and the construction attaches a
-    warning).  gains[i][j] is the per-pattern gain when the A side sent
-    intensity i and the B side intensity j.  pulse_counts[i][j], present
-    in finite mode only, is the effective number of pulse pairs
-    N * P_{mu_i} * P_{mu_j} behind that gain.
+    Takes one (mu, nu, omega) per side, or (..., 3) stacks of them.  The gains follow the Z-basis channel model
+    per click pattern (the two successful patterns share the same value).
     """
-
-    intensities_a: tuple[float, float, float]
-    intensities_b: tuple[float, float, float]
-    gains: tuple[tuple[float, ...], ...]
-    pulse_counts: tuple[tuple[float, ...], ...] | None = None
-
-    def __post_init__(self):
-        for side, values in (("A", self.intensities_a), ("B", self.intensities_b)):
-            if len(values) != 3:
-                raise DomainError(f"side {side} needs exactly three intensities, got {values}")
-            if values[-1] < 0.0:
-                raise DomainError(f"side {side} intensities must be nonnegative, got {values}")
-            if not (values[0] >= values[1] >= values[2]):
-                raise DomainError(f"side {side} intensities must be non-increasing, got {values}")
-        if len(self.gains) != 3 or any(len(row) != 3 for row in self.gains):
-            raise DomainError("gains must form a 3x3 grid")
-        for row in self.gains:
-            for q in row:
-                if not (0.0 <= q <= 1.0):
-                    raise DomainError(f"gains must lie in [0, 1], got {q}")
-        if self.pulse_counts is not None:
-            if len(self.pulse_counts) != 3 or any(len(row) != 3 for row in self.pulse_counts):
-                raise DomainError("pulse counts must form a 3x3 grid")
-            for row in self.pulse_counts:
-                for count in row:
-                    if not 0.0 < count < math.inf:  # also rejects NaN; inf would leave every gain unwidened
-                        raise DomainError(f"pulse counts must be positive and finite, got {count}")
-
-
-def observations_from_scenario(
-    scenario: ChannelScenario,
-    intensities_a: tuple[float, float, float],
-    intensities_b: tuple[float, float, float],
-    n_pulses: float | None = None,
-    probabilities_a: tuple[float, float, float] | None = None,
-    probabilities_b: tuple[float, float, float] | None = None,
-) -> DecoyObservations:
-    """Simulated decoy observations for a channel scenario.
-
-    Gains follow the Z-basis channel model per click pattern (the two
-    successful patterns share the same value).  Passing n_pulses together
-    with per-intensity selection probabilities adds the effective pulse
-    counts needed for finite-size widening.
-    """
-    gains = z_basis_gains(scenario, np.asarray(intensities_a, dtype=float)[:, None] * scenario.eta_a,
-                          np.asarray(intensities_b, dtype=float) * scenario.eta_b)
-    return DecoyObservations(tuple(intensities_a), tuple(intensities_b), tuple(map(tuple, gains.tolist())),
-                             _pulse_counts(n_pulses, probabilities_a, probabilities_b))
-
-
-def _pulse_counts(n_pulses, probabilities_a, probabilities_b) -> tuple[tuple[float, ...], ...] | None:
-    """N * P_{mu_i} * P_{mu_j} per pair of intensities, or None without a pulse count."""
-    if n_pulses is None:
-        return None
-    if probabilities_a is None or probabilities_b is None:
-        raise DomainError("finite observations need selection probabilities for both sides")
-    return tuple(tuple(n_pulses * pa * pb for pb in probabilities_b) for pa in probabilities_a)
+    intensities_a, intensities_b = np.asarray(intensities_a, dtype=float), np.asarray(intensities_b, dtype=float)
+    return z_basis_gains(scenario, intensities_a[..., None] * scenario.eta_a,
+                         intensities_b[..., None, :] * scenario.eta_b)
 
 
 @dataclass(frozen=True)
@@ -202,16 +145,36 @@ class LpProblem:
         0 <= Y_nm <= 1
 
     where slack_mass[r] is the exact Poisson mass outside the cutoff grid.
-    Counting both sides, the problem carries 18 gain inequalities.  A
-    build_stack problem has a leading stack axis and no labels or warnings.
+    Counting both sides, the problem carries 18 gain inequalities.
+    intensities_a and intensities_b are the (mu, nu, omega) triples it was
+    built from, which name its rows.  A stacked problem has a leading
+    stack axis on every array.
     """
 
     coefficients: np.ndarray
     gain_lower: np.ndarray
     gain_upper: np.ndarray
     slack_mass: np.ndarray
-    pair_labels: tuple[str, ...]
-    warnings: tuple[str, ...] = field(default=())
+    intensities_a: np.ndarray
+    intensities_b: np.ndarray
+
+    def _settings(self):
+        """Both sides' (mu, nu, omega) as lists of floats, setting by setting."""
+        return zip(self.intensities_a.reshape(-1, 3).tolist(), self.intensities_b.reshape(-1, 3).tolist())
+
+    @property
+    def pair_labels(self) -> tuple[str, ...]:
+        """The name of each gain row, setting by setting through a stack."""
+        return tuple(f"(mu_a[{i}]={a:g}, mu_b[{j}]={b:g})" for side_a, side_b in self._settings()
+                     for i, a in enumerate(side_a) for j, b in enumerate(side_b))
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """One note per pair of equal neighbouring decoys: legal, but their duplicated rows add no information."""
+        return tuple(f"degenerate decoys on side {side}: {names} == {values[k]}; "
+                     "the duplicated rows provide no extra information"
+                     for setting in self._settings() for side, values in zip("AB", setting)
+                     for k, names in enumerate(("mu == nu", "nu == omega")) if values[k] == values[k + 1])
 
     def constraint_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective (lower, upper) bounds on coefficients . Y per pair."""
@@ -239,66 +202,63 @@ class LpProblem:
         return "\n".join(lines)
 
 
-def build_problem(obs: DecoyObservations, sigma_multiplier: float | None = None) -> LpProblem:
-    """Assemble the yield LP from observations.
+def build_problem(intensities_a, intensities_b, gains, pulse_counts=None,
+                  sigma_multiplier: float | None = None) -> LpProblem:
+    """The yield LP of one decoy setting, or of a stack of settings: the one constructor of LpProblem.
 
-    Row 3i + j pairs intensity i of side A with intensity j of side B; all
-    nine rows, tail masses and gain intervals are formed as whole arrays.
-    Given a sigma multiplier g (finite mode), a gain Q with pulse count M
-    is first widened to (max(0, Q - g*sqrt(Q/M)), Q + g*sqrt(Q/M)), which
-    can only loosen the upper bounds; a zero gain stays at [0, 0].  Equal
-    decoy intensities on one side leave duplicated, information-free rows;
-    the problem is still well posed and a warning records the degeneracy.
-    """
-    if sigma_multiplier is not None:
-        if obs.pulse_counts is None:
-            raise DomainError("finite-size mode requires pulse counts in the observations")
-        if not 0.0 < sigma_multiplier < math.inf:  # also rejects NaN; inf would turn a zero gain's width into NaN
-            raise DomainError(f"sigma multiplier must be positive and finite, got {sigma_multiplier}")
-
-    warnings = tuple(
-        f"degenerate decoys on side {side}: {names} == {values[k]}; the duplicated rows provide no extra information"
-        for side, values in (("A", obs.intensities_a), ("B", obs.intensities_b))
-        for k, names in enumerate(("mu == nu", "nu == omega")) if values[k] == values[k + 1]
-    )
-    return _problem(obs.intensities_a, obs.intensities_b, obs.gains, obs.pulse_counts, sigma_multiplier,
-                    pair_labels=tuple(f"(mu_a[{i}]={a:g}, mu_b[{j}]={b:g})" for i, a in enumerate(obs.intensities_a)
-                                      for j, b in enumerate(obs.intensities_b)),
-                    warnings=warnings)
-
-
-def build_stack(scenario: ChannelScenario, intensities_a, intensities_b) -> LpProblem:
-    """The asymptotic yield LPs of many decoy settings, one (mu, nu, omega) row per setting and side.
-
-    Slice k holds the bytes of build_problem(observations_from_scenario(...)) for setting k.  A setting that
-    those reject raises DomainError here without being named: built alone, it is.
+    Each side holds (mu, nu, omega), non-increasing and nonnegative, as (..., 3) arrays of one shape.
+    gains[..., i, j] is the per-pattern gain when side A sent intensity i and side B intensity j, and
+    pulse_counts[..., i, j] (finite mode) the effective number of pulse pairs N * P_{mu_i} * P_{mu_j} behind
+    it.  Row 3i + j pairs intensity i of A with intensity j of B.  Given a sigma multiplier g, a gain Q with
+    pulse count M is first widened to (max(0, Q - g*sqrt(Q/M)), Q + g*sqrt(Q/M)), which can only loosen the
+    upper bounds; a zero gain stays at [0, 0].  Every input is checked once, with a few reductions over the
+    whole stack; a stack raises the DomainError of its first broken rule, for the first setting that breaks it.
     """
     intensities_a, intensities_b = np.asarray(intensities_a, dtype=float), np.asarray(intensities_b, dtype=float)
-    for side in (intensities_a, intensities_b):
-        if side.shape[-1:] != (3,) or not ((side[..., 2] >= 0.0).all() and (side[..., :2] >= side[..., 1:]).all()):
-            raise DomainError("decoy intensities must be non-increasing nonnegative triples")
-    gains = z_basis_gains(scenario, intensities_a[..., None] * scenario.eta_a,
-                          intensities_b[..., None, :] * scenario.eta_b)
-    return _problem(intensities_a, intensities_b, gains, None, None, pair_labels=())
-
-
-def _problem(intensities_a, intensities_b, gains, pulse_counts, sigma_multiplier, **labels) -> LpProblem:
-    """The LpProblem of (..., 3) intensities per side and (..., 3, 3) gains and pulse counts; rows are n-major."""
-    pmf_a, pmf_b = poisson_pmf_rows(np.array([intensities_a, intensities_b], dtype=float), PHOTON_CUTOFF)
+    for side, values in (("A", intensities_a), ("B", intensities_b)):
+        if values.shape[-1:] != (3,):
+            raise DomainError(f"side {side} needs exactly three intensities, got {tuple(values.ravel().tolist())}")
+    gains = np.array(gains, dtype=float)
+    if gains.shape[-2:] != (3, 3):
+        raise DomainError("gains must form a 3x3 grid")
+    sides = np.array([intensities_a, intensities_b])  # min and max below are NaN where any value is
+    if not ((sides[..., :2] >= sides[..., 1:]).all() and sides.min() >= 0.0
+            and 0.0 <= gains.min() <= gains.max() <= 1.0):
+        for side, values in zip("AB", sides):  # the first rule broken, naming the first setting that breaks it
+            for rule, bad in (("nonnegative", values[..., 2] < 0.0), ("non-increasing",
+                              ~((values[..., 0] >= values[..., 1]) & (values[..., 1] >= values[..., 2])))):
+                if bad.any():
+                    raise DomainError(f"side {side} intensities must be {rule}, got {tuple(values[bad][0].tolist())}")
+        valid = (gains >= 0.0) & (gains <= 1.0)
+        if not valid.all():
+            raise DomainError(f"gains must lie in [0, 1], got {gains[~valid][0]}")
+    gain_rows = _gain_rows(gains, pulse_counts, sigma_multiplier)
+    pmf_a, pmf_b = poisson_pmf_rows(sides, PHOTON_CUTOFF)
     rows = pmf_a.shape[:-2] + (9,)
     return LpProblem((pmf_a[..., :, None, :, None] * pmf_b[..., None, :, None, :]).reshape(rows + (_N_VARS,)),
-                     *_widened(gains, pulse_counts, sigma_multiplier),
+                     *gain_rows,
                      1.0 - (pmf_a.sum(axis=-1)[..., :, None] * pmf_b.sum(axis=-1)[..., None, :]).reshape(rows),
-                     **labels)
+                     *sides)
 
 
-def _widened(gains, pulse_counts, sigma_multiplier: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """(gain_lower, gain_upper) of (..., 3, 3) gains, flattened to (..., 9), widened given a sigma multiplier."""
-    gains = np.array(gains, dtype=float)
+def _gain_rows(gains: np.ndarray, pulse_counts, sigma_multiplier: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """build_problem's (gain_lower, gain_upper) of checked (..., 3, 3) gains, flattened to (..., 9), widened
+    given a sigma multiplier; the pulse counts and the sigma multiplier are checked here."""
     gains = gains.reshape(gains.shape[:-2] + (9,))
+    if pulse_counts is not None:
+        counts = np.array(pulse_counts, dtype=float)
+        if counts.shape[-2:] != (3, 3):
+            raise DomainError("pulse counts must form a 3x3 grid")
+        if not 0.0 < counts.min() <= counts.max() < math.inf:  # NaN fails; inf would leave every gain unwidened
+            bad = counts[~((counts > 0.0) & (counts < math.inf))]
+            raise DomainError(f"pulse counts must be positive and finite, got {bad[0]}")
     if sigma_multiplier is None:
         return gains, gains.copy()
-    delta = sigma_multiplier * np.sqrt(gains / np.array(pulse_counts, dtype=float).reshape(gains.shape))
+    if pulse_counts is None:
+        raise DomainError("finite-size mode requires pulse counts in the observations")
+    if not 0.0 < sigma_multiplier < math.inf:  # also rejects NaN; inf would turn a zero gain's width into NaN
+        raise DomainError(f"sigma multiplier must be positive and finite, got {sigma_multiplier}")
+    delta = sigma_multiplier * np.sqrt(gains / counts.reshape(counts.shape[:-2] + (9,)))
     return np.maximum(0.0, gains - delta), gains + delta
 
 
@@ -307,8 +267,7 @@ def _checked_bounds(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
     lower, upper = problem.constraint_bounds()
     bad = upper - lower < -1e-12
     if np.any(bad):
-        index = int(np.argmax(bad))
-        pair = problem.pair_labels[index] if problem.pair_labels else f"#{index} of the stack"
+        pair = problem.pair_labels[int(np.argmax(bad))]
         raise InfeasibleProblemError(f"constraint pair {pair} has upper bound below lower bound", constraint=pair)
     return lower, upper
 
@@ -340,13 +299,12 @@ def _objectives(width: int) -> np.ndarray:
     return objectives
 
 
-def _bound_matrix(values) -> np.ndarray:
-    """The TARGET_PAIRS maxima, each rounded up by the safety margin and clamped
-    to [0, 1], in a matrix that holds the trivial bound 1 for every other pair."""
-    bounds = np.ones((_BOUND_SIZE, _BOUND_SIZE))
-    for (n, m), value in zip(TARGET_PAIRS, values):
-        bounds[n, m] = min(1.0, max(0.0, value + SAFETY_MARGIN))
-    return bounds
+def _bound_matrix(values: np.ndarray) -> np.ndarray:
+    """The (..., 5) TARGET_PAIRS maxima, each rounded up by the safety margin and clamped to [0, 1],
+    in (..., 3, 3) matrices that hold the trivial bound 1 for every other pair."""
+    bounds = np.ones(values.shape[:-1] + (_BOUND_SIZE * _BOUND_SIZE,))
+    bounds[..., _TARGET_CELLS] = np.minimum(1.0, np.maximum(0.0, values + SAFETY_MARGIN))
+    return bounds.reshape(values.shape[:-1] + (_BOUND_SIZE, _BOUND_SIZE))
 
 
 class WarmBases:
@@ -461,26 +419,28 @@ def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float
     arrays but the widened gains, with the bytes that a new build gives.
     """
     key = (scenario, mode, tuple(intensities_a), tuple(intensities_b))
+    if mode.is_finite and (probabilities_a is None or probabilities_b is None):
+        raise DomainError("finite observations need selection probabilities for both sides")
+    counts = None if mode.n_pulses is None else (  # N * P_{mu_i} * P_{mu_j} per pair of intensities
+        mode.n_pulses * np.asarray(probabilities_a, dtype=float)[:, None] * np.asarray(probabilities_b, dtype=float))
     if warm is not None and warm.key == key:
-        obs = DecoyObservations(key[2], key[3], warm.gains,
-                                _pulse_counts(mode.n_pulses, probabilities_a, probabilities_b))
-        gain_lower, gain_upper = _widened(obs.gains, obs.pulse_counts, mode.sigma_multiplier)
+        gains = warm.gains  # checked with the triples when the last LP was built
+        gain_lower, gain_upper = _gain_rows(gains, counts, mode.sigma_multiplier)
         problem = dataclasses.replace(warm.problem, gain_lower=gain_lower, gain_upper=gain_upper)
     else:
-        obs = observations_from_scenario(scenario, intensities_a, intensities_b, mode.n_pulses,
-                                         probabilities_a, probabilities_b)
-        problem = build_problem(obs, mode.sigma_multiplier)
+        gains = observations_from_scenario(scenario, intensities_a, intensities_b)
+        problem = build_problem(intensities_a, intensities_b, gains, counts, mode.sigma_multiplier)
     bounds = solve_yield_bounds(problem, warm)
-    for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass, bounds):
+    for array in (*vars(problem).values(), bounds):
         array.setflags(write=False)
     if warm is not None:
-        warm.key, warm.gains, warm.problem = key, obs.gains, problem
+        warm.key, warm.gains, warm.problem = key, gains, problem
     return problem, bounds
 
 
 def yield_bounds(scenario: ChannelScenario,
-                 decoy_sets: Iterable[tuple[tuple[float, ...], tuple[float, ...]]]) -> list[np.ndarray]:
-    """Asymptotic bound matrices of many decoy settings of one scenario, in order.
+                 decoy_sets: Iterable[tuple[tuple[float, ...], tuple[float, ...]]]) -> np.ndarray:
+    """Asymptotic bound matrices of many decoy settings of one scenario, in order, as one (K, 3, 3) array.
 
     decoy_sets yields (intensities_a, intensities_b) pairs; each matrix is
     yield_lp's for its pair in the asymptotic mode, bit for bit.  Pairs are
@@ -489,7 +449,7 @@ def yield_bounds(scenario: ChannelScenario,
     Errors surface in the order of the pairs, as one yield_lp call per pair
     would raise them.
     """
-    decoy_sets, bounds = iter(decoy_sets), []
+    decoy_sets, bounds = iter(decoy_sets), [np.ones((0, _BOUND_SIZE, _BOUND_SIZE))]
     while True:
         stack = []
         try:
@@ -499,20 +459,21 @@ def yield_bounds(scenario: ChannelScenario,
             _stack_bounds(scenario, stack)
             raise
         if not stack:
-            return bounds
-        bounds.extend(_stack_bounds(scenario, stack))
+            return np.concatenate(bounds)
+        bounds.append(_stack_bounds(scenario, stack))
 
 
-def _stack_bounds(scenario: ChannelScenario, stack: list) -> list[np.ndarray]:
+def _stack_bounds(scenario: ChannelScenario, stack: list) -> np.ndarray:
     """yield_bounds of one stack, built and solved at once, or setting by setting if it holds one or any fails."""
     if len(stack) > 1:
         try:
-            problem = build_stack(scenario, *zip(*stack))
+            sides = [np.asarray(side, dtype=float) for side in zip(*stack)]
+            problem = build_problem(*sides, observations_from_scenario(scenario, *sides))
             a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
             del problem  # its arrays are not needed past the equality form
         except (ValueError, TypeError, InfeasibleProblemError):  # the failing setting is found one by one below
             a = None
         values = None if a is None else simplex.maximize_stack(a, b, ub, _objectives(a.shape[-1]))
         if values is not None and np.isfinite(values).all():
-            return [_bound_matrix(row) for row in values.tolist()]
-    return [solve_yield_bounds(build_problem(observations_from_scenario(scenario, *pair))) for pair in stack]
+            return _bound_matrix(values)
+    return np.array([yield_lp(scenario, *pair)[1] for pair in stack])

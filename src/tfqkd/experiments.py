@@ -285,7 +285,7 @@ def run_qber_scan(config: QberScanConfig):
 
     bound_matrices = yield_bounds(scenario, decoy_sets())
     # the signal's cat rows, broadcast as one stack slice per bound matrix: one bound call for the whole grid
-    cat = tuple(part[:, None] for part in cat_state(math.sqrt(config.s_b), bound_matrices[0].shape[0]))
+    cat = tuple(part[:, None] for part in cat_state(math.sqrt(config.s_b), bound_matrices.shape[-1]))
     phase_errors = phase_error_upper_bound(cat, cat, bound_matrices)[:, 0, 0].tolist()
     return [QberScanRow(ratio=value / config.s_b, e_xx_full=e_full, e_xx_first_order=e_first,
                         e_zz_upper=min(1.0, phase_error / p_xx_signal))

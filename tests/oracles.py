@@ -69,7 +69,7 @@ from tfqkd.channel import (
     x_basis_qber,
     yield_grid,
 )
-from tfqkd.decoy import _N_VARS, PHOTON_CUTOFF, DecoyObservations, LpProblem, yield_lp
+from tfqkd.decoy import _N_VARS, PHOTON_CUTOFF, yield_lp
 from tfqkd.experiments import QberScanRow
 from tfqkd.errors import DomainError, UnboundedProblemError, UnsupportedAmplitudeError, ZeroGainError
 from tfqkd.optimizer import (
@@ -641,8 +641,21 @@ def widened_gain_interval_reference(gain: float, effective_pulses: float, sigma_
     return max(0.0, gain - delta), gain + delta
 
 
-def build_problem_reference(obs: DecoyObservations, sigma_multiplier: float | None = None) -> LpProblem:
-    """Assemble the yield LP from observations.
+@dataclass(frozen=True)
+class ReferenceProblem:
+    """The arrays, row labels and warnings of one reference assembly of the yield LP."""
+
+    coefficients: np.ndarray
+    gain_lower: np.ndarray
+    gain_upper: np.ndarray
+    slack_mass: np.ndarray
+    pair_labels: tuple
+    warnings: tuple
+
+
+def build_problem_reference(intensities_a, intensities_b, gains, pulse_counts=None,
+                            sigma_multiplier: float | None = None) -> ReferenceProblem:
+    """Assemble the yield LP of one decoy setting, one intensity pair at a time.
 
     Given a sigma multiplier (finite mode), every gain is first widened to
     its confidence interval, which can only loosen the resulting upper
@@ -651,13 +664,13 @@ def build_problem_reference(obs: DecoyObservations, sigma_multiplier: float | No
     records the degeneracy.
     """
     if sigma_multiplier is not None:
-        if obs.pulse_counts is None:
+        if pulse_counts is None:
             raise DomainError("finite-size mode requires pulse counts in the observations")
         if not sigma_multiplier > 0.0:  # also rejects NaN
             raise DomainError(f"sigma multiplier must be positive, got {sigma_multiplier}")
 
     warnings = []
-    for side, values in (("A", obs.intensities_a), ("B", obs.intensities_b)):
+    for side, values in (("A", intensities_a), ("B", intensities_b)):
         if values[0] == values[1]:
             warnings.append(
                 f"degenerate decoys on side {side}: mu == nu == {values[0]}; "
@@ -669,8 +682,8 @@ def build_problem_reference(obs: DecoyObservations, sigma_multiplier: float | No
                 "the duplicated rows provide no extra information"
             )
 
-    pmf_a = [poisson_pmf_vector_reference(mu) for mu in obs.intensities_a]
-    pmf_b = [poisson_pmf_vector_reference(mu) for mu in obs.intensities_b]
+    pmf_a = [poisson_pmf_vector_reference(mu) for mu in intensities_a]
+    pmf_b = [poisson_pmf_vector_reference(mu) for mu in intensities_b]
 
     coefficients = np.empty((9, _N_VARS))
     gain_lower = np.empty(9)
@@ -682,24 +695,17 @@ def build_problem_reference(obs: DecoyObservations, sigma_multiplier: float | No
         for j in range(3):
             coefficients[row] = np.outer(pmf_a[i], pmf_b[j]).reshape(_N_VARS)
             slack_mass[row] = 1.0 - pmf_a[i].sum() * pmf_b[j].sum()
-            gain = obs.gains[i][j]
+            gain = gains[i][j]
             if sigma_multiplier is not None:
-                low, high = widened_gain_interval_reference(gain, obs.pulse_counts[i][j], sigma_multiplier)
+                low, high = widened_gain_interval_reference(gain, pulse_counts[i][j], sigma_multiplier)
             else:
                 low = high = gain
             gain_lower[row] = low
             gain_upper[row] = high
-            labels.append(f"(mu_a[{i}]={obs.intensities_a[i]:g}, mu_b[{j}]={obs.intensities_b[j]:g})")
+            labels.append(f"(mu_a[{i}]={intensities_a[i]:g}, mu_b[{j}]={intensities_b[j]:g})")
             row += 1
 
-    return LpProblem(
-        coefficients=coefficients,
-        gain_lower=gain_lower,
-        gain_upper=gain_upper,
-        slack_mass=slack_mass,
-        pair_labels=tuple(labels),
-        warnings=tuple(warnings),
-    )
+    return ReferenceProblem(coefficients, gain_lower, gain_upper, slack_mass, tuple(labels), tuple(warnings))
 
 
 @dataclass(frozen=True)

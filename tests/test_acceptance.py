@@ -28,7 +28,6 @@ from tfqkd.channel import (
 )
 from tfqkd.decoy import (
     TARGET_PAIRS,
-    DecoyObservations,
     build_problem,
     observations_from_scenario,
     solve_yield_bounds,
@@ -165,7 +164,7 @@ def test_criterion_3_yield_soundness_and_tightness():
             mu = float(rng.uniform(0.05, 0.6))
             nu = float(rng.uniform(0.005, mu / 2.0))
             decoys.append((mu, nu, 0.0))
-        problem = build_problem(observations_from_scenario(sc, decoys[0], decoys[1]))
+        problem = build_problem(*decoys, observations_from_scenario(sc, *decoys))
         truth = yield_grid(sc)[:10, :10]
         if not lp_contains(problem, truth):
             sound = False
@@ -184,7 +183,7 @@ def test_criterion_3_yield_soundness_and_tightness():
         pa = poisson_pmf_rows(mu_a, 10)
         pb = poisson_pmf_rows(mu_b, 10)
         gains = tuple(tuple(float(pa[i] @ yields @ pb[j]) for j in range(3)) for i in range(3))
-        problem = build_problem(DecoyObservations(tuple(mu_a), tuple(mu_b), gains))
+        problem = build_problem(mu_a, mu_b, gains)
         bounds = solve_yield_bounds(problem)
         for n, m in TARGET_PAIRS:
             margin = bounds[n, m] - yields[n, m]
@@ -193,7 +192,8 @@ def test_criterion_3_yield_soundness_and_tightness():
                 sound = False
 
     nominal = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
-    problem = build_problem(observations_from_scenario(nominal, (0.1, 0.01, 0.0), (0.1, 0.01, 0.0)))
+    decoys = (0.1, 0.01, 0.0)
+    problem = build_problem(decoys, decoys, observations_from_scenario(nominal, decoys, decoys))
     u11 = solve_yield_bounds(problem)[1, 1]
     true_11 = yield_grid(nominal)[1, 1]
     tight = u11 <= 1.10 * true_11 and u11 >= true_11 - 1e-12
@@ -341,9 +341,10 @@ def test_criterion_7_property_suites():
 
     # LP determinism, bit-identical reruns
     nominal = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
-    obs = observations_from_scenario(nominal, (0.1, 0.01, 0.0), (0.1, 0.01, 0.0))
-    first = solve_yield_bounds(build_problem(obs))
-    second = solve_yield_bounds(build_problem(obs))
+    decoys = (0.1, 0.01, 0.0)
+    gains = observations_from_scenario(nominal, decoys, decoys)
+    first = solve_yield_bounds(build_problem(decoys, decoys, gains))
+    second = solve_yield_bounds(build_problem(decoys, decoys, gains))
     checks["lp_determinism_bit_identical"] = all(first[p] == second[p] for p in TARGET_PAIRS)
 
     # strategy nesting within 5% search noise
@@ -367,21 +368,16 @@ def test_criterion_8_finite_size_arithmetic():
     start = time.monotonic()
     gains = tuple(tuple(1e-4 for _ in range(3)) for _ in range(3))
     counts = tuple(tuple(1e10 for _ in range(3)) for _ in range(3))
-    problem = build_problem(
-        DecoyObservations((0.1, 0.01, 0.0), (0.1, 0.01, 0.0), gains, counts),
-        sigma_multiplier=5.3,
-    )
+    problem = build_problem((0.1, 0.01, 0.0), (0.1, 0.01, 0.0), gains, counts, sigma_multiplier=5.3)
     expected_up = 1e-4 + 5.3e-7
     expected_low = 1e-4 - 5.3e-7
     widened_up = max(abs(v - expected_up) for v in problem.gain_upper)
     widened_low = max(abs(v - expected_low) for v in problem.gain_lower)
 
     tiny = build_problem(
-        DecoyObservations(
-            (0.1, 0.01, 0.0), (0.1, 0.01, 0.0),
-            tuple(tuple(1e-12 for _ in range(3)) for _ in range(3)),
-            tuple(tuple(1e6 for _ in range(3)) for _ in range(3)),
-        ),
+        (0.1, 0.01, 0.0), (0.1, 0.01, 0.0),
+        tuple(tuple(1e-12 for _ in range(3)) for _ in range(3)),
+        tuple(tuple(1e6 for _ in range(3)) for _ in range(3)),
         sigma_multiplier=5.3,
     )
     elapsed = time.monotonic() - start

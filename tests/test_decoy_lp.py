@@ -14,12 +14,9 @@ from tfqkd.decoy import (
     PHOTON_CUTOFF,
     STACK_SIZE,
     TARGET_PAIRS,
-    DecoyObservations,
     WarmBases,
     EvaluationMode,
-    LpProblem,
     build_problem,
-    build_stack,
     observations_from_scenario,
     sigma_multiplier_from_epsilon,
     _equality_form,
@@ -45,8 +42,16 @@ NOMINAL = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
 DECOYS = (0.1, 0.01, 0.0)
 
 
+ZERO_GAINS = tuple((0.0,) * 3 for _ in range(3))
+
+
 def nominal_problem(**kwargs):
-    return build_problem(observations_from_scenario(NOMINAL, DECOYS, DECOYS), **kwargs)
+    return build_problem(DECOYS, DECOYS, observations_from_scenario(NOMINAL, DECOYS, DECOYS), **kwargs)
+
+
+def pulse_counts(n_pulses, probabilities_a, probabilities_b):
+    """N * P_{mu_i} * P_{mu_j} per pair of intensities, as Python floats."""
+    return tuple(tuple(n_pulses * a * b for b in probabilities_b) for a in probabilities_a)
 
 
 #: The cell (A intensity 1, B intensity 2) of the widening tests, row 5 of the LP.
@@ -58,8 +63,7 @@ def widened_cell(gain: float, count: float, sigma_multiplier: float) -> tuple[fl
     gains = [[1e-3] * 3 for _ in range(3)]
     counts = [[1e9] * 3 for _ in range(3)]
     gains[CELL[0]][CELL[1]], counts[CELL[0]][CELL[1]] = gain, count
-    obs = DecoyObservations(DECOYS, DECOYS, tuple(map(tuple, gains)), tuple(map(tuple, counts)))
-    problem = build_problem(obs, sigma_multiplier=sigma_multiplier)
+    problem = build_problem(DECOYS, DECOYS, gains, counts, sigma_multiplier=sigma_multiplier)
     row = 3 * CELL[0] + CELL[1]
     return problem.gain_lower[row], problem.gain_upper[row]
 
@@ -130,25 +134,34 @@ class TestStatistics:
 
 class TestObservations:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            DecoyObservations((0.01, 0.1, 0.0), DECOYS, tuple((0.0,) * 3 for _ in range(3)))
-        with pytest.raises(DomainError):
-            DecoyObservations(DECOYS, DECOYS, tuple((1.5, 0.0, 0.0) for _ in range(3)))
-        with pytest.raises(DomainError):
-            DecoyObservations(DECOYS, DECOYS, tuple((0.0,) * 3 for _ in range(3)),
-                              pulse_counts=tuple((0.0,) * 3 for _ in range(3)))
+        with pytest.raises(DomainError, match=r"side A intensities must be non-increasing, got \(0.01, 0.1, 0.0\)"):
+            build_problem((0.01, 0.1, 0.0), DECOYS, ZERO_GAINS)
+        with pytest.raises(DomainError, match=r"side B intensities must be nonnegative, got \(0.1, 0.01, -0.5\)"):
+            build_problem(DECOYS, (0.1, 0.01, -0.5), ZERO_GAINS)
+        with pytest.raises(DomainError, match="side A needs exactly three intensities"):
+            build_problem((0.1, 0.01), DECOYS, ZERO_GAINS)
+        with pytest.raises(DomainError, match=r"gains must lie in \[0, 1\], got 1.5"):
+            build_problem(DECOYS, DECOYS, tuple((1.5, 0.0, 0.0) for _ in range(3)))
+        with pytest.raises(DomainError, match="gains must form a 3x3 grid"):
+            build_problem(DECOYS, DECOYS, ZERO_GAINS[:2])
+        with pytest.raises(DomainError, match="pulse counts must be positive and finite, got 0.0"):
+            build_problem(DECOYS, DECOYS, ZERO_GAINS, pulse_counts=ZERO_GAINS)
+        with pytest.raises(DomainError, match="pulse counts must form a 3x3 grid"):
+            build_problem(DECOYS, DECOYS, ZERO_GAINS, pulse_counts=((1e9,) * 3,) * 2)
 
     def test_finite_observations_need_probabilities(self):
-        with pytest.raises(DomainError):
-            observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=1e10)
+        with pytest.raises(DomainError, match="selection probabilities for both sides"):
+            yield_lp(NOMINAL, DECOYS, DECOYS, EvaluationMode.finite(1e10), probabilities_a=(0.5, 0.3, 0.2))
 
     def test_pulse_counts_multiply_out(self):
-        obs = observations_from_scenario(
-            NOMINAL, DECOYS, DECOYS, n_pulses=1e10,
-            probabilities_a=(0.5, 0.3, 0.2), probabilities_b=(0.6, 0.2, 0.2),
-        )
-        assert obs.pulse_counts[0][1] == pytest.approx(1e10 * 0.5 * 0.2)
-        assert obs.pulse_counts[2][0] == pytest.approx(1e10 * 0.2 * 0.6)
+        # yield_lp widens each gain with N * P_{mu_i} * P_{mu_j}, multiplied out in that order
+        probabilities_a, probabilities_b = (0.5, 0.3, 0.2), (0.6, 0.2, 0.2)
+        problem, _ = yield_lp(NOMINAL, DECOYS, DECOYS, EvaluationMode.finite(1e10, 5.3), probabilities_a,
+                              probabilities_b)
+        expected = build_problem(DECOYS, DECOYS, observations_from_scenario(NOMINAL, DECOYS, DECOYS),
+                                 pulse_counts(1e10, probabilities_a, probabilities_b), 5.3)
+        assert problem.gain_upper.tobytes() == expected.gain_upper.tobytes()
+        assert problem.gain_lower.tobytes() == expected.gain_lower.tobytes()
 
 
 class TestNanIsRejected:
@@ -160,23 +173,24 @@ class TestNanIsRejected:
         # an infinite count would leave every gain unwidened: an exact LP labelled finite
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError, match="pulse counts must be positive"):
-                DecoyObservations(DECOYS, DECOYS, tuple((0.0,) * 3 for _ in range(3)),
-                                  pulse_counts=tuple((bad, 1e9, 1e9) for _ in range(3)))
+                build_problem(DECOYS, DECOYS, ZERO_GAINS, pulse_counts=tuple((bad, 1e9, 1e9) for _ in range(3)))
 
     def test_observations_from_scenario_reject_nan_pulses(self):
-        with pytest.raises(DomainError):
-            observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=math.nan, **self.PROBABILITIES)
+        # the simulated gains' pulse counts come from the selection probabilities: a NaN one is rejected
+        with pytest.raises(DomainError, match="pulse counts must be positive"):
+            yield_lp(NOMINAL, DECOYS, DECOYS, EvaluationMode.finite(1e12), (math.nan, 0.3, 0.3), (0.4, 0.3, 0.3))
 
     @pytest.mark.parametrize("args", [(math.nan, 1e9, 5.3), (1e-3, math.nan, 5.3), (1e-3, 1e9, math.nan)])
     def test_widening_rejects_nan(self, args):
-        # a NaN gain or count is rejected by DecoyObservations, a NaN sigma by build_problem
+        # build_problem rejects a NaN gain, count or sigma
         with pytest.raises(DomainError):
             widened_cell(*args)
 
     def test_build_rejects_nan_sigma(self):
-        obs = observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=1e12, **self.PROBABILITIES)
+        counts = pulse_counts(1e12, self.PROBABILITIES["probabilities_a"], self.PROBABILITIES["probabilities_b"])
         with pytest.raises(DomainError, match="sigma multiplier must be positive"):
-            build_problem(obs, sigma_multiplier=math.nan)
+            build_problem(DECOYS, DECOYS, observations_from_scenario(NOMINAL, DECOYS, DECOYS), counts,
+                          sigma_multiplier=math.nan)
 
     def test_solve_raises_on_a_non_finite_maximum(self, monkeypatch):
         monkeypatch.setattr(simplex, "column_values", lambda stack, columns: np.full(len(columns), math.nan))
@@ -237,7 +251,7 @@ class TestSolveInStacks:
         of its pairs lie below their lower bounds; ("overflow", None): the
         strong decoy is so large that its Z-basis gain overflows;
         ("unsorted", None): the strong decoy lies below the weak one, which
-        DecoyObservations rejects.
+        build_problem rejects.
         """
         gains_of, rows_of = decoy.z_basis_gains, decoy.poisson_pmf_rows
         contradicted = {settings[i][0][0]: row for i, (kind, row) in broken.items() if kind == "contradictory"}
@@ -385,34 +399,27 @@ class TestBuildProblem:
         assert np.all(problem.gain_lower == problem.gain_upper)
 
     def test_finite_mode_widens_every_gain(self):
-        obs = observations_from_scenario(
-            NOMINAL, DECOYS, DECOYS, n_pulses=1e12,
-            probabilities_a=(0.4, 0.3, 0.3), probabilities_b=(0.4, 0.3, 0.3),
-        )
-        tight = build_problem(obs)
-        wide = build_problem(obs, sigma_multiplier=5.3)
+        counts = pulse_counts(1e12, (0.4, 0.3, 0.3), (0.4, 0.3, 0.3))
+        tight = nominal_problem(pulse_counts=counts)
+        wide = nominal_problem(pulse_counts=counts, sigma_multiplier=5.3)
         positive = tight.gain_upper > 0
         assert np.all(wide.gain_upper[positive] > tight.gain_upper[positive])
         assert np.all(wide.gain_lower <= tight.gain_lower)
         assert np.all(wide.gain_lower >= 0.0)
 
     def test_finite_mode_requires_counts_and_width(self):
-        obs = observations_from_scenario(NOMINAL, DECOYS, DECOYS)
+        with pytest.raises(DomainError, match="requires pulse counts"):
+            nominal_problem(sigma_multiplier=5.3)
+        counts = pulse_counts(1e12, (0.4, 0.3, 0.3), (0.4, 0.3, 0.3))
         with pytest.raises(DomainError):
-            build_problem(obs, sigma_multiplier=5.3)
-        obs_counts = observations_from_scenario(
-            NOMINAL, DECOYS, DECOYS, n_pulses=1e12,
-            probabilities_a=(0.4, 0.3, 0.3), probabilities_b=(0.4, 0.3, 0.3),
-        )
-        with pytest.raises(DomainError):
-            build_problem(obs_counts, sigma_multiplier=0.0)
+            nominal_problem(pulse_counts=counts, sigma_multiplier=0.0)
         # infinity times a zero gain's standard error would be a NaN width
         with pytest.raises(DomainError, match="positive and finite"):
-            build_problem(obs_counts, sigma_multiplier=math.inf)
+            nominal_problem(pulse_counts=counts, sigma_multiplier=math.inf)
 
     def test_degenerate_decoys_attach_a_warning(self):
-        obs = observations_from_scenario(NOMINAL, (0.01, 0.01, 0.0), DECOYS)
-        problem = build_problem(obs)
+        decoys = (0.01, 0.01, 0.0)
+        problem = build_problem(decoys, DECOYS, observations_from_scenario(NOMINAL, decoys, DECOYS))
         assert any("degenerate" in w for w in problem.warnings)
         assert nominal_problem().warnings == ()
 
@@ -440,16 +447,17 @@ class TestBuildProblemMatchesReference:
            finite=st.none() | st.tuples(count_grids, st.floats(0.5, 8.0)))
     def test_same_bytes_as_the_reference(self, intensities_a, intensities_b, gains, finite):
         counts, sigma_multiplier = finite if finite else (None, None)
-        obs = DecoyObservations(intensities_a, intensities_b, gains, counts)
-        problem = build_problem(obs, sigma_multiplier)
-        reference = build_problem_reference(obs, sigma_multiplier)
+        problem = build_problem(intensities_a, intensities_b, gains, counts, sigma_multiplier)
+        reference = build_problem_reference(intensities_a, intensities_b, gains, counts, sigma_multiplier)
         for name in ("coefficients", "gain_lower", "gain_upper", "slack_mass"):
             mine, theirs = getattr(problem, name), getattr(reference, name)
             assert (mine.shape, mine.dtype, mine.tobytes()) == (theirs.shape, theirs.dtype, theirs.tobytes()), name
         assert problem.pair_labels == reference.pair_labels
         assert problem.warnings == reference.warnings
-        assert problem.to_text() == reference.to_text()
-
+        text = problem.to_text().splitlines()
+        assert [line for line in text if line.startswith("warning: ")] == [f"warning: {w}" for w in reference.warnings]
+        assert [line.split(":")[0] for line in text if line.startswith("pair ")] == [
+            f"pair {label}" for label in reference.pair_labels]
 
 
 #: A QBER-scan side: (v, nu, 0) with the roles of v and nu swapped when v < nu, as the scan draws them.
@@ -469,36 +477,73 @@ class TestBuildStack:
                                        probability_triples, probability_triples), min_size=1, max_size=6),
            finite=st.tuples(st.floats(1e6, 1e13), st.floats(0.5, 8.0)))
     def test_each_setting_is_the_reference_build(self, etas, p_d, e_d, phi, settings, finite):
-        # build_stack (asymptotic) and its core with stacked pulse counts (finite widening) against the
-        # reference assembly of each setting's gains, and the batch of one, build_problem, against both
+        # one build_problem call per mode for the whole stack (asymptotic, and finite with stacked pulse counts
+        # and sigma) against the reference assembly of each setting's gains, and the build of one setting
+        # against both; a stack names the rows and warnings of its settings in order
         scenario = ChannelScenario(*etas, p_d=p_d, e_d=e_d, phi=phi)
         intensities_a, intensities_b, probabilities_a, probabilities_b = zip(*settings)
-        stack = build_stack(scenario, intensities_a, intensities_b)
-        assert (stack.pair_labels, stack.warnings) == ((), ())
         gains = [tuple(tuple(z_basis_gain_reference(scenario, ArrivingIntensities.from_sources(scenario, a, b))
                              for b in decoys_b) for a in decoys_a) for decoys_a, decoys_b, _, _ in settings]
-        counts = [tuple(tuple(finite[0] * x * y for y in pb) for x in pa) for _, _, pa, pb in settings]
-        widened = decoy._problem(np.array(intensities_a), np.array(intensities_b), np.array(gains),
-                                 np.array(counts), finite[1], pair_labels=())
-        for k, (decoys_a, decoys_b, pa, pb) in enumerate(settings):
-            for mode, batched, count in ((EvaluationMode(), stack, None),
-                                         (EvaluationMode.finite(*finite), widened, counts[k])):
-                reference = build_problem_reference(DecoyObservations(decoys_a, decoys_b, gains[k], count),
-                                                    mode.sigma_multiplier)
-                alone = build_problem(observations_from_scenario(scenario, decoys_a, decoys_b, mode.n_pulses,
-                                                                 pa, pb), mode.sigma_multiplier)
+        counts = [pulse_counts(finite[0], pa, pb) for _, _, pa, pb in settings]
+        simulated = observations_from_scenario(scenario, intensities_a, intensities_b)
+        stacks = {None: build_problem(intensities_a, intensities_b, simulated),
+                  finite[1]: build_problem(intensities_a, intensities_b, simulated, counts, finite[1])}
+        warnings = []
+        for k, (decoys_a, decoys_b, _, _) in enumerate(settings):
+            for sigma_multiplier, count in ((None, None), (finite[1], counts[k])):
+                reference = build_problem_reference(decoys_a, decoys_b, gains[k], count, sigma_multiplier)
+                alone = build_problem(decoys_a, decoys_b, observations_from_scenario(scenario, decoys_a, decoys_b),
+                                      count, sigma_multiplier)
                 for name in ("coefficients", "gain_lower", "gain_upper", "slack_mass"):
                     theirs = getattr(reference, name)
-                    for mine in (getattr(batched, name)[k], getattr(alone, name)):
+                    for mine in (getattr(stacks[sigma_multiplier], name)[k], getattr(alone, name)):
                         assert (mine.shape, mine.tobytes()) == (theirs.shape, theirs.tobytes()), name
                 assert (alone.pair_labels, alone.warnings) == (reference.pair_labels, reference.warnings)
+                assert stacks[sigma_multiplier].pair_labels[9 * k:9 * (k + 1)] == reference.pair_labels
+            warnings += reference.warnings
+        assert stacks[None].warnings == stacks[finite[1]].warnings == tuple(warnings)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("triple", r"side A intensities must be non-increasing, got \(0.005, 0.01, 0.0\)"),
+        ("gain", r"gains must lie in \[0, 1\], got 1.5"),
+        ("count", "pulse counts must be positive and finite, got nan"),
+    ])
+    def test_a_bad_setting_raises_its_own_error(self, fault, message):
+        # one bad setting among good ones: the stack raises the DomainError that the setting raises alone
+        intensities_a = np.array([(0.2 + 0.01 * i, 0.01, 0.0) for i in range(5)])
+        intensities_b = np.array([DECOYS] * 5)
+        gains = observations_from_scenario(NOMINAL, intensities_a, intensities_b)
+        counts = np.full(gains.shape, 1e9)
+        if fault == "triple":
+            intensities_a[3] = (0.005, 0.01, 0.0)
+        elif fault == "gain":
+            gains[3, 1, 2] = 1.5
+        else:
+            counts[3, 2, 0] = math.nan
+        with pytest.raises(DomainError, match=message) as stacked:
+            build_problem(intensities_a, intensities_b, gains, counts, 5.3)
+        with pytest.raises(DomainError) as alone:
+            build_problem(intensities_a[3], intensities_b[3], gains[3], counts[3], 5.3)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_a_stack_names_the_pair_whose_bounds_cross(self):
+        # the pair label of a stacked problem is its setting's own
+        intensities_a = np.array([(0.2 + 0.01 * i, 0.01, 0.0) for i in range(4)])
+        intensities_b = np.array([DECOYS] * 4)
+        problem = build_problem(intensities_a, intensities_b, observations_from_scenario(NOMINAL, intensities_a,
+                                                                                         intensities_b))
+        gain_upper = problem.gain_upper.copy()
+        gain_upper[2, 4] = -1.0
+        with pytest.raises(InfeasibleProblemError) as excinfo:
+            decoy._checked_bounds(dataclasses.replace(problem, gain_upper=gain_upper))
+        assert excinfo.value.constraint == "(mu_a[1]=0.01, mu_b[1]=0.01)" == problem.pair_labels[2 * 9 + 4]
+        assert len(problem.pair_labels) == 36
 
 
 class TestSolve:
     def test_zero_observations_pin_the_vacuum_yield(self):
         sc = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.0)
-        gains = tuple(tuple(0.0 for _ in range(3)) for _ in range(3))
-        problem = build_problem(DecoyObservations(DECOYS, DECOYS, gains))
+        problem = build_problem(DECOYS, DECOYS, ZERO_GAINS)
         bound = solve_yield_bounds(problem)[0, 0]
         # zero up to the documented safety rounding
         assert 0.0 <= bound <= 1.0001e-9
@@ -537,7 +582,7 @@ class TestSolve:
             gains = tuple(
                 tuple(float(pa[i] @ yields @ pb[j]) for j in range(3)) for i in range(3)
             )
-            problem = build_problem(DecoyObservations(tuple(mu_a), tuple(mu_b), gains))
+            problem = build_problem(mu_a, mu_b, gains)
             assert lp_contains(problem, yields)
             bounds = solve_yield_bounds(problem)
             for n, m in TARGET_PAIRS:
@@ -553,40 +598,38 @@ class TestSolve:
             assert mine >= reference - 1e-9  # never under-report
 
     def test_wider_intervals_never_shrink_bounds(self):
-        obs = observations_from_scenario(
-            NOMINAL, DECOYS, DECOYS, n_pulses=1e11,
-            probabilities_a=(0.4, 0.3, 0.3), probabilities_b=(0.4, 0.3, 0.3),
-        )
-        previous = solve_yield_bounds(build_problem(obs))
+        counts = pulse_counts(1e11, (0.4, 0.3, 0.3), (0.4, 0.3, 0.3))
+        previous = solve_yield_bounds(nominal_problem(pulse_counts=counts))
         for sigma in (1.0, 5.3, 12.0):
-            current = solve_yield_bounds(build_problem(obs, sigma_multiplier=sigma))
+            current = solve_yield_bounds(nominal_problem(pulse_counts=counts, sigma_multiplier=sigma))
             for pair in TARGET_PAIRS:
                 assert current[pair] >= previous[pair] - 1e-12
             previous = current
 
     def test_degenerate_decoys_match_reduced_observation_set(self):
-        obs = observations_from_scenario(NOMINAL, (0.01, 0.01, 0.0), DECOYS)
-        degenerate = solve_yield_bounds(build_problem(obs))
+        gains = observations_from_scenario(NOMINAL, (0.01, 0.01, 0.0), DECOYS)
+        degenerate_problem = build_problem((0.01, 0.01, 0.0), DECOYS, gains)
+        degenerate = solve_yield_bounds(degenerate_problem)
 
         # same information, built directly from the two unique intensities
         unique_rows = (0, 2)  # intensities 0.01 and 0.0 in the original grid
         pa = {0: poisson_pmf_rows([0.01], PHOTON_CUTOFF)[0], 2: poisson_pmf_rows([0.0], PHOTON_CUTOFF)[0]}
         pb = poisson_pmf_rows(DECOYS, PHOTON_CUTOFF)
-        coefficients, lows, highs, slack, labels = [], [], [], [], []
+        coefficients, lows, highs, slack = [], [], [], []
         for i in unique_rows:
             for j in range(3):
                 coefficients.append(np.outer(pa[i], pb[j]).reshape(100))
-                gain = obs.gains[i][j]
+                gain = gains[i][j]
                 lows.append(gain)
                 highs.append(gain)
                 slack.append(1.0 - pa[i].sum() * pb[j].sum())
-                labels.append(f"reduced-{i}{j}")
-        reduced = LpProblem(
+        # the six rows in place of the nine
+        reduced = dataclasses.replace(
+            degenerate_problem,
             coefficients=np.array(coefficients),
             gain_lower=np.array(lows),
             gain_upper=np.array(highs),
             slack_mass=np.array(slack),
-            pair_labels=tuple(labels),
         )
         expected = solve_yield_bounds(reduced)
         for pair in TARGET_PAIRS:
@@ -599,29 +642,23 @@ class TestSolve:
 
     def test_contradictory_observations_raise_with_the_pair(self):
         problem = nominal_problem()
-        broken = LpProblem(
-            coefficients=problem.coefficients,
-            gain_lower=problem.gain_lower + 0.5,  # lower above upper
-            gain_upper=problem.gain_upper,
-            slack_mass=problem.slack_mass,
-            pair_labels=problem.pair_labels,
-        )
+        broken = dataclasses.replace(problem, gain_lower=problem.gain_lower + 0.5)  # lower above upper
         with pytest.raises(InfeasibleProblemError) as excinfo:
             solve_yield_bounds(broken)
         assert excinfo.value.constraint is not None
 
     def test_conflicting_rows_detected_in_phase_one(self):
         coefficients = np.vstack([np.ones(100) / 100.0, np.ones(100) / 100.0])
-        problem = LpProblem(
+        problem = dataclasses.replace(  # two rows, named by the first two of the nominal problem
+            nominal_problem(),
             coefficients=coefficients,
             gain_lower=np.array([0.9, 0.0]),
             gain_upper=np.array([0.9, 0.1]),  # same mixture pinned to 0.9 and <= 0.1
             slack_mass=np.zeros(2),
-            pair_labels=("pin-high", "pin-low"),
         )
         with pytest.raises(InfeasibleProblemError) as excinfo:
             solve_yield_bounds(problem)
-        assert excinfo.value.constraint in problem.pair_labels
+        assert excinfo.value.constraint in problem.pair_labels[:2]
 
 
 unit = st.floats(1e-4, 1.0)
@@ -639,8 +676,7 @@ class TestYieldLp:
 
     def test_is_the_chain_it_replaces_with_read_only_arrays(self):
         problem, bounds = yield_lp(NOMINAL, DECOYS, DECOYS, EvaluationMode.finite(1e12, 5.3), **self.PROBABILITIES)
-        obs = observations_from_scenario(NOMINAL, DECOYS, DECOYS, n_pulses=1e12, **self.PROBABILITIES)
-        expected = build_problem(obs, sigma_multiplier=5.3)
+        expected = nominal_problem(pulse_counts=pulse_counts(1e12, *self.PROBABILITIES.values()), sigma_multiplier=5.3)
         assert problem.to_text() == expected.to_text()
         assert bounds.tobytes() == solve_yield_bounds(expected).tobytes()
         for array in (problem.coefficients, problem.gain_lower, problem.gain_upper, problem.slack_mass, bounds):

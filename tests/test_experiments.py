@@ -8,7 +8,7 @@ import pytest
 
 from tfqkd import experiments
 from tfqkd.cli import main
-from tfqkd.decoy import STACK_SIZE, LpProblem
+from tfqkd.decoy import STACK_SIZE, build_problem
 from tfqkd.errors import ConfigError, DomainError
 from tfqkd.experiments import (
     QBER_SCAN_COLUMNS,
@@ -326,15 +326,12 @@ class TestSweep:
         assert text.count("=== loss_db=") == 1
 
     def test_lp_dumps_follow_row_order(self, tmp_path):
-        def problem(label):
-            return LpProblem(
-                coefficients=np.zeros((1, 100)), gain_lower=np.zeros(1), gain_upper=np.ones(1),
-                slack_mass=np.zeros(1), pair_labels=(label,),
-            )
+        def problem(index):  # a dump that names its row: the strong decoy of side A is 1 + index
+            return build_problem((1.0 + index, 0.5, 0.0), (0.1, 0.01, 0.0), np.full((3, 3), 0.01))
 
         keys = [(loss, strategy) for loss in (30.0, 20.0, 30.0) for strategy in ("symmetric", "signal_only")]
         rows = [SimpleNamespace(loss_db=loss, strategy=strategy) for loss, strategy in keys]
-        problems = [problem(f"row{i}") for i in range(len(rows))]
+        problems = [problem(i) for i in range(len(rows))]
         problems[3] = None  # a row without an LP gets no section
         path = tmp_path / "dump.lp.txt"
         write_lp_dumps(str(path), rows, problems)

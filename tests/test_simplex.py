@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from oracles import bland_run_simplex, dantzig_run_simplex
-from test_decoy_lp import WARM_AGREEMENT
+from test_decoy_lp import WARM_AGREEMENT, pulse_counts
 from tfqkd import simplex
 from tfqkd.channel import ChannelScenario
 from tfqkd.decoy import (
@@ -366,10 +366,8 @@ def _degenerate_qber_scan_problem():
     config = QberScanConfig(s_a_grid=(0.01,))
     (s_a,) = config.s_a_grid
     assert s_a == config.nu  # the scan point whose decoy rows are duplicated
-    obs = observations_from_scenario(
-        config.scenario(), (s_a, config.nu, 0.0), (config.mu_b, config.nu, 0.0),
-    )
-    return build_problem(obs)
+    decoys_a, decoys_b = (s_a, config.nu, 0.0), (config.mu_b, config.nu, 0.0)
+    return build_problem(decoys_a, decoys_b, observations_from_scenario(config.scenario(), decoys_a, decoys_b))
 
 
 def _finite_sweep_problem(loss_db):
@@ -382,12 +380,10 @@ def _finite_sweep_problem(loss_db):
                1.0 - value[f"p_s_{side}"] - value[f"p_mu_{side}"] - value[f"p_nu_{side}"])
         for side in "ab"
     }
-    obs = observations_from_scenario(
-        config.scenario_for(loss_db),
-        (value["mu_a"], value["nu_a"], 0.0), (value["mu_b"], value["nu_b"], 0.0),
-        n_pulses=mode.n_pulses, probabilities_a=probabilities["a"], probabilities_b=probabilities["b"],
-    )
-    return build_problem(obs, sigma_multiplier=mode.sigma_multiplier)
+    decoys_a, decoys_b = (value["mu_a"], value["nu_a"], 0.0), (value["mu_b"], value["nu_b"], 0.0)
+    gains = observations_from_scenario(config.scenario_for(loss_db), decoys_a, decoys_b)
+    return build_problem(decoys_a, decoys_b, gains, pulse_counts(mode.n_pulses, probabilities["a"], probabilities["b"]),
+                         mode.sigma_multiplier)
 
 
 _random_programs = given(
@@ -535,9 +531,9 @@ def _scan_problems(config):
     """The QBER scan's decoy problems, one per grid point."""
     scenario = config.scenario()
     return [
-        build_problem(observations_from_scenario(scenario, (max(v, config.nu), min(v, config.nu), 0.0),
-                                                 (config.mu_b, config.nu, 0.0)))
-        for v in config.s_a_grid
+        build_problem(*decoys, observations_from_scenario(scenario, *decoys))
+        for decoys in (((max(v, config.nu), min(v, config.nu), 0.0), (config.mu_b, config.nu, 0.0))
+                       for v in config.s_a_grid)
     ]
 
 
@@ -621,13 +617,12 @@ class TestStackRetracesScalarLoop:
             # a share of 1 makes the degenerate decoy set mu == nu
             decoys_a, decoys_b = (mu_a, mu_a * nu_share_a, 0.0), (mu_b, mu_b * nu_share_b, 0.0)
             scenario = ChannelScenario(eta_a=eta_a, eta_b=eta_b, p_d=p_d, e_d=e_d)
+            gains = observations_from_scenario(scenario, decoys_a, decoys_b)
             if log_pulses is None:
-                obs = observations_from_scenario(scenario, decoys_a, decoys_b)
-                problems.append(build_problem(obs))
+                problems.append(build_problem(decoys_a, decoys_b, gains))
             else:
-                obs = observations_from_scenario(scenario, decoys_a, decoys_b, n_pulses=10.0**log_pulses,
-                                                 probabilities_a=(0.1, 0.05, 0.05), probabilities_b=(0.2, 0.1, 0.1))
-                problems.append(build_problem(obs, sigma_multiplier=5.3))
+                counts = pulse_counts(10.0**log_pulses, (0.1, 0.05, 0.05), (0.2, 0.1, 0.1))
+                problems.append(build_problem(decoys_a, decoys_b, gains, counts, sigma_multiplier=5.3))
         assert _assert_stack_retraces_scalar_loop(*_decoy_stack(problems)) is not None
 
     def test_golden_scan_grid(self):

@@ -52,12 +52,16 @@ times the stacked path of the QBER scan per LP, end to end as above:
   scenario of yield_lp_qber_exact.  It reports microseconds per LP, to
   compare with the one-LP calls of yield_lp_qber_exact.
 
-One decoy.build_stack case, timed as REPEATS repeats of LP_CALLS calls,
-times the build alone of that stack, without the solve:
+Two cases time the build alone of a stack, without the solve, as REPEATS
+repeats of LP_CALLS calls of decoy.observations_from_scenario and
+decoy.build_problem on the whole stack (gains, checks, Poisson rows,
+coefficients, tail masses, gain rows), in microseconds per LP:
 
-* problem_build_qber_stack: the LP arrays of the STACK_SIZE settings of
-  yield_lp_qber_stack from one build_stack call (gains, Poisson rows,
-  coefficients, tail masses), in microseconds per LP.
+* problem_build_qber_stack: the STACK_SIZE settings of yield_lp_qber_stack;
+* problem_build_finite_stack: FINITE_STACK finite settings along one decoy
+  coordinate of yield_lp_finite, side a's mu stepped by 1 % from 0.1, with
+  the stacked pulse counts of its selection probabilities, widened by the
+  sigma multiplier of that case.
 
 A table after the cases gives the cost of the stack size behind
 decoy.STACK_SIZE: for stacks of STACK_SIZES settings, made as
@@ -92,10 +96,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from tfqkd import decoy  # noqa: E402  (needs src/ on the path)
 from tfqkd.channel import ChannelScenario  # noqa: E402
 from tfqkd.decoy import (  # noqa: E402
-    STACK_SIZE, TARGET_PAIRS, WarmBases, build_stack, sigma_multiplier_from_epsilon, yield_bounds, yield_lp)
+    STACK_SIZE, TARGET_PAIRS, WarmBases, build_problem, observations_from_scenario, sigma_multiplier_from_epsilon,
+    yield_bounds, yield_lp)
 from tfqkd.experiments import split_total_loss  # noqa: E402
 from tfqkd.optimizer import (  # noqa: E402
     TIED_SLOTS, EvaluationMode, ProtocolParameters, Strategy, add_fibre_transform, asymptotic_searches,
@@ -121,6 +128,10 @@ def _qber_stack(size: int) -> list:
 
 
 QBER_STACK = _qber_stack(STACK_SIZE)
+FINITE_STACK = 16  # settings of problem_build_finite_stack
+FINITE_SIDES = [np.array([(DECOYS[0] * (1.0 + 0.01 * k), *DECOYS[1:]) for k in range(FINITE_STACK)]),
+                np.array([DECOYS] * FINITE_STACK)]
+FINITE_COUNTS = FINITE.n_pulses * np.array(PROBABILITIES)[:, None] * np.array(PROBABILITIES)  # shared by the stack
 SWEEP = [(add_fibre_transform(scenario) if strategy is Strategy.ADD_FIBRE else scenario, 0 in TIED_SLOTS[strategy])
          for loss in (30.0, 40.0, 50.0)
          for scenario in (ChannelScenario(*split_total_loss(loss, 0.1), p_d=1e-8, e_d=0.02),)
@@ -227,15 +238,25 @@ def _stack_size_row(size: int) -> tuple[list[float], float]:
     return per_lp, peak / size / 1e3
 
 
-def _time_build() -> list[float]:
+def _build_qber_stack():
+    """The stack's LPs as yield_bounds builds them: both sides converted once, then gains and build."""
+    sides = [np.asarray(side, dtype=float) for side in zip(*QBER_STACK)]
+    return build_problem(*sides, observations_from_scenario(QBER_SCENARIO, *sides))
+
+
+def _build_finite_stack():
+    return build_problem(*FINITE_SIDES, observations_from_scenario(SCENARIO, *FINITE_SIDES), FINITE_COUNTS,
+                         FINITE.sigma_multiplier)
+
+
+def _time_build(build, size: int) -> list[float]:
     per_lp = []
-    sides = list(zip(*QBER_STACK))
-    build_stack(QBER_SCENARIO, *sides)
+    build()
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(LP_CALLS):
-            build_stack(QBER_SCENARIO, *sides)
-        per_lp.append((time.perf_counter() - start) / (LP_CALLS * len(QBER_STACK)) * 1e6)
+            build()
+        per_lp.append((time.perf_counter() - start) / (LP_CALLS * size) * 1e6)
     return per_lp
 
 
@@ -261,7 +282,9 @@ def main() -> int:
              ("yield_lp_finite_decoy_step", _time_decoy_step, LP_CALLS, "us/call"),
              ("yield_lp_qber_exact", lambda: _time_lp(QBER_SCENARIO, ASYMPTOTIC, None), LP_CALLS, "us/call"),
              ("yield_lp_qber_stack", _time_stack, STACK_CALLS, "us/LP"),
-             ("problem_build_qber_stack", _time_build, LP_CALLS, "us/LP"),
+             ("problem_build_qber_stack", lambda: _time_build(_build_qber_stack, STACK_SIZE), LP_CALLS, "us/LP"),
+             ("problem_build_finite_stack", lambda: _time_build(_build_finite_stack, FINITE_STACK), LP_CALLS,
+              "us/LP"),
              ("asymptotic_search_alone", lambda: _time_searches([[row] for row in SWEEP]), SWEEP_CALLS, "us/search"),
              ("asymptotic_search_lockstep", lambda: _time_searches([SWEEP]), SWEEP_CALLS, "us/search"),
              ("asymptotic_search_long", lambda: _time_searches([LONG_SWEEP], 1), 1, "us/search"))
