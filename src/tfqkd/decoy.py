@@ -21,10 +21,11 @@ optimal is read as it stands, simplex.reoptimize re-solves every other
 one, and a probability step reuses the last LP's gains and arrays.  Those
 bounds may differ from the cold ones by a few 1e-11 and only rank points.
 yield_bounds is the QBER scan's path to the bound matrices of many decoy
-settings: it builds their asymptotic LPs with one build_problem call per
-stack and solves each stack in lockstep (simplex.maximize_stack), with the
-bits, and the first error, that one yield_lp per setting would give.  No
-module outside this one runs the chain from gains to problem to bounds.
+settings, given as (K, 3) arrays of triples like build_problem's: it builds
+their asymptotic LPs with one build_problem call per stack and solves each
+stack in lockstep (simplex.maximize_stack), with the bits, and the first
+error, that one yield_lp per setting would give.  No module outside this
+one runs the chain from gains to problem to bounds.
 
 The statistical z-score is named ``sigma_multiplier`` throughout: the
 literature reuses the same symbol for arriving intensities and for the
@@ -34,9 +35,7 @@ confidence width, and the collision is worth avoiding in code.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -438,42 +437,36 @@ def yield_lp(scenario: ChannelScenario, intensities_a: tuple[float, float, float
     return problem, bounds
 
 
-def yield_bounds(scenario: ChannelScenario,
-                 decoy_sets: Iterable[tuple[tuple[float, ...], tuple[float, ...]]]) -> np.ndarray:
+def yield_bounds(scenario: ChannelScenario, intensities_a, intensities_b) -> np.ndarray:
     """Asymptotic bound matrices of many decoy settings of one scenario, in order, as one (K, 3, 3) array.
 
-    decoy_sets yields (intensities_a, intensities_b) pairs; each matrix is
-    yield_lp's for its pair in the asymptotic mode, bit for bit.  Pairs are
-    drawn, built and solved STACK_SIZE at a time; a stack keeps only its
-    equality form once built, so its memory is STACK_SIZE times about 32 kB.
-    Errors surface in the order of the pairs, as one yield_lp call per pair
-    would raise them.
+    Each side holds one (mu, nu, omega) per setting, as (K, 3) arrays of one
+    shape; matrix k is yield_lp's for setting k in the asymptotic mode, bit
+    for bit.  Settings are built and solved STACK_SIZE at a time; a stack
+    keeps only its equality form once built, so its memory is STACK_SIZE
+    times about 32 kB.  A stack of one, or one that fails, runs setting by
+    setting, so errors surface in the order of the settings, as one
+    yield_lp call per setting would raise them.
     """
-    decoy_sets, bounds = iter(decoy_sets), [np.ones((0, _BOUND_SIZE, _BOUND_SIZE))]
-    while True:
-        stack = []
-        try:
-            for pair in itertools.islice(decoy_sets, STACK_SIZE):
-                stack.append(pair)
-        except Exception:
-            _stack_bounds(scenario, stack)
-            raise
-        if not stack:
-            return np.concatenate(bounds)
-        bounds.append(_stack_bounds(scenario, stack))
-
-
-def _stack_bounds(scenario: ChannelScenario, stack: list) -> np.ndarray:
-    """yield_bounds of one stack, built and solved at once, or setting by setting if it holds one or any fails."""
-    if len(stack) > 1:
-        try:
-            sides = [np.asarray(side, dtype=float) for side in zip(*stack)]
-            problem = build_problem(*sides, observations_from_scenario(scenario, *sides))
-            a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
-            del problem  # its arrays are not needed past the equality form
-        except (ValueError, TypeError, InfeasibleProblemError):  # the failing setting is found one by one below
-            a = None
-        values = None if a is None else simplex.maximize_stack(a, b, ub, _objectives(a.shape[-1]))
+    intensities_a, intensities_b = np.asarray(intensities_a, dtype=float), np.asarray(intensities_b, dtype=float)
+    if intensities_a.shape != intensities_b.shape:
+        raise DomainError(f"the sides' triples differ in shape: {intensities_a.shape} and {intensities_b.shape}")
+    bounds = [np.ones((0, _BOUND_SIZE, _BOUND_SIZE))]
+    for start in range(0, len(intensities_a), STACK_SIZE):
+        sides = intensities_a[start:start + STACK_SIZE], intensities_b[start:start + STACK_SIZE]
+        values = None
+        if len(sides[0]) > 1:
+            try:
+                problem = build_problem(*sides, observations_from_scenario(scenario, *sides))
+                a, b, ub = _equality_form(problem.coefficients, *_checked_bounds(problem))
+            except (ValueError, InfeasibleProblemError):  # the failing setting is found one by one below
+                pass
+            else:
+                del problem  # its arrays are not needed past the equality form
+                values = simplex.maximize_stack(a, b, ub, _objectives(a.shape[-1]))
+                del a, b, ub  # nor the equality form past the solve: the next stack's build reuses its memory
         if values is not None and np.isfinite(values).all():
-            return _bound_matrix(values)
-    return np.array([yield_lp(scenario, *pair)[1] for pair in stack])
+            bounds.append(_bound_matrix(values))
+        else:
+            bounds.append(np.array([yield_lp(scenario, *setting)[1] for setting in zip(*(s.tolist() for s in sides))]))
+    return np.concatenate(bounds)

@@ -267,23 +267,23 @@ def run_qber_scan(config: QberScanConfig):
     (v, s_b), and the phase-error column bounds the yields by LP from the
     decoy sets {v, nu, 0} versus {mu_b, nu, 0} with signal states fixed at
     (s_b, s_b) for the cat-state weights.  The LPs of the whole grid go to
-    decoy.yield_bounds, which solves them in stacks.
+    decoy.yield_bounds, which solves them in stacks.  A failing point raises
+    in grid order, its X-basis columns before its LP.
     """
     scenario = config.scenario()
     p_xx_signal = x_basis_gain(scenario, ArrivingIntensities.from_sources(scenario, config.s_b, config.s_b))
+    # the decoy set is a set: a scan value below nu simply swaps roles
+    decoys_a = [(v, config.nu, 0.0) if v >= config.nu else (config.nu, v, 0.0) for v in config.s_a_grid]
+    decoys_b = [(config.mu_b, config.nu, 0.0)] * len(decoys_a)
     x_columns = []
-
-    def decoy_sets():
-        # a point's X-basis columns are evaluated as its decoy sets are drawn,
-        # so a failing point raises in grid order, X basis before LP
-        for value in config.s_a_grid:
+    for value in config.s_a_grid:
+        try:
             gamma = ArrivingIntensities.from_sources(scenario, value, config.s_b)
             x_columns.append((x_basis_qber(scenario, gamma), first_order_diagnostics(scenario, gamma)))
-            # the decoy set is a set: a scan value below nu simply swaps roles
-            strong, weak = (value, config.nu) if value >= config.nu else (config.nu, value)
-            yield (strong, weak, 0.0), (config.mu_b, config.nu, 0.0)
-
-    bound_matrices = yield_bounds(scenario, decoy_sets())
+        except Exception:  # the points before this one raise their first LP error, if any, before its own
+            yield_bounds(scenario, decoys_a[:len(x_columns)], decoys_b[:len(x_columns)])
+            raise
+    bound_matrices = yield_bounds(scenario, decoys_a, decoys_b)
     # the signal's cat rows, broadcast as one stack slice per bound matrix: one bound call for the whole grid
     cat = tuple(part[:, None] for part in cat_state(math.sqrt(config.s_b), bound_matrices.shape[-1]))
     phase_errors = phase_error_upper_bound(cat, cat, bound_matrices)[:, 0, 0].tolist()

@@ -638,20 +638,6 @@ def reoptimize(state: PreparedBasis, cost: np.ndarray, sign: np.ndarray, scores:
         scores = (cost - cost[basis] @ tableau) * sign
 
 
-def _maximize_prepared_stack(stack: PreparedBasis, objective: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """maximize_prepared for every LP of a stack: (order, values), LP order[s]
-    of the stack reaching values[s]; None where maximize_prepared raises."""
-    work = stack.copy()
-    n = work.n_structural
-    cost = np.zeros(work.upper.shape[1])
-    cost[:n] = objective
-    outcome = _run_stack(cost, work, _DANTZIG_DEGENERATE_LIMIT)
-    if outcome is None:
-        return None
-    _refresh_stack(work)
-    return outcome[0], np.array([float(cost[:n] @ x) for x in _solution(work)])
-
-
 def maximize_stack(a: np.ndarray, b: np.ndarray, upper: np.ndarray, objectives: np.ndarray) -> np.ndarray | None:
     """prepare and maximize_prepared for every LP of a stack, run in lockstep.
 
@@ -674,12 +660,16 @@ def maximize_stack(a: np.ndarray, b: np.ndarray, upper: np.ndarray, objectives: 
     _refresh_stack(stack)
     if (_residuals(stack) > FEASIBILITY_TOLERANCE).any():
         return None
-    stack.upper[:, stack.n_structural:] = 0.0
-    values = np.empty((a.shape[0], len(objectives)))
-    for target, objective in enumerate(objectives):
-        outcome = _maximize_prepared_stack(stack, objective)
+    n = stack.n_structural
+    stack.upper[:, n:] = 0.0
+    values, cost = np.empty((a.shape[0], len(objectives))), np.zeros(stack.upper.shape[1])
+    for target, objective in enumerate(objectives):  # phase 2 on a copy of the prepared stack, target by target
+        cost[:n] = objective
+        work = stack.copy()
+        outcome = _run_stack(cost, work, _DANTZIG_DEGENERATE_LIMIT)
         if outcome is None:
             return None
-        order, target_values = outcome
-        values[prepared_order[order], target] = target_values
+        _refresh_stack(work)
+        values[prepared_order[outcome[0]], target] = [float(cost[:n] @ x) for x in _solution(work)]
+        del work  # freed before the next copy is made
     return values

@@ -237,12 +237,19 @@ class TestSolveInStacks:
 
     @staticmethod
     def settings(count=6):
-        # strong decoys that no other intensity of the stack shares, so that a failure can be keyed on them
-        return [((0.2 + 0.01 * i, 0.01, 0.0), DECOYS) for i in range(count)]
+        """Both sides' (count, 3) triples, side a's strong decoys shared by no other intensity of the stack, so
+        that a failure can be keyed on them."""
+        side_a = np.array([(0.2 + 0.01 * i, 0.01, 0.0) for i in range(count)]).reshape(count, 3)
+        return side_a, np.tile(DECOYS, (count, 1))
+
+    @staticmethod
+    def pairs(settings):
+        """The settings as one (intensities_a, intensities_b) pair of tuples each, as yield_lp takes them."""
+        return list(zip(*(map(tuple, side.tolist()) for side in settings)))
 
     @staticmethod
     def break_settings(monkeypatch, settings, broken):
-        """Make settings[index] fail as broken[index] says, for a stacked build and a build alone alike.
+        """Make setting index fail as broken[index] says, for a stacked build and a build alone alike.
 
         ("contradictory", row): the gain of that row is 1.0, which no mixture
         of yields matches next to the vacuum pair's gain of 0, so phase 1
@@ -253,9 +260,10 @@ class TestSolveInStacks:
         ("unsorted", None): the strong decoy lies below the weak one, which
         build_problem rejects.
         """
+        side_a = settings[0]
         gains_of, rows_of = decoy.z_basis_gains, decoy.poisson_pmf_rows
-        contradicted = {settings[i][0][0]: row for i, (kind, row) in broken.items() if kind == "contradictory"}
-        inflated = [settings[i][0][0] for i, (kind, _) in broken.items() if kind == "crossed"]
+        contradicted = {side_a[i, 0]: row for i, (kind, row) in broken.items() if kind == "contradictory"}
+        inflated = [side_a[i, 0] for i, (kind, _) in broken.items() if kind == "crossed"]
 
         def gains(scenario, gamma_a, gamma_b):
             values = gains_of(scenario, gamma_a, gamma_b)
@@ -274,12 +282,12 @@ class TestSolveInStacks:
         monkeypatch.setattr(decoy, "poisson_pmf_rows", rows)
         for index, (kind, _) in broken.items():
             if kind in ("overflow", "unsorted"):
-                settings[index] = ((3000.0 if kind == "overflow" else 0.005, 0.01, 0.0), DECOYS)
+                side_a[index] = (3000.0 if kind == "overflow" else 0.005, 0.01, 0.0)
 
-    @staticmethod
-    def first_error(settings):
+    @classmethod
+    def first_error(cls, settings):
         """Index and (type, text, constraint) of the first error of one yield_lp per setting."""
-        for index, setting in enumerate(settings):
+        for index, setting in enumerate(cls.pairs(settings)):
             try:
                 yield_lp(NOMINAL, *setting)
             except (DomainError, InfeasibleProblemError) as error:
@@ -318,24 +326,20 @@ class TestSolveInStacks:
         first, expected = self.first_error(settings)
         matrices = self.solved(monkeypatch)
         with pytest.raises((DomainError, InfeasibleProblemError)) as excinfo:
-            yield_bounds(NOMINAL, settings)
+            yield_bounds(NOMINAL, *settings)
         error = excinfo.value
         assert (type(error), str(error), getattr(error, "constraint", None)) == expected
-        assert [m.tobytes() for m in matrices] == [yield_lp(NOMINAL, *s)[1].tobytes() for s in settings[:first]]
+        assert [m.tobytes() for m in matrices] == [yield_lp(NOMINAL, *s)[1].tobytes()
+                                                   for s in self.pairs(settings)[:first]]
 
-    def test_a_problem_that_cannot_be_drawn_raises_after_the_ones_before_it(self, monkeypatch):
-        def drawn(settings):
-            yield from settings
-            raise DomainError("the next setting cannot be drawn")
+    def test_sides_of_unequal_shapes_raise(self):
+        side_a, side_b = self.settings(3)
+        with pytest.raises(DomainError, match=r"differ in shape: \(3, 3\) and \(2, 3\)"):
+            yield_bounds(NOMINAL, side_a, side_b[:2])
 
-        with pytest.raises(DomainError, match="cannot be drawn"):
-            yield_bounds(NOMINAL, drawn(self.settings(3)))
-        settings = self.settings(3)
-        self.break_settings(monkeypatch, settings, {1: ("contradictory", 5)})
-        _, expected = self.first_error(settings)
-        with pytest.raises(InfeasibleProblemError) as excinfo:
-            yield_bounds(NOMINAL, drawn(settings))
-        assert (type(excinfo.value), str(excinfo.value), excinfo.value.constraint) == expected
+    def test_no_settings_give_no_matrices(self):
+        bounds = yield_bounds(NOMINAL, *self.settings(0))
+        assert bounds.shape == (0, 3, 3)
 
     @pytest.mark.parametrize("count, stacks", [(STACK_SIZE + 5, [STACK_SIZE, 5]),
                                                (2 * STACK_SIZE + 1, [STACK_SIZE, STACK_SIZE])],
@@ -350,24 +354,25 @@ class TestSolveInStacks:
             return stacked(a, *args)
 
         monkeypatch.setattr(simplex, "maximize_stack", counting)
-        bounds = yield_bounds(NOMINAL, settings)
+        bounds = yield_bounds(NOMINAL, *settings)
         assert sizes == stacks  # a last stack of one setting takes the scalar loop
-        assert [matrix.tobytes() for matrix in bounds] == [yield_lp(NOMINAL, *s)[1].tobytes() for s in settings]
+        assert [matrix.tobytes() for matrix in bounds] == [yield_lp(NOMINAL, *s)[1].tobytes()
+                                                           for s in self.pairs(settings)]
 
     def test_the_stack_path_holds_at_most_35_kb_per_lp(self):
         # the traced peak of yield_bounds over two full stacks of scan settings and one alone, per stacked LP:
         # 31.9 kB (the equality-form matrix and two tableaux); 44.9 kB while the stacked problem lived on
         # through the solve and phase 1 started from two temporary copies of the matrix
         grid = [10.0 ** (-3.0 + 3.0 * i / (2 * STACK_SIZE)) for i in range(2 * STACK_SIZE + 1)]
-        settings = [((max(v, 0.01), min(v, 0.01), 0.0), DECOYS) for v in grid]
-        yield_bounds(NOMINAL, settings)  # fills the caches that a first call fills
+        settings = np.array([(max(v, 0.01), min(v, 0.01), 0.0) for v in grid]), np.tile(DECOYS, (len(grid), 1))
+        yield_bounds(NOMINAL, *settings)  # fills the caches that a first call fills
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            yield_bounds(NOMINAL, settings)
+            yield_bounds(NOMINAL, *settings)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:

@@ -433,14 +433,24 @@ class TestCli:
         assert main(["qber-scan", "--config", config, "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().err == "runtime error: arriving intensities 1500.0, 0.1 overflow the X-basis gain\n"
 
-    @pytest.mark.parametrize("grid, message", [
-        ([0.5, 1500.0], "decoy arriving intensities 0.5, 2000.0 overflow the Z-basis gain"),
-        ([1500.0, 0.5], "arriving intensities 1500.0, 0.1 overflow the X-basis gain"),
-    ])
-    def test_the_first_failing_point_names_the_error(self, tmp_path, capsys, grid, message):
-        # point by point, as the grid is written, and a point's X-basis columns
-        # before its LP: 0.5 fails in its LP, 1500.0 in its X-basis columns
-        config = self._write(tmp_path, "scan.json", {"s_a_grid": grid, "mu_b": 2000.0})
+    #: Scans whose first failing point, in grid order and X-basis columns before LP, raises the message.  At
+    #: mu_b = 2000 every LP fails, and 1500.0 fails in its X-basis columns too; at s_b = 100, 800.0 fails in
+    #: its X-basis columns but not in its LP, and 1500.0 fails in both.  The last two put the failing LP point
+    #: and the failing X-basis point a stack apart, in each order.
+    FAILING_SCANS = [
+        ({"s_a_grid": [0.5, 1500.0], "mu_b": 2000.0},
+         "decoy arriving intensities 0.5, 2000.0 overflow the Z-basis gain"),
+        ({"s_a_grid": [1500.0, 0.5], "mu_b": 2000.0}, "arriving intensities 1500.0, 0.1 overflow the X-basis gain"),
+        ({"s_a_grid": [0.5] * STACK_SIZE + [1500.0], "mu_b": 2000.0},
+         "decoy arriving intensities 0.5, 2000.0 overflow the Z-basis gain"),
+        ({"s_a_grid": [0.5, 800.0] + [0.5] * STACK_SIZE + [1500.0], "s_b": 100.0},
+         "arriving intensities 800.0, 100.0 overflow the X-basis gain"),
+    ]
+
+    @pytest.mark.parametrize("document, message", FAILING_SCANS,
+                             ids=[f"grid{i}-{message}" for i, (_, message) in enumerate(FAILING_SCANS)])
+    def test_the_first_failing_point_names_the_error(self, tmp_path, capsys, document, message):
+        config = self._write(tmp_path, "scan.json", document)
         assert main(["qber-scan", "--config", config, "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().err == f"runtime error: {message}\n"
 

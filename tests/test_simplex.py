@@ -633,7 +633,8 @@ class TestStackRetracesScalarLoop:
     def test_seed_one_scan_grid_in_stacks(self):
         config = QberScanConfig(s_a_grid=tuple(_seed_one_scan_grid()))
         problems = _scan_problems(config)
-        # the stacks that yield_bounds draws: ceil(2001 / STACK_SIZE) of them, the last holding the rest
+        # the stacks that yield_bounds cuts the grid's (2001, 3) triples into: ceil(2001 / STACK_SIZE) of them,
+        # the last holding the rest
         stacks = [problems[start:start + STACK_SIZE] for start in range(0, len(problems), STACK_SIZE)]
         pivots = [0, 0]
         for stack in stacks:

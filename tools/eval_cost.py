@@ -121,10 +121,11 @@ QBER_SCENARIO = ChannelScenario(eta_a=1.0, eta_b=1.0, p_d=0.0, e_d=0.02)
 STACK_SIZES = (32, 64, 96, 128, 256)  # stack sizes of the table
 
 
-def _qber_stack(size: int) -> list:
-    """size QBER-scan settings: side a's strong decoy log-spaced over [1e-3, 1] against side b's DECOYS."""
-    return [((max(v, 0.01), min(v, 0.01), 0.0), DECOYS)
-            for v in (10.0 ** (-3.0 + 3.0 * i / (size - 1)) for i in range(size))]
+def _qber_stack(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """size QBER-scan settings as both sides' (size, 3) triples: side a's strong decoy log-spaced over [1e-3, 1]
+    against side b's DECOYS."""
+    grid = [10.0 ** (-3.0 + 3.0 * i / (size - 1)) for i in range(size)]
+    return np.array([(max(v, 0.01), min(v, 0.01), 0.0) for v in grid]), np.tile(DECOYS, (size, 1))
 
 
 QBER_STACK = _qber_stack(STACK_SIZE)
@@ -212,14 +213,14 @@ def _time_decoy_step() -> list[float]:
     return per_call
 
 
-def _time_stack(stack: list = QBER_STACK) -> list[float]:
+def _time_stack(stack: tuple[np.ndarray, np.ndarray] = QBER_STACK) -> list[float]:
     per_lp = []
-    yield_bounds(QBER_SCENARIO, stack)
+    yield_bounds(QBER_SCENARIO, *stack)
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(STACK_CALLS):
-            yield_bounds(QBER_SCENARIO, stack)
-        per_lp.append((time.perf_counter() - start) / (STACK_CALLS * len(stack)) * 1e6)
+            yield_bounds(QBER_SCENARIO, *stack)
+        per_lp.append((time.perf_counter() - start) / (STACK_CALLS * len(stack[0])) * 1e6)
     return per_lp
 
 
@@ -230,7 +231,7 @@ def _stack_size_row(size: int) -> tuple[list[float], float]:
     try:
         per_lp = _time_stack(stack)
         tracemalloc.start()
-        yield_bounds(QBER_SCENARIO, stack)
+        yield_bounds(QBER_SCENARIO, *stack)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     finally:
@@ -239,9 +240,8 @@ def _stack_size_row(size: int) -> tuple[list[float], float]:
 
 
 def _build_qber_stack():
-    """The stack's LPs as yield_bounds builds them: both sides converted once, then gains and build."""
-    sides = [np.asarray(side, dtype=float) for side in zip(*QBER_STACK)]
-    return build_problem(*sides, observations_from_scenario(QBER_SCENARIO, *sides))
+    """The stack's LPs as yield_bounds builds them: gains, then build."""
+    return build_problem(*QBER_STACK, observations_from_scenario(QBER_SCENARIO, *QBER_STACK))
 
 
 def _build_finite_stack():
